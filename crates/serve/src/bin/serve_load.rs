@@ -149,7 +149,7 @@ fn main() {
         };
         eprintln!(
             "serve_load: {} {} reqs, {} clients: {:.0} qps, p50 {:.0}us p95 {:.0}us p99 {:.0}us, \
-             {} ok / {} errors{}, cache {}/{} hit",
+             {} ok / {} errors{}, cache {}/{} hit, {} entries, {} evicted, {} deferred",
             report.domain,
             report.requests,
             report.clients,
@@ -160,8 +160,11 @@ fn main() {
             report.ok,
             report.errors,
             codes,
-            report.cache_hits,
-            report.cache_hits + report.cache_misses,
+            report.cache.hits,
+            report.cache.hits + report.cache.misses,
+            report.cache.entries,
+            report.cache.evictions,
+            report.cache.deferred,
         );
         // Per-code latency breakdown: are the errors cheap rejections
         // or slow failures? Text-only — BENCH_serve.json is unchanged.

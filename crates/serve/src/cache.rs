@@ -14,6 +14,36 @@
 //!    canonical form. Cosmetic variants collapse onto one entry:
 //!    `select  A from T` and `SELECT a FROM t` share a single plan.
 //!
+//! ## Bounded: CLOCK eviction, second-sighting admission
+//!
+//! The raw layer holds at most the capacity given to
+//! [`PlanCache::with_capacity`] (default [`DEFAULT_CAPACITY`]), and the
+//! normalized layer holds only entries some resident raw entry points
+//! to, so memory is bounded by the capacity however many distinct
+//! statements arrive.
+//!
+//! - **CLOCK eviction.** Entries sit in a ring of slots, each with a
+//!   reference bit that every hit sets. To make room, a hand sweeps the
+//!   ring: a set bit is cleared and the entry gets a second chance; the
+//!   first entry found clear has not been hit since the hand last
+//!   passed, and is evicted. A hit therefore costs one relaxed atomic
+//!   store under the read lock — no reordering of a recency list, so
+//!   hits never need the write lock.
+//! - **Second-sighting admission.** While the cache has room every miss
+//!   is admitted. Once it is full, a statement is admitted only on its
+//!   second miss: the first sets its bits in a small Bloom filter, the
+//!   doorkeeper, and is served without being cached. A flood of one-off
+//!   statements (ad-hoc queries, the fresh quarter of a load mix) then
+//!   never evicts the hot set, and an entry is evicted only to make
+//!   room for a statement that has shown it repeats. The doorkeeper is
+//!   cleared after every `capacity` first sightings, so it remembers
+//!   only recent ones; a false positive admits a statement one sighting
+//!   early.
+//!
+//! Eviction and admission decide only *whether* a plan is reused, never
+//! what a request returns: a deferred or evicted statement is prepared
+//! afresh, which produces the same plan.
+//!
 //! ## Why a cached plan is safe to reuse
 //!
 //! A [`Prepared`] entry stores the statement AST (`Arc<Query>`) and an
@@ -33,9 +63,23 @@
 //! configuration.
 
 use sb_engine::{Database, ExecOptions};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
+
+/// Raw entries a [`PlanCache::new`] cache holds. An entry over the
+/// fuzz-sized snapshots takes about 4 KB, so a full default cache
+/// stays around 16 MB.
+pub const DEFAULT_CAPACITY: usize = 4096;
+
+/// Doorkeeper bits per unit of capacity, and bits set per statement.
+/// At the end of a window of `capacity` first sightings an eighth of
+/// the bits are set, so fewer than one unseen statement in 5,000 looks
+/// seen.
+const DOORKEEPER_BITS_PER_ENTRY: usize = 32;
+const DOORKEEPER_HASHES: u64 = 4;
 
 /// One statement, prepared: parsed once, planned once.
 #[derive(Debug)]
@@ -57,28 +101,195 @@ enum RawEntry {
     ParseErr(String),
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    /// `(snapshot, raw sql)` → parse outcome.
-    by_raw: HashMap<(String, String), RawEntry>,
-    /// `(snapshot, normalized sql)` → prepared entry, shared by every
-    /// raw spelling that normalizes onto it.
-    by_norm: HashMap<(String, String), Arc<Prepared>>,
+impl RawEntry {
+    fn to_result(&self) -> Result<Arc<Prepared>, String> {
+        match self {
+            RawEntry::Prepared(p) => Ok(Arc::clone(p)),
+            RawEntry::ParseErr(e) => Err(e.clone()),
+        }
+    }
 }
 
-/// Concurrent prepared-statement cache. Read-mostly: lookups take the
-/// read lock, only first-touch preparation takes the write lock.
+/// One resident raw entry in the CLOCK ring.
+#[derive(Debug)]
+struct Slot {
+    db: Arc<str>,
+    sql: Arc<str>,
+    entry: RawEntry,
+    /// Set by every hit, cleared by the passing hand.
+    referenced: AtomicBool,
+}
+
+/// A normalized entry and the number of resident raw entries sharing it.
+#[derive(Debug)]
+struct Shared {
+    prepared: Arc<Prepared>,
+    refs: usize,
+}
+
+/// The entries of one snapshot name.
 #[derive(Debug, Default)]
+struct Partition {
+    /// Raw sql → slot index.
+    raw: HashMap<Arc<str>, usize>,
+    /// Normalized sql → shared prepared entry.
+    norm: HashMap<String, Shared>,
+}
+
+#[derive(Debug, Default)]
+struct Inner {
+    /// Keyed by snapshot name first, so a lookup borrows both strings
+    /// and allocates nothing.
+    partitions: HashMap<Arc<str>, Partition>,
+    slots: Vec<Slot>,
+    hand: usize,
+}
+
+impl Inner {
+    /// Sweep the hand to the first slot not hit since its last pass,
+    /// clearing reference bits on the way, and unindex that slot's
+    /// entry. Terminates within one revolution plus one step: the write
+    /// lock keeps hits from setting bits behind the hand.
+    fn evict(&mut self) -> usize {
+        let victim = loop {
+            let i = self.hand;
+            self.hand = (i + 1) % self.slots.len();
+            if !std::mem::take(self.slots[i].referenced.get_mut()) {
+                break i;
+            }
+        };
+        let slot = &self.slots[victim];
+        let part = self
+            .partitions
+            .get_mut(&slot.db)
+            .expect("every resident entry is indexed");
+        part.raw.remove(&slot.sql);
+        if let RawEntry::Prepared(p) = &slot.entry {
+            let shared = part
+                .norm
+                .get_mut(&p.normalized)
+                .expect("every resident prepared entry is shared");
+            shared.refs -= 1;
+            if shared.refs == 0 {
+                part.norm.remove(&p.normalized);
+            }
+        }
+        if part.raw.is_empty() {
+            self.partitions.remove(&slot.db);
+        }
+        victim
+    }
+}
+
+/// Bloom filter of statements missed once while the cache was full,
+/// cleared every `window` insertions.
+#[derive(Debug)]
+struct Doorkeeper {
+    words: Box<[AtomicU64]>,
+    inserted: AtomicUsize,
+    window: usize,
+}
+
+impl Doorkeeper {
+    fn new(capacity: usize) -> Doorkeeper {
+        // A tiny cache still remembers a useful number of sightings; a
+        // huge one (`usize::MAX` for "unbounded") gets 256 KB of bits.
+        let window = capacity.clamp(64, 1 << 16);
+        Doorkeeper {
+            words: (0..window * DOORKEEPER_BITS_PER_ENTRY / 64)
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+            inserted: AtomicUsize::new(0),
+            window,
+        }
+    }
+
+    /// Record a sighting of the statement hashing to `h`; whether it
+    /// was (probably) sighted before. Concurrent sightings and clears
+    /// race benignly: the worst outcome is one sighting too many or too
+    /// few before admission.
+    fn sighted_before(&self, h: u64) -> bool {
+        let bits = self.words.len() as u64 * 64;
+        let step = h.rotate_left(32) | 1;
+        let mut seen = true;
+        for i in 0..DOORKEEPER_HASHES {
+            let bit = h.wrapping_add(i.wrapping_mul(step)) % bits;
+            let mask = 1 << (bit % 64);
+            if self.words[(bit / 64) as usize].fetch_or(mask, Ordering::Relaxed) & mask == 0 {
+                seen = false;
+            }
+        }
+        if !seen && self.inserted.fetch_add(1, Ordering::Relaxed) + 1 >= self.window {
+            self.inserted.store(0, Ordering::Relaxed);
+            for w in self.words.iter() {
+                w.store(0, Ordering::Relaxed);
+            }
+        }
+        seen
+    }
+}
+
+/// Counters and sizes of a [`PlanCache`], read together.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanCacheStats {
+    /// Bound on raw entries.
+    pub capacity: usize,
+    /// Resident raw entries.
+    pub entries: usize,
+    /// Resident normalized entries (≤ `entries`).
+    pub normalized_entries: usize,
+    /// Raw-layer hits.
+    pub hits: u64,
+    /// Raw-layer misses.
+    pub misses: u64,
+    /// Misses the admission filter kept out: first sightings while the
+    /// cache was full.
+    pub deferred: u64,
+    /// Entries evicted to make room.
+    pub evictions: u64,
+}
+
+/// Concurrent, bounded prepared-statement cache. Read-mostly: lookups
+/// take the read lock, only admission takes the write lock.
+#[derive(Debug)]
 pub struct PlanCache {
+    capacity: usize,
     inner: RwLock<Inner>,
+    doorkeeper: Doorkeeper,
     hits: AtomicU64,
     misses: AtomicU64,
+    deferred: AtomicU64,
+    evictions: AtomicU64,
+}
+
+impl Default for PlanCache {
+    fn default() -> Self {
+        PlanCache::new()
+    }
 }
 
 impl PlanCache {
-    /// An empty cache.
+    /// An empty cache of [`DEFAULT_CAPACITY`] entries.
     pub fn new() -> PlanCache {
-        PlanCache::default()
+        PlanCache::with_capacity(DEFAULT_CAPACITY)
+    }
+
+    /// An empty cache holding at most `capacity` raw entries. `0`
+    /// caches nothing: every call prepares afresh and counts a miss.
+    pub fn with_capacity(capacity: usize) -> PlanCache {
+        PlanCache {
+            capacity,
+            inner: RwLock::new(Inner::default()),
+            doorkeeper: Doorkeeper::new(capacity),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            deferred: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+        }
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Look up or prepare `sql` against snapshot `db_name`. Returns the
@@ -98,18 +309,17 @@ impl PlanCache {
         sql: &str,
         opts: ExecOptions,
     ) -> (Result<Arc<Prepared>, String>, bool) {
-        let raw_key = (db_name.to_string(), sql.to_string());
         {
-            let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
-            if let Some(entry) = inner.by_raw.get(&raw_key) {
+            let inner = self.read();
+            if let Some(&i) = inner.partitions.get(db_name).and_then(|p| p.raw.get(sql)) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return (
-                    match entry {
-                        RawEntry::Prepared(p) => Ok(Arc::clone(p)),
-                        RawEntry::ParseErr(e) => Err(e.clone()),
-                    },
-                    true,
-                );
+                let slot = &inner.slots[i];
+                // Test before setting: a hot entry's bit is already set,
+                // and a plain load keeps its cache line shared.
+                if !slot.referenced.load(Ordering::Relaxed) {
+                    slot.referenced.store(true, Ordering::Relaxed);
+                }
+                return (slot.entry.to_result(), true);
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -121,34 +331,96 @@ impl PlanCache {
             Err(e) => RawEntry::ParseErr(e.to_string()),
             Ok(query) => {
                 let normalized = query.to_string();
-                let norm_key = (db_name.to_string(), normalized.clone());
-                let existing = {
-                    let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
-                    inner.by_norm.get(&norm_key).map(Arc::clone)
-                };
-                let prepared = existing.unwrap_or_else(|| {
+                let existing = self
+                    .read()
+                    .partitions
+                    .get(db_name)
+                    .and_then(|p| p.norm.get(&normalized))
+                    .map(|s| Arc::clone(&s.prepared));
+                RawEntry::Prepared(existing.unwrap_or_else(|| {
                     let plan = sb_engine::plan_top_select(db, &query, opts);
                     Arc::new(Prepared {
                         normalized,
                         query: Arc::new(query),
                         plan,
                     })
-                });
-                let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
-                let shared = inner
-                    .by_norm
-                    .entry(norm_key)
-                    .or_insert_with(|| Arc::clone(&prepared));
-                RawEntry::Prepared(Arc::clone(shared))
+                }))
             }
         };
-        let result = match &entry {
-            RawEntry::Prepared(p) => Ok(Arc::clone(p)),
-            RawEntry::ParseErr(e) => Err(e.clone()),
+        let entry = if self.admit(db_name, sql) {
+            self.insert(db_name, sql, entry)
+        } else {
+            entry
         };
-        let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        inner.by_raw.entry(raw_key).or_insert(entry);
-        (result, false)
+        (entry.to_result(), false)
+    }
+
+    /// Whether a missed statement enters the cache: always while there
+    /// is room, otherwise only on its second sighting.
+    fn admit(&self, db_name: &str, sql: &str) -> bool {
+        if self.capacity == 0 {
+            return false;
+        }
+        if self.read().slots.len() < self.capacity {
+            return true;
+        }
+        let mut h = DefaultHasher::new();
+        (db_name, sql).hash(&mut h);
+        let seen = self.doorkeeper.sighted_before(h.finish());
+        if !seen {
+            self.deferred.fetch_add(1, Ordering::Relaxed);
+        }
+        seen
+    }
+
+    /// Make `entry` resident, evicting if the cache is full, and return
+    /// the resident entry: another thread's, if it admitted the same
+    /// statement first, and otherwise one sharing the normalized layer.
+    fn insert(&self, db_name: &str, sql: &str, entry: RawEntry) -> RawEntry {
+        let mut guard = self.inner.write().unwrap_or_else(PoisonError::into_inner);
+        let inner = &mut *guard;
+        if let Some(&i) = inner.partitions.get(db_name).and_then(|p| p.raw.get(sql)) {
+            return inner.slots[i].entry.clone();
+        }
+        let victim = (inner.slots.len() >= self.capacity).then(|| inner.evict());
+        if victim.is_some() {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        let db: Arc<str> = match inner.partitions.get_key_value(db_name) {
+            Some((name, _)) => Arc::clone(name),
+            None => Arc::from(db_name),
+        };
+        let part = inner.partitions.entry(Arc::clone(&db)).or_default();
+        let entry = match entry {
+            RawEntry::Prepared(p) => {
+                let shared = part.norm.entry(p.normalized.clone()).or_insert(Shared {
+                    prepared: p,
+                    refs: 0,
+                });
+                shared.refs += 1;
+                RawEntry::Prepared(Arc::clone(&shared.prepared))
+            }
+            err => err,
+        };
+        let sql: Arc<str> = Arc::from(sql);
+        let slot = Slot {
+            db,
+            sql: Arc::clone(&sql),
+            entry: entry.clone(),
+            referenced: AtomicBool::new(false),
+        };
+        let i = match victim {
+            Some(i) => {
+                inner.slots[i] = slot;
+                i
+            }
+            None => {
+                inner.slots.push(slot);
+                inner.slots.len() - 1
+            }
+        };
+        part.raw.insert(sql, i);
+        entry
     }
 
     /// Raw-layer hits so far.
@@ -161,13 +433,9 @@ impl PlanCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct raw statements cached.
+    /// Number of distinct raw statements cached (≤ the capacity).
     pub fn len(&self) -> usize {
-        self.inner
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .by_raw
-            .len()
+        self.read().slots.len()
     }
 
     /// Whether the cache holds no entries.
@@ -177,11 +445,72 @@ impl PlanCache {
 
     /// Number of distinct normalized statements (≤ [`Self::len`]).
     pub fn normalized_len(&self) -> usize {
-        self.inner
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .by_norm
-            .len()
+        self.stats().normalized_entries
+    }
+
+    /// Counters and sizes, with the sizes read under one lock.
+    pub fn stats(&self) -> PlanCacheStats {
+        let inner = self.read();
+        PlanCacheStats {
+            capacity: self.capacity,
+            entries: inner.slots.len(),
+            normalized_entries: inner.partitions.values().map(|p| p.norm.len()).sum(),
+            hits: self.hits(),
+            misses: self.misses(),
+            deferred: self.deferred.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Check the cache's internal consistency: the capacity holds, the
+    /// raw index and the ring agree entry for entry, and every
+    /// normalized entry is shared by exactly as many resident raw
+    /// entries as its count says. Meant for tests that thrash the cache.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let inner = self.read();
+        if inner.slots.len() > self.capacity {
+            return Err(format!(
+                "{} entries exceed capacity {}",
+                inner.slots.len(),
+                self.capacity
+            ));
+        }
+        let indexed: usize = inner.partitions.values().map(|p| p.raw.len()).sum();
+        if indexed != inner.slots.len() {
+            return Err(format!(
+                "{indexed} indexed entries, {} in the ring",
+                inner.slots.len()
+            ));
+        }
+        let mut refs: HashMap<(&str, &str), usize> = HashMap::new();
+        for (i, slot) in inner.slots.iter().enumerate() {
+            let part = inner.partitions.get(&slot.db);
+            if part.and_then(|p| p.raw.get(&slot.sql)) != Some(&i) {
+                return Err(format!("slot {i} ({}) is not indexed", slot.sql));
+            }
+            if let RawEntry::Prepared(p) = &slot.entry {
+                let shared = part.and_then(|part| part.norm.get(&p.normalized));
+                if !shared.is_some_and(|s| Arc::ptr_eq(&s.prepared, p)) {
+                    return Err(format!("slot {i} ({}) is not shared", slot.sql));
+                }
+                *refs.entry((&slot.db, &p.normalized)).or_default() += 1;
+            }
+        }
+        for (db, part) in &inner.partitions {
+            if part.raw.is_empty() {
+                return Err(format!("empty partition `{db}` kept"));
+            }
+            for (norm, shared) in &part.norm {
+                let want = refs.get(&(&**db, norm.as_str())).copied().unwrap_or(0);
+                if shared.refs != want {
+                    return Err(format!(
+                        "`{norm}` counts {} references, {want} resident",
+                        shared.refs
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -190,9 +519,24 @@ mod tests {
     use super::*;
     use sb_data::{Domain, SizeClass};
 
+    fn sdss() -> Database {
+        Domain::Sdss.build(SizeClass::Tiny).db
+    }
+
+    /// A distinct, parseable statement per `i`.
+    fn stmt(i: usize) -> String {
+        format!("SELECT s.class FROM specobj AS s WHERE s.z > {i}")
+    }
+
+    fn hit(cache: &PlanCache, db: &Database, sql: &str) -> bool {
+        let hit = cache.prepare("sdss", db, sql, ExecOptions::default()).1;
+        cache.check_invariants().unwrap();
+        hit
+    }
+
     #[test]
     fn raw_repeat_hits_and_cosmetic_variants_share_one_plan() {
-        let db = Domain::Sdss.build(SizeClass::Tiny).db;
+        let db = sdss();
         let cache = PlanCache::new();
         let opts = ExecOptions::default();
         let sql = "SELECT s.class FROM specobj AS s WHERE s.z > 0.5";
@@ -217,7 +561,7 @@ mod tests {
 
     #[test]
     fn parse_errors_are_cached() {
-        let db = Domain::Sdss.build(SizeClass::Tiny).db;
+        let db = sdss();
         let cache = PlanCache::new();
         let opts = ExecOptions::default();
         let (r1, hit1) = cache.prepare("sdss", &db, "SELECT FROM WHERE", opts);
@@ -229,7 +573,7 @@ mod tests {
 
     #[test]
     fn snapshot_name_partitions_the_cache() {
-        let db = Domain::Sdss.build(SizeClass::Tiny).db;
+        let db = sdss();
         let cache = PlanCache::new();
         let opts = ExecOptions::default();
         let sql = "SELECT s.class FROM specobj AS s";
@@ -237,5 +581,144 @@ mod tests {
         let (_, hit_b) = cache.prepare("b", &db, sql, opts);
         assert!(!hit_a && !hit_b, "different snapshots never share entries");
         assert_eq!(cache.len(), 2);
+        cache.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn full_cache_admits_only_second_sightings() {
+        let db = sdss();
+        let cache = PlanCache::with_capacity(2);
+        assert!(!hit(&cache, &db, &stmt(0)));
+        assert!(!hit(&cache, &db, &stmt(1)));
+        // Full: the first sighting of a third statement is served but
+        // not cached, so it evicts nothing.
+        assert!(!hit(&cache, &db, &stmt(2)));
+        assert_eq!(cache.stats().deferred, 1);
+        assert_eq!(cache.stats().evictions, 0);
+        // The second sighting is admitted, evicting one entry.
+        assert!(!hit(&cache, &db, &stmt(2)));
+        assert!(hit(&cache, &db, &stmt(2)));
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions, stats.deferred), (2, 1, 1));
+    }
+
+    #[test]
+    fn clock_gives_hit_entries_a_second_chance() {
+        let db = sdss();
+        let cache = PlanCache::with_capacity(3);
+        for i in 0..3 {
+            hit(&cache, &db, &stmt(i));
+        }
+        // Entry 1 is hit; 0 and 2 are not.
+        assert!(hit(&cache, &db, &stmt(1)));
+        for newcomer in [10, 11] {
+            hit(&cache, &db, &stmt(newcomer));
+            hit(&cache, &db, &stmt(newcomer));
+        }
+        // The hand evicted 0, cleared 1's bit, then evicted 2.
+        assert_eq!(cache.stats().evictions, 2);
+        assert!(hit(&cache, &db, &stmt(1)), "the hit entry survived");
+        assert!(hit(&cache, &db, &stmt(10)));
+        assert!(hit(&cache, &db, &stmt(11)));
+    }
+
+    #[test]
+    fn a_flood_of_one_off_statements_leaves_the_hot_set_resident() {
+        let db = sdss();
+        let cache = PlanCache::with_capacity(32);
+        let hot: Vec<String> = (0..16).map(stmt).collect();
+        for (k, fresh) in (1000..3000).map(stmt).enumerate() {
+            hit(&cache, &db, &hot[k % hot.len()]);
+            hit(&cache, &db, &fresh);
+        }
+        assert!(hot.iter().all(|sql| hit(&cache, &db, sql)));
+        let stats = cache.stats();
+        assert_eq!(stats.entries, 32);
+        // Only a doorkeeper false positive lets a one-off in.
+        assert!(stats.evictions <= 5, "{stats:?}");
+        assert_eq!(stats.deferred + stats.evictions, 2000 - 16);
+
+        // A new hot set displaces the one-offs, not the old hot set
+        // while it is still being hit.
+        let next: Vec<String> = (100..108).map(stmt).collect();
+        for _ in 0..3 {
+            for (old, new) in hot.iter().zip(&next) {
+                hit(&cache, &db, old);
+                hit(&cache, &db, new);
+            }
+        }
+        assert!(next.iter().all(|sql| hit(&cache, &db, sql)));
+        assert!(hot.iter().all(|sql| hit(&cache, &db, sql)));
+        assert_eq!(cache.stats().evictions, stats.evictions + 8);
+    }
+
+    #[test]
+    fn evicting_every_spelling_drops_the_shared_plan() {
+        let db = sdss();
+        let cache = PlanCache::with_capacity(2);
+        let spellings = [
+            "SELECT s.class FROM specobj AS s",
+            "select  s.class from specobj as s",
+        ];
+        for sql in spellings {
+            hit(&cache, &db, sql);
+        }
+        assert_eq!((cache.len(), cache.normalized_len()), (2, 1));
+        for other in [stmt(1), stmt(2)] {
+            hit(&cache, &db, &other);
+            hit(&cache, &db, &other);
+        }
+        assert_eq!((cache.len(), cache.normalized_len()), (2, 2));
+        assert!(!hit(&cache, &db, spellings[0]));
+    }
+
+    #[test]
+    fn zero_capacity_caches_nothing() {
+        let db = sdss();
+        let cache = PlanCache::with_capacity(0);
+        for _ in 0..3 {
+            let (p, hit) = cache.prepare("sdss", &db, &stmt(0), ExecOptions::default());
+            assert!(p.is_ok() && !hit);
+        }
+        assert_eq!((cache.len(), cache.misses()), (0, 3));
+    }
+
+    /// Random traffic over parseable statements, cosmetic variants and
+    /// parse errors at small capacities: the invariants hold after
+    /// every call, and every answer is the one fresh preparation gives.
+    #[test]
+    fn random_traffic_keeps_the_cache_consistent_and_correct() {
+        let db = sdss();
+        let universe: Vec<String> = (0..24)
+            .flat_map(|i| {
+                [
+                    stmt(i),
+                    stmt(i).to_lowercase().replace(' ', "  "),
+                    format!("SELECT FROM {i}"),
+                ]
+            })
+            .collect();
+        let mut state = 0x5EED_u64;
+        for capacity in [1, 2, 5, 16] {
+            let cache = PlanCache::with_capacity(capacity);
+            for _ in 0..3000 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                // Skewed: low indices far more often.
+                let r = (state >> 33) as usize;
+                let sql = &universe[(r % universe.len()) * (r % 3 + 1) / 3];
+                let (got, _) = cache.prepare("sdss", &db, sql, ExecOptions::default());
+                cache.check_invariants().unwrap();
+                match sb_sql::parse(sql) {
+                    Ok(q) => assert_eq!(got.unwrap().normalized, q.to_string()),
+                    Err(e) => assert_eq!(got.unwrap_err(), e.to_string()),
+                }
+            }
+            let stats = cache.stats();
+            assert!(stats.entries <= capacity);
+            assert_eq!(stats.hits + stats.misses, 3000);
+            assert!(stats.evictions > 0, "capacity {capacity} never evicted");
+        }
     }
 }

@@ -15,7 +15,8 @@
 //!   and the read-only guardrail that rejects anything but a single
 //!   `SELECT` before it reaches the parser.
 //! - [`cache`] — the prepared-plan cache: normalize → parse → plan
-//!   once, execute the cached [`sb_opt::OwnedPlan`] on every repeat.
+//!   once, execute the cached [`sb_opt::OwnedPlan`] on every repeat;
+//!   bounded by CLOCK eviction with second-sighting admission.
 //! - [`admission`] — bounded in-flight admission with explicit
 //!   `overloaded` rejection; the service never queues.
 //! - [`loadgen`] — a closed-loop load generator replaying the fuzzer
@@ -48,7 +49,7 @@ pub mod envelope;
 pub mod loadgen;
 
 pub use admission::{AdmissionGate, Permit};
-pub use cache::{PlanCache, Prepared};
+pub use cache::{PlanCache, PlanCacheStats, Prepared};
 pub use envelope::{
     trace_id, validate_read_only_sql, ErrorCode, QueryRequest, QueryResponse, RequestProfile,
 };
@@ -101,6 +102,8 @@ pub struct ServeConfig {
     /// every request parses and plans from scratch — the equivalence
     /// suites run both ways and demand identical responses.
     pub plan_cache: bool,
+    /// Bound on plan-cache entries (see [`PlanCache::with_capacity`]).
+    pub plan_cache_capacity: usize,
     /// Slow-query logging (off by default).
     pub slow_log: SlowLogConfig,
     /// Seed folded into every request's deterministic trace id, so
@@ -117,6 +120,7 @@ impl Default for ServeConfig {
             default_timeout_ms: 5_000,
             exec: ExecOptions::default(),
             plan_cache: true,
+            plan_cache_capacity: cache::DEFAULT_CAPACITY,
             slow_log: SlowLogConfig::default(),
             trace_seed: 0,
         }
@@ -145,7 +149,7 @@ impl QueryService {
         QueryService {
             cfg,
             snapshots: Vec::new(),
-            cache: PlanCache::new(),
+            cache: PlanCache::with_capacity(cfg.plan_cache_capacity),
             gate: AdmissionGate::new(cfg.max_in_flight),
             slow_log: Mutex::new(Vec::new()),
         }
@@ -175,9 +179,15 @@ impl QueryService {
         self.snapshots.iter().map(|(n, _)| n.as_str()).collect()
     }
 
-    /// Plan-cache counters: `(hits, misses)`.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.cache.hits(), self.cache.misses())
+    /// Plan-cache counters and sizes.
+    pub fn cache_stats(&self) -> PlanCacheStats {
+        self.cache.stats()
+    }
+
+    /// Check the plan cache's internal consistency (see
+    /// [`PlanCache::check_invariants`]).
+    pub fn check_cache_invariants(&self) -> Result<(), String> {
+        self.cache.check_invariants()
     }
 
     fn snapshot(&self, name: &str) -> Option<&Arc<Database>> {
@@ -449,7 +459,8 @@ mod tests {
         let warm = svc.handle(&req);
         assert!(warm.cache_hit);
         assert_eq!(cold.to_json(), warm.to_json());
-        assert_eq!(svc.cache_stats(), (1, 1));
+        let stats = svc.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! measurements, of course; only the *workload* and the response
 //! bodies are deterministic.
 
-use crate::{ErrorCode, QueryRequest, QueryService, ServeConfig, SlowLogConfig};
+use crate::{ErrorCode, PlanCacheStats, QueryRequest, QueryService, ServeConfig, SlowLogConfig};
 use sb_data::Domain;
 use sb_engine::Database;
 use sb_obs::{json, HistStat};
@@ -114,10 +114,8 @@ pub struct DomainLoadReport {
     /// (`parse_error` / `bind_error` / `exec_error`); `timeout` and
     /// `overloaded` are load artifacts and stay zero.
     pub errors_by_code: Vec<(&'static str, usize)>,
-    /// Plan-cache hits / misses at the end of the run.
-    pub cache_hits: u64,
-    /// Plan-cache misses at the end of the run.
-    pub cache_misses: u64,
+    /// Plan-cache counters and sizes at the end of the run.
+    pub cache: PlanCacheStats,
     /// Closed-loop throughput over the whole run (wall clock).
     pub qps: f64,
     /// Latency quantiles in microseconds, from the `sb-obs` histogram.
@@ -257,7 +255,6 @@ pub fn run_domain_load(domain: Domain, load: &LoadConfig) -> DomainLoadReport {
     if prev_mode == sb_obs::Mode::Off {
         sb_obs::set_mode(sb_obs::Mode::Off);
     }
-    let (cache_hits, cache_misses) = service.cache_stats();
     let errors_by_code: Vec<(&'static str, usize)> = ErrorCode::ALL
         .iter()
         .zip(&by_code)
@@ -278,8 +275,7 @@ pub fn run_domain_load(domain: Domain, load: &LoadConfig) -> DomainLoadReport {
         ok: ok.into_inner(),
         errors,
         errors_by_code,
-        cache_hits,
-        cache_misses,
+        cache: service.cache_stats(),
         qps: load.requests as f64 / elapsed,
         p50_us: hist.quantile(0.50),
         p95_us: hist.quantile(0.95),
@@ -320,10 +316,11 @@ pub fn render_bench_json(load: &LoadConfig, reports: &[DomainLoadReport]) -> Str
             .map(|(code, n)| format!("\"{code}\": {n}"))
             .collect();
         let _ = writeln!(out, "      \"errors_by_code\": {{{}}},", codes.join(", "));
+        let c = &r.cache;
         let _ = writeln!(
             out,
-            "      \"cache\": {{\"hits\": {}, \"misses\": {}}},",
-            r.cache_hits, r.cache_misses
+            "      \"cache\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}, \"capacity\": {}, \"evictions\": {}, \"deferred\": {}}},",
+            c.hits, c.misses, c.entries, c.capacity, c.evictions, c.deferred
         );
         let _ = writeln!(out, "      \"qps\": {},", json::number(r.qps));
         let _ = writeln!(
@@ -389,8 +386,11 @@ mod tests {
                 .filter(|c| **c != ErrorCode::Ok)
                 .map(|c| (c.as_str(), 0))
                 .collect(),
-            cache_hits: 3,
-            cache_misses: 1,
+            cache: PlanCacheStats {
+                hits: 3,
+                misses: 1,
+                ..PlanCacheStats::default()
+            },
             qps: 1234.5,
             p50_us: 10.0,
             p95_us: 20.0,

@@ -7,7 +7,9 @@
 //! mutable state (plan cache, admission counters) must never leak into
 //! response bytes. The matrix covers the plan cache on/off and the
 //! columnar engine on/off, so cache first-touch races and the batch
-//! fallback path are both exercised under real contention.
+//! fallback path are both exercised under real contention, plus a
+//! cache far smaller than the workload, so admission and eviction race
+//! with hits too.
 //!
 //! `SB_SERVE_COUNT` overrides the per-domain request count.
 
@@ -37,7 +39,7 @@ fn replay(service: &QueryService, domain: Domain, sqls: &[String]) -> Vec<String
         .collect()
 }
 
-fn check_domain(domain: Domain, plan_cache: bool, columnar: bool) {
+fn check_domain(domain: Domain, plan_cache: bool, columnar: bool, capacity: usize) {
     let db = Arc::new(sb_fuzz::fuzz_database(domain));
     let count = request_count();
     let load = LoadConfig::default();
@@ -54,6 +56,7 @@ fn check_domain(domain: Domain, plan_cache: bool, columnar: bool) {
             ..ExecOptions::default()
         },
         plan_cache,
+        plan_cache_capacity: capacity,
         ..ServeConfig::default()
     };
 
@@ -76,7 +79,8 @@ fn check_domain(domain: Domain, plan_cache: bool, columnar: bool) {
                     g,
                     want,
                     "{} thread {t} request {i} diverged from the single-threaded \
-                     baseline (plan_cache={plan_cache}, columnar={columnar})\nsql: {}",
+                     baseline (plan_cache={plan_cache}, columnar={columnar}, \
+                     capacity={capacity})\nsql: {}",
                     domain.name(),
                     sqls[i]
                 );
@@ -85,39 +89,52 @@ fn check_domain(domain: Domain, plan_cache: bool, columnar: bool) {
     });
 
     if plan_cache {
-        let (hits, _) = service.cache_stats();
+        let stats = service.cache_stats();
         assert!(
-            hits > 0,
+            stats.hits > 0,
             "{}: concurrent replay of a hot-set workload must hit the plan cache",
             domain.name()
         );
+        assert!(stats.entries <= capacity, "{stats:?}");
+        service
+            .check_cache_invariants()
+            .unwrap_or_else(|e| panic!("{}: {e}", domain.name()));
     }
 }
+
+const CAPACITY: usize = sb_serve::cache::DEFAULT_CAPACITY;
 
 #[test]
 fn concurrent_replay_is_byte_identical_cached_columnar() {
     for domain in Domain::ALL {
-        check_domain(domain, true, true);
+        check_domain(domain, true, true, CAPACITY);
     }
 }
 
 #[test]
 fn concurrent_replay_is_byte_identical_cached_row_engine() {
     for domain in Domain::ALL {
-        check_domain(domain, true, false);
+        check_domain(domain, true, false, CAPACITY);
     }
 }
 
 #[test]
 fn concurrent_replay_is_byte_identical_uncached_columnar() {
     for domain in Domain::ALL {
-        check_domain(domain, false, true);
+        check_domain(domain, false, true, CAPACITY);
     }
 }
 
 #[test]
 fn concurrent_replay_is_byte_identical_uncached_row_engine() {
     for domain in Domain::ALL {
-        check_domain(domain, false, false);
+        check_domain(domain, false, false, CAPACITY);
+    }
+}
+
+#[test]
+fn concurrent_replay_is_byte_identical_under_eviction() {
+    for domain in Domain::ALL {
+        check_domain(domain, true, true, 4);
     }
 }

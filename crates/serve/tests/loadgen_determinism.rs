@@ -130,7 +130,7 @@ fn sampled_profiling_run_matches_plain_run_outcomes() {
     );
     assert_eq!(plain.ok, instrumented.ok);
     assert_eq!(plain.errors_by_code, instrumented.errors_by_code);
-    assert_eq!(plain.cache_misses, instrumented.cache_misses);
+    assert_eq!(plain.cache.misses, instrumented.cache.misses);
     assert!(plain.slow_log_lines.is_empty());
     assert_eq!(
         instrumented.slow_log_lines.len(),
@@ -177,7 +177,7 @@ fn mini_load_run_emits_a_validating_bench_document() {
             r.requests
         );
         assert!(
-            r.cache_hits > 0,
+            r.cache.hits > 0,
             "{}: hot set must hit the plan cache",
             r.domain
         );
