@@ -149,7 +149,7 @@ fn main() {
         };
         eprintln!(
             "serve_load: {} {} reqs, {} clients: {:.0} qps, p50 {:.0}us p95 {:.0}us p99 {:.0}us, \
-             {} ok / {} errors{}, cache {}/{} hit, {} entries, {} evicted, {} deferred",
+             {} ok / {} errors{}, cache {}/{} hit, {} entries, {} evicted",
             report.domain,
             report.requests,
             report.clients,
@@ -164,7 +164,6 @@ fn main() {
             report.cache.hits + report.cache.misses,
             report.cache.entries,
             report.cache.evictions,
-            report.cache.deferred,
         );
         // Per-code latency breakdown: are the errors cheap rejections
         // or slow failures? Text-only — BENCH_serve.json is unchanged.

@@ -14,7 +14,7 @@
 //!    canonical form. Cosmetic variants collapse onto one entry:
 //!    `select  A from T` and `SELECT a FROM t` share a single plan.
 //!
-//! ## Bounded: CLOCK eviction, second-sighting admission
+//! ## Bounded: CLOCK eviction
 //!
 //! The raw layer holds at most the capacity given to
 //! [`PlanCache::with_capacity`] (default [`DEFAULT_CAPACITY`]), and the
@@ -22,27 +22,18 @@
 //! to, so memory is bounded by the capacity however many distinct
 //! statements arrive.
 //!
-//! - **CLOCK eviction.** Entries sit in a ring of slots, each with a
-//!   reference bit that every hit sets. To make room, a hand sweeps the
-//!   ring: a set bit is cleared and the entry gets a second chance; the
-//!   first entry found clear has not been hit since the hand last
-//!   passed, and is evicted. A hit therefore costs one relaxed atomic
-//!   store under the read lock — no reordering of a recency list, so
-//!   hits never need the write lock.
-//! - **Second-sighting admission.** While the cache has room every miss
-//!   is admitted. Once it is full, a statement is admitted only on its
-//!   second miss: the first sets its bits in a small Bloom filter, the
-//!   doorkeeper, and is served without being cached. A flood of one-off
-//!   statements (ad-hoc queries, the fresh quarter of a load mix) then
-//!   never evicts the hot set, and an entry is evicted only to make
-//!   room for a statement that has shown it repeats. The doorkeeper is
-//!   cleared after every `capacity` first sightings, so it remembers
-//!   only recent ones; a false positive admits a statement one sighting
-//!   early.
+//! Every miss is admitted. Entries sit in a ring of slots, each with a
+//! reference bit that every hit sets. To make room, a hand sweeps the
+//! ring: a set bit is cleared and the entry gets a second chance; the
+//! first entry found clear has not been hit since the hand last passed,
+//! and is evicted. A hit therefore costs one relaxed atomic store under
+//! the read lock — no reordering of a recency list, so hits never need
+//! the write lock. A statement hit at least once per revolution of the
+//! hand is never evicted, however many one-off statements pass through.
 //!
-//! Eviction and admission decide only *whether* a plan is reused, never
-//! what a request returns: a deferred or evicted statement is prepared
-//! afresh, which produces the same plan.
+//! Eviction decides only *whether* a plan is reused, never what a
+//! request returns: an evicted statement is prepared afresh, which
+//! produces the same plan.
 //!
 //! ## Why a cached plan is safe to reuse
 //!
@@ -63,23 +54,14 @@
 //! configuration.
 
 use sb_engine::{Database, ExecOptions};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 /// Raw entries a [`PlanCache::new`] cache holds. An entry over the
-/// fuzz-sized snapshots takes about 4 KB, so a full default cache
-/// stays around 16 MB.
+/// fuzz-sized snapshots takes about 3 KB, so a full default cache
+/// stays around 12 MB.
 pub const DEFAULT_CAPACITY: usize = 4096;
-
-/// Doorkeeper bits per unit of capacity, and bits set per statement.
-/// At the end of a window of `capacity` first sightings an eighth of
-/// the bits are set, so fewer than one unseen statement in 5,000 looks
-/// seen.
-const DOORKEEPER_BITS_PER_ENTRY: usize = 32;
-const DOORKEEPER_HASHES: u64 = 4;
 
 /// One statement, prepared: parsed once, planned once.
 #[derive(Debug)]
@@ -181,54 +163,6 @@ impl Inner {
     }
 }
 
-/// Bloom filter of statements missed once while the cache was full,
-/// cleared every `window` insertions.
-#[derive(Debug)]
-struct Doorkeeper {
-    words: Box<[AtomicU64]>,
-    inserted: AtomicUsize,
-    window: usize,
-}
-
-impl Doorkeeper {
-    fn new(capacity: usize) -> Doorkeeper {
-        // A tiny cache still remembers a useful number of sightings; a
-        // huge one (`usize::MAX` for "unbounded") gets 256 KB of bits.
-        let window = capacity.clamp(64, 1 << 16);
-        Doorkeeper {
-            words: (0..window * DOORKEEPER_BITS_PER_ENTRY / 64)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            inserted: AtomicUsize::new(0),
-            window,
-        }
-    }
-
-    /// Record a sighting of the statement hashing to `h`; whether it
-    /// was (probably) sighted before. Concurrent sightings and clears
-    /// race benignly: the worst outcome is one sighting too many or too
-    /// few before admission.
-    fn sighted_before(&self, h: u64) -> bool {
-        let bits = self.words.len() as u64 * 64;
-        let step = h.rotate_left(32) | 1;
-        let mut seen = true;
-        for i in 0..DOORKEEPER_HASHES {
-            let bit = h.wrapping_add(i.wrapping_mul(step)) % bits;
-            let mask = 1 << (bit % 64);
-            if self.words[(bit / 64) as usize].fetch_or(mask, Ordering::Relaxed) & mask == 0 {
-                seen = false;
-            }
-        }
-        if !seen && self.inserted.fetch_add(1, Ordering::Relaxed) + 1 >= self.window {
-            self.inserted.store(0, Ordering::Relaxed);
-            for w in self.words.iter() {
-                w.store(0, Ordering::Relaxed);
-            }
-        }
-        seen
-    }
-}
-
 /// Counters and sizes of a [`PlanCache`], read together.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
@@ -242,23 +176,18 @@ pub struct PlanCacheStats {
     pub hits: u64,
     /// Raw-layer misses.
     pub misses: u64,
-    /// Misses the admission filter kept out: first sightings while the
-    /// cache was full.
-    pub deferred: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
 }
 
 /// Concurrent, bounded prepared-statement cache. Read-mostly: lookups
-/// take the read lock, only admission takes the write lock.
+/// take the read lock, only a miss takes the write lock.
 #[derive(Debug)]
 pub struct PlanCache {
     capacity: usize,
     inner: RwLock<Inner>,
-    doorkeeper: Doorkeeper,
     hits: AtomicU64,
     misses: AtomicU64,
-    deferred: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -274,16 +203,19 @@ impl PlanCache {
         PlanCache::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// An empty cache holding at most `capacity` raw entries. `0`
-    /// caches nothing: every call prepares afresh and counts a miss.
+    /// An empty cache holding at most `capacity` raw entries.
+    ///
+    /// # Panics
+    ///
+    /// If `capacity` is 0; a service without a cache sets
+    /// `ServeConfig::plan_cache` to `false` instead.
     pub fn with_capacity(capacity: usize) -> PlanCache {
+        assert!(capacity > 0, "a plan cache holds at least one entry");
         PlanCache {
             capacity,
             inner: RwLock::new(Inner::default()),
-            doorkeeper: Doorkeeper::new(capacity),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            deferred: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
@@ -347,34 +279,11 @@ impl PlanCache {
                 }))
             }
         };
-        let entry = if self.admit(db_name, sql) {
-            self.insert(db_name, sql, entry)
-        } else {
-            entry
-        };
-        (entry.to_result(), false)
-    }
-
-    /// Whether a missed statement enters the cache: always while there
-    /// is room, otherwise only on its second sighting.
-    fn admit(&self, db_name: &str, sql: &str) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        if self.read().slots.len() < self.capacity {
-            return true;
-        }
-        let mut h = DefaultHasher::new();
-        (db_name, sql).hash(&mut h);
-        let seen = self.doorkeeper.sighted_before(h.finish());
-        if !seen {
-            self.deferred.fetch_add(1, Ordering::Relaxed);
-        }
-        seen
+        (self.insert(db_name, sql, entry).to_result(), false)
     }
 
     /// Make `entry` resident, evicting if the cache is full, and return
-    /// the resident entry: another thread's, if it admitted the same
+    /// the resident entry: another thread's, if it inserted the same
     /// statement first, and otherwise one sharing the normalized layer.
     fn insert(&self, db_name: &str, sql: &str, entry: RawEntry) -> RawEntry {
         let mut guard = self.inner.write().unwrap_or_else(PoisonError::into_inner);
@@ -457,7 +366,6 @@ impl PlanCache {
             normalized_entries: inner.partitions.values().map(|p| p.norm.len()).sum(),
             hits: self.hits(),
             misses: self.misses(),
-            deferred: self.deferred.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
@@ -466,7 +374,8 @@ impl PlanCache {
     /// raw index and the ring agree entry for entry, and every
     /// normalized entry is shared by exactly as many resident raw
     /// entries as its count says. Meant for tests that thrash the cache.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    #[cfg(test)]
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
         let inner = self.read();
         if inner.slots.len() > self.capacity {
             return Err(format!(
@@ -585,24 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn full_cache_admits_only_second_sightings() {
-        let db = sdss();
-        let cache = PlanCache::with_capacity(2);
-        assert!(!hit(&cache, &db, &stmt(0)));
-        assert!(!hit(&cache, &db, &stmt(1)));
-        // Full: the first sighting of a third statement is served but
-        // not cached, so it evicts nothing.
-        assert!(!hit(&cache, &db, &stmt(2)));
-        assert_eq!(cache.stats().deferred, 1);
-        assert_eq!(cache.stats().evictions, 0);
-        // The second sighting is admitted, evicting one entry.
-        assert!(!hit(&cache, &db, &stmt(2)));
-        assert!(hit(&cache, &db, &stmt(2)));
-        let stats = cache.stats();
-        assert_eq!((stats.entries, stats.evictions, stats.deferred), (2, 1, 1));
-    }
-
-    #[test]
     fn clock_gives_hit_entries_a_second_chance() {
         let db = sdss();
         let cache = PlanCache::with_capacity(3);
@@ -612,44 +503,32 @@ mod tests {
         // Entry 1 is hit; 0 and 2 are not.
         assert!(hit(&cache, &db, &stmt(1)));
         for newcomer in [10, 11] {
-            hit(&cache, &db, &stmt(newcomer));
-            hit(&cache, &db, &stmt(newcomer));
+            assert!(!hit(&cache, &db, &stmt(newcomer)));
         }
         // The hand evicted 0, cleared 1's bit, then evicted 2.
         assert_eq!(cache.stats().evictions, 2);
         assert!(hit(&cache, &db, &stmt(1)), "the hit entry survived");
         assert!(hit(&cache, &db, &stmt(10)));
         assert!(hit(&cache, &db, &stmt(11)));
+        assert!(!hit(&cache, &db, &stmt(0)));
     }
 
     #[test]
-    fn a_flood_of_one_off_statements_leaves_the_hot_set_resident() {
+    fn a_hot_set_hit_every_revolution_survives_a_flood_of_one_offs() {
         let db = sdss();
         let cache = PlanCache::with_capacity(32);
-        let hot: Vec<String> = (0..16).map(stmt).collect();
+        let hot: Vec<String> = (0..8).map(stmt).collect();
         for (k, fresh) in (1000..3000).map(stmt).enumerate() {
             hit(&cache, &db, &hot[k % hot.len()]);
             hit(&cache, &db, &fresh);
         }
+        // The hand evicts one one-off per new one and passes every hot
+        // entry once per 24 evictions, after each was hit three times.
         assert!(hot.iter().all(|sql| hit(&cache, &db, sql)));
         let stats = cache.stats();
         assert_eq!(stats.entries, 32);
-        // Only a doorkeeper false positive lets a one-off in.
-        assert!(stats.evictions <= 5, "{stats:?}");
-        assert_eq!(stats.deferred + stats.evictions, 2000 - 16);
-
-        // A new hot set displaces the one-offs, not the old hot set
-        // while it is still being hit.
-        let next: Vec<String> = (100..108).map(stmt).collect();
-        for _ in 0..3 {
-            for (old, new) in hot.iter().zip(&next) {
-                hit(&cache, &db, old);
-                hit(&cache, &db, new);
-            }
-        }
-        assert!(next.iter().all(|sql| hit(&cache, &db, sql)));
-        assert!(hot.iter().all(|sql| hit(&cache, &db, sql)));
-        assert_eq!(cache.stats().evictions, stats.evictions + 8);
+        assert_eq!(stats.misses, 8 + 2000);
+        assert_eq!(stats.evictions, 2000 - 24);
     }
 
     #[test]
@@ -666,21 +545,9 @@ mod tests {
         assert_eq!((cache.len(), cache.normalized_len()), (2, 1));
         for other in [stmt(1), stmt(2)] {
             hit(&cache, &db, &other);
-            hit(&cache, &db, &other);
         }
         assert_eq!((cache.len(), cache.normalized_len()), (2, 2));
         assert!(!hit(&cache, &db, spellings[0]));
-    }
-
-    #[test]
-    fn zero_capacity_caches_nothing() {
-        let db = sdss();
-        let cache = PlanCache::with_capacity(0);
-        for _ in 0..3 {
-            let (p, hit) = cache.prepare("sdss", &db, &stmt(0), ExecOptions::default());
-            assert!(p.is_ok() && !hit);
-        }
-        assert_eq!((cache.len(), cache.misses()), (0, 3));
     }
 
     /// Random traffic over parseable statements, cosmetic variants and

@@ -16,7 +16,7 @@
 //!   `SELECT` before it reaches the parser.
 //! - [`cache`] — the prepared-plan cache: normalize → parse → plan
 //!   once, execute the cached [`sb_opt::OwnedPlan`] on every repeat;
-//!   bounded by CLOCK eviction with second-sighting admission.
+//!   bounded by CLOCK eviction.
 //! - [`admission`] — bounded in-flight admission with explicit
 //!   `overloaded` rejection; the service never queues.
 //! - [`loadgen`] — a closed-loop load generator replaying the fuzzer
@@ -102,8 +102,6 @@ pub struct ServeConfig {
     /// every request parses and plans from scratch — the equivalence
     /// suites run both ways and demand identical responses.
     pub plan_cache: bool,
-    /// Bound on plan-cache entries (see [`PlanCache::with_capacity`]).
-    pub plan_cache_capacity: usize,
     /// Slow-query logging (off by default).
     pub slow_log: SlowLogConfig,
     /// Seed folded into every request's deterministic trace id, so
@@ -120,7 +118,6 @@ impl Default for ServeConfig {
             default_timeout_ms: 5_000,
             exec: ExecOptions::default(),
             plan_cache: true,
-            plan_cache_capacity: cache::DEFAULT_CAPACITY,
             slow_log: SlowLogConfig::default(),
             trace_seed: 0,
         }
@@ -149,7 +146,7 @@ impl QueryService {
         QueryService {
             cfg,
             snapshots: Vec::new(),
-            cache: PlanCache::with_capacity(cfg.plan_cache_capacity),
+            cache: PlanCache::new(),
             gate: AdmissionGate::new(cfg.max_in_flight),
             slow_log: Mutex::new(Vec::new()),
         }
@@ -182,12 +179,6 @@ impl QueryService {
     /// Plan-cache counters and sizes.
     pub fn cache_stats(&self) -> PlanCacheStats {
         self.cache.stats()
-    }
-
-    /// Check the plan cache's internal consistency (see
-    /// [`PlanCache::check_invariants`]).
-    pub fn check_cache_invariants(&self) -> Result<(), String> {
-        self.cache.check_invariants()
     }
 
     fn snapshot(&self, name: &str) -> Option<&Arc<Database>> {
@@ -446,6 +437,123 @@ mod tests {
     fn sdss_service(cfg: ServeConfig) -> QueryService {
         let db = Arc::new(Domain::Sdss.build(SizeClass::Tiny).db);
         QueryService::new(cfg).with_snapshot("sdss", db)
+    }
+
+    /// A service whose plan cache holds at most `capacity` entries.
+    fn small_cache_service(cfg: ServeConfig, capacity: usize) -> QueryService {
+        QueryService {
+            cache: PlanCache::with_capacity(capacity),
+            ..QueryService::new(cfg)
+        }
+    }
+
+    /// Response JSON for each statement, requested in order.
+    fn replay(service: &QueryService, domain: Domain, sqls: &[String]) -> Vec<String> {
+        sqls.iter()
+            .enumerate()
+            .map(|(i, sql)| {
+                service
+                    .handle(&QueryRequest::new(i as u64, domain.name(), sql))
+                    .to_json()
+            })
+            .collect()
+    }
+
+    fn load_mix(db: &Database, requests: u64) -> Vec<String> {
+        let load = LoadConfig::default();
+        (0..requests)
+            .map(|i| loadgen::workload_sql(db, &load, i))
+            .collect()
+    }
+
+    /// The load generator's hot-and-fresh mix through caches of 1 to 64
+    /// entries: every response matches the uncached service, the cache
+    /// stays within its bound and evicts, and a cache with room for the
+    /// hot set keeps it however many one-off statements pass through.
+    #[test]
+    fn bounded_caches_answer_like_the_uncached_service() {
+        let requests = 1000;
+        for domain in Domain::ALL {
+            let db = Arc::new(sb_fuzz::fuzz_database(domain));
+            let sqls = load_mix(&db, requests);
+            let plain = QueryService::new(ServeConfig {
+                plan_cache: false,
+                ..ServeConfig::default()
+            })
+            .with_snapshot(domain.name(), Arc::clone(&db));
+            let want = replay(&plain, domain, &sqls);
+            for capacity in [1, 7, 64] {
+                let cached = small_cache_service(ServeConfig::default(), capacity)
+                    .with_snapshot(domain.name(), Arc::clone(&db));
+                let got = replay(&cached, domain, &sqls);
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g,
+                        w,
+                        "{} capacity {capacity}: response diverged\nsql: {}",
+                        domain.name(),
+                        sqls[i]
+                    );
+                }
+                let stats = cached.cache_stats();
+                assert!(
+                    stats.entries <= capacity && stats.evictions > 0,
+                    "{stats:?}"
+                );
+                if capacity >= LoadConfig::default().hot_set {
+                    assert!(stats.hits * 10 >= requests * 7, "{stats:?}");
+                }
+                cached
+                    .cache
+                    .check_invariants()
+                    .unwrap_or_else(|e| panic!("{} capacity {capacity}: {e}", domain.name()));
+            }
+        }
+    }
+
+    /// Eight threads through a 4-entry cache: eviction races with hits
+    /// and first-touch inserts, and every response still matches a
+    /// single-threaded replay.
+    #[test]
+    fn concurrent_replay_is_byte_identical_under_eviction() {
+        const THREADS: usize = 8;
+        let cfg = ServeConfig {
+            max_in_flight: THREADS * 2,
+            ..ServeConfig::default()
+        };
+        for domain in Domain::ALL {
+            let db = Arc::new(sb_fuzz::fuzz_database(domain));
+            let sqls = load_mix(&db, 200);
+            let baseline = replay(
+                &small_cache_service(cfg, 4).with_snapshot(domain.name(), Arc::clone(&db)),
+                domain,
+                &sqls,
+            );
+            let service = small_cache_service(cfg, 4).with_snapshot(domain.name(), db);
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..THREADS)
+                    .map(|_| s.spawn(|| replay(&service, domain, &sqls)))
+                    .collect();
+                for (t, handle) in handles.into_iter().enumerate() {
+                    let got = handle.join().expect("client thread panicked");
+                    for (i, (g, want)) in got.iter().zip(&baseline).enumerate() {
+                        assert_eq!(
+                            g,
+                            want,
+                            "{} thread {t} request {i} diverged\nsql: {}",
+                            domain.name(),
+                            sqls[i]
+                        );
+                    }
+                }
+            });
+            let stats = service.cache_stats();
+            assert!(stats.hits > 0 && stats.entries <= 4, "{stats:?}");
+            service
+                .cache
+                .check_invariants()
+                .unwrap_or_else(|e| panic!("{}: {e}", domain.name()));
+        }
     }
 
     #[test]

@@ -319,8 +319,8 @@ pub fn render_bench_json(load: &LoadConfig, reports: &[DomainLoadReport]) -> Str
         let c = &r.cache;
         let _ = writeln!(
             out,
-            "      \"cache\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}, \"capacity\": {}, \"evictions\": {}, \"deferred\": {}}},",
-            c.hits, c.misses, c.entries, c.capacity, c.evictions, c.deferred
+            "      \"cache\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}, \"capacity\": {}, \"evictions\": {}}},",
+            c.hits, c.misses, c.entries, c.capacity, c.evictions
         );
         let _ = writeln!(out, "      \"qps\": {},", json::number(r.qps));
         let _ = writeln!(
