@@ -5,6 +5,8 @@ use rand::distributions::{Distribution, WeightedIndex};
 use rand::rngs::StdRng;
 use rand::Rng;
 use sb_engine::Value;
+use std::cell::RefCell;
+use std::collections::HashMap;
 
 /// Pick from a slice with explicit weights (deterministic given the RNG).
 pub fn weighted<'a, T>(rng: &mut StdRng, items: &'a [(T, f64)]) -> &'a T {
@@ -13,21 +15,42 @@ pub fn weighted<'a, T>(rng: &mut StdRng, items: &'a [(T, f64)]) -> &'a T {
 }
 
 /// Zipf-ish rank sampler over `n` items with skew `s` (1.0 ≈ classic
-/// Zipf): realistic long-tail categorical data.
+/// Zipf): realistic long-tail categorical data. Inverse-CDF on the
+/// harmonic weights `1 / k^s`; each draw consumes one `f64` from `rng`.
 pub fn zipf(rng: &mut StdRng, n: usize, s: f64) -> usize {
     debug_assert!(n > 0);
-    // Inverse-CDF on the harmonic weights, computed incrementally; n is
-    // small (≤ a few hundred) in all call sites.
-    let norm: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
-    let target = rng.gen::<f64>() * norm;
+    ZIPF_CDFS.with(|cdfs| {
+        let mut cdfs = cdfs.borrow_mut();
+        let cdf = cdfs
+            .entry((n, s.to_bits()))
+            .or_insert_with(|| zipf_cdf(n, s));
+        let target = rng.gen::<f64>() * cdf[n - 1];
+        zipf_rank(cdf, target)
+    })
+}
+
+/// The first rank whose cumulative weight reaches `target` (the last
+/// rank if none does).
+fn zipf_rank(cdf: &[f64], target: f64) -> usize {
+    cdf.partition_point(|&acc| acc < target).min(cdf.len() - 1)
+}
+
+thread_local! {
+    /// Cumulative weight tables of [`zipf`], one per `(n, s bits)`.
+    static ZIPF_CDFS: RefCell<HashMap<(usize, u64), Vec<f64>>> = RefCell::default();
+}
+
+/// Partial sums of `1 / k^s` for `k = 1..=n`, accumulated left to right
+/// so the last entry is bit-identical to the sequential sum of all `n`
+/// weights.
+fn zipf_cdf(n: usize, s: f64) -> Vec<f64> {
     let mut acc = 0.0;
-    for k in 1..=n {
-        acc += 1.0 / (k as f64).powf(s);
-        if acc >= target {
-            return k - 1;
-        }
-    }
-    n - 1
+    (1..=n)
+        .map(|k| {
+            acc += 1.0 / (k as f64).powf(s);
+            acc
+        })
+        .collect()
 }
 
 /// A float uniform in `[lo, hi]`, rounded to `decimals`.
@@ -74,10 +97,73 @@ pub fn coded_id(prefix: &str, year: i64, n: i64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Domain, SizeClass};
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(99)
+    }
+
+    /// The direct formula [`zipf`] replaced: normaliser and partial sums
+    /// recomputed on every draw.
+    fn zipf_reference(rng: &mut StdRng, n: usize, s: f64) -> usize {
+        let norm: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
+        reference_rank(n, s, rng.gen::<f64>() * norm)
+    }
+
+    fn reference_rank(n: usize, s: f64, target: f64) -> usize {
+        let mut acc = 0.0;
+        for k in 1..=n {
+            acc += 1.0 / (k as f64).powf(s);
+            if acc >= target {
+                return k - 1;
+            }
+        }
+        n - 1
+    }
+
+    #[test]
+    fn zipf_table_draws_like_the_direct_formula_for_every_builder_call() {
+        // The builders run on this thread, so afterwards its memo holds
+        // exactly the (n, s) pairs they draw with.
+        for size in [SizeClass::Tiny, SizeClass::Small, SizeClass::Full] {
+            for domain in Domain::ALL {
+                domain.build(size);
+            }
+        }
+        crate::SpiderCorpus::build();
+        let used: Vec<(usize, u64)> =
+            ZIPF_CDFS.with(|cdfs| cdfs.borrow().keys().copied().collect());
+        assert!(
+            used.len() >= 10,
+            "only {} (n, s) pairs recorded",
+            used.len()
+        );
+        for (n, bits) in used.into_iter().chain([(1, 1.0f64.to_bits())]) {
+            let s = f64::from_bits(bits);
+            let mut table = StdRng::seed_from_u64(n as u64 ^ bits);
+            let mut direct = table.clone();
+            for draw in 0..5_000 {
+                assert_eq!(
+                    zipf(&mut table, n, s),
+                    zipf_reference(&mut direct, n, s),
+                    "n {n} s {s} draw {draw}"
+                );
+            }
+            assert_eq!(
+                table.gen::<u64>(),
+                direct.gen::<u64>(),
+                "n {n} s {s}: RNG streams diverged"
+            );
+            // Random draws almost never land on a boundary; probe each
+            // cumulative weight exactly and just above it.
+            let cdf = zipf_cdf(n, s);
+            for &acc in &cdf {
+                for target in [acc, acc.next_up()] {
+                    assert_eq!(zipf_rank(&cdf, target), reference_rank(n, s, target));
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,106 +2,123 @@
 //! automatic enhanced-schema inference.
 
 use crate::database::Database;
-use crate::key::KeyIndex;
+use crate::key::FxBuild;
 use crate::value::Value;
 use sb_schema::{ColumnProfile, DataProfile};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::Hasher;
+use std::collections::{BinaryHeap, HashMap};
+use std::fmt::Write as _;
 
 /// How many frequent values to retain per column. Value samplers and schema
 /// linkers only need a handful of representative literals.
 const FREQUENT_VALUES: usize = 24;
 
-/// Hash a non-NULL value under *literal identity* — the equivalence of
+/// A non-NULL value under *literal identity* — the equivalence of
 /// [`sql_literal`] renderings, which is exact per-type value identity
 /// (notably finer than canonical-key rounding: `3` and `3.0` are
-/// distinct literals). NaN is normalized to one bit pattern since every
-/// NaN renders as the same literal.
-fn lit_hash(v: &Value) -> u64 {
-    let mut h = DefaultHasher::new();
-    match v {
-        Value::Null => h.write_u8(0),
-        Value::Int(i) => {
-            h.write_u8(1);
-            h.write_i64(*i);
-        }
-        Value::Float(f) => {
-            h.write_u8(2);
-            let f = if f.is_nan() { f64::NAN } else { *f };
-            h.write_u64(f.to_bits());
-        }
-        Value::Text(s) => {
-            h.write_u8(3);
-            h.write(s.as_bytes());
-        }
-        Value::Bool(b) => {
-            h.write_u8(4);
-            h.write_u8(*b as u8);
-        }
-    }
-    h.finish()
+/// distinct literals). Every NaN is normalized to one bit pattern since
+/// every NaN renders as the same literal. Text is borrowed, so counting
+/// allocates nothing per key.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum LitKey<'a> {
+    Int(i64),
+    Float(u64),
+    Text(&'a str),
+    Bool(bool),
 }
 
-/// Literal-identity equality matching [`lit_hash`].
-fn lit_eq(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Null, Value::Null) => true,
-        (Value::Int(x), Value::Int(y)) => x == y,
-        (Value::Float(x), Value::Float(y)) => {
-            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+impl<'a> LitKey<'a> {
+    /// The key of a value; `None` for NULL.
+    fn of(v: &'a Value) -> Option<Self> {
+        Some(match v {
+            Value::Null => return None,
+            Value::Int(i) => LitKey::Int(*i),
+            Value::Float(f) => LitKey::Float(if f.is_nan() { f64::NAN } else { *f }.to_bits()),
+            Value::Text(s) => LitKey::Text(s),
+            Value::Bool(b) => LitKey::Bool(*b),
+        })
+    }
+
+    /// Append the SQL literal of this value to `out`.
+    fn write_literal(self, out: &mut String) {
+        match self {
+            LitKey::Int(i) => write!(out, "{i}").expect("writing to a String"),
+            LitKey::Float(bits) => {
+                let f = f64::from_bits(bits);
+                if f.fract() == 0.0 && f.abs() < 1e15 {
+                    write!(out, "{f:.1}")
+                } else {
+                    write!(out, "{f}")
+                }
+                .expect("writing to a String")
+            }
+            LitKey::Text(s) => {
+                out.push('\'');
+                for (i, part) in s.split('\'').enumerate() {
+                    if i > 0 {
+                        out.push_str("''");
+                    }
+                    out.push_str(part);
+                }
+                out.push('\'');
+            }
+            LitKey::Bool(b) => out.push_str(if b { "TRUE" } else { "FALSE" }),
         }
-        (Value::Text(x), Value::Text(y)) => x == y,
-        (Value::Bool(x), Value::Bool(y)) => x == y,
-        _ => false,
+    }
+
+    fn literal(self) -> String {
+        let mut out = String::new();
+        self.write_literal(&mut out);
+        out
     }
 }
 
-/// Profile every column of every table in `db`. Frequencies are counted
-/// by hashed value identity and only the retained distinct values are
-/// rendered as literals — not one `String` per cell, which dominated
-/// profiling cost on the larger size classes.
+/// Per-column occurrence counts under literal identity.
+type Counts<'a> = HashMap<LitKey<'a>, usize, FxBuild>;
+
+/// Profile every column of every table in `db`: non-NULL count, distinct
+/// count, numeric range and the [`FREQUENT_VALUES`] most frequent values
+/// rendered as SQL literals, most frequent first with ties broken by
+/// ascending literal (byte order).
+///
+/// Values are counted by borrowed literal identity, then the top values
+/// are selected exactly, with no full sort and no literal allocated per
+/// distinct value: a selection finds the count `t` of the last retained
+/// slot, every value counted more than `t` is rendered and sorted, and
+/// the remaining slots go to the smallest literals counted exactly `t`,
+/// each rendered into one reused buffer and kept in a bounded max-heap.
+/// Values sharing a (count, literal) pair render identically, so the
+/// result equals a full sort by (count desc, literal asc) truncated to
+/// [`FREQUENT_VALUES`].
 pub fn profile_database(db: &Database) -> DataProfile {
     let mut profile = DataProfile::new();
+    let mut counts = Counts::default();
     for table in db.tables() {
         profile.set_row_count(&table.def.name, table.len());
         for (idx, col) in table.def.columns.iter().enumerate() {
+            counts.clear();
             let mut count = 0usize;
-            let mut index = KeyIndex::default();
-            let mut freq: Vec<(&Value, usize)> = Vec::new();
             let mut min = f64::INFINITY;
             let mut max = f64::NEG_INFINITY;
             let mut saw_numeric = false;
             for v in table.column_values(idx) {
-                if v.is_null() {
-                    continue;
-                }
+                let Some(key) = LitKey::of(v) else { continue };
                 count += 1;
-                let h = lit_hash(v);
-                match index.insert(h, freq.len() as u32, |t| lit_eq(freq[t as usize].0, v)) {
-                    Some(t) => freq[t as usize].1 += 1,
-                    None => freq.push((v, 1)),
-                }
+                *counts.entry(key).or_insert(0) += 1;
                 if let Some(x) = v.as_f64() {
                     saw_numeric = true;
                     min = min.min(x);
                     max = max.max(x);
                 }
             }
-            let distinct = freq.len();
-            let mut by_freq: Vec<(String, usize)> =
-                freq.into_iter().map(|(v, n)| (sql_literal(v), n)).collect();
-            // Most frequent first; ties broken by value for determinism.
-            by_freq.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            by_freq.truncate(FREQUENT_VALUES);
             profile.insert(
                 &table.def.name,
                 &col.name,
                 ColumnProfile {
                     count,
-                    distinct,
+                    distinct: counts.len(),
                     min: saw_numeric.then_some(min),
                     max: saw_numeric.then_some(max),
-                    frequent_values: by_freq.into_iter().map(|(v, _)| v).collect(),
+                    frequent_values: frequent_values(&counts),
                 },
             );
         }
@@ -109,22 +126,51 @@ pub fn profile_database(db: &Database) -> DataProfile {
     profile
 }
 
+/// The [`FREQUENT_VALUES`] most frequent literals of a column, most
+/// frequent first, ties by ascending literal.
+fn frequent_values(counts: &Counts<'_>) -> Vec<String> {
+    let slots = counts.len().min(FREQUENT_VALUES);
+    if slots == 0 {
+        return Vec::new();
+    }
+    // `t`: the count of the last retained slot. Every count above `t`
+    // ranks before that slot, so all of them are among the first
+    // `slots - 1` after the selection.
+    let mut tallies: Vec<usize> = counts.values().copied().collect();
+    let (above, &mut t, _) = tallies.select_nth_unstable_by(slots - 1, |a, b| b.cmp(a));
+    let tied_slots = slots - above.iter().filter(|&&n| n > t).count();
+
+    let mut top: Vec<(usize, String)> = Vec::with_capacity(slots);
+    let mut tied: BinaryHeap<String> = BinaryHeap::with_capacity(tied_slots);
+    let mut scratch = String::new();
+    for (key, &n) in counts {
+        if n > t {
+            top.push((n, key.literal()));
+        } else if n == t {
+            scratch.clear();
+            key.write_literal(&mut scratch);
+            if tied.len() < tied_slots {
+                tied.push(std::mem::take(&mut scratch));
+            } else if let Some(mut largest) = tied.peek_mut() {
+                if scratch < *largest {
+                    // Swap the new literal in; the evicted one's buffer
+                    // becomes the next scratch.
+                    std::mem::swap(&mut *largest, &mut scratch);
+                }
+            }
+        }
+    }
+    top.sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+    top.into_iter()
+        .map(|(_, lit)| lit)
+        .chain(tied.into_sorted_vec())
+        .collect()
+}
+
 /// Render a value as a SQL literal (the form the value sampler splices into
 /// generated queries).
 pub fn sql_literal(v: &Value) -> String {
-    match v {
-        Value::Null => "NULL".to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => {
-            if f.fract() == 0.0 && f.abs() < 1e15 {
-                format!("{f:.1}")
-            } else {
-                format!("{f}")
-            }
-        }
-        Value::Text(s) => format!("'{}'", s.replace('\'', "''")),
-        Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
-    }
+    LitKey::of(v).map_or_else(|| "NULL".to_string(), LitKey::literal)
 }
 
 #[cfg(test)]

@@ -14,6 +14,15 @@ SB_FUZZ_COUNT=500 cargo test -q -p sb-fuzz
 echo "== cargo test -q (workspace) =="
 cargo test -q --workspace
 
+echo "== sbbench smoke: every benchmark workload and oracle at smoke size =="
+# The benchmark is a workspace of its own, so the workspace tests above
+# do not build it. Its smoke tests run all four workloads at Tiny size
+# against their oracles (error rate 0, every declared metric emitted), so
+# a change that breaks a workload or an oracle fails here rather than at
+# the next benchmark run. Drift in generated data is pinned separately
+# by crates/data/tests/data_identity.rs.
+(cd sbbench && cargo test --offline -q)
+
 echo "== plan snapshots: regenerate and diff committed goldens =="
 SB_UPDATE_PLANS=1 cargo test -q --test plan_snapshots
 git diff --exit-code -- tests/goldens/plans || {
