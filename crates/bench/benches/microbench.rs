@@ -76,6 +76,22 @@ const SYNTH_KERNELS: [(&str, &str); 3] = [
     ),
 ];
 
+/// Uncorrelated subquery filters, which run their subquery once per
+/// statement and use it as a constant: a hashed membership set for
+/// `IN`, a literal for the scalar comparison. Bench in
+/// `columnar_operators` only; `scaling_curve` keeps the three kernels
+/// above.
+const SUBQUERY_KERNELS: [(&str, &str); 2] = [
+    (
+        "in_subquery",
+        "SELECT id FROM t WHERE fk IN (SELECT id FROM dim WHERE name < 'd0512')",
+    ),
+    (
+        "scalar_subquery",
+        "SELECT id FROM t WHERE fk > (SELECT MAX(id) FROM dim WHERE name < 'd0512')",
+    ),
+];
+
 /// The synthetic scales to bench: all three by default, or the one
 /// selected with `cargo bench -p sb-bench -- --scale 10k|100k|1m`.
 fn selected_scales() -> Vec<SynthScale> {
@@ -107,7 +123,7 @@ fn bench_columnar_operators(c: &mut Criterion) {
     g.sample_size(10);
     for scale in selected_scales() {
         let db = synth_db(scale.rows());
-        for (kernel, sql) in SYNTH_KERNELS {
+        for (kernel, sql) in SYNTH_KERNELS.into_iter().chain(SUBQUERY_KERNELS) {
             let q = sb_sql::parse(sql).unwrap();
             // Pay the lazy column-vector build once, outside the timer.
             db.run_query(&q).unwrap();

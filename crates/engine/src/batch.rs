@@ -46,16 +46,19 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use sb_sql::{
-    AggArg, AggFunc, BinaryOp, ColumnRef, Expr, Literal, OrderItem, Select, SelectItem, UnaryOp,
+    AggArg, AggFunc, BinaryOp, ColumnRef, Expr, Literal, OrderItem, Query, Select, SelectItem,
+    UnaryOp,
 };
 
 use crate::column::{Column, ColumnData, ColumnarTable, DictColumn, NullMask};
 use crate::database::Table;
 use crate::error::EngineError;
 use crate::eval::{
-    apply_cmp, apply_unary, arith, combine_logical, like_match, literal_value, truth_ref, Scope,
+    apply_cmp, apply_unary, arith, combine_logical, like_match, literal_value, truth_ref,
+    EvalContext, Scope,
 };
 use crate::exec::{is_aggregate_query, Projected, Relation};
+use crate::inset::InSet;
 use crate::key::{self, FxBuild, KeyIndex};
 use crate::value::{canon_num, cmp_int_f64, Value};
 use sb_obs::FixedOp;
@@ -124,6 +127,9 @@ pub(crate) struct BatchInput<'a, 'q> {
     pub(crate) par: ParConfig,
     /// Per-statement profile block (EXPLAIN ANALYZE), if requested.
     pub(crate) bp: Option<crate::exec::BlockProf<'a>>,
+    /// The statement's subquery memo, shared with the row path so a
+    /// subquery run here is never run again after a bail.
+    pub(crate) ctx: &'a EvalContext<'a>,
 }
 
 /// Record why the batch path bailed (first reason wins) and fall back.
@@ -164,6 +170,7 @@ fn run(input: &BatchInput<'_, '_>) -> Option<Projected> {
     let cx = Cx {
         scope: input.scope,
         tables: &tables,
+        ctx: input.ctx,
     };
 
     // Compile pushed and residual conjuncts up front: any resolution or
@@ -1006,11 +1013,13 @@ struct ColId {
     col: usize,
 }
 
-/// Kernel compiler context: resolution against the statement scope plus
-/// the columnar images that decide each column's runtime class.
+/// Kernel compiler context: resolution against the statement scope, the
+/// columnar images that decide each column's runtime class, and the
+/// subquery memo that turns uncorrelated subqueries into constants.
 struct Cx<'a> {
     scope: &'a Scope,
     tables: &'a [Arc<ColumnarTable>],
+    ctx: &'a EvalContext<'a>,
 }
 
 impl Cx<'_> {
@@ -1025,6 +1034,18 @@ impl Cx<'_> {
 
     fn data(&self, id: ColId) -> &ColumnData {
         &self.tables[id.rel].columns[id.col].data
+    }
+
+    /// A scalar subquery's value, executed once through the statement
+    /// memo. `None` (bail) wherever the row path would raise an error —
+    /// the subquery fails, or returns more than one column or row — so
+    /// the row path raises it lazily, only if a row reaches it.
+    fn scalar_subquery(&self, q: &Query) -> Option<Value> {
+        let rs = self.ctx.subquery(q).ok()?;
+        if rs.columns.len() != 1 || rs.rows.len() > 1 {
+            return None;
+        }
+        Some(rs.rows.first().map_or(Value::Null, |r| r[0].clone()))
     }
 }
 
@@ -1484,9 +1505,11 @@ enum BoolK {
         hi: TextK,
         negated: bool,
     },
-    InList {
+    /// `v [NOT] IN (…)` over a literal list or an uncorrelated
+    /// subquery, probing a set built once.
+    InSet {
         v: Box<ValK>,
-        items: Vec<Value>,
+        set: Arc<InSet>,
         negated: bool,
     },
     LikeDict {
@@ -1594,38 +1617,64 @@ impl BoolK {
                 }
                 out
             }
-            BoolK::InList {
-                v: e,
-                items,
-                negated,
-            } => {
-                let vals = e.materialize(v, &[])?;
-                vals.iter()
-                    .map(|val| {
-                        // Mirror of the row path's IN loop: `sql_eq` per
-                        // item in order, first match wins, any unknown
-                        // comparison remembered as NULL.
-                        let mut saw_null = val.is_null();
-                        let mut found = false;
-                        for item in items {
-                            match val.sql_eq(item) {
-                                Some(true) => {
-                                    found = true;
-                                    break;
+            BoolK::InSet { v: e, set, negated } => {
+                let tri = |(found, saw_null): (bool, bool)| {
+                    if found {
+                        !*negated as i8
+                    } else if saw_null {
+                        -1
+                    } else {
+                        *negated as i8
+                    }
+                };
+                // A NULL probe is unknown against any set (-1).
+                match e.as_ref() {
+                    ValK::Num(k) => match k.eval(v)? {
+                        NumOut::Int(d, nulls) => d
+                            .iter()
+                            .zip(&nulls)
+                            .map(|(&x, &null)| if null { -1 } else { tri(set.probe_int(x)) })
+                            .collect(),
+                        NumOut::Float(d, nulls) => d
+                            .iter()
+                            .zip(&nulls)
+                            .map(|(&x, &null)| if null { -1 } else { tri(set.probe_float(x)) })
+                            .collect(),
+                        NumOut::AllNull => vec![-1; n],
+                    },
+                    ValK::Text(TextK::Col(id)) => {
+                        let c = v.col(*id);
+                        let ColumnData::Text(d) = &c.data else {
+                            return None;
+                        };
+                        // One probe per distinct string, not per row.
+                        let lut: Vec<i8> =
+                            d.values.iter().map(|s| tri(set.probe_text(s))).collect();
+                        if sb_obs::enabled() {
+                            note_dict_lut(lut.len(), n);
+                        }
+                        (0..n)
+                            .map(|i| {
+                                let r = v.rid(*id, i);
+                                if c.nulls.is_null(r) {
+                                    -1
+                                } else {
+                                    lut[d.codes[r] as usize]
                                 }
-                                Some(false) => {}
-                                None => saw_null = true,
-                            }
-                        }
-                        if found {
-                            !*negated as i8
-                        } else if saw_null {
-                            -1
-                        } else {
-                            *negated as i8
-                        }
-                    })
-                    .collect()
+                            })
+                            .collect()
+                    }
+                    ValK::Text(TextK::Lit(s)) => vec![tri(set.probe_text(s)); n],
+                    ValK::Text(TextK::Null) => vec![-1; n],
+                    ValK::Tri(b) => {
+                        let lut = [tri(set.probe_bool(false)), tri(set.probe_bool(true))];
+                        b.eval(v)?
+                            .into_iter()
+                            .map(|t| if t < 0 { -1 } else { lut[t as usize] })
+                            .collect()
+                    }
+                    ValK::OutCol(_) => return None,
+                }
             }
             BoolK::LikeDict {
                 col,
@@ -1936,6 +1985,12 @@ impl Cx<'_> {
             Expr::Literal(Literal::Int(i)) => NumK::IntLit(*i),
             Expr::Literal(Literal::Float(f)) => NumK::FloatLit(*f),
             Expr::Literal(Literal::Null) => NumK::NullLit,
+            Expr::Subquery(q) => match self.scalar_subquery(q)? {
+                Value::Int(i) => NumK::IntLit(i),
+                Value::Float(f) => NumK::FloatLit(f),
+                Value::Null => NumK::NullLit,
+                _ => return None,
+            },
             Expr::Unary {
                 op: UnaryOp::Neg,
                 expr,
@@ -1961,6 +2016,11 @@ impl Cx<'_> {
             }
             Expr::Literal(Literal::Str(s)) => TextK::Lit(s.clone()),
             Expr::Literal(Literal::Null) => TextK::Null,
+            Expr::Subquery(q) => match self.scalar_subquery(q)? {
+                Value::Text(s) => TextK::Lit(s),
+                Value::Null => TextK::Null,
+                _ => return None,
+            },
             _ => return None,
         })
     }
@@ -2037,12 +2097,33 @@ impl Cx<'_> {
                         _ => None,
                     })
                     .collect::<Option<_>>()?;
-                BoolK::InList {
+                BoolK::InSet {
                     v: Box::new(self.compile_val(expr)?),
-                    items,
+                    set: Arc::new(InSet::new(&items)),
                     negated: *negated,
                 }
             }
+            Expr::InSubquery {
+                expr,
+                negated,
+                subquery,
+            } => {
+                let v = Box::new(self.compile_val(expr)?);
+                BoolK::InSet {
+                    v,
+                    set: self.ctx.in_set(subquery).ok()?,
+                    negated: *negated,
+                }
+            }
+            Expr::Exists { negated, subquery } => {
+                let rs = self.ctx.subquery(subquery).ok()?;
+                BoolK::Const((rs.rows.is_empty() == *negated) as i8)
+            }
+            Expr::Subquery(q) => match self.scalar_subquery(q)? {
+                Value::Bool(b) => BoolK::Const(b as i8),
+                Value::Null => BoolK::Const(-1),
+                _ => return None,
+            },
             Expr::Like {
                 expr,
                 negated,

@@ -21,12 +21,14 @@
 use crate::error::{EngineError, Result};
 use crate::eval::{self, truth_ref, EvalContext, Scope};
 use crate::exec::{finish_aggregate, ExecRow};
+use crate::inset::{in_result, InSet};
 use crate::result::ResultSet;
 use crate::value::Value;
 use sb_sql::{AggArg, AggFunc, BinaryOp, Expr, Query, Select, SelectItem, UnaryOp};
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::ops::Deref;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// A value produced by compiled evaluation: either a borrow into the row
 /// (column slots) or into the program (constants), or a computed value.
@@ -61,10 +63,12 @@ impl CV<'_> {
 
 /// A compiled subquery: executed through the statement-level memo on
 /// first evaluation, then pinned locally so later rows skip even the
-/// memo's SQL-text key construction.
+/// memo's SQL-text key construction. An `IN (SELECT …)` pins its
+/// membership set the same way.
 pub(crate) struct SubPlan<'q> {
     query: &'q Query,
     cache: RefCell<Option<Rc<ResultSet>>>,
+    set: OnceCell<Arc<InSet>>,
 }
 
 impl<'q> SubPlan<'q> {
@@ -72,6 +76,7 @@ impl<'q> SubPlan<'q> {
         SubPlan {
             query,
             cache: RefCell::new(None),
+            set: OnceCell::new(),
         }
     }
 
@@ -85,6 +90,17 @@ impl<'q> SubPlan<'q> {
         let rs = ctx.subquery(self.query)?;
         *self.cache.borrow_mut() = Some(Rc::clone(&rs));
         Ok(rs)
+    }
+
+    fn in_set(&self, ctx: &EvalContext) -> Result<&InSet> {
+        if let Some(set) = self.set.get() {
+            return Ok(set);
+        }
+        if sb_obs::enabled() {
+            sb_obs::count("engine.compile.subquery_exec", 1);
+        }
+        let set = ctx.in_set(self.query)?;
+        Ok(self.set.get_or_init(|| set))
     }
 }
 
@@ -426,25 +442,7 @@ impl<'q> CExpr<'q> {
             }
             CExpr::InSubquery { expr, negated, sub } => {
                 let v = expr.eval(row, ctx)?;
-                let rs = sub.run(ctx)?;
-                if rs.columns.len() != 1 {
-                    return Err(EngineError::CardinalityViolation(format!(
-                        "IN subquery returns {} columns",
-                        rs.columns.len()
-                    )));
-                }
-                let mut saw_null = v.is_null();
-                let mut found = false;
-                for r in &rs.rows {
-                    match v.sql_eq(&r[0]) {
-                        Some(true) => {
-                            found = true;
-                            break;
-                        }
-                        Some(false) => {}
-                        None => saw_null = true,
-                    }
-                }
+                let (found, saw_null) = sub.in_set(ctx)?.probe(&v);
                 Ok(CV::Owned(in_result(found, saw_null, *negated)))
             }
             CExpr::Like {
@@ -514,16 +512,6 @@ impl<'q> CExpr<'q> {
                 Ok(truth_ref(&v)?.unwrap_or(false))
             }
         }
-    }
-}
-
-fn in_result(found: bool, saw_null: bool, negated: bool) -> Value {
-    if found {
-        Value::Bool(!negated)
-    } else if saw_null {
-        Value::Null
-    } else {
-        Value::Bool(negated)
     }
 }
 

@@ -2,12 +2,14 @@
 
 use crate::database::Database;
 use crate::error::{EngineError, Result};
+use crate::inset::{in_result, InSet};
 use crate::result::ResultSet;
 use crate::value::Value;
 use sb_sql::{BinaryOp, ColumnRef, Expr, Literal, Query, UnaryOp};
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// One named relation visible in a `SELECT` scope.
 #[derive(Debug, Clone)]
@@ -93,7 +95,16 @@ impl Scope {
 pub struct EvalContext<'a> {
     /// The database subqueries run against.
     pub db: &'a Database,
-    memo: RefCell<HashMap<String, Rc<ResultSet>>>,
+    memo: RefCell<HashMap<String, Rc<Memo>>>,
+}
+
+/// One memoized subquery outcome. Errors are memoized too, so a batch
+/// attempt that bails on a failing subquery and the row-path retry that
+/// then reports the error execute it only once between them.
+struct Memo {
+    rs: Result<Rc<ResultSet>>,
+    /// The membership set of an `IN (SELECT …)`, built on first probe.
+    set: OnceCell<Arc<InSet>>,
 }
 
 impl<'a> EvalContext<'a> {
@@ -105,15 +116,39 @@ impl<'a> EvalContext<'a> {
         }
     }
 
-    /// Execute a subquery, memoized on its canonical SQL text.
-    pub fn subquery(&self, q: &Query) -> Result<Rc<ResultSet>> {
+    fn memoized(&self, q: &Query) -> Rc<Memo> {
         let key = q.to_string();
         if let Some(hit) = self.memo.borrow().get(&key) {
-            return Ok(Rc::clone(hit));
+            return Rc::clone(hit);
         }
-        let rs = Rc::new(crate::exec::execute(self.db, q)?);
-        self.memo.borrow_mut().insert(key, Rc::clone(&rs));
-        Ok(rs)
+        let memo = Rc::new(Memo {
+            rs: crate::exec::execute(self.db, q).map(Rc::new),
+            set: OnceCell::new(),
+        });
+        self.memo.borrow_mut().insert(key, Rc::clone(&memo));
+        memo
+    }
+
+    /// Execute a subquery, memoized on its canonical SQL text.
+    pub fn subquery(&self, q: &Query) -> Result<Rc<ResultSet>> {
+        self.memoized(q).rs.clone()
+    }
+
+    /// The membership set of `… IN (q)`: executes `q` through the memo,
+    /// checks it returns one column, and builds the set once.
+    pub(crate) fn in_set(&self, q: &Query) -> Result<Arc<InSet>> {
+        let memo = self.memoized(q);
+        let rs = memo.rs.as_ref().map_err(EngineError::clone)?;
+        if rs.columns.len() != 1 {
+            return Err(EngineError::CardinalityViolation(format!(
+                "IN subquery returns {} columns",
+                rs.columns.len()
+            )));
+        }
+        let set = memo
+            .set
+            .get_or_init(|| Arc::new(InSet::new(rs.rows.iter().map(|r| &r[0]))));
+        Ok(Arc::clone(set))
     }
 }
 
@@ -179,13 +214,7 @@ pub fn eval(expr: &Expr, row: &[Value], scope: &Scope, ctx: &EvalContext) -> Res
                     None => saw_null = true,
                 }
             }
-            Ok(if found {
-                Value::Bool(!*negated)
-            } else if saw_null {
-                Value::Null
-            } else {
-                Value::Bool(*negated)
-            })
+            Ok(in_result(found, saw_null, *negated))
         }
         Expr::InSubquery {
             expr,
@@ -193,32 +222,8 @@ pub fn eval(expr: &Expr, row: &[Value], scope: &Scope, ctx: &EvalContext) -> Res
             subquery,
         } => {
             let v = eval(expr, row, scope, ctx)?;
-            let rs = ctx.subquery(subquery)?;
-            if rs.columns.len() != 1 {
-                return Err(EngineError::CardinalityViolation(format!(
-                    "IN subquery returns {} columns",
-                    rs.columns.len()
-                )));
-            }
-            let mut saw_null = v.is_null();
-            let mut found = false;
-            for r in &rs.rows {
-                match v.sql_eq(&r[0]) {
-                    Some(true) => {
-                        found = true;
-                        break;
-                    }
-                    Some(false) => {}
-                    None => saw_null = true,
-                }
-            }
-            Ok(if found {
-                Value::Bool(!*negated)
-            } else if saw_null {
-                Value::Null
-            } else {
-                Value::Bool(*negated)
-            })
+            let (found, saw_null) = ctx.in_set(subquery)?.probe(&v);
+            Ok(in_result(found, saw_null, *negated))
         }
         Expr::Like {
             expr,

@@ -1283,6 +1283,7 @@ fn execute_select_impl(
             nested_loop: matches!(opts.join, JoinStrategy::NestedLoop),
             par: crate::batch::ParConfig::from_options(&opts),
             bp,
+            ctx: &ctx,
         };
         if let Some(projected) = crate::batch::try_select(&input) {
             if let Some(bp) = &bp {

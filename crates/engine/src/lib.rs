@@ -27,6 +27,7 @@ pub mod error;
 pub mod eval;
 pub mod exec;
 pub mod explain;
+pub(crate) mod inset;
 pub mod key;
 pub mod profile;
 pub mod reference;

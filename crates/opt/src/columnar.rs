@@ -19,9 +19,12 @@
 //! - scalar expressions from the kernel set: columns, literals,
 //!   arithmetic, comparisons, `AND`/`OR`/`NOT`, `BETWEEN`,
 //!   `IN (literals)`, `LIKE 'literal'`, `IS NULL`,
+//! - uncorrelated subqueries, which the engine executes once and uses
+//!   as constants: scalar `(SELECT …)`, `EXISTS`, and `IN (SELECT …)`
+//!   whose probe expression is itself in the kernel set,
 //! - aggregates (`COUNT`/`SUM`/`AVG`/`MIN`/`MAX`, incl. `DISTINCT`)
 //!   over scalar-set arguments, grouped by plain columns,
-//! - no subqueries anywhere, no `SELECT *` under grouping.
+//! - no `SELECT *` under grouping.
 
 use sb_sql::{AggArg, Expr, OrderItem, Select, SelectItem, TableFactor};
 
@@ -131,9 +134,9 @@ fn scalar_ok(e: &Expr) -> bool {
             scalar_ok(expr) && matches!(pattern.as_ref(), Expr::Literal(_))
         }
         Expr::IsNull { expr, .. } => scalar_ok(expr),
-        Expr::Agg { .. } | Expr::Subquery(_) | Expr::InSubquery { .. } | Expr::Exists { .. } => {
-            false
-        }
+        Expr::Subquery(_) | Expr::Exists { .. } => true,
+        Expr::InSubquery { expr, .. } => scalar_ok(expr),
+        Expr::Agg { .. } => false,
     }
 }
 
@@ -191,6 +194,10 @@ mod tests {
         assert!(eligible("SELECT a FROM t WHERE b IN (1, 2, 3)"));
         assert!(eligible("SELECT a FROM t WHERE b LIKE '%x%'"));
         assert!(eligible("SELECT DISTINCT a FROM t ORDER BY a"));
+        // Uncorrelated subqueries run once, as constants.
+        assert!(eligible("SELECT a FROM t WHERE b IN (SELECT c FROM u)"));
+        assert!(eligible("SELECT a FROM t WHERE EXISTS (SELECT * FROM u)"));
+        assert!(eligible("SELECT a FROM t WHERE b > (SELECT AVG(c) FROM u)"));
     }
 
     #[test]
@@ -205,11 +212,9 @@ mod tests {
         assert!(!eligible("SELECT t.a FROM t JOIN u ON id = tid"));
         // Cross join.
         assert!(!eligible("SELECT t.a FROM t JOIN u ON true"));
-        // Subqueries.
-        assert!(!eligible("SELECT a FROM t WHERE b IN (SELECT c FROM u)"));
-        assert!(!eligible("SELECT a FROM t WHERE EXISTS (SELECT * FROM u)"));
+        // A subquery whose probe is outside the kernel set.
         assert!(!eligible(
-            "SELECT a FROM t WHERE b > (SELECT AVG(c) FROM u)"
+            "SELECT a FROM t WHERE (b LIKE c) IN (SELECT d FROM u)"
         ));
         // Wildcard under grouping (row engine errors; same path both ways).
         assert!(!eligible("SELECT * FROM t GROUP BY a"));
@@ -243,7 +248,9 @@ mod tests {
             "SELECT t.a FROM t LEFT JOIN u ON t.id = u.tid"
         ));
         assert!(!par_eligible(
-            "SELECT a FROM t WHERE b IN (SELECT c FROM u)"
+            "SELECT a FROM t WHERE (b LIKE c) IN (SELECT d FROM u)"
         ));
+        // A subquery filter is a parallelizable stage like any other.
+        assert!(par_eligible("SELECT a FROM t WHERE b IN (SELECT c FROM u)"));
     }
 }

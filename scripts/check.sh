@@ -71,9 +71,13 @@ echo "== parallel smoke: morsel dispatch live at 1 and 8 threads =="
 # Force multi-morsel dispatch on the small fuzz tables (SB_MORSEL_ROWS)
 # and check the engine's byte-determinism contract end to end at both
 # thread counts, plus the obs counters that prove morsels actually ran.
+# The subquery campaign's env-resolved parallel configuration picks up
+# the same thread count and morsel size.
 for threads in 1 8; do
     RAYON_NUM_THREADS=$threads SB_MORSEL_ROWS=7 SB_FUZZ_COUNT=200 \
         cargo test -q -p sb-fuzz --test parallel_equivalence
+    RAYON_NUM_THREADS=$threads SB_MORSEL_ROWS=7 SB_FUZZ_COUNT=200 \
+        cargo test -q -p sb-fuzz --test subquery_differential
 done
 par_report="$(mktemp)"
 RAYON_NUM_THREADS=8 SB_MORSEL_ROWS=7 SB_OBS=summary \

@@ -142,6 +142,14 @@ const CASES: &[Case] = &[
               WHERE principal_investigator IN (SELECT unics_id FROM people)",
     },
     Case {
+        name: "hard_in_subquery_columnar",
+        domain: Domain::Cordis,
+        hardness: Hardness::Hard,
+        mode: Mode::Columnar,
+        sql: "SELECT acronym FROM projects \
+              WHERE principal_investigator IN (SELECT unics_id FROM people)",
+    },
+    Case {
         name: "extra_grouped_join_topk_parallel",
         domain: Domain::Cordis,
         hardness: Hardness::ExtraHard,
