@@ -55,6 +55,10 @@ impl Default for PipelineConfig {
 }
 
 /// What the pipeline produced, with phase-level accounting.
+///
+/// Phases 2-4 run on demand, so the counts cover the work actually done:
+/// every generated query was translated, selected and merged, and the
+/// run stopped at the round that reached the pair target.
 #[derive(Debug, Clone)]
 pub struct PipelineReport {
     /// The synthetic pairs (the "Synth" split).
@@ -70,8 +74,7 @@ pub struct PipelineReport {
     /// Candidates dropped by Phase 4 (the discriminator, or the plain
     /// `keep_k` truncation when discrimination is ablated off).
     pub dropped_discriminator: usize,
-    /// Selected questions dropped as duplicates while merging (counted
-    /// until the pair target is reached).
+    /// Selected questions dropped as duplicates while merging.
     pub dropped_duplicate: usize,
 }
 
@@ -152,16 +155,96 @@ impl<'a> Pipeline<'a> {
         sb_obs::count("pipeline.templates_extracted", n_templates as u64);
         drop(phase1);
 
-        // Phase 2: SQL generation. The discriminator keeps 1–2 questions
-        // per query, so the query budget equals the pair target (Phase 3
-        // stops early once the target is met).
-        let phase2 = sb_obs::span("pipeline.phase2.sql_gen");
-        let sql_target = self.config.target_pairs;
+        // Phases 2-4 run round by round, on demand. The discriminator keeps
+        // at most `keep_k` questions per query, so at least
+        // ceil(missing pairs / keep_k) more queries are needed: each round
+        // generates exactly that many (and never more than `target_pairs`
+        // queries in all), translates and selects them, and merges. The
+        // merge can therefore only reach the target at a round's last
+        // query, so every generated query is translated and merged.
+        // Rounds continue one generation stream and the LLM is reseeded
+        // by global query index, so the pairs equal those of generating
+        // `target_pairs` queries up front and translating them all.
+        let target = self.config.target_pairs;
         let mut generator =
             Generator::new(&self.domain.db, &self.domain.enhanced, self.config.gen_seed);
         generator.use_enhanced_constraints = self.config.use_enhanced_constraints;
-        let (generated, gen_stats) =
-            generator.generate(&templates, sql_target, &GenOptions::default());
+        let opts = GenOptions::default();
+        let mut generation = generator.generation(&templates, &opts);
+        let discriminator = Discriminator::new(self.config.keep_k);
+        let mut pairs = Vec::new();
+        let mut sql_queries = 0usize;
+        let mut kept_total = 0usize;
+        let mut dropped_duplicate = 0usize;
+        while pairs.len() < target && sql_queries < target {
+            let want = (target - pairs.len())
+                .div_ceil(self.config.keep_k.max(1))
+                .min(target - sql_queries);
+            let phase2 = sb_obs::span("pipeline.phase2.sql_gen");
+            let generated = generation.next_queries(want);
+            drop(phase2);
+            if generated.is_empty() {
+                break;
+            }
+
+            // Phases 3 + 4: translate and select, fanned out across
+            // queries. Every worker gets its own LLM clone reseeded from
+            // (llm_seed, global query index), and results merge in query
+            // order, so the output is byte-identical for any
+            // RAYON_NUM_THREADS.
+            let phase34 = sb_obs::span("pipeline.phase34.nl_translate_select");
+            let first = sql_queries;
+            let kept_per_query: Vec<Vec<String>> =
+                (0..generated.len())
+                    .into_par_iter()
+                    .map(|i| {
+                        let mut llm = self.llm.clone();
+                        llm.reseed(self.config.llm_seed.wrapping_add(
+                            ((first + i) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                        ));
+                        let candidates = llm.candidates(
+                            &generated[i].query,
+                            &self.domain.enhanced,
+                            self.config.candidates_per_query,
+                        );
+                        if self.config.discriminate {
+                            discriminator
+                                .select(&candidates)
+                                .into_iter()
+                                .cloned()
+                                .collect()
+                        } else {
+                            candidates.into_iter().take(self.config.keep_k).collect()
+                        }
+                    })
+                    .collect();
+            drop(phase34);
+            sql_queries += generated.len();
+            kept_total += kept_per_query.iter().map(Vec::len).sum::<usize>();
+
+            for (gq, kept) in generated.iter().zip(kept_per_query) {
+                let sql = gq.query.to_string();
+                // Distinct questions only: the discriminator can select two
+                // identical realizations.
+                let mut seen_q = HashSet::new();
+                for q in kept {
+                    if seen_q.insert(q.clone()) {
+                        pairs.push(NlSqlPair::new(
+                            q,
+                            sql.clone(),
+                            self.domain.db.schema.name.clone(),
+                        ));
+                    } else {
+                        dropped_duplicate += 1;
+                    }
+                }
+            }
+        }
+        pairs.truncate(target);
+        let gen_stats = generation.stats().clone();
+        let nl_candidates = sql_queries * self.config.candidates_per_query;
+        let dropped_discriminator = nl_candidates - kept_total;
+
         if sb_obs::enabled() {
             sb_obs::count("pipeline.sql.accepted", gen_stats.accepted as u64);
             sb_obs::count(
@@ -180,71 +263,6 @@ impl<'a> Pipeline<'a> {
                 "pipeline.sql.rejected_duplicate",
                 gen_stats.rejected_duplicate as u64,
             );
-        }
-        drop(phase2);
-
-        // Phases 3 + 4: translate and select, fanned out across queries.
-        // Every worker gets its own LLM clone reseeded from (llm_seed,
-        // query index), and results merge in query order, so the output
-        // is byte-identical for any RAYON_NUM_THREADS.
-        let phase34 = sb_obs::span("pipeline.phase34.nl_translate_select");
-        let discriminator = Discriminator::new(self.config.keep_k);
-        let kept_per_query: Vec<Vec<String>> = (0..generated.len())
-            .into_par_iter()
-            .map(|i| {
-                let mut llm = self.llm.clone();
-                llm.reseed(
-                    self.config
-                        .llm_seed
-                        .wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                );
-                let candidates = llm.candidates(
-                    &generated[i].query,
-                    &self.domain.enhanced,
-                    self.config.candidates_per_query,
-                );
-                if self.config.discriminate {
-                    discriminator
-                        .select(&candidates)
-                        .into_iter()
-                        .cloned()
-                        .collect()
-                } else {
-                    candidates.into_iter().take(self.config.keep_k).collect()
-                }
-            })
-            .collect();
-        drop(phase34);
-
-        let nl_candidates = generated.len() * self.config.candidates_per_query;
-        let kept_total: usize = kept_per_query.iter().map(Vec::len).sum();
-        let dropped_discriminator = nl_candidates - kept_total;
-
-        let mut pairs = Vec::new();
-        let mut dropped_duplicate = 0usize;
-        'merge: for (gq, kept) in generated.iter().zip(kept_per_query) {
-            let sql = gq.query.to_string();
-            // Distinct questions only: the discriminator can select two
-            // identical realizations.
-            let mut seen_q = HashSet::new();
-            for q in kept {
-                if seen_q.insert(q.clone()) {
-                    pairs.push(NlSqlPair::new(
-                        q,
-                        sql.clone(),
-                        self.domain.db.schema.name.clone(),
-                    ));
-                } else {
-                    dropped_duplicate += 1;
-                }
-            }
-            if pairs.len() >= self.config.target_pairs {
-                break 'merge;
-            }
-        }
-        pairs.truncate(self.config.target_pairs);
-
-        if sb_obs::enabled() {
             sb_obs::count("pipeline.nl.candidates", nl_candidates as u64);
             sb_obs::count(
                 "pipeline.nl.dropped_discriminator",
@@ -257,7 +275,7 @@ impl<'a> Pipeline<'a> {
         PipelineReport {
             pairs,
             templates: n_templates,
-            sql_queries: generated.len(),
+            sql_queries,
             gen_stats,
             nl_candidates,
             dropped_discriminator,

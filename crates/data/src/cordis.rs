@@ -709,7 +709,7 @@ fn link(
 
 /// The one-shot expert refinement of the enhanced schema (§3.3.2).
 fn enhance(db: &Database) -> EnhancedSchema {
-    let profile = sb_engine::profile_database(db);
+    let profile = db.profile();
     let mut e = EnhancedSchema::infer(db.schema.clone(), &profile);
     e.set_table_alias("ec_framework_programs", "EU framework programmes");
     e.set_table_alias("eu_territorial_units", "NUTS territorial units");

@@ -711,7 +711,7 @@ fn fanout(
 
 /// One-shot expert refinement of the enhanced schema.
 fn enhance(db: &Database) -> EnhancedSchema {
-    let profile = sb_engine::profile_database(db);
+    let profile = db.profile();
     let mut e = EnhancedSchema::infer(db.schema.clone(), &profile);
     e.set_table_alias("differential_expression", "differential gene expression");
     e.set_table_alias("healthy_expression", "healthy gene expression");

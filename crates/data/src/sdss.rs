@@ -291,7 +291,7 @@ pub fn build(size: SizeClass) -> DomainData {
 /// and place the five filter magnitudes in one math group (the paper's
 /// `u - r < 2.22` Q3 example).
 fn enhance(db: &Database) -> EnhancedSchema {
-    let profile = sb_engine::profile_database(db);
+    let profile = db.profile();
     let mut e = EnhancedSchema::infer(db.schema.clone(), &profile);
     e.set_table_alias("photoobj", "photometric object");
     e.set_table_alias("specobj", "spectroscopic object");

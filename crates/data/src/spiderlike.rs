@@ -448,7 +448,7 @@ fn build_theme(t: &Theme, idx: u64) -> SpiderDb {
         }
     }
 
-    let profile = sb_engine::profile_database(&db);
+    let profile = db.profile();
     let mut enhanced = EnhancedSchema::infer(db.schema.clone(), &profile);
     enhanced.set_categorical(&ent_table, t.cat, true);
     enhanced.set_categorical(&ent_table, t.m1, false);

@@ -5,7 +5,7 @@ use crate::error::{EngineError, Result};
 use crate::exec::ExecOptions;
 use crate::result::ResultSet;
 use crate::value::Value;
-use sb_schema::{ColumnType, Schema, TableDef};
+use sb_schema::{ColumnType, DataProfile, Schema, TableDef};
 use std::sync::{Arc, OnceLock};
 
 /// One stored row. Rows are reference-counted so scans hand out handles
@@ -124,18 +124,42 @@ impl Table {
 }
 
 /// A database: a schema plus one [`Table`] of content per schema table.
+///
+/// The data profile is derived from the content the same way a table's
+/// columnar image is: built on the first [`Database::profile`] call,
+/// shared afterwards, and dropped by [`Database::table_mut`], the only
+/// way to change the content.
 #[derive(Debug, Clone)]
 pub struct Database {
     /// The schema (shape + foreign keys).
     pub schema: Schema,
     tables: Vec<Table>,
+    /// Lazily built data profile, invalidated by [`Database::table_mut`].
+    profile: OnceLock<Arc<DataProfile>>,
 }
 
 impl Database {
     /// Create a database with empty tables for every table in the schema.
     pub fn new(schema: Schema) -> Self {
         let tables = schema.tables.iter().cloned().map(Table::new).collect();
-        Database { schema, tables }
+        Database {
+            schema,
+            tables,
+            profile: OnceLock::new(),
+        }
+    }
+
+    /// The data profile of the current content ([`profile_database`]),
+    /// computed on first call and shared afterwards, so the enhanced-
+    /// schema inference, every generator and every schema linker over
+    /// this database profile it once between them.
+    ///
+    /// [`profile_database`]: crate::profile_database
+    pub fn profile(&self) -> Arc<DataProfile> {
+        Arc::clone(
+            self.profile
+                .get_or_init(|| Arc::new(crate::profile::profile_database(self))),
+        )
     }
 
     /// Look up a table's content by (case-insensitive) name.
@@ -145,8 +169,10 @@ impl Database {
             .find(|t| t.def.name.eq_ignore_ascii_case(name))
     }
 
-    /// Mutable table lookup.
+    /// Mutable table lookup. Drops the cached data profile, since the
+    /// caller may change the table's content.
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
+        self.profile = OnceLock::new();
         self.tables
             .iter_mut()
             .find(|t| t.def.name.eq_ignore_ascii_case(name))
@@ -226,6 +252,46 @@ mod tests {
             .is_err());
         // NULL fits anywhere.
         assert!(t.push_row(vec![Value::Null, Value::Null]).is_ok());
+    }
+
+    #[test]
+    fn profile_memo_equals_a_fresh_profile() {
+        let mut d = db();
+        d.table_mut("x").unwrap().push_rows(vec![
+            vec![Value::Int(1), Value::Float(0.5)],
+            vec![Value::Int(2), Value::Float(0.5)],
+        ]);
+        let memo = d.profile();
+        assert_eq!(*memo, crate::profile_database(&d));
+        assert!(Arc::ptr_eq(&memo, &d.profile()), "second call is shared");
+    }
+
+    #[test]
+    fn table_mut_invalidates_the_profile() {
+        let mut d = db();
+        d.table_mut("x")
+            .unwrap()
+            .push_rows(vec![vec![Value::Int(1), Value::Float(0.5)]]);
+        assert_eq!(d.profile().row_count("x"), Some(1));
+        d.table_mut("x")
+            .unwrap()
+            .push_row(vec![Value::Int(2), Value::Float(7.0)])
+            .unwrap();
+        let p = d.profile();
+        assert_eq!(p.row_count("x"), Some(2));
+        assert_eq!(p.column("x", "v").unwrap().max, Some(7.0));
+        assert_eq!(*p, crate::profile_database(&d));
+    }
+
+    #[test]
+    fn clone_carries_the_profile() {
+        let mut d = db();
+        d.table_mut("x")
+            .unwrap()
+            .push_rows(vec![vec![Value::Int(1), Value::Float(0.5)]]);
+        let memo = d.profile();
+        let copy = d.clone();
+        assert!(Arc::ptr_eq(&memo, &copy.profile()), "clone shares the memo");
     }
 
     #[test]

@@ -26,12 +26,13 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
 use rayon::prelude::*;
-use sb_engine::{profile_database, Database};
+use sb_engine::Database;
 use sb_schema::{DataProfile, EnhancedSchema};
 use sb_semql::{Assignment, Template, TemplateError};
 use sb_sql::Query;
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Why a single fill attempt failed. Attempt failures are expected and
 /// retried; they become interesting in aggregate (the generator reports
@@ -103,6 +104,11 @@ pub struct GeneratedQuery {
 
 /// Aggregate statistics over a generation run — how often each rejection
 /// class fired. Used by the enhanced-schema ablation benchmark.
+///
+/// The counts cover the fill attempts actually made. Survivors are pulled
+/// on demand (see [`Generator::generate`]), so no attempt runs whose query
+/// the merge would discard unseen, and every attempt lands in exactly one
+/// class.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GenStats {
     /// Queries accepted.
@@ -118,6 +124,14 @@ pub struct GenStats {
 }
 
 impl GenStats {
+    fn absorb(&mut self, other: &GenStats) {
+        self.accepted += other.accepted;
+        self.rejected_sampling += other.rejected_sampling;
+        self.rejected_execution += other.rejected_execution;
+        self.rejected_empty += other.rejected_empty;
+        self.rejected_duplicate += other.rejected_duplicate;
+    }
+
     /// Total attempts.
     pub fn attempts(&self) -> usize {
         self.accepted
@@ -128,15 +142,99 @@ impl GenStats {
     }
 }
 
-/// One parallel worker's output: executable candidates plus local
-/// rejection counts, merged into [`GenStats`] by the caller.
-#[derive(Default)]
+/// Survivors one template slot may produce per round; the merge accepts
+/// at most one, so the rest are fallbacks for when earlier survivors
+/// duplicate accepted queries.
+const MAX_SURVIVORS: usize = 3;
+
+/// One template slot of one round: a resumable stream of fill attempts
+/// that executes candidates only when the merge asks for the next
+/// survivor. It keeps its RNG, attempt count and local de-duplication
+/// set between pulls, so the survivor sequence is the same however many
+/// of them are pulled.
 struct AttemptBatch {
-    candidates: Vec<(Query, String)>,
-    rejected_sampling: usize,
-    rejected_execution: usize,
-    rejected_empty: usize,
-    rejected_duplicate: usize,
+    rng: StdRng,
+    attempts: usize,
+    survivors: usize,
+    local_seen: HashSet<String>,
+    /// A survivor found in the parallel phase, held for the merge.
+    pending: Option<(Query, String)>,
+    stats: GenStats,
+}
+
+impl AttemptBatch {
+    fn new(seed: u64) -> Self {
+        AttemptBatch {
+            rng: StdRng::seed_from_u64(seed),
+            attempts: 0,
+            survivors: 0,
+            local_seen: HashSet::new(),
+            pending: None,
+            stats: GenStats::default(),
+        }
+    }
+
+    /// The first survivor not in `seen` — the held one if it still
+    /// qualifies, else the next ones pulled from the stream — or `None`
+    /// once the slot has used up its survivors or attempts. Survivors
+    /// skipped because `seen` has them count as duplicates.
+    fn take_unseen(
+        &mut self,
+        gen: &Generator<'_>,
+        template: &Template,
+        opts: &GenOptions,
+        seen: &HashSet<String>,
+    ) -> Option<(Query, String)> {
+        loop {
+            let (query, sql) = match self.pending.take() {
+                Some(held) => held,
+                None => self.next_survivor(gen, template, opts)?,
+            };
+            if !seen.contains(&sql) {
+                return Some((query, sql));
+            }
+            self.stats.rejected_duplicate += 1;
+        }
+    }
+
+    /// Attempt fills until one executes (non-empty when required) and is
+    /// new to this slot.
+    fn next_survivor(
+        &mut self,
+        gen: &Generator<'_>,
+        template: &Template,
+        opts: &GenOptions,
+    ) -> Option<(Query, String)> {
+        while self.survivors < MAX_SURVIVORS && self.attempts < opts.max_attempts_per_query {
+            self.attempts += 1;
+            let query = match gen.fill_with(&mut self.rng, template) {
+                Ok(q) => q,
+                Err(GenError::Template(_)) | Err(GenError::NotExecutable(_)) => {
+                    self.stats.rejected_execution += 1;
+                    continue;
+                }
+                Err(_) => {
+                    self.stats.rejected_sampling += 1;
+                    continue;
+                }
+            };
+            let sql = query.to_string();
+            if self.local_seen.contains(&sql) {
+                self.stats.rejected_duplicate += 1;
+                continue;
+            }
+            match gen.db.run_query(&query) {
+                Ok(rs) if opts.require_nonempty && rs.is_empty() => self.stats.rejected_empty += 1,
+                Ok(_) => {
+                    self.survivors += 1;
+                    self.local_seen.insert(sql.clone());
+                    return Some((query, sql));
+                }
+                Err(_) => self.stats.rejected_execution += 1,
+            }
+        }
+        None
+    }
 }
 
 /// Mix a per-run base seed with a round and template index into one
@@ -152,7 +250,7 @@ fn derive_seed(base: u64, round: u64, template_idx: u64) -> u64 {
 pub struct Generator<'a> {
     db: &'a Database,
     enhanced: &'a EnhancedSchema,
-    profile: DataProfile,
+    profile: Arc<DataProfile>,
     rng: StdRng,
     /// When `false`, the enhanced-schema constraints are ignored (ablation
     /// mode): aggregates, group-bys and math operands sample any
@@ -166,7 +264,7 @@ impl<'a> Generator<'a> {
         Generator {
             db,
             enhanced,
-            profile: profile_database(db),
+            profile: db.profile(),
             rng: StdRng::seed_from_u64(seed),
             use_enhanced_constraints: true,
         }
@@ -183,7 +281,7 @@ impl<'a> Generator<'a> {
 
     /// One fill attempt with an explicit RNG — the reentrant core behind
     /// [`Generator::fill`], shared by the parallel generation workers.
-    fn fill_with(&self, rng: &mut StdRng, template: &Template) -> Result<Query, GenError> {
+    pub fn fill_with(&self, rng: &mut StdRng, template: &Template) -> Result<Query, GenError> {
         let tables = self.sample_tables(rng, template)?;
         let columns = self.sample_columns(rng, template, &tables)?;
         let values = self.sample_values(rng, template, &tables, &columns)?;
@@ -198,113 +296,49 @@ impl<'a> Generator<'a> {
     /// Generate up to `n` validated, de-duplicated queries by cycling over
     /// the templates. Returns the queries and the rejection statistics.
     ///
-    /// Fill-and-execute batches run in parallel, one worker per template
-    /// per round, each on its own RNG seeded from `(base, round,
-    /// template)`; accepted queries are then merged sequentially in
-    /// template-index order. Both the worker seeds and the merge order are
-    /// independent of thread scheduling, so the output is identical for
-    /// any `RAYON_NUM_THREADS`. Each round accepts at most one query per
-    /// template, which keeps the template mix balanced exactly like the
-    /// sequential round-robin this replaces.
+    /// Equivalent to draining a fresh [`Generator::generation`] for `n`
+    /// queries. Generation runs in rounds; in each round every template
+    /// slot, in index order, contributes at most one query: the first of
+    /// its (at most three) executable survivors that is not already
+    /// accepted. That keeps the template mix balanced. Each slot draws
+    /// from its own RNG seeded from `(base, round, template)`, so the
+    /// output is identical for any `RAYON_NUM_THREADS`, and, for
+    /// generators with the same seed, `generate(k)` returns a prefix of
+    /// `generate(n)` when `k <= n`.
     pub fn generate(
         &mut self,
         templates: &[Template],
         n: usize,
         opts: &GenOptions,
     ) -> (Vec<GeneratedQuery>, GenStats) {
-        let mut out = Vec::new();
-        let mut stats = GenStats::default();
-        let mut seen: HashSet<String> = HashSet::new();
         if templates.is_empty() || n == 0 {
-            return (out, stats);
+            return (Vec::new(), GenStats::default());
         }
-        let base = self.rng.next_u64();
-        let mut round: u64 = 0;
-        while out.len() < n {
-            let batches: Vec<AttemptBatch> = (0..templates.len())
-                .into_par_iter()
-                .map(|ti| {
-                    let seed = derive_seed(base, round, ti as u64);
-                    self.attempt_batch(seed, &templates[ti], opts)
-                })
-                .collect();
-            let mut progressed = false;
-            for (ti, batch) in batches.into_iter().enumerate() {
-                stats.rejected_sampling += batch.rejected_sampling;
-                stats.rejected_execution += batch.rejected_execution;
-                stats.rejected_empty += batch.rejected_empty;
-                stats.rejected_duplicate += batch.rejected_duplicate;
-                if out.len() >= n {
-                    continue;
-                }
-                for (query, sql) in batch.candidates {
-                    if !seen.insert(sql) {
-                        stats.rejected_duplicate += 1;
-                        continue;
-                    }
-                    out.push(GeneratedQuery {
-                        query,
-                        template_idx: ti,
-                    });
-                    stats.accepted += 1;
-                    progressed = true;
-                    break;
-                }
-            }
-            if !progressed {
-                // No template can produce anything new; stop rather than
-                // loop forever.
-                break;
-            }
-            round += 1;
-        }
-        (out, stats)
+        let mut run = self.generation(templates, opts);
+        let out = run.next_queries(n);
+        (out, run.stats)
     }
 
-    /// One worker's round: attempt fills of a single template, execute the
-    /// candidates, and return the survivors (a few, so the merge can fall
-    /// back when its first choice duplicates another template's output).
-    fn attempt_batch(&self, seed: u64, template: &Template, opts: &GenOptions) -> AttemptBatch {
-        /// Survivors kept per batch; the merge accepts at most one.
-        const MAX_CANDIDATES: usize = 3;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut batch = AttemptBatch::default();
-        let mut local_seen: HashSet<String> = HashSet::new();
-        for _ in 0..opts.max_attempts_per_query {
-            if batch.candidates.len() >= MAX_CANDIDATES {
-                break;
-            }
-            let query = match self.fill_with(&mut rng, template) {
-                Ok(q) => q,
-                Err(GenError::Template(_)) | Err(GenError::NotExecutable(_)) => {
-                    batch.rejected_execution += 1;
-                    continue;
-                }
-                Err(_) => {
-                    batch.rejected_sampling += 1;
-                    continue;
-                }
-            };
-            let sql = query.to_string();
-            if local_seen.contains(&sql) {
-                batch.rejected_duplicate += 1;
-                continue;
-            }
-            match self.db.run_query(&query) {
-                Ok(rs) => {
-                    if opts.require_nonempty && rs.is_empty() {
-                        batch.rejected_empty += 1;
-                        continue;
-                    }
-                    local_seen.insert(sql.clone());
-                    batch.candidates.push((query, sql));
-                }
-                Err(_) => {
-                    batch.rejected_execution += 1;
-                }
-            }
+    /// Start a resumable generation run: the query stream of
+    /// [`Generator::generate`], produced as far as each
+    /// [`Generation::next_queries`] call asks and no further.
+    pub fn generation<'g>(
+        &'g mut self,
+        templates: &'g [Template],
+        opts: &'g GenOptions,
+    ) -> Generation<'g, 'a> {
+        Generation {
+            base: self.rng.next_u64(),
+            gen: self,
+            templates,
+            opts,
+            round: 0,
+            slot: 0,
+            progressed: false,
+            exhausted: templates.is_empty(),
+            seen: HashSet::new(),
+            stats: GenStats::default(),
         }
-        batch
     }
 
     // ---- Algorithm 1, lines 8-11: table sampling -------------------------
@@ -559,6 +593,83 @@ impl<'a> Generator<'a> {
     }
 }
 
+/// A resumable generation run over one template list (see
+/// [`Generator::generation`]). Each call to [`Generation::next_queries`]
+/// continues the stream where the previous one stopped, so splitting a
+/// request into several calls yields the same queries as one call.
+pub struct Generation<'g, 'a> {
+    gen: &'g Generator<'a>,
+    templates: &'g [Template],
+    opts: &'g GenOptions,
+    base: u64,
+    round: u64,
+    /// The next template slot of the current round.
+    slot: usize,
+    /// Whether the current round has accepted a query yet.
+    progressed: bool,
+    /// Set once a whole round accepts nothing: no template can produce
+    /// anything new.
+    exhausted: bool,
+    seen: HashSet<String>,
+    stats: GenStats,
+}
+
+impl Generation<'_, '_> {
+    /// Generate up to `want` more queries; fewer only when the run is
+    /// exhausted.
+    ///
+    /// Slots execute in parallel, at most as many at a time as queries are
+    /// still wanted, since each slot yields at most one. A worker pulls
+    /// survivors until one is new to the queries accepted before its
+    /// chunk. The merge then walks the chunk in slot order and resumes a
+    /// worker whose survivor an earlier slot of the same chunk took.
+    pub fn next_queries(&mut self, want: usize) -> Vec<GeneratedQuery> {
+        let mut out = Vec::new();
+        while out.len() < want && !self.exhausted {
+            let start = self.slot;
+            let end = (start + want - out.len()).min(self.templates.len());
+            let (gen, templates, opts, seen) = (self.gen, self.templates, self.opts, &self.seen);
+            let (base, round) = (self.base, self.round);
+            let batches: Vec<AttemptBatch> = (start..end)
+                .into_par_iter()
+                .map(|ti| {
+                    let mut batch = AttemptBatch::new(derive_seed(base, round, ti as u64));
+                    batch.pending = batch.take_unseen(gen, &templates[ti], opts, seen);
+                    batch
+                })
+                .collect();
+            for (ti, mut batch) in (start..end).zip(batches) {
+                if let Some((query, sql)) = batch.take_unseen(gen, &templates[ti], opts, &self.seen)
+                {
+                    self.seen.insert(sql);
+                    out.push(GeneratedQuery {
+                        query,
+                        template_idx: ti,
+                    });
+                    batch.stats.accepted += 1;
+                    self.progressed = true;
+                }
+                self.stats.absorb(&batch.stats);
+            }
+            self.slot = end;
+            if end == templates.len() {
+                // No template can produce anything new; stop rather than
+                // loop forever.
+                self.exhausted = !self.progressed;
+                self.slot = 0;
+                self.round += 1;
+                self.progressed = false;
+            }
+        }
+        out
+    }
+
+    /// Statistics over the attempts made so far.
+    pub fn stats(&self) -> &GenStats {
+        &self.stats
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -602,7 +713,7 @@ mod tests {
                 Value::Float(16.0 + i as f64 / 7.0),
             ]]);
         }
-        let profile = profile_database(&db);
+        let profile = db.profile();
         let mut enhanced = EnhancedSchema::infer(schema, &profile);
         // Manual refinement (the paper's one-shot expert pass): on a tiny
         // fixture the cardinality heuristic over-fires, so pin the flags.

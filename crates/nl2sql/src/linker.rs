@@ -18,11 +18,10 @@
 //!    database information").
 
 use crate::{is_stopword, Pair};
-use sb_engine::{profile_database, Database};
-use sb_schema::{ColumnType, DataProfile};
+use sb_engine::Database;
+use sb_schema::ColumnType;
 use sb_sql::Literal;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 /// A linked schema column with a confidence score.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,27 +62,12 @@ impl LinkResult {
     }
 }
 
-/// The trainable linker.
-#[derive(Debug, Default)]
+/// The trainable linker. Value grounding reads the target database's
+/// memoized data profile ([`Database::profile`]).
+#[derive(Debug, Default, Clone)]
 pub struct Linker {
     /// token → (db, table, column) → votes.
     lexicon: HashMap<String, HashMap<(String, String, String), f64>>,
-    /// Cached data profiles per database name (interior mutability so
-    /// that linking — a read-only operation conceptually — can run on
-    /// `&self`; a `Mutex` rather than `RefCell` so predictions can run
-    /// from parallel evaluation workers).
-    profiles: Mutex<HashMap<String, Arc<DataProfile>>>,
-}
-
-impl Clone for Linker {
-    fn clone(&self) -> Self {
-        Linker {
-            lexicon: self.lexicon.clone(),
-            // The profile cache is derived data; a clone starts cold and
-            // repopulates on demand.
-            profiles: Mutex::new(HashMap::new()),
-        }
-    }
 }
 
 impl Linker {
@@ -242,20 +226,9 @@ impl Linker {
         out
     }
 
-    /// The (cached) data profile of a database.
-    pub fn profile(&self, db: &Database) -> Arc<DataProfile> {
-        Arc::clone(
-            self.profiles
-                .lock()
-                .expect("profile cache lock poisoned")
-                .entry(db.schema.name.to_ascii_lowercase())
-                .or_insert_with(|| Arc::new(profile_database(db))),
-        )
-    }
-
     /// Link a question against a target database.
     pub fn link(&self, question: &str, db: &Database) -> LinkResult {
-        let profile = self.profile(db);
+        let profile = db.profile();
         let _q_lower = question.to_lowercase();
         let mut tokens = sb_embed::tokenize(question);
         // Compound-name matching: "neighbor mode" should link to a column

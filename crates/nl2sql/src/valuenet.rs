@@ -116,7 +116,7 @@ impl ValueNetSim {
         rotation: usize,
     ) -> Option<(String, f64)> {
         let schema = &db.schema;
-        let profile = self.linker.profile(db);
+        let profile = db.profile();
         let mut score = 0.0f64;
 
         // ---- tables ----

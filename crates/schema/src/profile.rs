@@ -43,7 +43,7 @@ impl ColumnProfile {
 
 /// Per-column profiles for an entire database, keyed by
 /// `(lower(table), lower(column))`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataProfile {
     columns: HashMap<(String, String), ColumnProfile>,
     rows: HashMap<String, usize>,

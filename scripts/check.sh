@@ -78,6 +78,9 @@ for threads in 1 8; do
         cargo test -q -p sb-fuzz --test parallel_equivalence
     RAYON_NUM_THREADS=$threads SB_MORSEL_ROWS=7 SB_FUZZ_COUNT=200 \
         cargo test -q -p sb-fuzz --test subquery_differential
+    # Demand-driven generation against its eager oracle: same queries and
+    # pairs at either thread count.
+    RAYON_NUM_THREADS=$threads cargo test -q --test generation_oracle
 done
 par_report="$(mktemp)"
 RAYON_NUM_THREADS=8 SB_MORSEL_ROWS=7 SB_OBS=summary \

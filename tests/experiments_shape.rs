@@ -117,6 +117,14 @@ fn pipeline_report_accounts_for_every_rejection() {
     // outcome, and the accepted count is what later phases consumed.
     let gs = &report.gen_stats;
     assert_eq!(gs.accepted, report.sql_queries);
+    // Phases 2-4 stop at the pair target: with up to `keep_k` = 2 pairs
+    // per query, far fewer queries than pairs are generated.
+    assert!(
+        report.sql_queries < config.target_pairs,
+        "generated {} queries for {} pairs",
+        report.sql_queries,
+        config.target_pairs
+    );
     assert_eq!(
         gs.attempts(),
         gs.accepted
@@ -145,7 +153,7 @@ fn pipeline_report_accounts_for_every_rejection() {
         "cannot drop more candidates than were generated"
     );
     // Kept = candidates − discriminator drops; emitted pairs can only
-    // shrink further (merge dedup + early stop at the target).
+    // shrink further (merge dedup + truncation at the target).
     let kept = report.nl_candidates - report.dropped_discriminator;
     assert!(report.pairs.len() + report.dropped_duplicate <= kept);
     assert_eq!(report.pairs.len(), config.target_pairs);
