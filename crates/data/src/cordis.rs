@@ -647,7 +647,7 @@ pub fn build(size: SizeClass) -> DomainData {
         |rng, _| {
             let i = rng.gen_range(0..n_topics);
             let w = TOPIC_WORDS[i % TOPIC_WORDS.len()];
-            Value::Text(format!("T-{w}-{i:04}").to_uppercase())
+            Value::from(format!("T-{w}-{i:04}").to_uppercase())
         },
     );
     link(
@@ -656,7 +656,7 @@ pub fn build(size: SizeClass) -> DomainData {
         "project_subject_areas",
         n_proj_subjects,
         n_projects,
-        |rng, _| Value::Text(format!("SA{:02}", rng.gen_range(0..n_subject_areas))),
+        |rng, _| Value::from(format!("SA{:02}", rng.gen_range(0..n_subject_areas))),
     );
     link(
         &mut db,
@@ -666,7 +666,7 @@ pub fn build(size: SizeClass) -> DomainData {
         n_projects,
         |rng, _| {
             let i = rng.gen_range(0..n_programmes);
-            Value::Text(format!("{}-PRG-{i:04}", FRAMEWORKS[i % FRAMEWORKS.len()]))
+            Value::from(format!("{}-PRG-{i:04}", FRAMEWORKS[i % FRAMEWORKS.len()]))
         },
     );
     link(
@@ -677,7 +677,7 @@ pub fn build(size: SizeClass) -> DomainData {
         n_projects,
         |rng, _| {
             let i = rng.gen_range(0..n_panels);
-            Value::Text(format!("{}{}", ERC_DOMAINS[i % 3].0, i / 3 + 1))
+            Value::from(format!("{}{}", ERC_DOMAINS[i % 3].0, i / 3 + 1))
         },
     );
 

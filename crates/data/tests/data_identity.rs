@@ -5,6 +5,8 @@
 
 use sb_data::{Domain, SizeClass};
 use sb_engine::{Database, Value};
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// FNV-1a over every table name, column name and cell, in order.
 fn fingerprint(db: &Database) -> u64 {
@@ -77,4 +79,38 @@ fn domain_content_is_pinned() {
         "generated content drifted; now:\n{}",
         drift.join("\n")
     );
+}
+
+/// Text cells are interned per table: every table holds exactly one
+/// allocation per distinct string, however often it repeats.
+#[test]
+fn text_cells_share_one_allocation_per_distinct_string() {
+    for domain in [Domain::Cordis, Domain::Sdss, Domain::OncoMx] {
+        let db = domain.build(SizeClass::Small).db;
+        let mut repeated = 0;
+        for table in db.tables() {
+            let mut ptrs = HashSet::new();
+            let mut strings = HashSet::new();
+            let mut cells = 0;
+            for row in &table.rows {
+                for v in row.iter() {
+                    if let Value::Text(s) = v {
+                        ptrs.insert(Arc::as_ptr(s));
+                        strings.insert(s.as_str());
+                        cells += 1;
+                    }
+                }
+            }
+            assert_eq!(
+                ptrs.len(),
+                strings.len(),
+                "{domain:?}.{}: {} allocations for {} distinct strings",
+                table.def.name,
+                ptrs.len(),
+                strings.len()
+            );
+            repeated += cells - strings.len();
+        }
+        assert!(repeated > 0, "{domain:?}: no repeated text to share");
+    }
 }

@@ -160,7 +160,7 @@ fn single_column_tables(cases: Vec<(&str, ColumnType, Vec<Value>)>) -> Database 
 
 /// `label{i}` repeated `times` for every `i` in `ids`, in the given order.
 fn repeated(label: &str, ids: impl Iterator<Item = usize>, times: usize) -> Vec<Value> {
-    ids.flat_map(|i| std::iter::repeat_n(Value::Text(format!("{label}{i:02}")), times))
+    ids.flat_map(|i| std::iter::repeat_n(Value::from(format!("{label}{i:02}")), times))
         .collect()
 }
 
@@ -205,13 +205,13 @@ fn hand_built_edges_profile_like_the_full_sort() {
         mixed.push(Value::Int(i));
     }
     let quoted = vec![
-        Value::Text("it's".into()),
-        Value::Text("it's".into()),
-        Value::Text("'".into()),
-        Value::Text("''".into()),
-        Value::Text("its".into()),
-        Value::Text(String::new()),
-        Value::Text("a'b'c".into()),
+        Value::from("it's"),
+        Value::from("it's"),
+        Value::from("'"),
+        Value::from("''"),
+        Value::from("its"),
+        Value::from(""),
+        Value::from("a'b'c"),
     ];
     let bools = vec![Value::Bool(true), Value::Bool(false), Value::Bool(true)];
     let db = single_column_tables(vec![
@@ -280,7 +280,7 @@ fn random_tie_heavy_columns_profile_like_the_full_sort() {
                 ColumnType::Int => Value::Int(i as i64 - 40),
                 ColumnType::Float if i % 3 == 0 => Value::Int(i as i64 / 2),
                 ColumnType::Float => Value::Float(i as f64 / 2.0),
-                ColumnType::Text => Value::Text(format!("{}'{}", i % 7, i)),
+                ColumnType::Text => Value::from(format!("{}'{}", i % 7, i)),
                 _ => Value::Bool(i % 2 == 0),
             };
             let times = rng.gen_range(1..4usize);

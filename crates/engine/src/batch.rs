@@ -1460,7 +1460,7 @@ fn tri_of(ord: Ordering, op: BinaryOp) -> i8 {
 /// a statically-NULL value.
 enum TextK {
     Col(ColId),
-    Lit(String),
+    Lit(Arc<String>),
     Null,
 }
 
@@ -1942,12 +1942,12 @@ impl ValK {
                         if col.nulls.is_null(r) {
                             Value::Null
                         } else {
-                            Value::Text(d.values[d.codes[r] as usize].clone())
+                            Value::Text(Arc::clone(&d.values[d.codes[r] as usize]))
                         }
                     })
                     .collect()
             }
-            ValK::Text(TextK::Lit(s)) => vec![Value::Text(s.clone()); n],
+            ValK::Text(TextK::Lit(s)) => vec![Value::Text(Arc::clone(s)); n],
             ValK::Text(TextK::Null) => vec![Value::Null; n],
             ValK::Tri(b) => b
                 .eval(v)?
@@ -2014,7 +2014,7 @@ impl Cx<'_> {
                     _ => return None,
                 }
             }
-            Expr::Literal(Literal::Str(s)) => TextK::Lit(s.clone()),
+            Expr::Literal(Literal::Str(s)) => TextK::Lit(Arc::new(s.clone())),
             Expr::Literal(Literal::Null) => TextK::Null,
             Expr::Subquery(q) => match self.scalar_subquery(q)? {
                 Value::Text(s) => TextK::Lit(s),

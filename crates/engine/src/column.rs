@@ -28,6 +28,7 @@ use crate::database::Table;
 use crate::key::FxBuild;
 use crate::value::Value;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Validity bitmap: bit set ⇔ NULL.
 #[derive(Debug, Clone, Default)]
@@ -85,8 +86,10 @@ impl NullMask {
 pub struct DictColumn {
     /// Per-row code (placeholder `0` under null bits).
     pub codes: Vec<u32>,
-    /// Distinct values, first-occurrence order.
-    pub values: Vec<String>,
+    /// Distinct values, first-occurrence order. These are the row
+    /// store's own text handles, so materializing a cell is a refcount
+    /// bump and the image adds no string bytes.
+    pub values: Vec<Arc<String>>,
 }
 
 /// Typed backing storage of one column.
@@ -128,7 +131,7 @@ impl Column {
             ColumnData::Int(v) => Value::Int(v[i]),
             ColumnData::Float(v) => Value::Float(v[i]),
             ColumnData::Bool(v) => Value::Bool(v[i]),
-            ColumnData::Text(d) => Value::Text(d.values[d.codes[i] as usize].clone()),
+            ColumnData::Text(d) => Value::Text(Arc::clone(&d.values[d.codes[i] as usize])),
             ColumnData::AllNull => Value::Null,
             ColumnData::Mixed => unreachable!("Mixed columns never reach kernels"),
         }
@@ -240,13 +243,13 @@ fn build_column(table: &Table, j: usize, len: usize) -> Column {
         }
         Some(Tag::Text) => {
             let mut codes = Vec::with_capacity(len);
-            let mut values: Vec<String> = Vec::new();
+            let mut values: Vec<Arc<String>> = Vec::new();
             let mut dict: HashMap<&str, u32, FxBuild> = HashMap::default();
             for (i, row) in table.rows.iter().enumerate() {
                 match &row[j] {
                     Value::Text(s) => {
                         let code = *dict.entry(s.as_str()).or_insert_with(|| {
-                            values.push(s.clone());
+                            values.push(Arc::clone(s));
                             (values.len() - 1) as u32
                         });
                         codes.push(code);
@@ -299,8 +302,16 @@ mod tests {
         let ColumnData::Text(d) = &ct.columns[2].data else {
             panic!("text column expected");
         };
-        assert_eq!(d.values, vec!["a".to_string(), "b".to_string()]);
+        let strs: Vec<&str> = d.values.iter().map(|s| s.as_str()).collect();
+        assert_eq!(strs, ["a", "b"]);
         assert_eq!(d.codes, vec![0, 1, 0]);
+        // The dictionary holds the row store's handles, not copies.
+        for (i, row) in t.rows.iter().enumerate() {
+            let Value::Text(cell) = &row[2] else {
+                panic!("text cell expected");
+            };
+            assert!(Arc::ptr_eq(cell, &d.values[d.codes[i] as usize]));
+        }
         // Round trip.
         for (i, row) in t.rows.iter().enumerate() {
             for (j, col) in ct.columns.iter().enumerate() {

@@ -793,12 +793,12 @@ mod tests {
             Expr::binary(Expr::col(None, "nope"), BinaryOp::Eq, Expr::int(1)),
         );
         let prog = compile(&expr, &scope, &ctx);
-        let row = [Value::Int(1), Value::Text("a".into())];
+        let row = [Value::Int(1), Value::from("a")];
         assert_eq!(
             prog.eval(&row, &ctx).unwrap().into_value(),
             Value::Bool(false)
         );
-        let row = [Value::Int(0), Value::Text("a".into())];
+        let row = [Value::Int(0), Value::from("a")];
         assert!(matches!(
             prog.eval(&row, &ctx),
             Err(EngineError::UnknownColumn(_))
@@ -813,7 +813,7 @@ mod tests {
         scope.push("r", vec!["id".into(), "name".into()]);
         let expr = Expr::col(None, "name");
         let prog = compile(&expr, &scope, &ctx);
-        let row = [Value::Int(1), Value::Text("deep".into())];
+        let row = [Value::Int(1), Value::from("deep")];
         let v = prog.eval(&row, &ctx).unwrap();
         assert!(matches!(v, CV::Ref(_)), "slot reads must not clone");
         assert_eq!(*v, row[1]);

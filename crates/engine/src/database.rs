@@ -3,9 +3,11 @@
 use crate::column::ColumnarTable;
 use crate::error::{EngineError, Result};
 use crate::exec::ExecOptions;
+use crate::key::FxBuild;
 use crate::result::ResultSet;
 use crate::value::Value;
 use sb_schema::{ColumnType, DataProfile, Schema, TableDef};
+use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 /// One stored row. Rows are reference-counted so scans hand out handles
@@ -19,6 +21,10 @@ pub type Row = Arc<[Value]>;
 /// scans. A columnar image ([`ColumnarTable`]) is built lazily on first
 /// use by the batch executor and cached until the next mutation; the
 /// two views always describe the same rows.
+///
+/// Text cells are interned per table: [`Table::push_row`] swaps each
+/// text handle for the table's first handle with the same content, so a
+/// string repeated across rows and columns is stored once.
 #[derive(Debug, Clone)]
 pub struct Table {
     /// The table's definition (name + typed columns).
@@ -27,6 +33,8 @@ pub struct Table {
     pub rows: Vec<Row>,
     /// Lazily built columnar image, invalidated by [`Table::push_row`].
     columnar: OnceLock<Arc<ColumnarTable>>,
+    /// One handle per distinct string stored through [`Table::push_row`].
+    text_pool: HashSet<Arc<String>, FxBuild>,
 }
 
 impl Table {
@@ -36,6 +44,7 @@ impl Table {
             def,
             rows: Vec::new(),
             columnar: OnceLock::new(),
+            text_pool: HashSet::default(),
         }
     }
 
@@ -52,8 +61,9 @@ impl Table {
     }
 
     /// Append one row, validating arity and (loosely) types: NULL fits any
-    /// column, ints are accepted by float columns.
-    pub fn push_row(&mut self, row: Vec<Value>) -> Result<()> {
+    /// column, ints are accepted by float columns. Text cells are interned
+    /// against the table's earlier strings.
+    pub fn push_row(&mut self, mut row: Vec<Value>) -> Result<()> {
         if row.len() != self.def.columns.len() {
             return Err(EngineError::TypeMismatch(format!(
                 "table `{}` expects {} values, got {}",
@@ -73,6 +83,16 @@ impl Table {
                     "value {v} does not fit column `{}.{}` of type {}",
                     self.def.name, c.name, c.ty
                 )));
+            }
+        }
+        for v in &mut row {
+            if let Value::Text(s) = v {
+                match self.text_pool.get(&**s) {
+                    Some(shared) => *s = Arc::clone(shared),
+                    None => {
+                        self.text_pool.insert(Arc::clone(s));
+                    }
+                }
             }
         }
         self.rows.push(row.into());
@@ -248,7 +268,7 @@ mod tests {
         // Int into Float column is fine; Text into Int is not.
         assert!(t.push_row(vec![Value::Int(1), Value::Int(2)]).is_ok());
         assert!(t
-            .push_row(vec![Value::Text("a".into()), Value::Float(0.0)])
+            .push_row(vec![Value::from("a"), Value::Float(0.0)])
             .is_err());
         // NULL fits anywhere.
         assert!(t.push_row(vec![Value::Null, Value::Null]).is_ok());
@@ -292,6 +312,60 @@ mod tests {
         let memo = d.profile();
         let copy = d.clone();
         assert!(Arc::ptr_eq(&memo, &copy.profile()), "clone shares the memo");
+    }
+
+    /// Table 1 reports logical bytes, not the in-memory layout: 8 per
+    /// number, 1 per bool or NULL, and `len + 8` per string, whether or
+    /// not the string's allocation is shared.
+    #[test]
+    fn approx_bytes_counts_logical_bytes() {
+        let schema = Schema::new("t").with_table(TableDef::new(
+            "m",
+            vec![
+                Column::pk("id", ColumnType::Int),
+                Column::new("f", ColumnType::Float),
+                Column::new("s", ColumnType::Text),
+                Column::new("b", ColumnType::Bool),
+            ],
+        ));
+        let mut d = Database::new(schema);
+        d.table_mut("m").unwrap().push_rows(vec![
+            vec![1.into(), 0.5.into(), "galaxy".into(), true.into()],
+            vec![2.into(), Value::Null, "galaxy".into(), Value::Null],
+            vec![3.into(), 1.5.into(), Value::Null, false.into()],
+        ]);
+        // ints 3*8, floats 2*8 + 1, text 2*(6+8) + 1, bools 2*1 + 1
+        assert_eq!(d.approx_bytes(), 24 + 17 + 29 + 3);
+    }
+
+    #[test]
+    fn push_row_interns_text_per_table() {
+        let schema = Schema::new("t").with_table(TableDef::new(
+            "s",
+            vec![
+                Column::new("a", ColumnType::Text),
+                Column::new("b", ColumnType::Text),
+            ],
+        ));
+        let mut d = Database::new(schema);
+        d.table_mut("s").unwrap().push_rows(vec![
+            vec![Value::from("x"), Value::from("y")],
+            vec![Value::from("y"), Value::from("x")],
+        ]);
+        let rows = &d.table("s").unwrap().rows;
+        let handle = |r: usize, c: usize| match &rows[r][c] {
+            Value::Text(s) => Arc::clone(s),
+            v => panic!("text expected, got {v:?}"),
+        };
+        assert!(
+            Arc::ptr_eq(&handle(0, 0), &handle(1, 1)),
+            "x shared across columns"
+        );
+        assert!(
+            Arc::ptr_eq(&handle(0, 1), &handle(1, 0)),
+            "y shared across rows"
+        );
+        assert!(!Arc::ptr_eq(&handle(0, 0), &handle(0, 1)));
     }
 
     #[test]

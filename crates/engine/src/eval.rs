@@ -382,7 +382,7 @@ pub(crate) fn literal_value(l: &Literal) -> Value {
         Literal::Null => Value::Null,
         Literal::Int(v) => Value::Int(*v),
         Literal::Float(v) => Value::Float(*v),
-        Literal::Str(s) => Value::Text(s.clone()),
+        Literal::Str(s) => Value::from(s.as_str()),
         Literal::Bool(b) => Value::Bool(*b),
     }
 }
@@ -564,7 +564,7 @@ mod tests {
             arith(BinaryOp::Add, &Value::Null, &Value::Int(1)).unwrap(),
             Value::Null
         );
-        assert!(arith(BinaryOp::Add, &Value::Text("a".into()), &Value::Int(1)).is_err());
+        assert!(arith(BinaryOp::Add, &Value::from("a"), &Value::Int(1)).is_err());
     }
 
     #[test]

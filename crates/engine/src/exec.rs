@@ -1873,7 +1873,7 @@ fn value_to_literal_expr(v: Value) -> Expr {
         Value::Null => Literal::Null,
         Value::Int(i) => Literal::Int(i),
         Value::Float(f) => Literal::Float(f),
-        Value::Text(s) => Literal::Str(s),
+        Value::Text(s) => Literal::Str(Arc::unwrap_or_clone(s)),
         Value::Bool(b) => Literal::Bool(b),
     })
 }
@@ -2293,7 +2293,7 @@ mod tests {
             .unwrap();
         // GALAXY occurs on both sides (z=1.5 and z=0.7); QSO and STAR only
         // on one side each.
-        assert_eq!(r.rows, vec![vec![Value::Text("GALAXY".into())]]);
+        assert_eq!(r.rows, vec![vec![Value::from("GALAXY")]]);
         let r = db
             .run("SELECT class FROM specobj EXCEPT SELECT class FROM specobj WHERE class = 'STAR'")
             .unwrap();
@@ -2371,7 +2371,7 @@ mod tests {
             .unwrap();
         assert_eq!(r.rows.len(), 3);
         let galaxy = &r.rows[0];
-        assert_eq!(galaxy[0], Value::Text("GALAXY".into()));
+        assert_eq!(galaxy[0], Value::from("GALAXY"));
         assert!((galaxy[1].as_f64().unwrap() - 0.8).abs() < 1e-9);
     }
 

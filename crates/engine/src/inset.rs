@@ -87,7 +87,7 @@ impl InSet {
                 Value::Text(s) => {
                     set.has_text = true;
                     if !set.texts.contains(s.as_str()) {
-                        set.texts.insert(s.clone());
+                        set.texts.insert(s.to_string());
                     }
                 }
                 Value::Bool(b) => {
@@ -218,9 +218,9 @@ mod tests {
             Value::Float(2.0 * TWO_63),
             Value::Float(f64::INFINITY),
             Value::Float(f64::NEG_INFINITY),
-            Value::Text(String::new()),
-            Value::Text("1".into()),
-            Value::Text("a".into()),
+            Value::from(""),
+            Value::from("1"),
+            Value::from("a"),
             Value::Bool(true),
             Value::Bool(false),
         ]

@@ -221,9 +221,9 @@ mod tests {
     #[test]
     fn dedup_keeps_first_occurrences_in_order() {
         let mut rows = vec![
-            vec![Value::Int(1), Value::Text("a".into())],
-            vec![Value::Float(1.0), Value::Text("a".into())], // key-equal to row 0
-            vec![Value::Int(2), Value::Text("a".into())],
+            vec![Value::Int(1), Value::from("a")],
+            vec![Value::Float(1.0), Value::from("a")], // key-equal to row 0
+            vec![Value::Int(2), Value::from("a")],
             vec![Value::Null, Value::Null],
             vec![Value::Null, Value::Null],
         ];
@@ -231,8 +231,8 @@ mod tests {
         assert_eq!(
             rows,
             vec![
-                vec![Value::Int(1), Value::Text("a".into())],
-                vec![Value::Int(2), Value::Text("a".into())],
+                vec![Value::Int(1), Value::from("a")],
+                vec![Value::Int(2), Value::from("a")],
                 vec![Value::Null, Value::Null],
             ]
         );
@@ -242,14 +242,14 @@ mod tests {
     fn row_set_membership_uses_canonical_keys() {
         let rows = vec![
             vec![Value::Int(7)],
-            vec![Value::Text("x".into())],
+            vec![Value::from("x")],
             vec![Value::Null],
         ];
         let set = RowSet::build(&rows);
         assert!(set.contains(&[Value::Float(7.0)]));
         assert!(set.contains(&[Value::Null]));
         assert!(!set.contains(&[Value::Int(8)]));
-        assert!(!set.contains(&[Value::Text("7".into())]));
+        assert!(!set.contains(&[Value::from("7")]));
     }
 
     #[test]

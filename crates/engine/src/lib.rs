@@ -81,8 +81,8 @@ mod tests {
             vec![
                 Value::Int(1),
                 Value::Int(10),
-                Value::Text("GALAXY".into()),
-                Value::Text("STARBURST".into()),
+                Value::from("GALAXY"),
+                Value::from("STARBURST"),
                 Value::Float(10.0),
                 Value::Float(-3.0),
                 Value::Float(0.7),
@@ -90,8 +90,8 @@ mod tests {
             vec![
                 Value::Int(2),
                 Value::Int(20),
-                Value::Text("GALAXY".into()),
-                Value::Text("AGN".into()),
+                Value::from("GALAXY"),
+                Value::from("AGN"),
                 Value::Float(11.0),
                 Value::Float(4.0),
                 Value::Float(1.5),
@@ -99,8 +99,8 @@ mod tests {
             vec![
                 Value::Int(3),
                 Value::Int(30),
-                Value::Text("STAR".into()),
-                Value::Text("".into()),
+                Value::from("STAR"),
+                Value::from(""),
                 Value::Float(12.0),
                 Value::Float(5.0),
                 Value::Float(0.0),

@@ -211,7 +211,7 @@ mod tests {
             Value::Int(42),
             Value::Float(2.22),
             Value::Float(3.0),
-            Value::Text("it's".into()),
+            Value::from("it's"),
             Value::Bool(true),
             Value::Null,
         ] {

@@ -703,7 +703,7 @@ fn literal_value(l: &Literal) -> Value {
         Literal::Null => Value::Null,
         Literal::Int(v) => Value::Int(*v),
         Literal::Float(v) => Value::Float(*v),
-        Literal::Str(s) => Value::Text(s.clone()),
+        Literal::Str(s) => Value::from(s.as_str()),
         Literal::Bool(b) => Value::Bool(*b),
     }
 }

@@ -4,6 +4,7 @@ use sb_schema::ColumnType;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::Hasher;
+use std::sync::Arc;
 
 /// Numeric canonicalization behind every grouping / dedup / multiset key:
 /// round to 6 decimal places, the tolerance Spider's execution-accuracy
@@ -71,6 +72,12 @@ pub(crate) fn cmp_int_f64(a: i64, b: f64) -> Ordering {
 }
 
 /// A runtime SQL value.
+///
+/// Text is a shared handle rather than an owned `String`: cloning a text
+/// value is a refcount bump, a table's equal strings share one
+/// allocation ([`crate::Table::push_row`] interns them), and the whole
+/// enum is 16 bytes (pinned below). Every comparison, key and rendering
+/// reads the string's content, never the pointer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// SQL NULL.
@@ -79,11 +86,14 @@ pub enum Value {
     Int(i64),
     /// 64-bit float.
     Float(f64),
-    /// UTF-8 text.
-    Text(String),
+    /// UTF-8 text, shared.
+    Text(Arc<String>),
     /// Boolean.
     Bool(bool),
 }
+
+// A thin text handle keeps every cell of the row store at 16 bytes.
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
 
 impl Value {
     /// Whether this value is NULL.
@@ -297,13 +307,13 @@ impl From<f64> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Text(v.to_string())
+        Value::Text(Arc::new(v.to_string()))
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Text(v)
+        Value::Text(Arc::new(v))
     }
 }
 
@@ -338,13 +348,13 @@ mod tests {
 
     #[test]
     fn text_and_number_incomparable() {
-        assert_eq!(Value::Text("a".into()).compare(&Value::Int(1)), None);
+        assert_eq!(Value::from("a").compare(&Value::Int(1)), None);
     }
 
     #[test]
     fn total_cmp_is_deterministic_across_types() {
         let mut vals = [
-            Value::Text("b".into()),
+            Value::from("b"),
             Value::Int(2),
             Value::Null,
             Value::Float(1.5),
@@ -355,7 +365,7 @@ mod tests {
         assert_eq!(vals[1], Value::Bool(true));
         assert_eq!(vals[2], Value::Float(1.5));
         assert_eq!(vals[3], Value::Int(2));
-        assert_eq!(vals[4], Value::Text("b".into()));
+        assert_eq!(vals[4], Value::from("b"));
     }
 
     #[test]
@@ -366,7 +376,7 @@ mod tests {
         );
         assert_ne!(
             Value::Int(3).canonical_key(),
-            Value::Text("3".into()).canonical_key()
+            Value::from("3").canonical_key()
         );
     }
 
@@ -404,8 +414,11 @@ mod tests {
             Value::Int(i64::MAX),
             Value::Int(i64::MIN),
             Value::Float(9.223372036854776e18), // 2^63: i64::MAX rounds here
-            Value::Text("3".into()),
-            Value::Text("".into()),
+            Value::from("3"),
+            Value::from(""),
+            // Equal strings in separate allocations: content decides.
+            Value::from("shared"),
+            Value::from("shared"),
             Value::Bool(true),
             Value::Bool(false),
         ];
@@ -422,6 +435,15 @@ mod tests {
                 }
             }
         }
+        let (a, b) = (&values[values.len() - 4], &values[values.len() - 3]);
+        let (Value::Text(pa), Value::Text(pb)) = (a, b) else {
+            panic!("text pair expected");
+        };
+        assert!(
+            !Arc::ptr_eq(pa, pb),
+            "the pair must not share an allocation"
+        );
+        assert!(a.key_eq(b) && hash(a) == hash(b) && a == b);
         // Rounding unifies near-equal floats the way the string keys do.
         assert!(Value::Float(3.0000001).key_eq(&Value::Float(3.0)));
         assert!(!Value::Float(3.1).key_eq(&Value::Float(3.0)));

@@ -583,7 +583,7 @@ impl<'a> QueryGenerator<'a> {
     /// A `%frag%`-style pattern built from a sampled value of the column.
     fn like_pattern(&mut self, col: &BoundCol) -> String {
         let base = match self.sample_value(col) {
-            Some(Value::Text(s)) if !s.is_empty() => s,
+            Some(Value::Text(s)) if !s.is_empty() => s.to_string(),
             _ => "a".to_string(),
         };
         let chars: Vec<char> = base.chars().collect();

@@ -702,7 +702,7 @@ mod tests {
             db.table_mut("specobj").unwrap().push_rows(vec![vec![
                 Value::Int(i),
                 Value::Int(i % 10),
-                Value::Text(if i % 3 == 0 { "GALAXY" } else { "STAR" }.into()),
+                Value::from(if i % 3 == 0 { "GALAXY" } else { "STAR" }),
                 Value::Float(i as f64 / 10.0),
             ]]);
         }

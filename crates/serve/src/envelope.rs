@@ -427,7 +427,7 @@ mod tests {
         assert_eq!(value_json(&Value::Null), "null");
         assert_eq!(value_json(&Value::Int(-3)), "-3");
         assert_eq!(value_json(&Value::Bool(true)), "true");
-        assert_eq!(value_json(&Value::Text("a\"b".into())), "\"a\\\"b\"");
+        assert_eq!(value_json(&Value::from("a\"b")), "\"a\\\"b\"");
         assert_eq!(value_json(&Value::Float(f64::NAN)), "\"NaN\"");
         assert_eq!(value_json(&Value::Float(f64::INFINITY)), "\"inf\"");
         assert_eq!(value_json(&Value::Float(f64::NEG_INFINITY)), "\"-inf\"");

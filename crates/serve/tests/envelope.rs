@@ -27,14 +27,10 @@ fn demo_db() -> Database {
     ));
     let mut db = Database::new(schema);
     db.table_mut("t").unwrap().push_rows(vec![
-        vec![
-            Value::Int(1),
-            Value::Text("alpha".into()),
-            Value::Float(1.5),
-        ],
+        vec![Value::Int(1), Value::from("alpha"), Value::Float(1.5)],
         vec![
             Value::Int(2),
-            Value::Text("b \"quoted\"".into()),
+            Value::from("b \"quoted\""),
             Value::Float(-0.25),
         ],
         vec![Value::Int(3), Value::Null, Value::Null],

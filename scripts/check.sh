@@ -127,6 +127,11 @@ for domain in cordis sdss oncomx; do
     }
 done
 
+echo "== ab_pairs: syntax only =="
+# The alternating-pairs A/B script builds two trees and runs minutes of
+# benchmark pairs, too slow for this gate; parse it so it cannot rot.
+bash -n scripts/ab_pairs
+
 echo "== bench baseline shape: scaling_curve group committed =="
 # The criterion baseline must carry the serial-vs-parallel scaling curve
 # (regenerated by CRITERION_JSON=BENCH_engine.json cargo bench -p sb-bench).
