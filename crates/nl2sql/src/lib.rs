@@ -25,6 +25,7 @@
 //! content.
 
 pub mod linker;
+mod select;
 pub mod smbop;
 pub mod t5sim;
 pub mod valuenet;
@@ -35,7 +36,18 @@ pub use t5sim::T5Sim;
 pub use valuenet::ValueNetSim;
 
 use sb_engine::Database;
-use std::collections::HashMap;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
+
+/// A `HashMap` whose hasher has fixed keys. Its iteration order, and with
+/// it every tie-break and floating-point sum taken in that order, is the
+/// same in every run and every instance, so training and prediction are
+/// reproducible. `std`'s default `RandomState` draws new keys per map.
+pub(crate) type StableMap<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
+
+/// The `HashSet` counterpart of [`StableMap`].
+pub(crate) type StableSet<T> = HashSet<T, BuildHasherDefault<DefaultHasher>>;
 
 /// One NL/SQL training pair, tagged with the database it belongs to.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,13 +74,13 @@ impl Pair {
 /// A catalog of databases available during training (the paper's systems
 /// see the Spider databases plus the domain database).
 pub struct DbCatalog<'a> {
-    map: HashMap<String, &'a Database>,
+    map: StableMap<String, &'a Database>,
 }
 
 impl<'a> DbCatalog<'a> {
     /// Build a catalog from databases, keyed by schema name.
     pub fn new(dbs: impl IntoIterator<Item = &'a Database>) -> Self {
-        let mut map = HashMap::new();
+        let mut map = StableMap::default();
         for db in dbs {
             map.insert(db.schema.name.to_ascii_lowercase(), db);
         }

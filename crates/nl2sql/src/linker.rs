@@ -17,11 +17,10 @@
 //!    `(table, column, value)` candidates (ValueNet's "learns from
 //!    database information").
 
-use crate::{is_stopword, Pair};
+use crate::{is_stopword, Pair, StableMap, StableSet};
 use sb_engine::Database;
 use sb_schema::ColumnType;
 use sb_sql::Literal;
-use std::collections::HashMap;
 
 /// A linked schema column with a confidence score.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,7 +66,7 @@ impl LinkResult {
 #[derive(Debug, Default, Clone)]
 pub struct Linker {
     /// token → (db, table, column) → votes.
-    lexicon: HashMap<String, HashMap<(String, String, String), f64>>,
+    lexicon: StableMap<String, StableMap<(String, String, String), f64>>,
 }
 
 impl Linker {
@@ -84,7 +83,7 @@ impl Linker {
         };
         // Resolve column references against the schema: alias-qualified
         // references need the FROM bindings.
-        let mut bindings: HashMap<String, String> = HashMap::new();
+        let mut bindings: StableMap<String, String> = StableMap::default();
         for s in query.selects() {
             for tr in s.table_refs() {
                 if let sb_sql::TableFactor::Table(name) = &tr.factor {
@@ -142,8 +141,7 @@ impl Linker {
         // mentions ("… where the alias is 'SAILA'"), not paraphrases of
         // the columns they co-occur with; learning them as column
         // vocabulary turns cell values into bogus realization aliases.
-        let mut literal_tokens: std::collections::HashSet<String> =
-            std::collections::HashSet::new();
+        let mut literal_tokens: StableSet<String> = StableSet::default();
         for lit in sb_sql::visitor::collect_literals(&query) {
             match lit {
                 sb_sql::Literal::Str(s) => literal_tokens.extend(sb_embed::tokenize(&s)),
@@ -195,7 +193,7 @@ impl Linker {
     /// `SmBopSim` to speak the domain's language.
     pub fn learned_aliases(&self, db_name: &str) -> Vec<(String, String, String)> {
         let db_name = db_name.to_ascii_lowercase();
-        let mut best: HashMap<(String, String), (String, f64)> = HashMap::new();
+        let mut best: StableMap<(String, String), (String, f64)> = StableMap::default();
         for (token, votes) in &self.lexicon {
             // A token only qualifies as a column's alias when the column
             // holds the majority of the token's vote mass in this
@@ -241,8 +239,8 @@ impl Linker {
         tokens.extend(bigrams);
         let db_name = db.schema.name.to_ascii_lowercase();
 
-        let mut table_score: HashMap<String, f64> = HashMap::new();
-        let mut col_score: HashMap<(String, String), f64> = HashMap::new();
+        let mut table_score: StableMap<String, f64> = StableMap::default();
+        let mut col_score: StableMap<(String, String), f64> = StableMap::default();
 
         // 1. Name matching.
         for t in &db.schema.tables {

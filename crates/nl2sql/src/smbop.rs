@@ -15,6 +15,7 @@
 //! extra-hard class.
 
 use crate::linker::{column_mentioned, LinkResult, Linker};
+use crate::select::last_best_executed;
 use crate::{DbCatalog, NlToSql, Pair};
 use sb_embed::embed;
 use sb_engine::Database;
@@ -767,23 +768,20 @@ impl NlToSql for SmBopSim {
         let q_embed = embed(question);
         let q_tokens = sb_embed::tokenize(question);
         let cues = QuestionCues::of(question);
-        let best = candidates
-            .into_iter()
+        // Raw scores need no execution; a candidate that does not execute
+        // scores 10 less (bottom-up construction is schema-typed, so this
+        // is rare). Only candidates that could still win are executed.
+        let scores: Vec<(f64, f64)> = candidates
+            .iter()
             .map(|c| {
-                // Skip candidates that do not execute (bottom-up
-                // construction is schema-typed, so this is rare).
-                let exec_ok = db.run_query(&c).is_ok();
-                let text = realizer.realize(&c, Style::reference());
-                let mut score = 0.5 * q_embed.cosine(&embed(&text)) as f64;
-                if !exec_ok {
-                    score -= 10.0;
-                }
-                score += score_features(&c, &q_tokens, &cues, &link);
-                (score, c)
+                let text = realizer.realize(c, Style::reference());
+                let similarity = 0.5 * q_embed.cosine(&embed(&text)) as f64;
+                let features = score_features(c, &q_tokens, &cues, &link);
+                (similarity + features, (similarity - 10.0) + features)
             })
-            .max_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        match best {
-            Some((_, q)) => q.to_string(),
+            .collect();
+        match last_best_executed(&scores, |i| db.run_query(&candidates[i]).is_ok()) {
+            Some(i) => candidates[i].to_string(),
             None => "SELECT 1".to_string(),
         }
     }

@@ -18,7 +18,7 @@
 //! does not execute, which the evaluation counts as a miss.
 
 use crate::linker::{column_mentioned, Linker};
-use crate::{DbCatalog, NlToSql, Pair};
+use crate::{DbCatalog, NlToSql, Pair, StableMap};
 use sb_embed::{embed, Embedding};
 
 /// Retrieval embedding: numbers are structure-irrelevant, so digits are
@@ -33,7 +33,6 @@ fn retrieval_embed(text: &str) -> Embedding {
 }
 use sb_engine::Database;
 use sb_sql::{Keyword, Lexer, Token};
-use std::collections::HashMap;
 
 /// One memorized training example.
 #[derive(Debug, Clone)]
@@ -100,7 +99,7 @@ impl T5Sim {
         };
 
         // Consistent substitution per distinct unknown identifier.
-        let mut substitution: HashMap<String, String> = HashMap::new();
+        let mut substitution: StableMap<String, String> = StableMap::default();
         let mut next_column = 0usize;
         let mut out: Vec<String> = Vec::with_capacity(tokens.len());
         for (i, (tok, _)) in tokens.iter().enumerate() {
@@ -196,7 +195,7 @@ impl T5Sim {
         let q_tokens = sb_embed::tokenize(question);
 
         // Resolve binding → table for this query.
-        let mut bindings: HashMap<String, String> = HashMap::new();
+        let mut bindings: StableMap<String, String> = StableMap::default();
         for s in query.selects() {
             for tr in s.table_refs() {
                 if let sb_sql::TableFactor::Table(name) = &tr.factor {

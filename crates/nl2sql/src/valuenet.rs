@@ -13,7 +13,8 @@
 //! how well linking worked.
 
 use crate::linker::{column_mentioned, name_tokens, LinkResult, Linker};
-use crate::{DbCatalog, NlToSql, Pair};
+use crate::select::first_best_executable;
+use crate::{DbCatalog, NlToSql, Pair, StableMap, StableSet};
 use sb_embed::{embed, Embedding};
 use sb_engine::Database;
 use sb_schema::ColumnType;
@@ -559,47 +560,6 @@ fn sb_gen_parse(text: &str) -> Option<Literal> {
     None
 }
 
-impl ValueNetSim {
-    /// Diagnostic: the scored candidate list for a question (sim, fill,
-    /// sql, template source). Not part of the stable API.
-    #[doc(hidden)]
-    pub fn debug_candidates(
-        &self,
-        question: &str,
-        db: &Database,
-        top: usize,
-    ) -> Vec<(f32, f64, String, String)> {
-        let link = self.linker.link(question, db);
-        let delex = Self::delexicalize(question, &link, db);
-        let q_embed = embed(&delex);
-        let mut ranked: Vec<(f32, usize)> = self
-            .sketches
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (q_embed.cosine(&s.embedding), i))
-            .collect();
-        ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-        let mut out = Vec::new();
-        let q_tokens = sb_embed::tokenize(question);
-        for (sim, idx) in ranked.into_iter().take(top) {
-            for rotation in 0..2 {
-                if let Some((sql, fill)) =
-                    self.instantiate(&self.sketches[idx].template, &link, &q_tokens, db, rotation)
-                {
-                    let ok = db.run(&sql).is_ok();
-                    out.push((
-                        sim,
-                        if ok { fill } else { f64::NEG_INFINITY },
-                        sql,
-                        self.sketches[idx].template.source.clone(),
-                    ));
-                }
-            }
-        }
-        out
-    }
-}
-
 impl NlToSql for ValueNetSim {
     fn name(&self) -> &'static str {
         "ValueNet"
@@ -662,7 +622,7 @@ impl NlToSql for ValueNetSim {
         near.truncate(7);
         if !near.is_empty() {
             // Vote by template skeleton, weighting by similarity.
-            let mut votes: std::collections::HashMap<&str, f32> = std::collections::HashMap::new();
+            let mut votes: StableMap<&str, f32> = StableMap::default();
             for (sim, m) in &near {
                 *votes.entry(m.skeleton.as_str()).or_insert(0.0) += sim;
             }
@@ -708,7 +668,7 @@ impl NlToSql for ValueNetSim {
             .columns
             .iter()
             .map(|c| (&c.table, &c.column))
-            .collect::<std::collections::HashSet<_>>()
+            .collect::<StableSet<_>>()
             .len();
         let mut ranked: Vec<(f32, usize)> = self
             .sketches
@@ -728,35 +688,27 @@ impl NlToSql for ValueNetSim {
         // delexicalized text is equally consistent with the question);
         // the fill score then arbitrates among those near-ties.
         let top_sim = ranked.first().map(|(s, _)| *s).unwrap_or(0.0);
-        let mut best: Option<(f64, String)> = None;
         let q_tokens = sb_embed::tokenize(question);
-        for (sim, idx) in ranked
+        let candidates = ranked
             .into_iter()
             .take_while(|(s, _)| *s >= top_sim - 0.03)
             .take(Self::BEAM)
-        {
-            let rotations = if self.sketches[idx].template.table_count > 1 {
-                2
-            } else {
-                2.min(link.tables.len().max(1))
-            };
-            for rotation in 0..rotations {
-                if let Some((sql, fill)) =
-                    self.instantiate(&self.sketches[idx].template, &link, &q_tokens, db, rotation)
-                {
-                    // Grammar-constrained decoding: only executable SQL
-                    // survives the beam.
-                    if db.run(&sql).is_err() {
-                        continue;
-                    }
-                    let combined = sim as f64 * 3.0 + fill * 1.0;
-                    if best.as_ref().is_none_or(|(b, _)| combined > *b) {
-                        best = Some((combined, sql));
-                    }
-                }
-            }
-        }
-        if let Some((_, sql)) = best {
+            .flat_map(|(sim, idx)| {
+                let template = &self.sketches[idx].template;
+                let rotations = if template.table_count > 1 {
+                    2
+                } else {
+                    2.min(link.tables.len().max(1))
+                };
+                let (link, q_tokens) = (&link, &q_tokens);
+                (0..rotations).filter_map(move |rotation| {
+                    self.instantiate(template, link, q_tokens, db, rotation)
+                        .map(|(sql, fill)| (sim as f64 * 3.0 + fill * 1.0, sql))
+                })
+            });
+        // Grammar-constrained decoding: only executable SQL survives the
+        // beam. A candidate runs only when its score could still win.
+        if let Some(sql) = first_best_executable(candidates, |sql| db.run(sql).is_ok()) {
             return sql;
         }
         // Fallback: the most plausible table dump.
