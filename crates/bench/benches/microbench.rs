@@ -169,32 +169,6 @@ fn bench_scaling_curve(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_engine_compiled(c: &mut Criterion) {
-    use sb_engine::ExecOptions;
-    let d = Domain::Sdss.build(SizeClass::Small);
-    let mut g = c.benchmark_group("engine_execution_compiled");
-    g.sample_size(20);
-    // The compile-once layer in isolation: identical plans, expression
-    // programs vs. per-row AST interpretation.
-    let agg = "SELECT s.class, COUNT(*), AVG(s.z) FROM specobj AS s GROUP BY s.class";
-    let cases = ["q1_easy", "q2_medium", "q3_extra", "grouped_aggregation"]
-        .iter()
-        .zip([PARSE_CASES[0], PARSE_CASES[1], PARSE_CASES[2], agg]);
-    for (label, sql) in cases {
-        let q = sb_sql::parse(sql).unwrap();
-        for (suffix, compiled) in [("compiled", true), ("interpreted", false)] {
-            let opts = ExecOptions {
-                compiled,
-                ..ExecOptions::default()
-            };
-            g.bench_function(&format!("{label}_{suffix}"), |b| {
-                b.iter(|| d.db.run_query_with(std::hint::black_box(&q), opts))
-            });
-        }
-    }
-    g.finish();
-}
-
 fn bench_exec_acc_cached(c: &mut Criterion) {
     use sb_metrics::{execution_accuracy, execution_accuracy_cached, GoldCache};
     let d = Domain::Sdss.build(SizeClass::Small);
@@ -245,20 +219,6 @@ fn bench_join_strategies(c: &mut Criterion) {
     let d = Domain::Sdss.build(SizeClass::Small);
     let mut g = c.benchmark_group("join_strategies");
     g.sample_size(10);
-    // The perf-trajectory anchor: the extra-hard join query before the
-    // engine rework (cloning scans, nested-loop join, no pushdown) vs.
-    // after (zero-copy scans, hash join, pushdown).
-    let q3 = sb_sql::parse(PARSE_CASES[2]).unwrap();
-    g.bench_function("q3_extra_before", |b| {
-        b.iter(|| {
-            d.db.run_query_with(std::hint::black_box(&q3), ExecOptions::legacy())
-        })
-    });
-    g.bench_function("q3_extra_after", |b| {
-        b.iter(|| {
-            d.db.run_query_with(std::hint::black_box(&q3), ExecOptions::default())
-        })
-    });
     // Join strategy in isolation: the same bare equi-join, hash vs.
     // nested loop.
     let join = sb_sql::parse(
@@ -278,22 +238,13 @@ fn bench_join_strategies(c: &mut Criterion) {
             b.iter(|| d.db.run_query_with(std::hint::black_box(&join), opts))
         });
     }
-    // Predicate pushdown in isolation on a selective single-table scan.
+    // A selective single-table scan with its predicate pushed down.
     let filtered =
         sb_sql::parse("SELECT s.specobjid FROM specobj AS s WHERE s.class = 'QSO' AND s.z > 1.0")
             .unwrap();
-    for (label, predicate_pushdown) in [
-        ("filtered_scan_pushdown", true),
-        ("filtered_scan_no_pushdown", false),
-    ] {
-        let opts = ExecOptions {
-            predicate_pushdown,
-            ..ExecOptions::default()
-        };
-        g.bench_function(label, |b| {
-            b.iter(|| d.db.run_query_with(std::hint::black_box(&filtered), opts))
-        });
-    }
+    g.bench_function("filtered_scan_pushdown", |b| {
+        b.iter(|| d.db.run_query(std::hint::black_box(&filtered)))
+    });
     g.finish();
 }
 
@@ -428,7 +379,6 @@ criterion_group!(
     bench_engine,
     bench_columnar_operators,
     bench_scaling_curve,
-    bench_engine_compiled,
     bench_exec_acc_cached,
     bench_join_strategies,
     bench_templates_and_generation,

@@ -113,11 +113,9 @@ pub(crate) struct BatchInput<'a, 'q> {
     /// Full statement scope (all relations, original columns).
     pub(crate) scope: &'a Scope,
     pub(crate) relations: &'a [Relation<'a>],
-    /// Pushed-down conjuncts per relation, planner order.
-    pub(crate) pushed: &'a [Vec<&'q Expr>],
-    /// Residual filter conjuncts over the joined row.
-    pub(crate) residual: &'a [&'q Expr],
-    pub(crate) planned: Option<&'a sb_opt::PlannedSelect<'q>>,
+    /// The statement's plan: pushed-down and residual conjuncts, join
+    /// order and keys.
+    pub(crate) planned: &'a sb_opt::PlannedSelect<'q>,
     /// Whether the executor is forced to nested-loop joins (the batch
     /// path only implements hash joins, and must not silently hash-join
     /// a query whose row path would error inside a nested-loop
@@ -177,6 +175,7 @@ fn run(input: &BatchInput<'_, '_>) -> Option<Projected> {
     // typing problem bails before touching data, leaving error behavior
     // (including "zero rows swallow residual errors") to the row path.
     let pushed: Vec<Vec<BoolK>> = match input
+        .planned
         .pushed
         .iter()
         .map(|conjs| conjs.iter().map(|c| cx.compile_bool(c)).collect())
@@ -186,6 +185,7 @@ fn run(input: &BatchInput<'_, '_>) -> Option<Projected> {
         None => return bail(input, "predicate-kernel"),
     };
     let residual: Vec<BoolK> = match input
+        .planned
         .residual
         .iter()
         .map(|c| cx.compile_bool(c))
@@ -2462,9 +2462,8 @@ fn join_all(cx: &Cx<'_>, input: &BatchInput<'_, '_>, sels: Vec<Vec<u32>>) -> Opt
         return Some(sels);
     }
 
-    let reordered = input.planned.is_some_and(|p| p.reordered);
-    let (order, steps) = if reordered {
-        let p = input.planned.expect("reordered implies planned");
+    let (order, steps) = if input.planned.reordered {
+        let p = input.planned;
         let mut steps = Vec::with_capacity(p.steps.len());
         for step in &p.steps {
             let key = step.key?;
@@ -2650,7 +2649,7 @@ fn join_all(cx: &Cx<'_>, input: &BatchInput<'_, '_>, sels: Vec<Vec<u32>>) -> Opt
         by_rel[rel] = std::mem::take(&mut acc[pos]);
     }
 
-    if reordered {
+    if input.planned.reordered {
         // Restore source-order emission: selection vectors are ascending,
         // so sorting by the row-id tuple in source-relation order equals
         // the row path's sort by scan-position tags. Surviving tuples are

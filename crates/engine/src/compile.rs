@@ -1,20 +1,19 @@
 //! Compile-once expression programs.
 //!
-//! The tree-walking interpreter in [`crate::eval`] re-resolves every
-//! `ColumnRef` by linear name comparison on every row. This module
-//! lowers an [`Expr`] against its [`Scope`] exactly once, producing a
-//! [`CExpr`] program in which column references are positional slots,
-//! literal subtrees are constant-folded, and subqueries carry a
-//! per-statement result cache — so per-row evaluation does zero name
-//! lookups, zero `String` formatting, and no `Value` clones for
-//! comparisons.
+//! This is the row executor's only expression evaluator. It lowers an
+//! [`Expr`] against its [`Scope`] exactly once, producing a [`CExpr`]
+//! program in which column references are positional slots, literal
+//! subtrees are constant-folded, and subqueries carry a per-statement
+//! result cache — so per-row evaluation does zero name lookups, zero
+//! `String` formatting, and no `Value` clones for comparisons.
 //!
-//! Error parity with the interpreter is load-bearing: the differential
-//! fuzzer runs both paths against each other. Binding errors
-//! (`UnknownColumn`, `AmbiguousColumn`, …) discovered at compile time
-//! are *not* raised immediately — the interpreter only reports them
-//! when a row actually reaches the expression, so a pushdown-emptied
-//! scan must still succeed. They become [`CExpr::Fail`] poison nodes
+//! Error parity with the reference interpreter ([`crate::reference`])
+//! is load-bearing: the differential fuzzer and the error-parity tests
+//! run both against each other. Binding errors (`UnknownColumn`,
+//! `AmbiguousColumn`, …) discovered at compile time are *not* raised
+//! immediately — the reference only reports them when a row actually
+//! reaches the expression, so a pushdown-emptied scan must still
+//! succeed. They become [`CExpr::Fail`] poison nodes
 //! that reproduce the error if (and only if) evaluation touches them,
 //! preserving short-circuit semantics such as `FALSE AND nope = 1`.
 
@@ -113,7 +112,7 @@ pub(crate) enum CExpr<'q> {
     /// A literal, or a folded constant subtree.
     Const(Value),
     /// A poison node: raises its error when evaluated, exactly where the
-    /// interpreter would raise it row-side.
+    /// reference interpreter raises it row-side.
     Fail(EngineError),
     /// Unary operator.
     Unary {
@@ -122,7 +121,7 @@ pub(crate) enum CExpr<'q> {
         /// Operand program.
         expr: Box<CExpr<'q>>,
     },
-    /// Three-valued AND/OR with interpreter-identical short-circuiting.
+    /// Three-valued AND/OR with the reference's short-circuiting.
     Logical {
         /// `And` or `Or`.
         op: BinaryOp,
@@ -207,7 +206,7 @@ pub(crate) enum CExpr<'q> {
 
 /// Lower `expr` against `scope`. Never fails: binding errors become
 /// [`CExpr::Fail`] poison nodes so zero-row inputs keep succeeding the
-/// way the interpreter does.
+/// way the reference interpreter does.
 pub(crate) fn compile<'q>(expr: &'q Expr, scope: &Scope, ctx: &EvalContext) -> CExpr<'q> {
     let node = match expr {
         Expr::Column(c) => match scope.resolve(c) {
@@ -298,7 +297,7 @@ pub(crate) fn compile<'q>(expr: &'q Expr, scope: &Scope, ctx: &EvalContext) -> C
 
 /// Fold a node whose children are all constants. Evaluation errors fold
 /// to poison, not to an immediate failure: `1 + 'x'` only errors when a
-/// row reaches it, same as the interpreter.
+/// row reaches it, same as the reference interpreter.
 fn maybe_fold<'q>(node: CExpr<'q>, ctx: &EvalContext) -> CExpr<'q> {
     if !node.foldable() {
         return node;
@@ -318,7 +317,7 @@ impl<'q> CExpr<'q> {
     /// Children were already folded bottom-up, so "all children are
     /// `Const`" is the full recursive condition. Subquery nodes never
     /// fold: their execution order against the statement memo must match
-    /// the interpreter's.
+    /// the reference interpreter's.
     fn foldable(&self) -> bool {
         match self {
             CExpr::Slot(_)
@@ -353,9 +352,9 @@ impl<'q> CExpr<'q> {
         }
     }
 
-    /// Evaluate against one row. Semantically identical to
-    /// [`eval::eval`] on the source expression, including error text,
-    /// error order, and three-valued logic.
+    /// Evaluate against one row. Semantically identical to the reference
+    /// interpreter's scalar evaluation of the source expression,
+    /// including error text, error order, and three-valued logic.
     pub(crate) fn eval<'a>(&'a self, row: &'a [Value], ctx: &EvalContext) -> Result<CV<'a>> {
         match self {
             CExpr::Slot(i) => Ok(CV::Ref(&row[*i])),
@@ -523,8 +522,8 @@ pub(crate) enum GArg<'q> {
     Expr(CExpr<'q>),
 }
 
-/// A compiled group-context expression, mirroring the interpreter's
-/// `eval_grouped` recursion: aggregates consume the group, `Binary`/
+/// A compiled group-context expression, mirroring the reference
+/// interpreter's `eval_grouped` recursion: aggregates consume the group, `Binary`/
 /// `Unary` combine grouped results, anything else evaluates on the
 /// group's first row (NULL on an empty implicit group).
 pub(crate) enum GExpr<'q> {
@@ -538,7 +537,7 @@ pub(crate) enum GExpr<'q> {
         arg: GArg<'q>,
     },
     /// Binary combination of grouped operands (evaluated eagerly, like
-    /// the interpreter, even for AND/OR).
+    /// the reference interpreter, even for AND/OR).
     Binary {
         /// Left operand program.
         left: Box<GExpr<'q>>,
@@ -596,7 +595,7 @@ impl<'q> GExpr<'q> {
                 arg,
             } => fold_group_aggregate(*func, *distinct, arg, group, ctx),
             GExpr::Binary { left, op, right } => {
-                // Both sides evaluate eagerly — the interpreter computes
+                // Both sides evaluate eagerly — the reference computes
                 // grouped operands before any logical short-circuiting.
                 let l = left.eval(group, ctx)?;
                 let r = right.eval(group, ctx)?;
@@ -659,10 +658,10 @@ fn fold_group_aggregate(
     finish_aggregate(func, values)
 }
 
-/// A compiled ORDER BY key for the non-grouped path. The interpreter's
-/// alias fallback (a bare column that fails to resolve may name a
-/// projection alias) is decided once at compile time; the expression's
-/// display text is precomputed so the interpreter's error-rewrapping
+/// A compiled ORDER BY key for the non-grouped path. The alias fallback
+/// (a bare column that fails to resolve may name a projection alias) is
+/// decided once at compile time; the expression's display text is
+/// precomputed so the reference's error-rewrapping
 /// (`UnknownColumn(expr.to_string())`) costs nothing per row.
 pub(crate) enum OrderProg<'q> {
     /// Evaluate the program against the input row.
@@ -717,7 +716,7 @@ impl OrderProg<'_> {
                 Ok(v) => Ok(v.into_value()),
                 // Any unknown-column error — including one surfacing from
                 // a subquery at runtime — is reported under the ORDER BY
-                // expression's own text, exactly like the interpreter.
+                // expression's own text, exactly like the reference.
                 Err(EngineError::UnknownColumn(_)) => {
                     Err(EngineError::UnknownColumn(display.clone()))
                 }
@@ -786,7 +785,7 @@ mod tests {
         let mut scope = Scope::default();
         scope.push("r", vec!["id".into(), "name".into()]);
         // id = 0 AND nope = 1: the unknown column only errors when the
-        // left side doesn't short-circuit — same as the interpreter.
+        // left side doesn't short-circuit — same as the reference.
         let expr = Expr::binary(
             Expr::binary(Expr::col(None, "id"), BinaryOp::Eq, Expr::int(0)),
             BinaryOp::And,

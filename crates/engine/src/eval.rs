@@ -1,11 +1,14 @@
-//! Scalar expression evaluation with SQL NULL semantics.
+//! Name scopes, the per-statement evaluation context, and the scalar
+//! operators with SQL NULL semantics that the compiled evaluator
+//! ([`crate::compile`]) and the columnar kernels ([`crate::batch`])
+//! share.
 
 use crate::database::Database;
 use crate::error::{EngineError, Result};
-use crate::inset::{in_result, InSet};
+use crate::inset::InSet;
 use crate::result::ResultSet;
 use crate::value::Value;
-use sb_sql::{BinaryOp, ColumnRef, Expr, Literal, Query, UnaryOp};
+use sb_sql::{BinaryOp, ColumnRef, Literal, Query, UnaryOp};
 use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -152,145 +155,6 @@ impl<'a> EvalContext<'a> {
     }
 }
 
-/// Evaluate `expr` against one row. Aggregates are rejected here; grouped
-/// evaluation lives in the executor.
-pub fn eval(expr: &Expr, row: &[Value], scope: &Scope, ctx: &EvalContext) -> Result<Value> {
-    match expr {
-        Expr::Column(c) => Ok(row[scope.resolve(c)?].clone()),
-        Expr::Literal(l) => Ok(literal_value(l)),
-        Expr::Unary { op, expr } => apply_unary(*op, eval(expr, row, scope, ctx)?),
-        Expr::Binary { left, op, right } => {
-            if matches!(op, BinaryOp::And | BinaryOp::Or) {
-                return eval_logical(*op, left, right, row, scope, ctx);
-            }
-            let l = eval(left, row, scope, ctx)?;
-            let r = eval(right, row, scope, ctx)?;
-            if op.is_arithmetic() {
-                arith(*op, &l, &r)
-            } else {
-                apply_cmp(*op, &l, &r)
-            }
-        }
-        Expr::Agg { .. } => Err(EngineError::Unsupported(
-            "aggregate function outside GROUP BY context".into(),
-        )),
-        Expr::Between {
-            expr,
-            negated,
-            low,
-            high,
-        } => {
-            let v = eval(expr, row, scope, ctx)?;
-            let lo = eval(low, row, scope, ctx)?;
-            let hi = eval(high, row, scope, ctx)?;
-            let ge = v.compare(&lo).map(|o| o.is_ge());
-            let le = v.compare(&hi).map(|o| o.is_le());
-            let within = match (ge, le) {
-                (Some(a), Some(b)) => Some(a && b),
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                _ => None,
-            };
-            Ok(match within {
-                Some(b) => Value::Bool(b != *negated),
-                None => Value::Null,
-            })
-        }
-        Expr::InList {
-            expr,
-            negated,
-            list,
-        } => {
-            let v = eval(expr, row, scope, ctx)?;
-            let mut saw_null = v.is_null();
-            let mut found = false;
-            for item in list {
-                let iv = eval(item, row, scope, ctx)?;
-                match v.sql_eq(&iv) {
-                    Some(true) => {
-                        found = true;
-                        break;
-                    }
-                    Some(false) => {}
-                    None => saw_null = true,
-                }
-            }
-            Ok(in_result(found, saw_null, *negated))
-        }
-        Expr::InSubquery {
-            expr,
-            negated,
-            subquery,
-        } => {
-            let v = eval(expr, row, scope, ctx)?;
-            let (found, saw_null) = ctx.in_set(subquery)?.probe(&v);
-            Ok(in_result(found, saw_null, *negated))
-        }
-        Expr::Like {
-            expr,
-            negated,
-            pattern,
-        } => {
-            let v = eval(expr, row, scope, ctx)?;
-            let p = eval(pattern, row, scope, ctx)?;
-            match (v, p) {
-                (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-                (Value::Text(s), Value::Text(pat)) => {
-                    Ok(Value::Bool(like_match(&s, &pat) != *negated))
-                }
-                (a, b) => Err(EngineError::TypeMismatch(format!(
-                    "LIKE requires text operands, got {a} and {b}"
-                ))),
-            }
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = eval(expr, row, scope, ctx)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
-        Expr::Subquery(q) => {
-            let rs = ctx.subquery(q)?;
-            if rs.columns.len() != 1 {
-                return Err(EngineError::CardinalityViolation(format!(
-                    "scalar subquery returns {} columns",
-                    rs.columns.len()
-                )));
-            }
-            match rs.rows.len() {
-                0 => Ok(Value::Null),
-                1 => Ok(rs.rows[0][0].clone()),
-                n => Err(EngineError::CardinalityViolation(format!(
-                    "scalar subquery returns {n} rows"
-                ))),
-            }
-        }
-        Expr::Exists { negated, subquery } => {
-            let rs = ctx.subquery(subquery)?;
-            Ok(Value::Bool(rs.rows.is_empty() == *negated))
-        }
-    }
-}
-
-fn eval_logical(
-    op: BinaryOp,
-    left: &Expr,
-    right: &Expr,
-    row: &[Value],
-    scope: &Scope,
-    ctx: &EvalContext,
-) -> Result<Value> {
-    let l = truth(eval(left, row, scope, ctx)?)?;
-    // Short-circuit where three-valued logic allows it.
-    match (op, l) {
-        (BinaryOp::And, Some(false)) => return Ok(Value::Bool(false)),
-        (BinaryOp::Or, Some(true)) => return Ok(Value::Bool(true)),
-        _ => {}
-    }
-    let r = truth(eval(right, row, scope, ctx)?)?;
-    Ok(match combine_logical(op, l, r) {
-        Some(b) => Value::Bool(b),
-        None => Value::Null,
-    })
-}
-
 /// Three-valued AND/OR over already-truth-converted operands.
 pub(crate) fn combine_logical(op: BinaryOp, l: Option<bool>, r: Option<bool>) -> Option<bool> {
     match op {
@@ -326,14 +190,9 @@ pub(crate) fn truth_ref(v: &Value) -> Result<Option<bool>> {
     }
 }
 
-/// Evaluate a predicate for filtering: NULL counts as not-true.
-pub fn eval_filter(expr: &Expr, row: &[Value], scope: &Scope, ctx: &EvalContext) -> Result<bool> {
-    Ok(truth(eval(expr, row, scope, ctx)?)?.unwrap_or(false))
-}
-
 /// Apply a comparison operator to two already-evaluated values with SQL
-/// NULL semantics. Shared by the tree-walking interpreter and the
-/// compiled evaluator.
+/// NULL semantics. Shared by the compiled evaluator and the columnar
+/// kernels.
 #[inline]
 pub(crate) fn apply_cmp(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
     match l.compare(r) {

@@ -5,7 +5,9 @@
 //! test; replay with e.g.
 //! `cargo run --release -p sb-fuzz --bin fuzz -- --domain sdss --seed 23893`.
 
-use sb_engine::{execute_reference, Database, EngineError, ExecOptions, JoinStrategy, Value};
+use sb_engine::{
+    execute_reference, Database, EngineError, ExecOptions, JoinStrategy, ResultSet, Value,
+};
 use sb_schema::{Column, ColumnType, Schema, TableDef};
 
 /// SDSS-shaped fixture: `specobj` and `galspecline` share the column
@@ -54,7 +56,8 @@ fn db() -> Database {
     db
 }
 
-/// Every point of the executor's configuration matrix.
+/// Every point of the executor's configuration matrix: each join
+/// strategy with the columnar batch engine on and off.
 fn matrix() -> Vec<ExecOptions> {
     let mut out = Vec::new();
     for join in [
@@ -62,27 +65,21 @@ fn matrix() -> Vec<ExecOptions> {
         JoinStrategy::BuildRight,
         JoinStrategy::NestedLoop,
     ] {
-        for predicate_pushdown in [false, true] {
-            for copy_scans in [false, true] {
-                for compiled in [false, true] {
-                    for optimize in [false, true] {
-                        for columnar in [false, true] {
-                            out.push(ExecOptions {
-                                predicate_pushdown,
-                                join,
-                                copy_scans,
-                                compiled,
-                                optimize,
-                                columnar,
-                                ..ExecOptions::default()
-                            });
-                        }
-                    }
-                }
-            }
+        for columnar in [false, true] {
+            out.push(ExecOptions {
+                join,
+                columnar,
+                ..ExecOptions::default()
+            });
         }
     }
     out
+}
+
+/// The reference interpreter's result for `sql`: the baseline every
+/// configuration must reproduce row for row.
+fn reference(db: &Database, sql: &str) -> ResultSet {
+    execute_reference(db, &sb_sql::parse(sql).unwrap()).unwrap()
 }
 
 /// Found on sdss, seed 23893: `ON specobjid = T2.specobjid` with
@@ -115,7 +112,7 @@ fn bare_on_column_unique_to_one_side_joins_identically() {
     let db = db();
     let sql = "SELECT T1.specobjid, T2.u FROM specobj AS T1 \
                JOIN photoobj AS T2 ON bestobjid = T2.objid";
-    let baseline = db.run_with(sql, ExecOptions::legacy()).unwrap();
+    let baseline = reference(&db, sql);
     assert_eq!(baseline.rows.len(), 1); // only bestobjid=10 matches
     for opts in matrix() {
         assert_eq!(db.run_with(sql, opts).unwrap().rows, baseline.rows);
@@ -204,7 +201,7 @@ fn null_join_keys_never_match_under_any_strategy() {
     // must not pair with any photoobj row — including another NULL key.
     let sql = "SELECT T1.specobjid, T2.objid FROM specobj AS T1 \
                JOIN photoobj AS T2 ON T1.bestobjid = T2.objid";
-    let baseline = db.run_with(sql, ExecOptions::legacy()).unwrap();
+    let baseline = reference(&db, sql);
     let ids: Vec<_> = baseline.rows.iter().map(|r| r[0].clone()).collect();
     assert_eq!(ids, vec![Value::Int(1)]);
     for opts in matrix() {
@@ -219,7 +216,7 @@ fn left_join_null_extension_agrees_between_hash_and_nested_loop() {
     let sql = "SELECT T1.specobjid, T2.objid, T2.u FROM specobj AS T1 \
                LEFT JOIN photoobj AS T2 ON T1.bestobjid = T2.objid \
                ORDER BY T1.specobjid";
-    let baseline = db.run_with(sql, ExecOptions::legacy()).unwrap();
+    let baseline = reference(&db, sql);
     assert_eq!(
         baseline.rows,
         vec![
@@ -232,9 +229,6 @@ fn left_join_null_extension_agrees_between_hash_and_nested_loop() {
     for opts in matrix() {
         assert_eq!(db.run_with(sql, opts).unwrap().rows, baseline.rows);
     }
-    // And the reference interpreter sees the same table.
-    let q = sb_sql::parse(sql).unwrap();
-    assert_eq!(execute_reference(&db, &q).unwrap().rows, baseline.rows);
 }
 
 // ---------------------------------------------------------------------
@@ -278,7 +272,7 @@ fn bigint_db() -> Database {
 fn int_comparisons_beyond_2_pow_53_stay_exact() {
     let db = bigint_db();
     let sql = "SELECT id FROM big WHERE v > 9007199254740992 ORDER BY id";
-    let baseline = db.run_with(sql, ExecOptions::legacy()).unwrap();
+    let baseline = reference(&db, sql);
     assert_eq!(baseline.rows, vec![vec![Value::Int(1)]]);
     for opts in matrix() {
         assert_eq!(
@@ -287,8 +281,6 @@ fn int_comparisons_beyond_2_pow_53_stay_exact() {
             "{opts:?}"
         );
     }
-    let q = sb_sql::parse(sql).unwrap();
-    assert_eq!(execute_reference(&db, &q).unwrap().rows, baseline.rows);
 
     // ORDER BY must rank 2^53 + 1 strictly above 2^53.
     let sql = "SELECT v FROM big ORDER BY v DESC";
@@ -319,7 +311,7 @@ fn grouping_and_joins_distinguish_adjacent_huge_ints() {
     assert_eq!(execute_reference(&db, &q).unwrap().rows.len(), 3);
 
     let sql = "SELECT T1.id FROM big AS T1 JOIN keys AS T2 ON T1.v = T2.f";
-    let baseline = db.run_with(sql, ExecOptions::legacy()).unwrap();
+    let baseline = reference(&db, sql);
     assert_eq!(
         baseline.rows,
         vec![vec![Value::Int(2)]],
@@ -332,8 +324,6 @@ fn grouping_and_joins_distinguish_adjacent_huge_ints() {
             "{opts:?}"
         );
     }
-    let q = sb_sql::parse(sql).unwrap();
-    assert_eq!(execute_reference(&db, &q).unwrap().rows, baseline.rows);
 }
 
 // ---------------------------------------------------------------------

@@ -6,11 +6,9 @@
 //! 1. checks the printer/parser round trip (`parse(print(ast)) == ast`),
 //! 2. runs the naive reference interpreter to obtain the expected
 //!    outcome, and
-//! 3. runs the optimized executor under the full [`ExecOptions`] matrix
-//!    (join strategy × predicate pushdown × scan copying × compiled vs
-//!    interpreted expressions × cost-based planner on/off × columnar
-//!    batch engine on/off) and demands that every configuration agrees
-//!    with the reference.
+//! 3. runs the executor under every configuration of [`exec_matrix`]
+//!    (join strategy × {row, columnar, columnar + parallel}) and
+//!    demands that every configuration agrees with the reference.
 //!
 //! Agreement is Spider execution-match (`ResultSet::same_result`:
 //! multiset of rows, ordered-list comparison when both sides carry an
@@ -85,23 +83,16 @@ impl std::fmt::Display for Disagreement {
 /// degenerating to the single-morsel serial case.
 const PARALLEL_MORSEL_ROWS: usize = 7;
 
-/// The full executor configuration matrix: every join strategy crossed
-/// with pushdown on/off, copying vs zero-copy scans, compiled vs
-/// interpreted expression evaluation, the cost-based planner on/off,
-/// the columnar batch engine on/off, and morsel-parallel execution
-/// on/off — nominally 192 configurations. The `optimize` axis is what
-/// differentially verifies every planner rewrite (join reordering,
-/// projection pruning, planned build sides) against the plan-free
-/// legacy path and the reference interpreter; the `columnar` axis does
-/// the same for every vectorized kernel and its row-path fallback
-/// boundary; the `parallel` axis does the same for every per-morsel
-/// kernel and its deterministic merge.
-///
-/// The parallel axis is sampled down to keep campaign runtime bounded:
-/// `parallel` without `columnar` is dropped (the row path has no
-/// parallel kernels — those 48 configurations execute byte-for-byte
-/// the same code as their serial twins), leaving 144 configurations
-/// that each cover distinct machine code.
+/// The executor configuration matrix: each join strategy crossed with
+/// the three execution engines — the row path, serial columnar, and
+/// morsel-parallel columnar — 9 configurations. The `join` axis
+/// verifies the planner's rewrites (join reordering and planned build
+/// sides under `Auto`, none under the forced strategies) against the
+/// reference interpreter; the `columnar` axis does the same for every
+/// vectorized kernel and its row-path fallback boundary; the parallel
+/// axis for every per-morsel kernel and its deterministic merge.
+/// `parallel` without `columnar` is left out: the row path has no
+/// parallel kernels, so it would run its serial twin's code.
 pub fn exec_matrix() -> Vec<(String, ExecOptions)> {
     let mut out = Vec::new();
     for join in [
@@ -109,50 +100,23 @@ pub fn exec_matrix() -> Vec<(String, ExecOptions)> {
         JoinStrategy::BuildRight,
         JoinStrategy::NestedLoop,
     ] {
-        for pushdown in [false, true] {
-            for copy in [false, true] {
-                for compiled in [false, true] {
-                    for optimize in [false, true] {
-                        for columnar in [false, true] {
-                            for parallel in [false, true] {
-                                if parallel && !columnar {
-                                    continue;
-                                }
-                                let name = format!(
-                                    "{join:?}{}{}{}{}{}{}",
-                                    if pushdown { "+pushdown" } else { "" },
-                                    if copy { "+copy" } else { "" },
-                                    if compiled { "+compiled" } else { "" },
-                                    if optimize { "+opt" } else { "" },
-                                    if columnar { "+columnar" } else { "" },
-                                    if parallel { "+parallel" } else { "" }
-                                );
-                                out.push((
-                                    name,
-                                    ExecOptions {
-                                        predicate_pushdown: pushdown,
-                                        join,
-                                        copy_scans: copy,
-                                        compiled,
-                                        optimize,
-                                        columnar,
-                                        parallel,
-                                        // Force real fan-out even on a
-                                        // single-core host: three
-                                        // workers over four morsels.
-                                        workers: if parallel { 3 } else { 0 },
-                                        morsel_rows: if parallel {
-                                            PARALLEL_MORSEL_ROWS
-                                        } else {
-                                            0
-                                        },
-                                    },
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
+        for (engine, columnar, parallel) in [
+            ("row", false, false),
+            ("columnar", true, false),
+            ("columnar+parallel", true, true),
+        ] {
+            out.push((
+                format!("{join:?}+{engine}"),
+                ExecOptions {
+                    join,
+                    columnar,
+                    parallel,
+                    // Force real fan-out even on a single-core host:
+                    // three workers over four morsels.
+                    workers: if parallel { 3 } else { 0 },
+                    morsel_rows: if parallel { PARALLEL_MORSEL_ROWS } else { 0 },
+                },
+            ));
         }
     }
     out

@@ -5,9 +5,8 @@
 //!
 //! Per domain, `SB_FUZZ_COUNT` generated statements (default 500, same
 //! base seeds as the differential campaign) run under a curated set of
-//! exec-option axes spanning the row interpreter, compiled programs,
-//! serial columnar kernels, morsel-parallel execution, nested-loop
-//! joins and pushdown-off. For each success:
+//! exec-option axes spanning the row path, serial columnar kernels,
+//! morsel-parallel execution and nested-loop joins. For each success:
 //!
 //! - `ProfileSnapshot::check_conservation()` holds: every reserved scan
 //!   was touched, join step `j`'s `rows_in` equals its recorded
@@ -38,9 +37,9 @@ fn fuzz_count() -> usize {
         .unwrap_or(DEFAULT_COUNT)
 }
 
-/// The exec-option axes. Not the fuzz oracle's full 96-config matrix —
-/// one representative per code path the profile plumbing threads
-/// through (row/compiled/columnar/parallel, join strategies, pushdown).
+/// The exec-option axes. Not the fuzz oracle's full 9-configuration
+/// matrix — one representative per code path the profile plumbing
+/// threads through (row/columnar/parallel, join strategies).
 fn axes() -> Vec<(&'static str, ExecOptions)> {
     let base = ExecOptions::default();
     vec![
@@ -48,15 +47,6 @@ fn axes() -> Vec<(&'static str, ExecOptions)> {
         (
             "row",
             ExecOptions {
-                columnar: false,
-                parallel: false,
-                ..base
-            },
-        ),
-        (
-            "interpreted",
-            ExecOptions {
-                compiled: false,
                 columnar: false,
                 parallel: false,
                 ..base
@@ -75,13 +65,6 @@ fn axes() -> Vec<(&'static str, ExecOptions)> {
             "nested-loop",
             ExecOptions {
                 join: JoinStrategy::NestedLoop,
-                ..base
-            },
-        ),
-        (
-            "no-pushdown",
-            ExecOptions {
-                predicate_pushdown: false,
                 ..base
             },
         ),

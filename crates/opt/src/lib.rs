@@ -7,12 +7,11 @@
 //! handed back to the executor as a [`PlannedSelect`]:
 //!
 //! - **Predicate pushdown** ([`assign_pushdown`]): WHERE conjuncts that
-//!   reference a single relation move into that relation's scan. The
-//!   rule reproduces the executor's historical `assign_conjuncts`
-//!   semantics exactly — subquery conjuncts, unresolvable or ambiguous
-//!   references, and predicates over the nullable side of a LEFT JOIN
-//!   all stay in the residual filter, so error behavior and LEFT JOIN
-//!   padding are unchanged.
+//!   reference a single relation move into that relation's scan.
+//!   Subquery conjuncts, unresolvable or ambiguous references, and
+//!   predicates over the nullable side of a LEFT JOIN all stay in the
+//!   residual filter, so error behavior and LEFT JOIN padding match the
+//!   reference interpreter.
 //! - **Projection pushdown** ([`PlannedSelect::keep`]): columns never
 //!   referenced by any expression of the statement are dropped at scan
 //!   time, shrinking every row the join pipeline copies.
@@ -80,11 +79,9 @@ pub struct RelMeta {
 
 /// Which rewrites are enabled. The engine derives this from its
 /// `ExecOptions`, so every fuzz configuration exercises a different
-/// slice of the rule set.
+/// slice of the rule set. Predicate and projection pushdown always run.
 #[derive(Debug, Clone, Copy)]
 pub struct OptOptions {
-    /// Push single-relation WHERE conjuncts into scans.
-    pub pushdown: bool,
     /// Reorder inner equi-join chains by estimated cost.
     pub reorder: bool,
     /// Choose hash-join build sides from cardinality estimates.
@@ -93,8 +90,6 @@ pub struct OptOptions {
     /// (false under a forced nested-loop strategy); gates reordering
     /// and EXPLAIN's operator labels.
     pub hash_joins: bool,
-    /// Drop never-referenced columns at scan time.
-    pub prune: bool,
     /// Whether the executor will attempt vectorized columnar execution
     /// for eligible statements (see [`columnar_eligible`]); gates
     /// EXPLAIN's `Execute engine=` label.
@@ -110,11 +105,9 @@ pub struct OptOptions {
 impl Default for OptOptions {
     fn default() -> Self {
         OptOptions {
-            pushdown: true,
             reorder: true,
             choose_build: true,
             hash_joins: true,
-            prune: true,
             columnar: true,
             parallel: true,
         }

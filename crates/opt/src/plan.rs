@@ -113,16 +113,10 @@ pub fn plan_select<'e>(input: &PlanInput<'e>, resolver: &dyn Resolver) -> Planne
 
     // Rule 1: predicate pushdown.
     let nullable: Vec<bool> = (0..n).map(|i| i > 0 && select.joins[i - 1].left).collect();
-    let (pushed, residual) = assign_pushdown(
-        select.selection.as_ref(),
-        resolver,
-        n,
-        &nullable,
-        input.opts.pushdown,
-    );
+    let (pushed, residual) = assign_pushdown(select.selection.as_ref(), resolver, n, &nullable);
 
     // Rule 2: projection pushdown (decided here, applied by the engine).
-    let keep = prune_columns(input, resolver);
+    let keep = prune_columns(input);
 
     let scan_est: Vec<f64> = (0..n)
         .map(|i| scan_estimate(&rels[i], &pushed[i], resolver, rels))
@@ -174,14 +168,14 @@ pub fn plan_select<'e>(input: &PlanInput<'e>, resolver: &dyn Resolver) -> Planne
 /// ORDER BY alias fallback behave identically against the pruned scope.
 /// Disabled for single-relation statements (scans stay zero-copy) and
 /// in the presence of a wildcard projection.
-fn prune_columns(input: &PlanInput<'_>, _resolver: &dyn Resolver) -> Vec<Option<Vec<usize>>> {
+fn prune_columns(input: &PlanInput<'_>) -> Vec<Option<Vec<usize>>> {
     let select = input.select;
     let n = input.rels.len();
     let wildcard = select
         .projections
         .iter()
         .any(|p| matches!(p, SelectItem::Wildcard));
-    if !input.opts.prune || n < 2 || wildcard {
+    if n < 2 || wildcard {
         return vec![None; n];
     }
     let mut refs = Vec::new();

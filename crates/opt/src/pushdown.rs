@@ -1,10 +1,8 @@
 //! Predicate pushdown: assigning WHERE conjuncts to scans.
 //!
-//! This is the rule the executor's hand-rolled `assign_conjuncts` used
-//! to implement; it lives here now so the same decision procedure backs
-//! both the legacy executor path and the cost-based planner. The
-//! semantics are deliberately conservative — a conjunct moves into a
-//! scan only when doing so is provably invisible:
+//! The first rule [`crate::plan_select`] runs. The semantics are
+//! deliberately conservative — a conjunct moves into a scan only when
+//! doing so is provably invisible:
 //!
 //! - conjuncts containing any subquery stay residual (preserving the
 //!   statement-level subquery memoization order),
@@ -92,16 +90,14 @@ pub fn collect_columns<'e>(expr: &'e Expr, out: &mut Vec<&'e ColumnRef>) {
 }
 
 /// Assign WHERE conjuncts to scans. `nullable[i]` is true when relation
-/// `i` sits on the nullable side of a LEFT JOIN. With `enabled == false`
-/// every conjunct stays residual (pushdown disabled), but the predicate
-/// is still split so the residual filter evaluates conjunct-by-conjunct
-/// exactly as before.
+/// `i` sits on the nullable side of a LEFT JOIN. Conjuncts that stay
+/// residual keep their source order, so the residual filter evaluates
+/// them left to right.
 pub fn assign_pushdown<'e>(
     selection: Option<&'e Expr>,
     resolver: &dyn Resolver,
     n_rel: usize,
     nullable: &[bool],
-    enabled: bool,
 ) -> (Vec<Vec<&'e Expr>>, Vec<&'e Expr>) {
     let mut pushed: Vec<Vec<&'e Expr>> = (0..n_rel).map(|_| Vec::new()).collect();
     let mut residual: Vec<&'e Expr> = Vec::new();
@@ -110,9 +106,6 @@ pub fn assign_pushdown<'e>(
     };
     let mut conjuncts = Vec::new();
     split_conjuncts(pred, &mut conjuncts);
-    if !enabled {
-        return (pushed, conjuncts);
-    }
     for conj in conjuncts {
         match pushdown_target(conj, resolver, nullable) {
             Some(t) => pushed[t].push(conj),
@@ -216,7 +209,7 @@ mod tests {
              AND c IN (SELECT a FROM x)",
         );
         let names = Names(vec![vec!["a"], vec!["b"]]);
-        let (pushed, residual) = assign_pushdown(Some(&pred), &names, 2, &[false, false], true);
+        let (pushed, residual) = assign_pushdown(Some(&pred), &names, 2, &[false, false]);
         assert_eq!(pushed[0].len(), 1, "t1.a = 1 pushes to relation 0");
         assert_eq!(pushed[1].len(), 1, "t2.b > 2 pushes to relation 1");
         // Cross-relation comparison and subquery conjunct stay residual.
@@ -227,7 +220,7 @@ mod tests {
     fn ambiguous_and_unknown_stay_residual() {
         let pred = selection("SELECT a FROM x WHERE dup = 1 AND nope = 2");
         let names = Names(vec![vec!["dup"], vec!["dup"]]);
-        let (pushed, residual) = assign_pushdown(Some(&pred), &names, 2, &[false, false], true);
+        let (pushed, residual) = assign_pushdown(Some(&pred), &names, 2, &[false, false]);
         assert!(pushed.iter().all(Vec::is_empty));
         assert_eq!(residual.len(), 2);
     }
@@ -236,17 +229,8 @@ mod tests {
     fn nullable_side_of_left_join_is_not_pushed() {
         let pred = selection("SELECT a FROM x WHERE t2.b = 1");
         let names = Names(vec![vec!["a"], vec!["b"]]);
-        let (pushed, residual) = assign_pushdown(Some(&pred), &names, 2, &[false, true], true);
+        let (pushed, residual) = assign_pushdown(Some(&pred), &names, 2, &[false, true]);
         assert!(pushed[1].is_empty());
         assert_eq!(residual.len(), 1);
-    }
-
-    #[test]
-    fn disabled_pushdown_still_splits() {
-        let pred = selection("SELECT a FROM x WHERE t1.a = 1 AND t1.a = 2");
-        let names = Names(vec![vec!["a"]]);
-        let (pushed, residual) = assign_pushdown(Some(&pred), &names, 1, &[false], false);
-        assert!(pushed[0].is_empty());
-        assert_eq!(residual.len(), 2);
     }
 }

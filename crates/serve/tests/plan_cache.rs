@@ -92,9 +92,9 @@ fn cold_warm_and_uncached_responses_are_byte_identical() {
 }
 
 /// The same equivalence swept across the full `ExecOptions` matrix the
-/// differential fuzzer uses (96 configurations), at a reduced statement
+/// differential fuzzer uses (9 configurations), at a reduced statement
 /// budget: the captured plan must reproduce fresh planning under every
-/// join strategy, pushdown, copy, compilation and columnar switch.
+/// join strategy and execution engine.
 #[test]
 fn cache_equivalence_holds_across_the_exec_options_matrix() {
     let count = (fuzz_count() / 50).max(10);

@@ -60,8 +60,8 @@ echo "== columnar smoke: batch engine live under default options =="
 # ExecOptions::default() has columnar on; the report must carry batch
 # counters, proving the vectorized path executed rather than silently
 # falling back to the row engine everywhere. (The fuzz smoke above
-# already differentially checks the +columnar half of the 96-config
-# matrix against the reference interpreter.)
+# already differentially checks the six columnar configurations of the
+# 9-configuration matrix against the reference interpreter.)
 grep -q '"engine.columnar.selects"' "$report" || {
     echo "profile_run report is missing columnar batch counters (batch engine never ran)" >&2
     exit 1
@@ -134,7 +134,7 @@ bash -n scripts/ab_pairs
 
 echo "== bench baseline shape: scaling_curve group committed =="
 # The criterion baseline must carry the serial-vs-parallel scaling curve
-# (regenerated by CRITERION_JSON=BENCH_engine.json cargo bench -p sb-bench).
+# (regenerated by CRITERION_JSON=$PWD/BENCH_engine.json cargo bench -p sb-bench).
 for probe in '"group": "scaling_curve"' '_serial"' '_parallel"'; do
     grep -q "$probe" BENCH_engine.json || {
         echo "BENCH_engine.json is missing the scaling_curve group ($probe)" >&2

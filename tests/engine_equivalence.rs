@@ -1,40 +1,35 @@
 //! Equivalence and determinism guarantees for the execution-engine
-//! rework: every join strategy and pushdown setting must produce the
-//! exact same `ResultSet` (rows *and* order), and the parallel pipeline
-//! must be byte-identical regardless of thread count.
+//! rework: every join strategy, with the columnar engine on and off,
+//! must produce the exact same `ResultSet` (rows *and* order), error
+//! parity is pinned against the reference interpreter, and the parallel
+//! pipeline must be byte-identical regardless of thread count.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sciencebenchmark::core::{Pipeline, PipelineConfig};
 use sciencebenchmark::data::{Domain, SizeClass};
-use sciencebenchmark::engine::{Database, EngineError, ExecOptions, JoinStrategy};
+use sciencebenchmark::engine::{
+    execute_reference, Database, EngineError, ExecOptions, JoinStrategy,
+};
 use sciencebenchmark::schema::{Column, ColumnType, Schema, TableDef};
 
-/// Every execution configuration that must agree: the default (pushdown +
-/// auto hash join + compiled expressions + columnar batch engine), each
-/// forced join strategy with and without pushdown, each of those both
-/// compiled and interpreted and with the columnar engine on and off, and
-/// the pre-rework cloning path.
+/// Every execution configuration that must agree: each join strategy
+/// with the columnar batch engine on and off. The default options are
+/// the `Auto` + columnar point.
 fn all_options() -> Vec<ExecOptions> {
-    let mut out = vec![ExecOptions::default(), ExecOptions::legacy()];
+    let mut out = Vec::new();
     for join in [
         JoinStrategy::Auto,
         JoinStrategy::BuildRight,
         JoinStrategy::NestedLoop,
     ] {
-        for predicate_pushdown in [false, true] {
-            for compiled in [false, true] {
-                for columnar in [false, true] {
-                    out.push(ExecOptions {
-                        join,
-                        predicate_pushdown,
-                        compiled,
-                        columnar,
-                        ..ExecOptions::default()
-                    });
-                }
-            }
+        for columnar in [false, true] {
+            out.push(ExecOptions {
+                join,
+                columnar,
+                ..ExecOptions::default()
+            });
         }
     }
     out
@@ -150,6 +145,15 @@ fn pushdown_agrees_on_filtered_single_table_scans() {
             let pred = typed_predicate(&mut rng, &col.name.clone(), col.ty);
             let sql = format!("SELECT {proj} FROM {} WHERE {pred}", t.name);
             let reference = d.db.run_with(&sql, ExecOptions::default()).unwrap();
+            // The reference interpreter never pushes a predicate down.
+            let query = sciencebenchmark::sql::parser::parse(&sql).unwrap();
+            assert!(
+                execute_reference(&d.db, &query)
+                    .unwrap()
+                    .same_result(&reference),
+                "{}: `{sql}` differs from the reference interpreter",
+                domain.name()
+            );
             for opts in all_options() {
                 assert_eq!(
                     d.db.run_with(&sql, opts).unwrap(),
@@ -239,8 +243,6 @@ fn obs_on_and_off_produce_identical_result_sets() {
         report.counter("engine.scan.rows") > 0,
         "engine instrumentation did not collect"
     );
-    assert!(report.counter("engine.dispatch.compiled") > 0);
-    assert!(report.counter("engine.dispatch.interpreted") > 0);
     // The columnar batch engine ran (half the matrix enables it, the
     // workload is batch-eligible) and its kernels are instrumented.
     assert!(report.counter("engine.columnar.selects") > 0);
@@ -283,10 +285,10 @@ fn query_profiles_do_not_change_result_sets() {
 }
 
 // ---------------------------------------------------------------------
-// Error parity: the compiled expression path must surface the same
-// binding errors — same variant, same rendered payload — as the
-// interpreter, and zero-row plans must swallow residual errors the same
-// way on both paths.
+// Error parity: every configuration must surface the same binding
+// errors — same variant, same rendered payload — and the reference
+// interpreter must reject with the same variant. Zero-row plans must
+// swallow residual errors under every configuration.
 // ---------------------------------------------------------------------
 
 /// Two tables sharing the column name `shared` (the ambiguity surface).
@@ -319,7 +321,8 @@ fn parity_db() -> Database {
 }
 
 /// Every configuration must reject `sql`, and every rejection must render
-/// the exact same message — not just the same variant.
+/// the exact same message — not just the same variant. The reference
+/// interpreter must reject it too, with the same variant.
 fn assert_uniform_error(db: &Database, sql: &str) -> EngineError {
     let mut first: Option<EngineError> = None;
     for opts in all_options() {
@@ -336,7 +339,17 @@ fn assert_uniform_error(db: &Database, sql: &str) -> EngineError {
             ),
         }
     }
-    first.unwrap()
+    let first = first.unwrap();
+    let query = sciencebenchmark::sql::parser::parse(sql).unwrap();
+    let reference = execute_reference(db, &query)
+        .err()
+        .unwrap_or_else(|| panic!("`{sql}` must fail in the reference interpreter"));
+    assert_eq!(
+        std::mem::discriminant(&reference),
+        std::mem::discriminant(&first),
+        "`{sql}`: the reference raised {reference}, the executor {first}"
+    );
+    first
 }
 
 #[test]
@@ -376,7 +389,7 @@ fn ambiguous_column_errors_are_identical_across_paths() {
 fn order_by_ordinal_errors_are_identical_across_paths() {
     let db = parity_db();
     // Ordinals bind after set operations; out-of-range must error even
-    // when the result is empty, identically on both evaluation paths.
+    // when the result is empty, identically under every configuration.
     for sql in [
         "SELECT x FROM a UNION SELECT x FROM a ORDER BY 5",
         "SELECT x FROM a WHERE x = 'none' UNION \
@@ -395,7 +408,7 @@ fn pushdown_emptied_scans_keep_constraint_errors_and_swallow_residual_ones() {
     let db = parity_db();
     // `T1.x = 'NOMATCH'` pushes into the scan of `a` and empties it; the
     // ON constraint's unknown column must still be reported — with the
-    // same message — whether the constraint is compiled or interpreted.
+    // same message — under every join strategy and engine.
     let err = assert_uniform_error(
         &db,
         "SELECT T2.shared FROM a AS T1 JOIN b AS T2 ON T1.nope = T2.id \
@@ -403,8 +416,8 @@ fn pushdown_emptied_scans_keep_constraint_errors_and_swallow_residual_ones() {
     );
     assert!(matches!(err, EngineError::UnknownColumn(_)));
     // ...while a residual (multi-table) conjunct over an unknown column
-    // is never evaluated once the plan carries zero rows: both paths
-    // succeed with an empty result instead of erroring.
+    // is never evaluated once the plan carries zero rows: every
+    // configuration succeeds with an empty result instead of erroring.
     let sql = "SELECT T1.x FROM a AS T1 JOIN b AS T2 ON T1.id = T2.id \
                WHERE T1.x = 'NOMATCH' AND T1.shared + T2.nope < 0";
     for opts in all_options() {
