@@ -36,13 +36,22 @@
 //! - Grouping keys use the canonical-key relation ([`canon_num`]
 //!   rounding, NaN collapsing) so float keys land in the same groups.
 //!
+//! Each operator (the pushed-filter scan, hash-join build and probe,
+//! single-key grouping, aggregation) is one kernel over a morsel's rows
+//! `lo..hi` plus an ordered merge ([`ParConfig::run`]), run over 1..n
+//! morsels. Serial execution is the one-morsel case: the kernel runs
+//! once inline and its single part moves into place uncopied. Every
+//! merge reproduces the one-morsel result byte for byte.
+//!
 //! Counters (under `SB_OBS=1`): the batch path emits the same
 //! `engine.scan.rows` / `engine.scan.rows_pruned_pushdown` totals the
 //! row scans would, plus `engine.columnar.*` operator counters — batch
 //! counts, selection-vector density, dictionary LUT sizes — surfaced in
-//! `profile_run` reports.
+//! `profile_run` reports. `engine.parallel.*` counts only operators that
+//! ran over more than one morsel.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use sb_sql::{
@@ -66,8 +75,7 @@ use std::cmp::Ordering;
 
 /// Resolved parallel-execution configuration for one batch run: the
 /// effective worker fan-out and morsel size (see
-/// [`crate::exec::ExecOptions::parallel`]). `workers <= 1` means every
-/// operator takes its serial code path untouched.
+/// [`crate::exec::ExecOptions::parallel`]), applied by [`ParConfig::run`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ParConfig {
     pub(crate) workers: usize,
@@ -83,27 +91,55 @@ impl ParConfig {
         }
     }
 
-    /// Whether an operator over `rows` rows should dispatch morsels:
-    /// more than one worker and more than one morsel of work. A single
-    /// morsel (or a single worker) always runs the serial code.
-    #[inline]
-    fn active(&self, rows: usize) -> bool {
-        self.workers > 1 && rows > self.morsel_rows
+    /// One morsel, for operators with nothing to split or whose partial
+    /// results cannot merge exactly.
+    fn one_morsel(self) -> ParConfig {
+        ParConfig { workers: 1, ..self }
     }
 
-    /// Number of morsels covering `rows` — a pure function of the row
-    /// count and morsel size, never of the worker count.
+    /// Number of morsels covering `rows`: one when there is a single
+    /// worker or the rows fit one morsel, else a pure function of the
+    /// row count and morsel size, whatever the number of workers.
     #[inline]
     fn morsels(&self, rows: usize) -> usize {
-        rows.div_ceil(self.morsel_rows)
+        if self.workers <= 1 || rows <= self.morsel_rows {
+            1
+        } else {
+            rows.div_ceil(self.morsel_rows)
+        }
     }
 
-    /// Row bounds of morsel `m` over `rows` rows.
-    #[inline]
-    fn bounds(&self, m: usize, rows: usize) -> (usize, usize) {
-        let lo = m * self.morsel_rows;
-        (lo, (lo + self.morsel_rows).min(rows))
+    /// Run `kernel(lo, hi)` over each morsel of `rows` rows; parts come
+    /// back in morsel order. One morsel runs inline, with no dispatch
+    /// stats; more go to the morsel pool.
+    fn run<R: Send>(
+        &self,
+        rows: usize,
+        kernel: impl Fn(usize, usize) -> R + Sync,
+    ) -> (Vec<R>, Option<rayon::MorselStats>) {
+        let morsels = self.morsels(rows);
+        if morsels == 1 {
+            return (vec![kernel(0, rows)], None);
+        }
+        let step = self.morsel_rows;
+        let (parts, stats) = rayon::morsel_map(morsels, self.workers, |m| {
+            kernel(m * step, ((m + 1) * step).min(rows))
+        });
+        (parts, Some(stats))
     }
+}
+
+/// Concatenate per-morsel parts in morsel order; a single part moves
+/// into place uncopied.
+fn concat<T>(mut parts: Vec<Vec<T>>) -> Vec<T> {
+    if parts.len() == 1 {
+        return parts.pop().expect("one part");
+    }
+    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for mut part in parts {
+        out.append(&mut part);
+    }
+    out
 }
 
 /// Everything the batch executor needs from the planned statement.
@@ -198,88 +234,7 @@ fn run(input: &BatchInput<'_, '_>) -> Option<Projected> {
     // evaluated only over survivors of conjuncts 1..k-1.
     let mut sels: Vec<Vec<u32>> = Vec::with_capacity(tables.len());
     for (rel, conjs) in pushed.iter().enumerate() {
-        let scanned = tables[rel].len;
-        let prof_op = input.bp.as_ref().and_then(|b| b.scan(rel));
-        let prof_t0 = crate::exec::prof_clock(&input.bp);
-        if !conjs.is_empty() && input.par.active(scanned) {
-            sels.push(filter_morsels(input, &tables, rel, conjs, scanned)?);
-            crate::exec::prof_elapsed(prof_t0, prof_op);
-            continue;
-        }
-        // `identity` defers materializing the 0..scanned index vector:
-        // fused conjuncts iterate the range directly, so a scan whose
-        // whole conjunct chain stays in the fused lanes never builds it.
-        let mut sel: Vec<u32> = Vec::new();
-        let mut identity = true;
-        let mut ci = 0;
-        while ci < conjs.len() {
-            let conj = &conjs[ci];
-            let selref = if identity {
-                SelRef::Identity(scanned)
-            } else {
-                SelRef::Rows(&sel)
-            };
-            let before = selref.len();
-            // Range fusion: consecutive bounds on one expression
-            // evaluate in a single pass. Skipped under observability,
-            // which wants the per-conjunct selectivity counters.
-            if !sb_obs::enabled() && ci + 1 < conjs.len() {
-                if let Some(fused) = filter_fused_pair(&tables, &selref, conj, &conjs[ci + 1]) {
-                    match fused {
-                        Fused::Kept(kept) => {
-                            sel = kept;
-                            identity = false;
-                        }
-                        _ => return None,
-                    }
-                    ci += 2;
-                    continue;
-                }
-            }
-            let fr = filter_fused(&tables, &selref, conj);
-            match fr {
-                Fused::Kept(kept) => {
-                    sel = kept;
-                    identity = false;
-                }
-                Fused::Bail => return None,
-                Fused::Unhandled => {
-                    if identity {
-                        sel = (0..scanned as u32).collect();
-                        identity = false;
-                    }
-                    let view = View::single(&tables, input.relations.len(), rel, &sel);
-                    let tri = conj.eval(&view)?;
-                    // Branch-free compaction: always write, advance the
-                    // cursor only on a keep — no data-dependent branch
-                    // to mispredict.
-                    let mut kept = vec![0u32; before];
-                    let mut k = 0usize;
-                    for (i, &r) in sel.iter().enumerate() {
-                        kept[k] = r;
-                        k += (tri[i] == 1) as usize;
-                    }
-                    kept.truncate(k);
-                    sel = kept;
-                }
-            }
-            if sb_obs::enabled() {
-                note_filter(before, sel.len());
-            }
-            ci += 1;
-        }
-        if identity {
-            sel = (0..scanned as u32).collect();
-        }
-        if sb_obs::enabled() {
-            note_scan(scanned, sel.len());
-        }
-        if let Some(op) = prof_op {
-            op.rows(scanned as u64, sel.len() as u64);
-            op.add_batches(1);
-            crate::exec::prof_elapsed(prof_t0, Some(op));
-        }
-        sels.push(sel);
+        sels.push(scan(input, &tables, rel, conjs)?);
     }
     // Joins: hash only, source or planner order.
     let mut rowids = match join_all(&cx, input, sels) {
@@ -327,80 +282,144 @@ fn run(input: &BatchInput<'_, '_>) -> Option<Projected> {
     }
 }
 
-/// Morsel-parallel pushed-filter scan for one relation: each morsel
-/// applies the conjunct chain progressively over its own contiguous row
-/// range, and the surviving per-morsel selections concatenate in morsel
-/// order — which is exactly the serial scan's ascending selection.
+/// Pushed-filter scan of one relation: [`filter_range`] over each
+/// morsel's contiguous row range, the surviving selections concatenated
+/// in morsel order — exactly the one-morsel scan's ascending selection.
+/// A scan without conjuncts has nothing to split and runs as one morsel.
 ///
 /// A bail in any morsel bails the whole statement: every mid-execution
 /// bail condition is a property of some evaluated row (a NaN reaching
-/// an ordered comparison, an arithmetic error), and the per-conjunct
-/// evaluation sets partition across morsels, so the serial scan over
-/// their union would have bailed too. The reverse also holds — the
-/// parallel path can never succeed where the serial path bails — which
-/// is what keeps output byte-identical at any thread count.
-fn filter_morsels(
+/// an ordered comparison, an arithmetic error) or of the statement
+/// alone (a NaN literal), and the per-conjunct evaluation sets
+/// partition across morsels, so the scan over their union as one
+/// morsel would have bailed too. The reverse also holds — a split scan
+/// can never succeed where the one-morsel scan bails — which is what
+/// keeps output byte-identical at any thread count.
+fn scan(
     input: &BatchInput<'_, '_>,
     tables: &[Arc<ColumnarTable>],
     rel: usize,
     conjs: &[BoolK],
-    scanned: usize,
 ) -> Option<Vec<u32>> {
-    /// One morsel's surviving selection plus its per-conjunct
-    /// `(rows_in, rows_out)` counts.
-    type MorselPart = (Vec<u32>, Vec<(usize, usize)>);
-    let par = input.par;
+    let scanned = tables[rel].len;
+    let prof_op = input.bp.as_ref().and_then(|b| b.scan(rel));
+    let prof_t0 = crate::exec::prof_clock(&input.bp);
+    let par = if conjs.is_empty() {
+        input.par.one_morsel()
+    } else {
+        input.par
+    };
     let n_rel = input.relations.len();
-    let (parts, stats) = rayon::morsel_map(par.morsels(scanned), par.workers, |m| {
-        let (lo, hi) = par.bounds(m, scanned);
-        let mut sel: Vec<u32> = (lo as u32..hi as u32).collect();
-        // (rows_in, rows_out) per conjunct: summed across morsels after
-        // the dispatch so filter counters match the serial totals.
-        let mut counts = Vec::with_capacity(conjs.len());
-        for conj in conjs {
-            let before = sel.len();
-            let kept = match filter_fused(tables, &SelRef::Rows(&sel), conj) {
-                Fused::Kept(kept) => kept,
-                Fused::Bail => return None,
-                Fused::Unhandled => {
-                    let view = View::single(tables, n_rel, rel, &sel);
-                    let tri = conj.eval(&view)?;
-                    let mut kept = vec![0u32; before];
-                    let mut k = 0usize;
-                    for (i, &r) in sel.iter().enumerate() {
-                        kept[k] = r;
-                        k += (tri[i] == 1) as usize;
-                    }
-                    kept.truncate(k);
-                    kept
-                }
-            };
-            counts.push((before, kept.len()));
-            sel = kept;
-        }
-        Some((sel, counts))
+    let (parts, stats) = par.run(scanned, |lo, hi| {
+        filter_range(tables, n_rel, rel, conjs, lo, hi)
     });
-    let parts: Vec<MorselPart> = parts.into_iter().collect::<Option<_>>()?;
-    let kept: usize = parts.iter().map(|(sel, _)| sel.len()).sum();
-    let mut sel = Vec::with_capacity(kept);
-    for (part, _) in &parts {
-        sel.extend_from_slice(part);
-    }
     if sb_obs::enabled() {
-        for c in 0..conjs.len() {
-            let rows_in: usize = parts.iter().map(|(_, counts)| counts[c].0).sum();
-            let rows_out: usize = parts.iter().map(|(_, counts)| counts[c].1).sum();
+        // Per-conjunct totals summed across morsels, up to a bail, so
+        // the filter counters match a one-morsel scan's.
+        let depth = parts.iter().map(|(_, c)| c.len()).max().unwrap_or(0);
+        for c in 0..depth {
+            let (rows_in, rows_out) = parts
+                .iter()
+                .filter_map(|(_, counts)| counts.get(c))
+                .fold((0, 0), |(i, o), &(ci, co)| (i + ci, o + co));
             note_filter(rows_in, rows_out);
         }
-        note_scan(scanned, sel.len());
-        note_parallel(stats, parts.len());
     }
-    if let Some(op) = input.bp.as_ref().and_then(|b| b.scan(rel)) {
+    let parts: Vec<Vec<u32>> = parts
+        .into_iter()
+        .map(|(sel, _)| sel)
+        .collect::<Option<_>>()?;
+    let batches = parts.len();
+    let sel = concat(parts);
+    if sb_obs::enabled() {
+        note_scan(scanned, sel.len());
+    }
+    if let Some(stats) = stats {
+        note_dispatch(stats, batches, prof_op);
+    }
+    if let Some(op) = prof_op {
         op.rows(scanned as u64, sel.len() as u64);
-        op.add_batches(parts.len() as u64);
-        op.parallel(stats.morsels as u64, stats.steals as u64);
+        op.add_batches(batches as u64);
+        crate::exec::prof_elapsed(prof_t0, Some(op));
     }
     Some(sel)
+}
+
+/// One morsel of a pushed-filter scan: the conjunct chain applied
+/// progressively over rows `lo..hi`. Returns the surviving selection
+/// (`None` on a bail) and, under observability, each evaluated
+/// conjunct's `(rows_in, rows_out)`.
+fn filter_range(
+    tables: &[Arc<ColumnarTable>],
+    n_rel: usize,
+    rel: usize,
+    conjs: &[BoolK],
+    lo: usize,
+    hi: usize,
+) -> (Option<Vec<u32>>, Vec<(usize, usize)>) {
+    let mut counts = Vec::new();
+    // `range` defers materializing the lo..hi index vector: fused
+    // conjuncts iterate the range directly, so a scan whose whole
+    // conjunct chain stays in the fused lanes never builds it.
+    let mut sel: Vec<u32> = Vec::new();
+    let mut range = true;
+    let mut ci = 0;
+    while ci < conjs.len() {
+        let conj = &conjs[ci];
+        let selref = if range {
+            SelRef::Range(lo, hi)
+        } else {
+            SelRef::Rows(&sel)
+        };
+        let before = selref.len();
+        // Range fusion: consecutive bounds on one expression evaluate
+        // in a single pass. Skipped under observability, which wants
+        // the per-conjunct selectivity counters.
+        if !sb_obs::enabled() && ci + 1 < conjs.len() {
+            if let Some(fused) = filter_fused_pair(tables, &selref, conj, &conjs[ci + 1]) {
+                let Fused::Kept(kept) = fused else {
+                    return (None, counts);
+                };
+                sel = kept;
+                range = false;
+                ci += 2;
+                continue;
+            }
+        }
+        sel = match filter_fused(tables, &selref, conj) {
+            Fused::Kept(kept) => kept,
+            Fused::Bail => return (None, counts),
+            Fused::Unhandled => {
+                if range {
+                    sel = (lo as u32..hi as u32).collect();
+                }
+                let view = View::single(tables, n_rel, rel, &sel);
+                let Some(tri) = conj.eval(&view) else {
+                    return (None, counts);
+                };
+                // Branch-free compaction: always write, advance the
+                // cursor only on a keep — no data-dependent branch to
+                // mispredict.
+                let mut kept = vec![0u32; before];
+                let mut k = 0usize;
+                for (i, &r) in sel.iter().enumerate() {
+                    kept[k] = r;
+                    k += (tri[i] == 1) as usize;
+                }
+                kept.truncate(k);
+                kept
+            }
+        };
+        range = false;
+        if sb_obs::enabled() {
+            counts.push((before, sel.len()));
+        }
+        ci += 1;
+    }
+    if range {
+        sel = (lo as u32..hi as u32).collect();
+    }
+    (Some(sel), counts)
 }
 
 /// Result of [`filter_fused`]: either the conjunct's shape is outside
@@ -604,7 +623,7 @@ fn same_float_expr(a: &NumK, b: &NumK) -> bool {
 /// keep the two-pass chain (the kept set is identical either way).
 ///
 /// `None` means "not this shape" and the single-conjunct lanes decide;
-/// `Some` is always `Kept` or `Bail`. Exactness: the serial chain
+/// `Some` is always `Kept` or `Bail`. Exactness: the two-pass chain
 /// keeps the non-null rows passing both compares, and bails under
 /// conjunct 1's lane ordering — conjunct 2 re-reads only non-null,
 /// non-NaN survivors, so beyond a NaN literal (which bails whichever
@@ -731,7 +750,7 @@ fn bail_if_any_valid(sel: &SelRef<'_>, nulls: &impl NullTest) -> Fused {
         };
     }
     let any_valid = match sel {
-        SelRef::Identity(n) => (0..*n).any(|i| !nulls.is_null(i)),
+        SelRef::Range(lo, hi) => (*lo..*hi).any(|i| !nulls.is_null(i)),
         SelRef::Rows(rows) => rows.iter().any(|&r| !nulls.is_null(r as usize)),
     };
     if any_valid {
@@ -780,8 +799,8 @@ fn float_loop(
     let mut k = 0usize;
     let any_null = nulls.any();
     match sel {
-        SelRef::Identity(_) => {
-            for i in 0..n {
+        SelRef::Range(lo, hi) => {
+            for i in *lo..*hi {
                 let x = value(i);
                 if x.is_nan() {
                     return Fused::Bail;
@@ -823,8 +842,8 @@ fn mixed_loop(
     let mut k = 0usize;
     let any_null = nulls.any();
     match sel {
-        SelRef::Identity(_) => {
-            for i in 0..n {
+        SelRef::Range(lo, hi) => {
+            for i in *lo..*hi {
                 if any_null && nulls.is_null(i) {
                     continue;
                 }
@@ -870,8 +889,8 @@ fn int_loop(
     let mut k = 0usize;
     let any_null = nulls.any();
     match sel {
-        SelRef::Identity(_) => {
-            for i in 0..n {
+        SelRef::Range(lo, hi) => {
+            for i in *lo..*hi {
                 kept[k] = i as u32;
                 k += ((!any_null || !nulls.is_null(i)) && keep(value(i))) as usize;
             }
@@ -888,11 +907,11 @@ fn int_loop(
     Fused::Kept(kept)
 }
 
-/// A selection that may still be the implicit identity (`0..n`),
-/// letting the first fused conjunct of a scan skip materializing —
-/// and then re-reading — the full index vector.
+/// A selection that may still be a morsel's implicit row range
+/// `lo..hi`, letting the first fused conjunct of a scan skip
+/// materializing — and then re-reading — the index vector.
 enum SelRef<'a> {
-    Identity(usize),
+    Range(usize, usize),
     Rows(&'a [u32]),
 }
 
@@ -900,7 +919,7 @@ impl SelRef<'_> {
     #[inline]
     fn len(&self) -> usize {
         match self {
-            SelRef::Identity(n) => *n,
+            SelRef::Range(lo, hi) => hi - lo,
             SelRef::Rows(rows) => rows.len(),
         }
     }
@@ -2271,83 +2290,57 @@ struct JoinStep {
     build_col: usize,
 }
 
-/// Morsel-parallel Int×Int hash-join build: per-morsel hash tables over
-/// contiguous slices of the (ascending) build selection, merged in
-/// morsel order. Each key's row-id list becomes the concatenation of
-/// its ascending per-morsel runs, morsel by morsel — exactly the serial
-/// build-scan order — so probe emission order is unchanged. Local map
-/// iteration order during the merge is irrelevant: a key's rows arrive
-/// from one local map at a time, in morsel order.
-fn build_int_index_morsels(
+/// Hash-join build: each morsel indexes a contiguous slice of the
+/// (ascending) build selection by `key` (`None` never matches), and the
+/// tables merge in morsel order, so each key's row ids stay in
+/// build-scan order whatever the split. One morsel's table moves into
+/// place unmerged.
+fn build_index<K: Hash + Eq + Send>(
     par: ParConfig,
     build_sel: &[u32],
-    bd: &[i64],
-    nulls: &NullMask,
+    key: impl Fn(usize) -> Option<K> + Sync,
     prof_op: Option<&sb_obs::OpStats>,
-) -> HashMap<i64, Vec<u32>, FxBuild> {
+) -> HashMap<K, Vec<u32>, FxBuild> {
     let n = build_sel.len();
-    let bn = nulls.any();
-    let (parts, stats) = rayon::morsel_map(par.morsels(n), par.workers, |m| {
-        let (lo, hi) = par.bounds(m, n);
-        let mut local: HashMap<i64, Vec<u32>, FxBuild> =
+    let (mut parts, stats) = par.run(n, |lo, hi| {
+        let mut local: HashMap<K, Vec<u32>, FxBuild> =
             HashMap::with_capacity_and_hasher(hi - lo, FxBuild::default());
         for &rid in &build_sel[lo..hi] {
-            if bn && nulls.is_null(rid as usize) {
-                continue;
+            if let Some(k) = key(rid as usize) {
+                local.entry(k).or_default().push(rid);
             }
-            local.entry(bd[rid as usize]).or_default().push(rid);
         }
         local
     });
+    let Some(stats) = stats else {
+        return parts.pop().expect("one morsel");
+    };
     let merges: usize = parts.iter().map(HashMap::len).sum();
-    let mut index: HashMap<i64, Vec<u32>, FxBuild> =
+    let mut index: HashMap<K, Vec<u32>, FxBuild> =
         HashMap::with_capacity_and_hasher(n, FxBuild::default());
     for local in parts {
         for (k, mut v) in local {
-            match index.entry(k) {
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().append(&mut v),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(v);
-                }
-            }
+            index.entry(k).and_modify(|e| e.append(&mut v)).or_insert(v);
         }
     }
-    if sb_obs::enabled() {
-        note_parallel(stats, merges);
-    }
-    if let Some(op) = prof_op {
-        op.parallel(stats.morsels as u64, stats.steals as u64);
-    }
+    note_dispatch(stats, merges, prof_op);
     index
 }
 
-/// Morsel-parallel hash-join probe: each morsel probes a contiguous
-/// range of the accumulated output rows and collects its matches
-/// locally; concatenating per-morsel outputs in morsel order reproduces
-/// the serial probe's emission order.
-fn probe_int_morsels(
+/// Hash-join probe: each morsel emits its range of the accumulated rows
+/// once per build match (`matches` of the probe-side row id), and the
+/// outputs concatenate in morsel order — the one-morsel emission order.
+fn probe<'i>(
     par: ParConfig,
-    index: &HashMap<i64, Vec<u32>, FxBuild>,
     acc: &[Vec<u32>],
     probe_pos: usize,
-    pd: &[i64],
-    nulls: &NullMask,
+    matches: impl Fn(usize) -> &'i [u32] + Copy + Sync,
     prof_op: Option<&sb_obs::OpStats>,
 ) -> Vec<Vec<u32>> {
-    let acc_len = acc[0].len();
-    let pn = nulls.any();
-    let (parts, stats) = rayon::morsel_map(par.morsels(acc_len), par.workers, |m| {
-        let (lo, hi) = par.bounds(m, acc_len);
+    let (mut parts, stats) = par.run(acc[0].len(), |lo, hi| {
         let mut out: Vec<Vec<u32>> = vec![Vec::new(); acc.len() + 1];
         for i in lo..hi {
-            let prid = acc[probe_pos][i] as usize;
-            if pn && nulls.is_null(prid) {
-                continue;
-            }
-            let Some(matches) = index.get(&pd[prid]) else {
-                continue;
-            };
-            for &rid in matches {
+            for &rid in matches(acc[probe_pos][i] as usize) {
                 for (c, col) in acc.iter().enumerate() {
                     out[c].push(col[i]);
                 }
@@ -2356,25 +2349,20 @@ fn probe_int_morsels(
         }
         out
     });
-    let merges = parts.len();
-    let mut out: Vec<Vec<u32>> = vec![Vec::new(); acc.len() + 1];
-    for mut part in parts {
-        for (c, col) in part.iter_mut().enumerate() {
-            out[c].append(col);
-        }
+    if let Some(stats) = stats {
+        note_dispatch(stats, parts.len(), prof_op);
     }
-    if sb_obs::enabled() {
-        note_parallel(stats, merges);
-    }
-    if let Some(op) = prof_op {
-        op.parallel(stats.morsels as u64, stats.steals as u64);
-    }
-    out
+    let column = |c| {
+        concat(
+            parts
+                .iter_mut()
+                .map(|p| std::mem::take(&mut p[c]))
+                .collect(),
+        )
+    };
+    (0..=acc.len()).map(column).collect()
 }
 
-/// Execute all joins, returning one row-id column per relation (in
-/// original FROM/JOIN order), rows in exactly the order the row-path
-/// pipeline would emit.
 /// A dense CSR join index over a compact integer key range: bucket
 /// `key - min` holds the build-side row ids in build-scan order, so a
 /// probe emits matches in exactly the order the hash index would.
@@ -2386,14 +2374,16 @@ struct DenseIntIndex {
 }
 
 impl DenseIntIndex {
-    #[inline]
-    fn get(&self, key: i64) -> &[u32] {
+    /// Key → bucket lookup. It copies the bounds and slices it reads, so
+    /// a probe loop keeps them in registers.
+    fn lookup<'a>(&'a self) -> impl Fn(i64) -> &'a [u32] + Copy + Sync + 'a {
+        let (min, starts, rids) = (self.min, self.starts.as_slice(), self.rids.as_slice());
         // A negative or overflowing offset wraps to a huge u64 and
         // fails the range check — one compare covers all misses.
-        match key.checked_sub(self.min) {
-            Some(off) if (off as u64) < (self.starts.len() - 1) as u64 => {
+        move |key| match key.checked_sub(min) {
+            Some(off) if (off as u64) < (starts.len() - 1) as u64 => {
                 let b = off as usize;
-                &self.rids[self.starts[b] as usize..self.starts[b + 1] as usize]
+                &rids[starts[b] as usize..starts[b + 1] as usize]
             }
             _ => &[],
         }
@@ -2456,6 +2446,9 @@ fn build_dense_int_index(
     Some(DenseIntIndex { min, starts, rids })
 }
 
+/// Execute all joins, returning one row-id column per relation (in
+/// original FROM/JOIN order), rows in exactly the order the row-path
+/// pipeline would emit.
 fn join_all(cx: &Cx<'_>, input: &BatchInput<'_, '_>, sels: Vec<Vec<u32>>) -> Option<Vec<Vec<u32>>> {
     let n = sels.len();
     if n == 1 {
@@ -2535,15 +2528,19 @@ fn join_all(cx: &Cx<'_>, input: &BatchInput<'_, '_>, sels: Vec<Vec<u32>>) -> Opt
         // order — exactly the row pipeline's emission order.
         let build_sel = &sels[step.new_rel];
         let acc_len = acc[0].len();
-        let mut out: Vec<Vec<u32>> = vec![Vec::new(); acc.len() + 1];
-        if let (ColumnData::Int(bd), ColumnData::Int(pd)) = (&build_col.data, &probe_col.data) {
+        let par = input.par;
+        let out = if let (ColumnData::Int(bd), ColumnData::Int(pd)) =
+            (&build_col.data, &probe_col.data)
+        {
             // Typed fast path: Int×Int keys hash the raw i64 with no
             // per-row JKey construction. Int columns never unify with
             // float keys, so equality semantics are unchanged.
-            let par = input.par;
-            let pn = probe_col.nulls.any();
-            let serial = !par.active(build_sel.len()) && !par.active(acc_len);
-            let dense = if serial {
+            let (bn, pn) = (build_col.nulls.any(), probe_col.nulls.any());
+            let (bnulls, pnulls) = (&build_col.nulls, &probe_col.nulls);
+            let build_key = move |rid: usize| (!bn || !bnulls.is_null(rid)).then(|| bd[rid]);
+            let probe_key = move |rid: usize| (!pn || !pnulls.is_null(rid)).then(|| pd[rid]);
+            // Dense only when both sides fit in one morsel.
+            let dense = if par.morsels(build_sel.len()) == 1 && par.morsels(acc_len) == 1 {
                 build_dense_int_index(build_sel, bd, &build_col.nulls, acc_len)
             } else {
                 None
@@ -2552,84 +2549,27 @@ fn join_all(cx: &Cx<'_>, input: &BatchInput<'_, '_>, sels: Vec<Vec<u32>>) -> Opt
                 // Dense CSR probe: subtract + two array loads per probe,
                 // no hashing. Buckets hold build row ids in build-scan
                 // order, so emission order matches the hash index's.
-                for i in 0..acc_len {
-                    let prid = acc[probe_pos][i] as usize;
-                    if pn && probe_col.nulls.is_null(prid) {
-                        continue;
-                    }
-                    for &rid in dense.get(pd[prid]) {
-                        for (c, col) in acc.iter().enumerate() {
-                            out[c].push(col[i]);
-                        }
-                        out[acc.len()].push(rid);
-                    }
-                }
+                let get = dense.lookup();
+                let matches = move |rid: usize| probe_key(rid).map_or(&[][..], get);
+                probe(par, &acc, probe_pos, matches, prof_op)
             } else {
-                let index = if par.active(build_sel.len()) {
-                    build_int_index_morsels(par, build_sel, bd, &build_col.nulls, prof_op)
-                } else {
-                    let mut index: HashMap<i64, Vec<u32>, FxBuild> =
-                        HashMap::with_capacity_and_hasher(build_sel.len(), FxBuild::default());
-                    let bn = build_col.nulls.any();
-                    for &rid in build_sel {
-                        if bn && build_col.nulls.is_null(rid as usize) {
-                            continue;
-                        }
-                        index.entry(bd[rid as usize]).or_default().push(rid);
-                    }
-                    index
+                let index = build_index(par, build_sel, build_key, prof_op);
+                let index = &index;
+                let matches = move |rid: usize| {
+                    let rids = probe_key(rid).and_then(|k| index.get(&k));
+                    rids.map_or(&[][..], Vec::as_slice)
                 };
-                if par.active(acc_len) {
-                    out = probe_int_morsels(
-                        par,
-                        &index,
-                        &acc,
-                        probe_pos,
-                        pd,
-                        &probe_col.nulls,
-                        prof_op,
-                    );
-                } else {
-                    for i in 0..acc_len {
-                        let prid = acc[probe_pos][i] as usize;
-                        if pn && probe_col.nulls.is_null(prid) {
-                            continue;
-                        }
-                        let Some(matches) = index.get(&pd[prid]) else {
-                            continue;
-                        };
-                        for &rid in matches {
-                            for (c, col) in acc.iter().enumerate() {
-                                out[c].push(col[i]);
-                            }
-                            out[acc.len()].push(rid);
-                        }
-                    }
-                }
+                probe(par, &acc, probe_pos, matches, prof_op)
             }
         } else {
-            let mut index: HashMap<JKey, Vec<u32>, FxBuild> =
-                HashMap::with_capacity_and_hasher(build_sel.len(), FxBuild::default());
-            for &rid in build_sel {
-                if let Some(k) = col_join_key(build_col, rid as usize) {
-                    index.entry(k).or_default().push(rid);
-                }
-            }
-            for i in 0..acc_len {
-                let Some(k) = col_join_key(probe_col, acc[probe_pos][i] as usize) else {
-                    continue;
-                };
-                let Some(matches) = index.get(&k) else {
-                    continue;
-                };
-                for &rid in matches {
-                    for (c, col) in acc.iter().enumerate() {
-                        out[c].push(col[i]);
-                    }
-                    out[acc.len()].push(rid);
-                }
-            }
-        }
+            let index = build_index(par, build_sel, |rid| col_join_key(build_col, rid), prof_op);
+            let index = &index;
+            let matches = move |rid: usize| {
+                let rids = col_join_key(probe_col, rid).and_then(|k| index.get(&k));
+                rids.map_or(&[][..], Vec::as_slice)
+            };
+            probe(par, &acc, probe_pos, matches, prof_op)
+        };
         if sb_obs::enabled() {
             note_join(build_sel.len(), acc_len, out[0].len());
         }
@@ -2856,127 +2796,162 @@ impl Cx<'_> {
 }
 
 /// Group assignment: gid per batch row (first-occurrence order) plus the
-/// first batch-row index of each group.
-fn group_ids(cx: &Cx<'_>, view: &View<'_>, keys: &[ColId]) -> Option<(Vec<u32>, Vec<u32>)> {
-    let n = view.len;
-    let mut gids = Vec::with_capacity(n);
-    let mut reps: Vec<u32> = Vec::new();
-    if let [id] = keys {
-        let col = view.col(*id);
-        match &col.data {
-            ColumnData::Text(d) => {
-                // Dictionary fast path: one slot per code, plus NULL.
-                let mut lut = vec![u32::MAX; d.values.len()];
-                let mut null_gid = u32::MAX;
-                let sel = view.sel(*id);
-                let any_null = col.nulls.any();
-                for (i, &r) in sel.iter().enumerate() {
-                    let r = r as usize;
-                    let slot = if any_null && col.nulls.is_null(r) {
-                        &mut null_gid
-                    } else {
-                        &mut lut[d.codes[r] as usize]
-                    };
-                    if *slot == u32::MAX {
-                        *slot = reps.len() as u32;
-                        reps.push(i as u32);
-                    }
-                    gids.push(*slot);
-                }
-                if sb_obs::enabled() {
-                    note_dict_lut(lut.len(), n);
-                }
+/// first batch-row index of each group. A single key column runs through
+/// [`group_single`] with a slot table for its kind; multi-column keys
+/// run as one morsel.
+fn group_ids(view: &View<'_>, keys: &[ColId], par: ParConfig) -> Option<(Vec<u32>, Vec<u32>)> {
+    let [id] = keys else {
+        return group_ids_multi(view, keys);
+    };
+    let col = view.col(*id);
+    let sel = view.sel(*id);
+    let (nulls, any_null) = (&col.nulls, col.nulls.any());
+    let is_null = move |r: usize| any_null && nulls.is_null(r);
+    Some(match &col.data {
+        ColumnData::Text(d) => {
+            // Dictionary fast path: one slot per code, plus NULL.
+            let nv = d.values.len();
+            if sb_obs::enabled() {
+                note_dict_lut(nv, sel.len());
             }
-            ColumnData::Int(d) => {
-                let mut map: HashMap<i64, u32, FxBuild> = HashMap::default();
-                let mut null_gid = u32::MAX;
-                for i in 0..n {
-                    let r = view.rid(*id, i);
-                    let gid = if col.nulls.is_null(r) {
-                        if null_gid == u32::MAX {
-                            null_gid = reps.len() as u32;
-                            reps.push(i as u32);
-                        }
-                        null_gid
-                    } else {
-                        *map.entry(d[r]).or_insert_with(|| {
-                            reps.push(i as u32);
-                            (reps.len() - 1) as u32
-                        })
-                    };
-                    gids.push(gid);
+            let table = || vec![u32::MAX; nv + 1];
+            let codes = d.codes.as_slice();
+            group_single(par, sel, table, move |r| {
+                if is_null(r) {
+                    nv
+                } else {
+                    codes[r] as usize
                 }
-            }
-            ColumnData::Float(d) => {
-                // Canonical-key relation: micro-rounded bits, NaN
-                // collapsed — identical partitions to the row path's
-                // hashed `Vec<Value>` keys.
-                let mut map: HashMap<u64, u32, FxBuild> = HashMap::default();
-                let mut null_gid = u32::MAX;
-                for i in 0..n {
-                    let r = view.rid(*id, i);
-                    let gid = if col.nulls.is_null(r) {
-                        if null_gid == u32::MAX {
-                            null_gid = reps.len() as u32;
-                            reps.push(i as u32);
-                        }
-                        null_gid
-                    } else {
-                        *map.entry(canon_num(d[r]).to_bits()).or_insert_with(|| {
-                            reps.push(i as u32);
-                            (reps.len() - 1) as u32
-                        })
-                    };
-                    gids.push(gid);
-                }
-            }
-            ColumnData::Bool(d) => {
-                let mut lut = [u32::MAX; 3];
-                for i in 0..n {
-                    let r = view.rid(*id, i);
-                    let slot = if col.nulls.is_null(r) {
-                        2
-                    } else {
-                        d[r] as usize
-                    };
-                    if lut[slot] == u32::MAX {
-                        lut[slot] = reps.len() as u32;
-                        reps.push(i as u32);
-                    }
-                    gids.push(lut[slot]);
-                }
-            }
-            ColumnData::AllNull => {
-                for i in 0..n {
-                    if reps.is_empty() {
-                        reps.push(i as u32);
-                    }
-                    gids.push(0);
-                }
-            }
-            ColumnData::Mixed => return None,
+            })
         }
-        let _ = cx;
-        return Some((gids, reps));
-    }
+        ColumnData::Int(d) => group_single(
+            par,
+            sel,
+            || (HashMap::default(), u32::MAX),
+            move |r| (!is_null(r)).then(|| d[r]),
+        ),
+        // Canonical-key relation: micro-rounded bits, NaN collapsed —
+        // identical partitions to the row path's hashed `Vec<Value>` keys.
+        ColumnData::Float(d) => group_single(
+            par,
+            sel,
+            || (HashMap::default(), u32::MAX),
+            move |r| (!is_null(r)).then(|| canon_num(d[r]).to_bits()),
+        ),
+        ColumnData::Bool(d) => {
+            let table = || vec![u32::MAX; 3];
+            group_single(par, sel, table, move |r| {
+                if is_null(r) {
+                    2
+                } else {
+                    usize::from(d[r])
+                }
+            })
+        }
+        ColumnData::AllNull => group_single(par, sel, || vec![u32::MAX], |_| 0),
+        ColumnData::Mixed => return None,
+    })
+}
 
-    // Multi-column keys: hashed `Vec<Value>` keys under the canonical
-    // relation, same as the row path.
+/// A per-morsel group table for one key kind: the group-id slot of a
+/// key, `u32::MAX` until the key's first row claims it. Small dense key
+/// spaces (dictionary codes, booleans, each plus NULL) index a LUT;
+/// open ones hash, with NULL (`None`) in a slot of its own.
+trait GroupSlots<K> {
+    fn slot(&mut self, key: K) -> &mut u32;
+}
+
+impl GroupSlots<usize> for Vec<u32> {
+    #[inline]
+    fn slot(&mut self, key: usize) -> &mut u32 {
+        &mut self[key]
+    }
+}
+
+impl<K: Hash + Eq> GroupSlots<Option<K>> for (HashMap<K, u32, FxBuild>, u32) {
+    #[inline]
+    fn slot(&mut self, key: Option<K>) -> &mut u32 {
+        match key {
+            None => &mut self.1,
+            Some(k) => self.0.entry(k).or_insert(u32::MAX),
+        }
+    }
+}
+
+/// Single-key group assignment. Each morsel groups its rows of `sel` in
+/// first-seen order; the local tables merge **in morsel order**, so the
+/// first morsel to see a key wins its global slot and global ids and
+/// representatives follow the one-morsel first-seen row order exactly.
+/// A single morsel's ids are already global and move into place.
+fn group_single<K: Copy + Send, T: GroupSlots<K>>(
+    par: ParConfig,
+    sel: &[u32],
+    table: impl Fn() -> T + Sync,
+    key: impl Fn(usize) -> K + Sync,
+) -> (Vec<u32>, Vec<u32>) {
+    let n = sel.len();
+    let (mut parts, stats) = par.run(n, |lo, hi| {
+        let mut slots = table();
+        let mut gids = Vec::with_capacity(hi - lo);
+        let mut keys = Vec::new();
+        let mut firsts: Vec<u32> = Vec::new();
+        for (i, &r) in sel[lo..hi].iter().enumerate() {
+            let k = key(r as usize);
+            let slot = slots.slot(k);
+            if *slot == u32::MAX {
+                *slot = firsts.len() as u32;
+                keys.push(k);
+                firsts.push((lo + i) as u32);
+            }
+            gids.push(*slot);
+        }
+        (gids, keys, firsts)
+    });
+    let Some(stats) = stats else {
+        let (gids, _, reps) = parts.pop().expect("one morsel");
+        return (gids, reps);
+    };
+    let merges = parts.iter().map(|(_, keys, _)| keys.len()).sum();
+    let mut slots = table();
+    let mut reps: Vec<u32> = Vec::new();
+    let mut gids = Vec::with_capacity(n);
+    for (local, keys, firsts) in parts {
+        let global: Vec<u32> = keys
+            .into_iter()
+            .zip(firsts)
+            .map(|(k, first)| {
+                let slot = slots.slot(k);
+                if *slot == u32::MAX {
+                    *slot = reps.len() as u32;
+                    reps.push(first);
+                }
+                *slot
+            })
+            .collect();
+        gids.extend(local.iter().map(|&g| global[g as usize]));
+    }
+    note_dispatch(stats, merges, None);
+    (gids, reps)
+}
+
+/// Multi-column group assignment, always one morsel: hashed
+/// `Vec<Value>` keys under the canonical relation, same as the row path.
+fn group_ids_multi(view: &View<'_>, keys: &[ColId]) -> Option<(Vec<u32>, Vec<u32>)> {
+    let n = view.len;
     let key_cols: Vec<Vec<Value>> = keys
         .iter()
         .map(|id| {
-            if matches!(cx.data(*id), ColumnData::Mixed) {
+            let col = view.col(*id);
+            if matches!(col.data, ColumnData::Mixed) {
                 return None;
             }
-            Some(
-                (0..n)
-                    .map(|i| view.col(*id).value_at(view.rid(*id, i)))
-                    .collect(),
-            )
+            Some((0..n).map(|i| col.value_at(view.rid(*id, i))).collect())
         })
         .collect::<Option<_>>()?;
     let mut index = KeyIndex::default();
     let mut group_keys: Vec<Vec<Value>> = Vec::new();
+    let mut gids = Vec::with_capacity(n);
+    let mut reps: Vec<u32> = Vec::new();
     for i in 0..n {
         let buf: Vec<Value> = key_cols.iter().map(|c| c[i].clone()).collect();
         let h = key::hash_values(&buf);
@@ -2995,134 +2970,13 @@ fn group_ids(cx: &Cx<'_>, view: &View<'_>, keys: &[ColId]) -> Option<(Vec<u32>, 
     Some((gids, reps))
 }
 
-/// Morsel-parallel single-key group assignment for dictionary-text and
-/// integer keys. Each morsel groups its contiguous row range locally in
-/// first-seen order; the local tables then merge **in morsel order** —
-/// the first morsel to introduce a key wins the global slot, and within
-/// a morsel keys arrive in local first-seen order — so global group ids
-/// and representatives reproduce the serial first-seen row order
-/// exactly. Per-row local ids translate through the merge table and
-/// concatenate in morsel order.
-///
-/// `None` means the key kind has no parallel kernel; the caller falls
-/// back to the serial [`group_ids`], not to the row path.
-fn group_ids_morsels(view: &View<'_>, id: ColId, par: ParConfig) -> Option<(Vec<u32>, Vec<u32>)> {
-    let n = view.len;
-    let col = view.col(id);
-    let rows = view.sel(id);
-    match &col.data {
-        ColumnData::Text(d) => {
-            let nv = d.values.len();
-            // Dictionary codes index a per-morsel LUT directly; slot
-            // `nv` is the NULL group.
-            let (parts, stats) = rayon::morsel_map(par.morsels(n), par.workers, |m| {
-                let (lo, hi) = par.bounds(m, n);
-                let mut lut = vec![u32::MAX; nv + 1];
-                let mut gids = Vec::with_capacity(hi - lo);
-                let mut order: Vec<(u32, u32)> = Vec::new();
-                for (i, &r) in rows[lo..hi].iter().enumerate() {
-                    let r = r as usize;
-                    let slot = if col.nulls.is_null(r) {
-                        nv
-                    } else {
-                        d.codes[r] as usize
-                    };
-                    if lut[slot] == u32::MAX {
-                        lut[slot] = order.len() as u32;
-                        order.push((slot as u32, (lo + i) as u32));
-                    }
-                    gids.push(lut[slot]);
-                }
-                (gids, order)
-            });
-            let mut lut = vec![u32::MAX; nv + 1];
-            let mut reps: Vec<u32> = Vec::new();
-            let mut gids = Vec::with_capacity(n);
-            let merges: usize = parts.iter().map(|(_, order)| order.len()).sum();
-            for (local_gids, order) in &parts {
-                let mut tr = Vec::with_capacity(order.len());
-                for &(slot, first) in order {
-                    let slot = slot as usize;
-                    if lut[slot] == u32::MAX {
-                        lut[slot] = reps.len() as u32;
-                        reps.push(first);
-                    }
-                    tr.push(lut[slot]);
-                }
-                gids.extend(local_gids.iter().map(|&lg| tr[lg as usize]));
-            }
-            if sb_obs::enabled() {
-                note_dict_lut(nv, n);
-                note_parallel(stats, merges);
-            }
-            Some((gids, reps))
-        }
-        ColumnData::Int(d) => {
-            let (parts, stats) = rayon::morsel_map(par.morsels(n), par.workers, |m| {
-                let (lo, hi) = par.bounds(m, n);
-                let mut map: HashMap<i64, u32, FxBuild> = HashMap::default();
-                let mut null_gid = u32::MAX;
-                let mut gids = Vec::with_capacity(hi - lo);
-                let mut order: Vec<(Option<i64>, u32)> = Vec::new();
-                for (i, &r) in rows[lo..hi].iter().enumerate() {
-                    let r = r as usize;
-                    let gid = if col.nulls.is_null(r) {
-                        if null_gid == u32::MAX {
-                            null_gid = order.len() as u32;
-                            order.push((None, (lo + i) as u32));
-                        }
-                        null_gid
-                    } else {
-                        *map.entry(d[r]).or_insert_with(|| {
-                            order.push((Some(d[r]), (lo + i) as u32));
-                            (order.len() - 1) as u32
-                        })
-                    };
-                    gids.push(gid);
-                }
-                (gids, order)
-            });
-            let mut map: HashMap<i64, u32, FxBuild> = HashMap::default();
-            let mut null_gid = u32::MAX;
-            let mut reps: Vec<u32> = Vec::new();
-            let mut gids = Vec::with_capacity(n);
-            let merges: usize = parts.iter().map(|(_, order)| order.len()).sum();
-            for (local_gids, order) in &parts {
-                let mut tr = Vec::with_capacity(order.len());
-                for &(key, first) in order {
-                    let gid = match key {
-                        None => {
-                            if null_gid == u32::MAX {
-                                null_gid = reps.len() as u32;
-                                reps.push(first);
-                            }
-                            null_gid
-                        }
-                        Some(k) => *map.entry(k).or_insert_with(|| {
-                            reps.push(first);
-                            (reps.len() - 1) as u32
-                        }),
-                    };
-                    tr.push(gid);
-                }
-                gids.extend(local_gids.iter().map(|&lg| tr[lg as usize]));
-            }
-            if sb_obs::enabled() {
-                note_parallel(stats, merges);
-            }
-            Some((gids, reps))
-        }
-        _ => None,
-    }
-}
-
-/// Whether an aggregate's thread-local partials merge into exactly the
-/// serial result: counts add, min/max fold associatively (with the same
-/// NaN bail set — a NaN shares a comparison with another value iff its
-/// group holds two or more values, regardless of partitioning), and int
-/// sums carry 128-bit prefix extremes so the merged bail decision
-/// equals the serial running `checked_add` (see [`accumulate_morsels`]).
-/// Float sums and averages are order-sensitive and accumulate serially.
+/// Whether an aggregate's per-morsel partials merge into exactly the
+/// one-morsel result: counts add, min/max fold associatively (with the
+/// same NaN bail set — a NaN shares a comparison with another value iff
+/// its group holds two or more values, regardless of partitioning), and
+/// int sums carry 128-bit prefix extremes ([`SumRun`]) so the merged
+/// bail decision equals the row path's running `checked_add`. Float
+/// sums, averages and generic aggregates are order-sensitive.
 fn agg_mergeable(agg: &AggK) -> bool {
     matches!(
         agg,
@@ -3134,467 +2988,325 @@ fn agg_mergeable(agg: &AggK) -> bool {
     )
 }
 
-/// One aggregate's thread-local partial state over a morsel.
-enum AggPart {
-    Counts(Vec<i64>),
-    /// Per group: running total plus the maximum and minimum **prefix
-    /// sum** reached inside the morsel (128-bit, overflow-free for any
-    /// feasible row count). Merging morsels `a` then `b` shifts `b`'s
-    /// prefix extremes by `a`'s total, so the merged extremes are those
-    /// of the concatenated row sequence — and the serial path bails iff
-    /// some prefix leaves the i64 range, which is exactly the merged
-    /// condition.
-    SumInt {
-        total: Vec<i128>,
-        maxp: Vec<i128>,
-        minp: Vec<i128>,
-        has: Vec<bool>,
-    },
-    BestInt(Vec<Option<i64>>),
-    BestFloat(Vec<Option<f64>>),
+/// A running integer sum over a row sequence: its total plus the
+/// maximum and minimum **prefix sum** reached (128-bit, overflow-free
+/// for any feasible row count). Appending run `b` to run `a` shifts
+/// `b`'s prefix extremes by `a`'s total, so a merged run's extremes are
+/// those of the concatenated rows — and the row path's running
+/// `checked_add` errors iff some prefix leaves the i64 range, which is
+/// exactly [`SumRun::finish`]'s check.
+#[derive(Clone, Copy)]
+struct SumRun {
+    total: i128,
+    maxp: i128,
+    minp: i128,
 }
 
-/// Morsel-parallel aggregation: every aggregate accumulates into
-/// thread-local per-group tables over its morsel's sub-view, and the
-/// per-morsel tables merge in morsel order. The caller guarantees every
-/// aggregate satisfies [`agg_mergeable`]; group ids are global (see
-/// [`group_ids_morsels`]), so the merge is a per-group fold with no
-/// key matching.
-fn accumulate_morsels(
+impl SumRun {
+    /// The run over no values; `maxp == i128::MIN` marks it.
+    const EMPTY: SumRun = SumRun {
+        total: 0,
+        maxp: i128::MIN,
+        minp: i128::MAX,
+    };
+
+    #[inline]
+    fn push(&mut self, v: i64) {
+        self.total += v as i128;
+        self.maxp = self.maxp.max(self.total);
+        self.minp = self.minp.min(self.total);
+    }
+
+    /// Append a later run of the same group.
+    fn append(&mut self, next: SumRun) {
+        if next.maxp != i128::MIN {
+            self.maxp = self.maxp.max(self.total + next.maxp);
+            self.minp = self.minp.min(self.total + next.minp);
+            self.total += next.total;
+        }
+    }
+
+    /// The row path's SUM: NULL over no values, `None` (bail) where its
+    /// running sum overflowed.
+    fn finish(self) -> Option<Value> {
+        if self.maxp == i128::MIN {
+            Some(Value::Null)
+        } else if self.maxp > i64::MAX as i128 || self.minp < i64::MIN as i128 {
+            None
+        } else {
+            Some(Value::Int(self.total as i64))
+        }
+    }
+}
+
+/// A morsel's non-null `(group, value)` rows, in row order.
+#[inline]
+fn non_null<'a, T: Copy>(
+    data: &'a [T],
+    nulls: &'a [bool],
+    gids: &'a [u32],
+) -> impl Iterator<Item = (usize, T)> + 'a {
+    (0..data.len())
+        .filter(|&i| !nulls[i])
+        .map(|i| (gids[i] as usize, data[i]))
+}
+
+/// Per-group [`SumRun`]s over one morsel's rows, kept in i64 (total,
+/// max prefix, min prefix; min > max marks no values) while every
+/// running sum fits, else retraced in i128.
+fn sum_runs(data: &[i64], nulls: &[bool], gids: &[u32], n_groups: usize) -> Vec<SumRun> {
+    let mut narrow = vec![(0i64, i64::MIN, i64::MAX); n_groups];
+    let mut fits = true;
+    for (g, v) in non_null(data, nulls, gids) {
+        let (total, maxp, minp) = &mut narrow[g];
+        let Some(t) = total.checked_add(v) else {
+            fits = false;
+            break;
+        };
+        *total = t;
+        *maxp = (*maxp).max(t);
+        *minp = (*minp).min(t);
+    }
+    if fits {
+        let widen = |(total, maxp, minp): (i64, i64, i64)| match minp > maxp {
+            true => SumRun::EMPTY,
+            false => SumRun {
+                total: total.into(),
+                maxp: maxp.into(),
+                minp: minp.into(),
+            },
+        };
+        return narrow.into_iter().map(widen).collect();
+    }
+    let mut runs = vec![SumRun::EMPTY; n_groups];
+    for (g, v) in non_null(data, nulls, gids) {
+        runs[g].push(v);
+    }
+    runs
+}
+
+/// Per-group MIN (`max == false`) or MAX over one morsel's rows, folded
+/// into `best`. NaN cannot be ordered: the row path errors ("MIN/MAX
+/// over mixed types"), so a NaN meeting another value bails; a group
+/// whose sole value is NaN never compares.
+fn fold_best<T: Copy + PartialOrd>(
+    best: &mut [Option<T>],
+    rows: impl Iterator<Item = (usize, T)>,
+    max: bool,
+) -> Option<()> {
+    for (g, v) in rows {
+        let slot = &mut best[g];
+        let take = match *slot {
+            None => true,
+            Some(b) => match v.partial_cmp(&b)? {
+                Ordering::Less => !max,
+                Ordering::Greater => max,
+                Ordering::Equal => false,
+            },
+        };
+        if take {
+            *slot = Some(v);
+        }
+    }
+    Some(())
+}
+
+/// One aggregate's per-group partial state over a morsel.
+enum AggPart {
+    Counts(Vec<i64>),
+    SumInt(Vec<SumRun>),
+    BestInt(Vec<Option<i64>>, bool),
+    BestFloat(Vec<Option<f64>>, bool),
+    /// An order-sensitive aggregate, finished inside its one morsel.
+    Done(Vec<Value>),
+}
+
+impl AggPart {
+    /// Fold the next morsel's partial of the same aggregate into this
+    /// one. `None` = bail.
+    fn merge(&mut self, next: AggPart) -> Option<()> {
+        match (self, next) {
+            (AggPart::Counts(acc), AggPart::Counts(local)) => {
+                for (c, l) in acc.iter_mut().zip(local) {
+                    *c += l;
+                }
+            }
+            (AggPart::SumInt(acc), AggPart::SumInt(local)) => {
+                for (run, next) in acc.iter_mut().zip(local) {
+                    run.append(next);
+                }
+            }
+            (AggPart::BestInt(acc, max), AggPart::BestInt(local, _)) => {
+                let rows = local.into_iter().enumerate();
+                fold_best(acc, rows.filter_map(|(g, v)| Some((g, v?))), *max)?;
+            }
+            (AggPart::BestFloat(acc, max), AggPart::BestFloat(local, _)) => {
+                let rows = local.into_iter().enumerate();
+                fold_best(acc, rows.filter_map(|(g, v)| Some((g, v?))), *max)?;
+            }
+            _ => unreachable!("order-sensitive aggregates run as one morsel"),
+        }
+        Some(())
+    }
+
+    /// One value per group, exactly as the row path finishes the
+    /// aggregate. `None` = bail (an int sum whose running total left i64).
+    fn finish(self) -> Option<Vec<Value>> {
+        Some(match self {
+            AggPart::Counts(counts) => counts.into_iter().map(Value::Int).collect(),
+            AggPart::SumInt(runs) => runs
+                .into_iter()
+                .map(SumRun::finish)
+                .collect::<Option<_>>()?,
+            AggPart::BestInt(best, _) => best
+                .into_iter()
+                .map(|b| b.map_or(Value::Null, Value::Int))
+                .collect(),
+            AggPart::BestFloat(best, _) => best
+                .into_iter()
+                .map(|b| b.map_or(Value::Null, Value::Float))
+                .collect(),
+            AggPart::Done(values) => values,
+        })
+    }
+}
+
+/// Run every registered aggregate over the grouped batch: each morsel
+/// accumulates per-group partials (group ids are global), which fold
+/// into the first morsel's in morsel order. Unless every aggregate is
+/// [`agg_mergeable`], the batch runs as one morsel.
+fn accumulate(
     aggs: &[AggK],
     view: &View<'_>,
     gids: &[u32],
     n_groups: usize,
     par: ParConfig,
 ) -> Option<Vec<Vec<Value>>> {
-    let n = view.len;
-    let (parts, stats) = rayon::morsel_map(par.morsels(n), par.workers, |m| {
-        let (lo, hi) = par.bounds(m, n);
+    let par = if aggs.iter().all(agg_mergeable) {
+        par
+    } else {
+        par.one_morsel()
+    };
+    let (parts, stats) = par.run(view.len, |lo, hi| {
         let sub = view.slice(lo, hi);
-        let g = &gids[lo..hi];
-        let mut out = Vec::with_capacity(aggs.len());
-        for agg in aggs {
-            out.push(match agg {
-                AggK::CountStar => {
-                    let mut counts = vec![0i64; n_groups];
-                    for &gid in g {
-                        counts[gid as usize] += 1;
-                    }
-                    AggPart::Counts(counts)
-                }
-                AggK::CountAny(k) => {
-                    let nulls = k.nulls(&sub)?;
-                    let mut counts = vec![0i64; n_groups];
-                    for (&gid, null) in g.iter().zip(nulls) {
-                        if !null {
-                            counts[gid as usize] += 1;
-                        }
-                    }
-                    AggPart::Counts(counts)
-                }
-                AggK::SumInt(k) => {
-                    let NumOut::Int(data, nulls) = k.eval(&sub)? else {
-                        return None;
-                    };
-                    let mut total = vec![0i128; n_groups];
-                    let mut maxp = vec![i128::MIN; n_groups];
-                    let mut minp = vec![i128::MAX; n_groups];
-                    let mut has = vec![false; n_groups];
-                    for i in 0..data.len() {
-                        if nulls[i] {
-                            continue;
-                        }
-                        let gi = g[i] as usize;
-                        total[gi] += data[i] as i128;
-                        maxp[gi] = maxp[gi].max(total[gi]);
-                        minp[gi] = minp[gi].min(total[gi]);
-                        has[gi] = true;
-                    }
-                    AggPart::SumInt {
-                        total,
-                        maxp,
-                        minp,
-                        has,
-                    }
-                }
-                AggK::MinMaxInt(k, max) => {
-                    let NumOut::Int(data, nulls) = k.eval(&sub)? else {
-                        return None;
-                    };
-                    let mut best: Vec<Option<i64>> = vec![None; n_groups];
-                    for i in 0..data.len() {
-                        if nulls[i] {
-                            continue;
-                        }
-                        let slot = &mut best[g[i] as usize];
-                        let take = match *slot {
-                            None => true,
-                            Some(b) => {
-                                if *max {
-                                    data[i] > b
-                                } else {
-                                    data[i] < b
-                                }
-                            }
-                        };
-                        if take {
-                            *slot = Some(data[i]);
-                        }
-                    }
-                    AggPart::BestInt(best)
-                }
-                AggK::MinMaxFloat(k, max) => {
-                    let NumOut::Float(data, nulls) = k.eval(&sub)? else {
-                        return None;
-                    };
-                    let mut best: Vec<Option<f64>> = vec![None; n_groups];
-                    for i in 0..data.len() {
-                        if nulls[i] {
-                            continue;
-                        }
-                        let slot = &mut best[g[i] as usize];
-                        let take = match *slot {
-                            None => true,
-                            // Same NaN bail as the serial accumulator;
-                            // a group whose sole value is NaN never
-                            // compares, here or there.
-                            Some(b) => match data[i].partial_cmp(&b)? {
-                                Ordering::Less => !*max,
-                                Ordering::Greater => *max,
-                                Ordering::Equal => false,
-                            },
-                        };
-                        if take {
-                            *slot = Some(data[i]);
-                        }
-                    }
-                    AggPart::BestFloat(best)
-                }
-                // Caller guarantees `agg_mergeable`.
-                AggK::SumFloat(_) | AggK::AvgNum(_) | AggK::Generic { .. } => return None,
-            });
-        }
-        Some(out)
+        aggs.iter()
+            .map(|agg| accumulate_part(agg, &sub, &gids[lo..hi], n_groups))
+            .collect::<Option<Vec<AggPart>>>()
     });
     let parts: Vec<Vec<AggPart>> = parts.into_iter().collect::<Option<_>>()?;
-    if sb_obs::enabled() {
-        note_parallel(stats, parts.len() * aggs.len());
+    if let Some(stats) = stats {
+        note_dispatch(stats, parts.len() * aggs.len(), None);
     }
-
-    // Merge per-morsel tables in morsel order, then finish each
-    // aggregate exactly as the serial accumulator would.
-    let mut results = Vec::with_capacity(aggs.len());
-    for (a, agg) in aggs.iter().enumerate() {
-        results.push(match agg {
-            AggK::CountStar | AggK::CountAny(_) => {
-                let mut counts = vec![0i64; n_groups];
-                for part in &parts {
-                    let AggPart::Counts(local) = &part[a] else {
-                        return None;
-                    };
-                    for (c, l) in counts.iter_mut().zip(local) {
-                        *c += l;
-                    }
-                }
-                counts.into_iter().map(Value::Int).collect()
-            }
-            AggK::SumInt(_) => {
-                let mut total = vec![0i128; n_groups];
-                let mut maxp = vec![i128::MIN; n_groups];
-                let mut minp = vec![i128::MAX; n_groups];
-                let mut has = vec![false; n_groups];
-                for part in &parts {
-                    let AggPart::SumInt {
-                        total: lt,
-                        maxp: lmax,
-                        minp: lmin,
-                        has: lhas,
-                    } = &part[a]
-                    else {
-                        return None;
-                    };
-                    for gi in 0..n_groups {
-                        if !lhas[gi] {
-                            continue;
-                        }
-                        if has[gi] {
-                            maxp[gi] = maxp[gi].max(total[gi] + lmax[gi]);
-                            minp[gi] = minp[gi].min(total[gi] + lmin[gi]);
-                            total[gi] += lt[gi];
-                        } else {
-                            total[gi] = lt[gi];
-                            maxp[gi] = lmax[gi];
-                            minp[gi] = lmin[gi];
-                            has[gi] = true;
-                        }
-                    }
-                }
-                // The serial running `checked_add` bails iff some prefix
-                // sum leaves i64; reproduce that bail decision exactly.
-                let mut acc = Vec::with_capacity(n_groups);
-                for gi in 0..n_groups {
-                    if has[gi] && (maxp[gi] > i64::MAX as i128 || minp[gi] < i64::MIN as i128) {
-                        return None;
-                    }
-                    acc.push(total[gi] as i64);
-                }
-                finish_nullable(acc, has, Value::Int)
-            }
-            AggK::MinMaxInt(_, max) => {
-                let mut best: Vec<Option<i64>> = vec![None; n_groups];
-                for part in &parts {
-                    let AggPart::BestInt(local) = &part[a] else {
-                        return None;
-                    };
-                    for (slot, l) in best.iter_mut().zip(local) {
-                        let Some(lv) = *l else { continue };
-                        let take = match *slot {
-                            None => true,
-                            Some(b) => {
-                                if *max {
-                                    lv > b
-                                } else {
-                                    lv < b
-                                }
-                            }
-                        };
-                        if take {
-                            *slot = Some(lv);
-                        }
-                    }
-                }
-                best.into_iter()
-                    .map(|b| b.map_or(Value::Null, Value::Int))
-                    .collect()
-            }
-            AggK::MinMaxFloat(_, max) => {
-                let mut best: Vec<Option<f64>> = vec![None; n_groups];
-                for part in &parts {
-                    let AggPart::BestFloat(local) = &part[a] else {
-                        return None;
-                    };
-                    for (slot, l) in best.iter_mut().zip(local) {
-                        let Some(lv) = *l else { continue };
-                        let take = match *slot {
-                            None => true,
-                            Some(b) => match lv.partial_cmp(&b)? {
-                                Ordering::Less => !*max,
-                                Ordering::Greater => *max,
-                                Ordering::Equal => false,
-                            },
-                        };
-                        if take {
-                            *slot = Some(lv);
-                        }
-                    }
-                }
-                best.into_iter()
-                    .map(|b| b.map_or(Value::Null, Value::Float))
-                    .collect()
-            }
-            AggK::SumFloat(_) | AggK::AvgNum(_) | AggK::Generic { .. } => return None,
-        });
+    let mut parts = parts.into_iter();
+    let mut merged = parts.next().expect("at least one morsel");
+    for part in parts {
+        for (acc, local) in merged.iter_mut().zip(part) {
+            acc.merge(local)?;
+        }
     }
-    Some(results)
+    merged.into_iter().map(AggPart::finish).collect()
 }
 
-/// Run every registered aggregate over the grouped batch.
-fn accumulate(
-    aggs: &[AggK],
-    view: &View<'_>,
-    gids: &[u32],
-    n_groups: usize,
-) -> Option<Vec<Vec<Value>>> {
-    let mut results = Vec::with_capacity(aggs.len());
-    for agg in aggs {
-        results.push(match agg {
-            AggK::CountStar => {
-                let mut counts = vec![0i64; n_groups];
-                for &g in gids {
+/// One aggregate over one morsel: `view` holds the morsel's rows and
+/// `gids` their group ids.
+fn accumulate_part(agg: &AggK, view: &View<'_>, gids: &[u32], n_groups: usize) -> Option<AggPart> {
+    Some(match agg {
+        AggK::CountStar => {
+            let mut counts = vec![0i64; n_groups];
+            for &g in gids {
+                counts[g as usize] += 1;
+            }
+            AggPart::Counts(counts)
+        }
+        AggK::CountAny(k) => {
+            let nulls = k.nulls(view)?;
+            let mut counts = vec![0i64; n_groups];
+            for (&g, null) in gids.iter().zip(nulls) {
+                if !null {
                     counts[g as usize] += 1;
                 }
-                counts.into_iter().map(Value::Int).collect()
             }
-            AggK::CountAny(k) => {
-                let nulls = k.nulls(view)?;
-                let mut counts = vec![0i64; n_groups];
-                for (&g, null) in gids.iter().zip(nulls) {
-                    if !null {
-                        counts[g as usize] += 1;
-                    }
-                }
-                counts.into_iter().map(Value::Int).collect()
-            }
-            AggK::SumInt(k) => {
-                let NumOut::Int(data, nulls) = k.eval(view)? else {
-                    return None;
-                };
-                let mut acc = vec![0i64; n_groups];
-                let mut has = vec![false; n_groups];
-                for i in 0..data.len() {
-                    if nulls[i] {
+            AggPart::Counts(counts)
+        }
+        AggK::SumInt(k) => {
+            let NumOut::Int(data, nulls) = k.eval(view)? else {
+                return None;
+            };
+            AggPart::SumInt(sum_runs(&data, &nulls, gids, n_groups))
+        }
+        AggK::SumFloat(k) | AggK::AvgNum(k) => {
+            let mut acc = vec![0.0f64; n_groups];
+            let mut cnt = vec![0usize; n_groups];
+            if let Some((d, sel, nulls)) = float_col_direct(k, view) {
+                // Bare-column lane: accumulate straight off the column
+                // data, skipping the NumOut gather (or, on an identity
+                // selection, whole-column clone).
+                let any_null = nulls.any();
+                for (i, &r) in sel.iter().enumerate() {
+                    let r = r as usize;
+                    if any_null && nulls.is_null(r) {
                         continue;
                     }
                     let g = gids[i] as usize;
-                    // Same running checked sum, in the same row order,
-                    // as `finish_aggregate` — an overflow bails where
-                    // the row path errors.
-                    acc[g] = acc[g].checked_add(data[i])?;
-                    has[g] = true;
+                    acc[g] += d[r];
+                    cnt[g] += 1;
                 }
-                finish_nullable(acc, has, Value::Int)
-            }
-            AggK::SumFloat(k) => {
-                let mut acc = vec![0.0f64; n_groups];
-                let mut has = vec![false; n_groups];
-                if let Some((d, sel, nulls)) = float_col_direct(k, view) {
-                    // Bare-column lane: accumulate straight off the
-                    // column data, skipping the NumOut gather (or, on
-                    // an identity selection, whole-column clone).
-                    let any_null = nulls.any();
-                    for (i, &r) in sel.iter().enumerate() {
-                        let r = r as usize;
-                        if any_null && nulls.is_null(r) {
-                            continue;
-                        }
-                        let g = gids[i] as usize;
-                        acc[g] += d[r];
-                        has[g] = true;
-                    }
-                } else {
-                    let NumOut::Float(data, nulls) = k.eval(view)? else {
-                        return None;
-                    };
-                    for i in 0..data.len() {
-                        if nulls[i] {
-                            continue;
-                        }
-                        let g = gids[i] as usize;
-                        acc[g] += data[i];
-                        has[g] = true;
-                    }
-                }
-                finish_nullable(acc, has, Value::Float)
-            }
-            AggK::AvgNum(k) => {
-                let mut acc = vec![0.0f64; n_groups];
-                let mut cnt = vec![0usize; n_groups];
-                if let Some((d, sel, nulls)) = float_col_direct(k, view) {
-                    let any_null = nulls.any();
-                    for (i, &r) in sel.iter().enumerate() {
-                        let r = r as usize;
-                        if any_null && nulls.is_null(r) {
-                            continue;
-                        }
-                        let g = gids[i] as usize;
-                        acc[g] += d[r];
-                        cnt[g] += 1;
-                    }
-                } else {
-                    let (data, nulls) = match k.eval(view)? {
-                        NumOut::AllNull => return None, // statically Generic
-                        other => other.into_f64(),
-                    };
-                    for i in 0..data.len() {
-                        if nulls[i] {
-                            continue;
-                        }
-                        let g = gids[i] as usize;
-                        acc[g] += data[i];
-                        cnt[g] += 1;
-                    }
-                }
-                acc.into_iter()
-                    .zip(cnt)
-                    .map(|(s, c)| {
-                        if c == 0 {
-                            Value::Null
-                        } else {
-                            Value::Float(s / c as f64)
-                        }
-                    })
-                    .collect()
-            }
-            AggK::MinMaxInt(k, max) => {
-                let NumOut::Int(data, nulls) = k.eval(view)? else {
-                    return None;
+            } else {
+                let (data, nulls) = match k.eval(view)? {
+                    NumOut::AllNull => return None, // statically Generic
+                    other => other.into_f64(),
                 };
-                let mut best: Vec<Option<i64>> = vec![None; n_groups];
-                for i in 0..data.len() {
-                    if nulls[i] {
-                        continue;
-                    }
-                    let slot = &mut best[gids[i] as usize];
-                    let take = match *slot {
-                        None => true,
-                        Some(b) => {
-                            if *max {
-                                data[i] > b
-                            } else {
-                                data[i] < b
-                            }
-                        }
-                    };
-                    if take {
-                        *slot = Some(data[i]);
-                    }
+                for (g, v) in non_null(&data, &nulls, gids) {
+                    acc[g] += v;
+                    cnt[g] += 1;
                 }
-                best.into_iter()
-                    .map(|b| b.map_or(Value::Null, Value::Int))
-                    .collect()
             }
-            AggK::MinMaxFloat(k, max) => {
-                let NumOut::Float(data, nulls) = k.eval(view)? else {
-                    return None;
-                };
-                let mut best: Vec<Option<f64>> = vec![None; n_groups];
-                for i in 0..data.len() {
-                    if nulls[i] {
-                        continue;
-                    }
-                    let slot = &mut best[gids[i] as usize];
-                    let take = match *slot {
-                        None => true,
-                        // NaN cannot be ordered: the row path errors
-                        // ("MIN/MAX over mixed types"), so bail.
-                        Some(b) => match data[i].partial_cmp(&b)? {
-                            Ordering::Less => !*max,
-                            Ordering::Greater => *max,
-                            Ordering::Equal => false,
-                        },
-                    };
-                    if take {
-                        *slot = Some(data[i]);
-                    }
+            let avg = matches!(agg, AggK::AvgNum(_));
+            let finish = |(s, c): (f64, usize)| match c {
+                0 => Value::Null,
+                _ if avg => Value::Float(s / c as f64),
+                _ => Value::Float(s),
+            };
+            AggPart::Done(acc.into_iter().zip(cnt).map(finish).collect())
+        }
+        AggK::MinMaxInt(k, max) => {
+            let NumOut::Int(data, nulls) = k.eval(view)? else {
+                return None;
+            };
+            let mut best = vec![None; n_groups];
+            fold_best(&mut best, non_null(&data, &nulls, gids), *max)?;
+            AggPart::BestInt(best, *max)
+        }
+        AggK::MinMaxFloat(k, max) => {
+            let NumOut::Float(data, nulls) = k.eval(view)? else {
+                return None;
+            };
+            let mut best = vec![None; n_groups];
+            fold_best(&mut best, non_null(&data, &nulls, gids), *max)?;
+            AggPart::BestFloat(best, *max)
+        }
+        AggK::Generic {
+            arg,
+            func,
+            distinct,
+        } => {
+            let vals = arg.materialize(view, &[])?;
+            let mut buckets: Vec<Vec<Value>> = vec![Vec::new(); n_groups];
+            for (v, &g) in vals.into_iter().zip(gids) {
+                if !v.is_null() {
+                    buckets[g as usize].push(v);
                 }
-                best.into_iter()
-                    .map(|b| b.map_or(Value::Null, Value::Float))
-                    .collect()
             }
-            AggK::Generic {
-                arg,
-                func,
-                distinct,
-            } => {
-                let vals = arg.materialize(view, &[])?;
-                let mut buckets: Vec<Vec<Value>> = vec![Vec::new(); n_groups];
-                for (v, &g) in vals.into_iter().zip(gids) {
-                    if !v.is_null() {
-                        buckets[g as usize].push(v);
-                    }
+            let mut out = Vec::with_capacity(n_groups);
+            for mut bucket in buckets {
+                if *distinct {
+                    key::dedup_values(&mut bucket);
                 }
-                let mut out = Vec::with_capacity(n_groups);
-                for mut bucket in buckets {
-                    if *distinct {
-                        key::dedup_values(&mut bucket);
-                    }
-                    out.push(crate::exec::finish_aggregate(*func, bucket).ok()?);
-                }
-                out
+                out.push(crate::exec::finish_aggregate(*func, bucket).ok()?);
             }
-        });
-    }
-    Some(results)
+            AggPart::Done(out)
+        }
+    })
 }
 
 /// The bare-float-column case of a numeric aggregate argument: the
@@ -3612,13 +3324,6 @@ fn float_col_direct<'v>(k: &NumK, view: &View<'v>) -> Option<(&'v [f64], &'v [u3
         return None;
     };
     Some((d, view.sel(*id), &col.nulls))
-}
-
-fn finish_nullable<T>(acc: Vec<T>, has: Vec<bool>, wrap: impl Fn(T) -> Value) -> Vec<Value> {
-    acc.into_iter()
-        .zip(has)
-        .map(|(v, h)| if h { wrap(v) } else { Value::Null })
-        .collect()
 }
 
 /// Evaluate a group-context expression to one value per group,
@@ -3718,17 +3423,7 @@ fn grouped(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'_>) -> Option<P
                 _ => None,
             })
             .collect::<Option<_>>()?;
-        // Morsel-parallel grouping handles single dictionary-text and
-        // integer keys; other key shapes fall back to the serial
-        // `group_ids` (not to the row path) and stay byte-identical by
-        // construction.
-        let (gids, reps) = match keys.as_slice() {
-            [id] if input.par.active(view.len) => match group_ids_morsels(view, *id, input.par) {
-                Some(pair) => pair,
-                None => group_ids(cx, view, &keys)?,
-            },
-            _ => group_ids(cx, view, &keys)?,
-        };
+        let (gids, reps) = group_ids(view, &keys, input.par)?;
         (gids, reps, false)
     };
     let n_groups = if select.group_by.is_empty() {
@@ -3762,16 +3457,7 @@ fn grouped(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'_>) -> Option<P
         .map(|o| cx.compile_gk(&o.expr, &mut aggs))
         .collect::<Option<_>>()?;
 
-    // Thread-local accumulator tables merge deterministically only for
-    // order-insensitive aggregates (counts, exact-overflow-tracked int
-    // sums, min/max); float sums and averages are accumulated in row
-    // order — float addition is not associative, and a different
-    // partial-sum tree would change result bytes.
-    let agg_results = if input.par.active(view.len) && aggs.iter().all(agg_mergeable) {
-        accumulate_morsels(&aggs, view, &gids, n_groups, input.par)?
-    } else {
-        accumulate(&aggs, view, &gids, n_groups)?
-    };
+    let agg_results = accumulate(&aggs, view, &gids, n_groups, input.par)?;
     let scalars = ScalarGroups {
         view,
         reps_rowids: view
@@ -3877,6 +3563,17 @@ fn note_groups(created: usize) {
 fn note_dict_lut(entries: usize, probes: usize) {
     sb_obs::count("engine.columnar.dict.lut_entries", entries as u64);
     sb_obs::count("engine.columnar.dict.lut_probes", probes as u64);
+}
+
+/// Record one multi-morsel dispatch: the `engine.parallel.*` counters
+/// and, for a profiled operator, its morsel and steal counts.
+fn note_dispatch(stats: rayon::MorselStats, merges: usize, prof_op: Option<&sb_obs::OpStats>) {
+    if sb_obs::enabled() {
+        note_parallel(stats, merges);
+    }
+    if let Some(op) = prof_op {
+        op.parallel(stats.morsels as u64, stats.steals as u64);
+    }
 }
 
 /// One morsel-parallel operator dispatch. `morsels` depends only on row

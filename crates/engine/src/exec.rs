@@ -129,12 +129,13 @@ pub struct ExecOptions {
     /// from the row path.
     pub columnar: bool,
     /// Morsel-driven intra-query parallelism inside the columnar batch
-    /// engine: filter kernels, the hash-join build and probe, and
-    /// grouped aggregation run over fixed-size row morsels on the rayon
-    /// scoped-thread pool, with per-morsel results merged in morsel
-    /// order so output is byte-identical at any thread count.
-    /// `RAYON_NUM_THREADS=1` (or one core) degenerates to the serial
-    /// columnar code path exactly.
+    /// engine. Each batch operator (the filtered scan, the hash-join
+    /// build and probe, group assignment, aggregation) is one kernel run
+    /// over 1..n fixed-size row morsels on the rayon scoped-thread pool,
+    /// with per-morsel results merged in morsel order so output is
+    /// byte-identical at any thread count. Off, one worker
+    /// (`RAYON_NUM_THREADS=1`, one core) or an input that fits one
+    /// morsel runs the same kernel once, inline, as one morsel.
     pub parallel: bool,
     /// Worker-thread override for parallel batch execution. `0` asks
     /// the rayon shim (`RAYON_NUM_THREADS` or available parallelism);

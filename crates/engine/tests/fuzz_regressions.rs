@@ -57,7 +57,8 @@ fn db() -> Database {
 }
 
 /// Every point of the executor's configuration matrix: each join
-/// strategy with the columnar batch engine on and off.
+/// strategy with the columnar batch engine off, on, and on with every
+/// operator split into one-row morsels across three workers.
 fn matrix() -> Vec<ExecOptions> {
     let mut out = Vec::new();
     for join in [
@@ -72,8 +73,21 @@ fn matrix() -> Vec<ExecOptions> {
                 ..ExecOptions::default()
             });
         }
+        out.push(multi_morsel(join));
     }
     out
+}
+
+/// The columnar engine with every operator over more than one row split
+/// into one-row morsels, dispatched across three workers.
+fn multi_morsel(join: JoinStrategy) -> ExecOptions {
+    ExecOptions {
+        join,
+        columnar: true,
+        parallel: true,
+        workers: 3,
+        morsel_rows: 1,
+    }
 }
 
 /// The reference interpreter's result for `sql`: the baseline every
@@ -341,6 +355,10 @@ fn integer_overflow_is_a_defined_error_everywhere() {
         "SELECT -(-9223372036854775807 - 1) FROM big WHERE id = 1",
         // SUM of 2^53 and 2^53+1 fits; force overflow via repeated MAX.
         "SELECT SUM(v * 1024 * 1024) FROM big WHERE v > 0",
+        // Every product fits and so does the total, 2^63 - 2048, but the
+        // running sum passes 2^63 at row 2: a running `checked_add`
+        // overflows, so the SUM must too, in one morsel or split.
+        "SELECT SUM(v * 512) FROM big",
     ] {
         for opts in matrix() {
             assert!(
@@ -357,4 +375,121 @@ fn integer_overflow_is_a_defined_error_everywhere() {
     // Non-overflowing neighbours still succeed exactly.
     let r = db.run("SELECT v + 1 FROM big WHERE id = 2").unwrap();
     assert_eq!(r.rows, vec![vec![Value::Int((1 << 53) + 1)]]);
+}
+
+/// Two-row morsels over `-2^62, -2^62, 2^62, 2^62, 1`: the second
+/// morsel's own running sum reaches 2^63 and leaves i64, while every
+/// running sum of the column stays inside it (the lowest is exactly
+/// `i64::MIN`). The split SUM must retrace that morsel exactly and
+/// answer 1 on the batch engine, not overflow or fall back.
+#[test]
+fn sum_whose_morsel_alone_leaves_i64_is_exact() {
+    const P62: i64 = 1 << 62;
+    let schema =
+        Schema::new("sums").with_table(TableDef::new("s", vec![Column::new("v", ColumnType::Int)]));
+    let mut db = Database::new(schema);
+    db.table_mut("s").unwrap().push_rows(
+        [-P62, -P62, P62, P62, 1]
+            .into_iter()
+            .map(|v| vec![Value::Int(v)])
+            .collect(),
+    );
+    let sql = "SELECT SUM(v) FROM s";
+    assert_eq!(reference(&db, sql).rows, vec![vec![Value::Int(1)]]);
+    let split = ExecOptions {
+        morsel_rows: 2,
+        ..multi_morsel(JoinStrategy::Auto)
+    };
+    for opts in matrix().into_iter().chain([split]) {
+        assert_eq!(
+            db.run_with(sql, opts).unwrap().rows,
+            vec![vec![Value::Int(1)]],
+            "{opts:?}"
+        );
+    }
+    let plan = sb_engine::explain_analyze(&db, &sb_sql::parse(sql).unwrap(), split, false).unwrap();
+    assert!(plan.contains("actual=columnar"), "{plan}");
+}
+
+// ---------------------------------------------------------------------
+// Key kinds split into morsels: grouping and join keys beyond the
+// dictionary-text and integer kinds, each merged across one-row morsels.
+// ---------------------------------------------------------------------
+
+/// One table per key kind: `kinds.f` holds `0.0`, `-0.0`, two floats
+/// that round to the same 6-decimal canonical key, and NULLs; `kinds.b`
+/// is a bool with NULLs; `kinds.z` is NULL throughout; `kinds.t` is
+/// text whose only NULL is the last row (the last one-row morsel).
+/// `other` carries text and float join keys for `kinds.t` / `kinds.f`.
+fn kinds_db() -> Database {
+    let schema = Schema::new("kinds")
+        .with_table(TableDef::new(
+            "kinds",
+            vec![
+                Column::pk("id", ColumnType::Int),
+                Column::new("f", ColumnType::Float),
+                Column::new("b", ColumnType::Bool),
+                Column::new("z", ColumnType::Int),
+                Column::new("t", ColumnType::Text),
+                Column::new("g", ColumnType::Int),
+            ],
+        ))
+        .with_table(TableDef::new(
+            "other",
+            vec![
+                Column::new("t", ColumnType::Text),
+                Column::new("f", ColumnType::Float),
+                Column::new("w", ColumnType::Int),
+            ],
+        ));
+    let mut db = Database::new(schema);
+    let row = |id: i64, f: Value, b: Value, t: Value, g: i64| {
+        vec![Value::Int(id), f, b, Value::Null, t, Value::Int(g)]
+    };
+    db.table_mut("kinds").unwrap().push_rows(vec![
+        row(1, 0.0.into(), true.into(), "a".into(), 1),
+        row(2, (-0.0).into(), Value::Null, "b".into(), 1),
+        row(3, 1.0000001.into(), false.into(), "a".into(), 2),
+        row(4, Value::Null, true.into(), "c".into(), 2),
+        row(5, 1.0000002.into(), Value::Null, "b".into(), 1),
+        row(6, 0.0.into(), false.into(), "a".into(), 2),
+        row(7, Value::Null, true.into(), "c".into(), 1),
+        row(8, 2.5.into(), false.into(), Value::Null, 2),
+    ]);
+    db.table_mut("other").unwrap().push_rows(vec![
+        vec!["a".into(), 0.0.into(), 10.into()],
+        vec!["c".into(), 2.5.into(), 20.into()],
+        vec![Value::Null, (-0.0).into(), 30.into()],
+        vec!["a".into(), 1.0000001.into(), 40.into()],
+        vec!["zz".into(), Value::Null, 50.into()],
+    ]);
+    db
+}
+
+/// Grouping on float, bool, all-NULL, late-NULL text and two-column
+/// keys, and equi-joins on text and float keys, agree row for row (group
+/// order included) with the reference interpreter when every operator
+/// runs over one-row morsels.
+#[test]
+fn key_kinds_split_into_morsels_match_the_reference() {
+    let db = kinds_db();
+    for sql in [
+        "SELECT f, COUNT(*), SUM(id), MIN(id) FROM kinds GROUP BY f",
+        "SELECT b, COUNT(*), MAX(id) FROM kinds GROUP BY b",
+        "SELECT z, COUNT(*), SUM(g) FROM kinds GROUP BY z",
+        "SELECT t, COUNT(*), MIN(f) FROM kinds GROUP BY t",
+        "SELECT t, g, COUNT(*), SUM(id) FROM kinds GROUP BY t, g",
+        "SELECT T1.id, T2.w FROM kinds AS T1 JOIN other AS T2 ON T1.t = T2.t",
+        "SELECT T1.id, T2.w FROM kinds AS T1 JOIN other AS T2 ON T1.f = T2.f",
+    ] {
+        let baseline = reference(&db, sql);
+        assert!(!baseline.rows.is_empty(), "{sql}");
+        for opts in matrix() {
+            assert_eq!(
+                db.run_with(sql, opts).unwrap().rows,
+                baseline.rows,
+                "{opts:?}: {sql}"
+            );
+        }
+    }
 }

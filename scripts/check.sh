@@ -67,7 +67,7 @@ grep -q '"engine.columnar.selects"' "$report" || {
     exit 1
 }
 
-echo "== parallel smoke: morsel dispatch live at 1 and 8 threads =="
+echo "== parallel smoke: morsel dispatch live at 8 threads, absent at 1 =="
 # Force multi-morsel dispatch on the small fuzz tables (SB_MORSEL_ROWS)
 # and check the engine's byte-determinism contract end to end at both
 # thread counts, plus the obs counters that prove morsels actually ran.
@@ -89,6 +89,15 @@ grep -q '"engine.parallel.morsels"' "$par_report" || {
     echo "profile_run report is missing morsel counters (parallel path never dispatched)" >&2
     exit 1
 }
+# One worker means one morsel: the same forced-small morsel size at one
+# thread must run every operator inline, so no engine.parallel counter
+# may appear.
+RAYON_NUM_THREADS=1 SB_MORSEL_ROWS=7 SB_OBS=summary \
+    ./target/release/profile_run --quick --domain sdss > "$par_report"
+if grep -q '"engine\.parallel\.' "$par_report"; then
+    echo "one-worker profile_run report has engine.parallel counters (morsels dispatched)" >&2
+    exit 1
+fi
 rm -f "$par_report"
 
 echo "== serve smoke: in-process load run across all three domains =="
