@@ -12,6 +12,10 @@
 //!
 //! Both scenarios run inside one test: the `sb-obs` registry is global,
 //! so parallel test threads would trample each other's snapshots.
+//!
+//! The reverse direction is checked for the engine: every `engine.*`
+//! row of the registry must be a counter the engine still writes, so a
+//! removed counter cannot leave a stale row behind.
 
 use sb_bench::profiling::{profile_domain, quick_profile_config};
 use sb_core::SpiderPairs;
@@ -74,6 +78,28 @@ fn assert_all_registered(report: &sb_obs::Report, registry: &[String], scenario:
                 "{scenario}: unregistered {kind} `{name}` — add it to crates/obs/NAMES.md"
             );
         }
+    }
+}
+
+/// The one engine counter written directly rather than folded from
+/// statement profiles: a subquery memo event, which has no operator slot.
+const DIRECT_ENGINE_COUNTER: &str = "engine.compile.subquery_exec";
+
+#[test]
+fn every_registered_engine_counter_is_written() {
+    let reg = registry();
+    let folded: Vec<&str> = sb_obs::ENGINE_COUNTERS.iter().map(|(n, _)| *n).collect();
+    for name in reg.iter().filter(|n| n.starts_with("engine.")) {
+        assert!(
+            folded.contains(&name.as_str()) || name == DIRECT_ENGINE_COUNTER,
+            "crates/obs/NAMES.md registers `{name}`, which the engine no longer writes"
+        );
+    }
+    for name in folded {
+        assert!(
+            is_registered(name, &reg),
+            "folded counter `{name}` is missing from crates/obs/NAMES.md"
+        );
     }
 }
 

@@ -43,12 +43,11 @@
 //! once inline and its single part moves into place uncopied. Every
 //! merge reproduces the one-morsel result byte for byte.
 //!
-//! Counters (under `SB_OBS=1`): the batch path emits the same
-//! `engine.scan.rows` / `engine.scan.rows_pruned_pushdown` totals the
-//! row scans would, plus `engine.columnar.*` operator counters — batch
-//! counts, selection-vector density, dictionary LUT sizes — surfaced in
-//! `profile_run` reports. `engine.parallel.*` counts only operators that
-//! ran over more than one morsel.
+//! Operators record rows, build and probe sizes, groups and morsel
+//! dispatches in the statement's profile slots only; the `engine.*`
+//! counters are folded from those slots once per statement (see
+//! [`crate::exec`]), so observing a run never changes which kernel runs.
+//! Only operators that ran over more than one morsel record a dispatch.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -70,7 +69,7 @@ use crate::exec::{is_aggregate_query, Projected, Relation};
 use crate::inset::InSet;
 use crate::key::{self, FxBuild, KeyIndex};
 use crate::value::{canon_num, cmp_int_f64, Value};
-use sb_obs::FixedOp;
+use sb_obs::{FixedOp, OpStats};
 use std::cmp::Ordering;
 
 /// Resolved parallel-execution configuration for one batch run: the
@@ -110,22 +109,26 @@ impl ParConfig {
     }
 
     /// Run `kernel(lo, hi)` over each morsel of `rows` rows; parts come
-    /// back in morsel order. One morsel runs inline, with no dispatch
-    /// stats; more go to the morsel pool.
+    /// back in morsel order. One morsel runs inline; more go to the
+    /// morsel pool, and the dispatch is recorded in `op`'s profile slot.
     fn run<R: Send>(
         &self,
         rows: usize,
+        op: Option<&OpStats>,
         kernel: impl Fn(usize, usize) -> R + Sync,
-    ) -> (Vec<R>, Option<rayon::MorselStats>) {
+    ) -> Vec<R> {
         let morsels = self.morsels(rows);
         if morsels == 1 {
-            return (vec![kernel(0, rows)], None);
+            return vec![kernel(0, rows)];
         }
         let step = self.morsel_rows;
         let (parts, stats) = rayon::morsel_map(morsels, self.workers, |m| {
             kernel(m * step, ((m + 1) * step).min(rows))
         });
-        (parts, Some(stats))
+        if let Some(op) = op {
+            op.parallel(stats.morsels as u64, stats.steals as u64);
+        }
+        parts
     }
 }
 
@@ -160,7 +163,7 @@ pub(crate) struct BatchInput<'a, 'q> {
     /// Morsel-parallel execution knobs (workers, morsel size).
     pub(crate) par: ParConfig,
     /// Per-statement profile block (EXPLAIN ANALYZE), if requested.
-    pub(crate) bp: Option<crate::exec::BlockProf<'a>>,
+    pub(crate) bp: Option<sb_obs::Block<'a>>,
     /// The statement's subquery memo, shared with the row path so a
     /// subquery run here is never run again after a bail.
     pub(crate) ctx: &'a EvalContext<'a>,
@@ -169,7 +172,7 @@ pub(crate) struct BatchInput<'a, 'q> {
 /// Record why the batch path bailed (first reason wins) and fall back.
 fn bail(input: &BatchInput<'_, '_>, reason: &'static str) -> Option<Projected> {
     if let Some(bp) = &input.bp {
-        bp.prof.set_fallback(bp.block, reason);
+        bp.set_fallback(reason);
     }
     None
 }
@@ -177,14 +180,6 @@ fn bail(input: &BatchInput<'_, '_>, reason: &'static str) -> Option<Projected> {
 /// Attempt batch execution. `None` means "fall back to the row path" —
 /// never an error.
 pub(crate) fn try_select(input: &BatchInput<'_, '_>) -> Option<Projected> {
-    let out = run(input);
-    if sb_obs::enabled() {
-        note_outcome(out.is_some());
-    }
-    out
-}
-
-fn run(input: &BatchInput<'_, '_>) -> Option<Projected> {
     if input.nested_loop && !input.select.joins.is_empty() {
         return bail(input, "nested-loop");
     }
@@ -243,36 +238,30 @@ fn run(input: &BatchInput<'_, '_>) -> Option<Projected> {
     };
 
     // Residual filter over the joined view.
-    let filter_op = input.bp.as_ref().and_then(|b| b.fixed(FixedOp::Filter));
+    let filter_op = input
+        .bp
+        .filter(|_| !residual.is_empty())
+        .and_then(|b| b.fixed(FixedOp::Filter));
     let filter_in = rowids.first().map_or(0, |c| c.len());
     let filter_t0 = crate::exec::prof_clock(&input.bp);
     for conj in &residual {
         let view = View::all(&tables, &rowids);
         let tri = conj.eval(&view)?;
-        let before = view.len;
-        let mut keep_idx = vec![0usize; before];
+        let mut keep_idx = vec![0usize; view.len];
         let mut k = 0usize;
         for (i, &t) in tri.iter().enumerate() {
             keep_idx[k] = i;
             k += (t == 1) as usize;
         }
         keep_idx.truncate(k);
-        if sb_obs::enabled() {
-            note_filter(before, keep_idx.len());
-        }
         for col in &mut rowids {
             *col = keep_idx.iter().map(|&i| col[i]).collect();
         }
     }
-    if !residual.is_empty() {
-        if let Some(op) = filter_op {
-            op.rows(
-                filter_in as u64,
-                rowids.first().map_or(0, |c| c.len()) as u64,
-            );
-            op.add_batches(residual.len() as u64);
-            crate::exec::prof_elapsed(filter_t0, Some(op));
-        }
+    if let Some(op) = filter_op {
+        let filter_out = rowids.first().map_or(0, |c| c.len());
+        op.rows(filter_in as u64, filter_out as u64);
+        crate::exec::prof_elapsed(filter_t0, Some(op));
     }
     let view = View::all(&tables, &rowids);
     if is_aggregate_query(input.select, input.order_by) {
@@ -310,45 +299,23 @@ fn scan(
         input.par
     };
     let n_rel = input.relations.len();
-    let (parts, stats) = par.run(scanned, |lo, hi| {
-        filter_range(tables, n_rel, rel, conjs, lo, hi)
-    });
-    if sb_obs::enabled() {
-        // Per-conjunct totals summed across morsels, up to a bail, so
-        // the filter counters match a one-morsel scan's.
-        let depth = parts.iter().map(|(_, c)| c.len()).max().unwrap_or(0);
-        for c in 0..depth {
-            let (rows_in, rows_out) = parts
-                .iter()
-                .filter_map(|(_, counts)| counts.get(c))
-                .fold((0, 0), |(i, o), &(ci, co)| (i + ci, o + co));
-            note_filter(rows_in, rows_out);
-        }
-    }
-    let parts: Vec<Vec<u32>> = parts
+    let parts: Vec<Vec<u32>> = par
+        .run(scanned, prof_op, |lo, hi| {
+            filter_range(tables, n_rel, rel, conjs, lo, hi)
+        })
         .into_iter()
-        .map(|(sel, _)| sel)
         .collect::<Option<_>>()?;
-    let batches = parts.len();
     let sel = concat(parts);
-    if sb_obs::enabled() {
-        note_scan(scanned, sel.len());
-    }
-    if let Some(stats) = stats {
-        note_dispatch(stats, batches, prof_op);
-    }
     if let Some(op) = prof_op {
         op.rows(scanned as u64, sel.len() as u64);
-        op.add_batches(batches as u64);
         crate::exec::prof_elapsed(prof_t0, Some(op));
     }
     Some(sel)
 }
 
 /// One morsel of a pushed-filter scan: the conjunct chain applied
-/// progressively over rows `lo..hi`. Returns the surviving selection
-/// (`None` on a bail) and, under observability, each evaluated
-/// conjunct's `(rows_in, rows_out)`.
+/// progressively over rows `lo..hi`. Returns the surviving selection,
+/// `None` on a bail.
 fn filter_range(
     tables: &[Arc<ColumnarTable>],
     n_rel: usize,
@@ -356,8 +323,7 @@ fn filter_range(
     conjs: &[BoolK],
     lo: usize,
     hi: usize,
-) -> (Option<Vec<u32>>, Vec<(usize, usize)>) {
-    let mut counts = Vec::new();
+) -> Option<Vec<u32>> {
     // `range` defers materializing the lo..hi index vector: fused
     // conjuncts iterate the range directly, so a scan whose whole
     // conjunct chain stays in the fused lanes never builds it.
@@ -371,14 +337,12 @@ fn filter_range(
         } else {
             SelRef::Rows(&sel)
         };
-        let before = selref.len();
         // Range fusion: consecutive bounds on one expression evaluate
-        // in a single pass. Skipped under observability, which wants
-        // the per-conjunct selectivity counters.
-        if !sb_obs::enabled() && ci + 1 < conjs.len() {
+        // in a single pass.
+        if ci + 1 < conjs.len() {
             if let Some(fused) = filter_fused_pair(tables, &selref, conj, &conjs[ci + 1]) {
                 let Fused::Kept(kept) = fused else {
-                    return (None, counts);
+                    return None;
                 };
                 sel = kept;
                 range = false;
@@ -388,19 +352,17 @@ fn filter_range(
         }
         sel = match filter_fused(tables, &selref, conj) {
             Fused::Kept(kept) => kept,
-            Fused::Bail => return (None, counts),
+            Fused::Bail => return None,
             Fused::Unhandled => {
                 if range {
                     sel = (lo as u32..hi as u32).collect();
                 }
                 let view = View::single(tables, n_rel, rel, &sel);
-                let Some(tri) = conj.eval(&view) else {
-                    return (None, counts);
-                };
+                let tri = conj.eval(&view)?;
                 // Branch-free compaction: always write, advance the
                 // cursor only on a keep — no data-dependent branch to
                 // mispredict.
-                let mut kept = vec![0u32; before];
+                let mut kept = vec![0u32; sel.len()];
                 let mut k = 0usize;
                 for (i, &r) in sel.iter().enumerate() {
                     kept[k] = r;
@@ -411,15 +373,12 @@ fn filter_range(
             }
         };
         range = false;
-        if sb_obs::enabled() {
-            counts.push((before, sel.len()));
-        }
         ci += 1;
     }
     if range {
         sel = (lo as u32..hi as u32).collect();
     }
-    (Some(sel), counts)
+    Some(sel)
 }
 
 /// Result of [`filter_fused`]: either the conjunct's shape is outside
@@ -1669,9 +1628,6 @@ impl BoolK {
                         // One probe per distinct string, not per row.
                         let lut: Vec<i8> =
                             d.values.iter().map(|s| tri(set.probe_text(s))).collect();
-                        if sb_obs::enabled() {
-                            note_dict_lut(lut.len(), n);
-                        }
                         (0..n)
                             .map(|i| {
                                 let r = v.rid(*id, i);
@@ -1710,9 +1666,6 @@ impl BoolK {
                     .iter()
                     .map(|s| (like_match(s, pattern) != *negated) as i8)
                     .collect();
-                if sb_obs::enabled() {
-                    note_dict_lut(lut.len(), n);
-                }
                 (0..n)
                     .map(|i| {
                         let r = v.rid(*col, i);
@@ -1762,9 +1715,6 @@ impl BoolK {
                     .iter()
                     .map(|val| tri_of(val.as_str().cmp(s.as_str()), op))
                     .collect();
-                if sb_obs::enabled() {
-                    note_dict_lut(lut.len(), n);
-                }
                 (0..n)
                     .map(|i| {
                         let r = v.rid(*id, i);
@@ -1783,9 +1733,6 @@ impl BoolK {
                     .iter()
                     .map(|val| tri_of(s.as_str().cmp(val.as_str()), op))
                     .collect();
-                if sb_obs::enabled() {
-                    note_dict_lut(lut.len(), n);
-                }
                 (0..n)
                     .map(|i| {
                         let r = v.rid(*id, i);
@@ -2299,10 +2246,10 @@ fn build_index<K: Hash + Eq + Send>(
     par: ParConfig,
     build_sel: &[u32],
     key: impl Fn(usize) -> Option<K> + Sync,
-    prof_op: Option<&sb_obs::OpStats>,
+    prof_op: Option<&OpStats>,
 ) -> HashMap<K, Vec<u32>, FxBuild> {
     let n = build_sel.len();
-    let (mut parts, stats) = par.run(n, |lo, hi| {
+    let mut parts = par.run(n, prof_op, |lo, hi| {
         let mut local: HashMap<K, Vec<u32>, FxBuild> =
             HashMap::with_capacity_and_hasher(hi - lo, FxBuild::default());
         for &rid in &build_sel[lo..hi] {
@@ -2312,10 +2259,9 @@ fn build_index<K: Hash + Eq + Send>(
         }
         local
     });
-    let Some(stats) = stats else {
+    if parts.len() == 1 {
         return parts.pop().expect("one morsel");
-    };
-    let merges: usize = parts.iter().map(HashMap::len).sum();
+    }
     let mut index: HashMap<K, Vec<u32>, FxBuild> =
         HashMap::with_capacity_and_hasher(n, FxBuild::default());
     for local in parts {
@@ -2323,7 +2269,6 @@ fn build_index<K: Hash + Eq + Send>(
             index.entry(k).and_modify(|e| e.append(&mut v)).or_insert(v);
         }
     }
-    note_dispatch(stats, merges, prof_op);
     index
 }
 
@@ -2335,9 +2280,9 @@ fn probe<'i>(
     acc: &[Vec<u32>],
     probe_pos: usize,
     matches: impl Fn(usize) -> &'i [u32] + Copy + Sync,
-    prof_op: Option<&sb_obs::OpStats>,
+    prof_op: Option<&OpStats>,
 ) -> Vec<Vec<u32>> {
-    let (mut parts, stats) = par.run(acc[0].len(), |lo, hi| {
+    let mut parts = par.run(acc[0].len(), prof_op, |lo, hi| {
         let mut out: Vec<Vec<u32>> = vec![Vec::new(); acc.len() + 1];
         for i in lo..hi {
             for &rid in matches(acc[probe_pos][i] as usize) {
@@ -2349,9 +2294,6 @@ fn probe<'i>(
         }
         out
     });
-    if let Some(stats) = stats {
-        note_dispatch(stats, parts.len(), prof_op);
-    }
     let column = |c| {
         concat(
             parts
@@ -2570,9 +2512,6 @@ fn join_all(cx: &Cx<'_>, input: &BatchInput<'_, '_>, sels: Vec<Vec<u32>>) -> Opt
             };
             probe(par, &acc, probe_pos, matches, prof_op)
         };
-        if sb_obs::enabled() {
-            note_join(build_sel.len(), acc_len, out[0].len());
-        }
         if let Some(op) = prof_op {
             op.rows((acc_len + build_sel.len()) as u64, out[0].len() as u64);
             op.build_probe(build_sel.len() as u64, acc_len as u64);
@@ -2799,7 +2738,12 @@ impl Cx<'_> {
 /// first batch-row index of each group. A single key column runs through
 /// [`group_single`] with a slot table for its kind; multi-column keys
 /// run as one morsel.
-fn group_ids(view: &View<'_>, keys: &[ColId], par: ParConfig) -> Option<(Vec<u32>, Vec<u32>)> {
+fn group_ids(
+    view: &View<'_>,
+    keys: &[ColId],
+    par: ParConfig,
+    op: Option<&OpStats>,
+) -> Option<(Vec<u32>, Vec<u32>)> {
     let [id] = keys else {
         return group_ids_multi(view, keys);
     };
@@ -2811,12 +2755,9 @@ fn group_ids(view: &View<'_>, keys: &[ColId], par: ParConfig) -> Option<(Vec<u32
         ColumnData::Text(d) => {
             // Dictionary fast path: one slot per code, plus NULL.
             let nv = d.values.len();
-            if sb_obs::enabled() {
-                note_dict_lut(nv, sel.len());
-            }
             let table = || vec![u32::MAX; nv + 1];
             let codes = d.codes.as_slice();
-            group_single(par, sel, table, move |r| {
+            group_single(par, op, sel, table, move |r| {
                 if is_null(r) {
                     nv
                 } else {
@@ -2826,6 +2767,7 @@ fn group_ids(view: &View<'_>, keys: &[ColId], par: ParConfig) -> Option<(Vec<u32
         }
         ColumnData::Int(d) => group_single(
             par,
+            op,
             sel,
             || (HashMap::default(), u32::MAX),
             move |r| (!is_null(r)).then(|| d[r]),
@@ -2834,13 +2776,14 @@ fn group_ids(view: &View<'_>, keys: &[ColId], par: ParConfig) -> Option<(Vec<u32
         // identical partitions to the row path's hashed `Vec<Value>` keys.
         ColumnData::Float(d) => group_single(
             par,
+            op,
             sel,
             || (HashMap::default(), u32::MAX),
             move |r| (!is_null(r)).then(|| canon_num(d[r]).to_bits()),
         ),
         ColumnData::Bool(d) => {
             let table = || vec![u32::MAX; 3];
-            group_single(par, sel, table, move |r| {
+            group_single(par, op, sel, table, move |r| {
                 if is_null(r) {
                     2
                 } else {
@@ -2848,7 +2791,7 @@ fn group_ids(view: &View<'_>, keys: &[ColId], par: ParConfig) -> Option<(Vec<u32
                 }
             })
         }
-        ColumnData::AllNull => group_single(par, sel, || vec![u32::MAX], |_| 0),
+        ColumnData::AllNull => group_single(par, op, sel, || vec![u32::MAX], |_| 0),
         ColumnData::Mixed => return None,
     })
 }
@@ -2885,12 +2828,13 @@ impl<K: Hash + Eq> GroupSlots<Option<K>> for (HashMap<K, u32, FxBuild>, u32) {
 /// A single morsel's ids are already global and move into place.
 fn group_single<K: Copy + Send, T: GroupSlots<K>>(
     par: ParConfig,
+    op: Option<&OpStats>,
     sel: &[u32],
     table: impl Fn() -> T + Sync,
     key: impl Fn(usize) -> K + Sync,
 ) -> (Vec<u32>, Vec<u32>) {
     let n = sel.len();
-    let (mut parts, stats) = par.run(n, |lo, hi| {
+    let mut parts = par.run(n, op, |lo, hi| {
         let mut slots = table();
         let mut gids = Vec::with_capacity(hi - lo);
         let mut keys = Vec::new();
@@ -2907,11 +2851,10 @@ fn group_single<K: Copy + Send, T: GroupSlots<K>>(
         }
         (gids, keys, firsts)
     });
-    let Some(stats) = stats else {
+    if parts.len() == 1 {
         let (gids, _, reps) = parts.pop().expect("one morsel");
         return (gids, reps);
-    };
-    let merges = parts.iter().map(|(_, keys, _)| keys.len()).sum();
+    }
     let mut slots = table();
     let mut reps: Vec<u32> = Vec::new();
     let mut gids = Vec::with_capacity(n);
@@ -2930,7 +2873,6 @@ fn group_single<K: Copy + Send, T: GroupSlots<K>>(
             .collect();
         gids.extend(local.iter().map(|&g| global[g as usize]));
     }
-    note_dispatch(stats, merges, None);
     (gids, reps)
 }
 
@@ -3181,22 +3123,22 @@ fn accumulate(
     gids: &[u32],
     n_groups: usize,
     par: ParConfig,
+    op: Option<&OpStats>,
 ) -> Option<Vec<Vec<Value>>> {
     let par = if aggs.iter().all(agg_mergeable) {
         par
     } else {
         par.one_morsel()
     };
-    let (parts, stats) = par.run(view.len, |lo, hi| {
-        let sub = view.slice(lo, hi);
-        aggs.iter()
-            .map(|agg| accumulate_part(agg, &sub, &gids[lo..hi], n_groups))
-            .collect::<Option<Vec<AggPart>>>()
-    });
-    let parts: Vec<Vec<AggPart>> = parts.into_iter().collect::<Option<_>>()?;
-    if let Some(stats) = stats {
-        note_dispatch(stats, parts.len() * aggs.len(), None);
-    }
+    let parts: Vec<Vec<AggPart>> = par
+        .run(view.len, op, |lo, hi| {
+            let sub = view.slice(lo, hi);
+            aggs.iter()
+                .map(|agg| accumulate_part(agg, &sub, &gids[lo..hi], n_groups))
+                .collect::<Option<Vec<AggPart>>>()
+        })
+        .into_iter()
+        .collect::<Option<_>>()?;
     let mut parts = parts.into_iter();
     let mut merged = parts.next().expect("at least one morsel");
     for part in parts {
@@ -3423,7 +3365,7 @@ fn grouped(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'_>) -> Option<P
                 _ => None,
             })
             .collect::<Option<_>>()?;
-        let (gids, reps) = group_ids(view, &keys, input.par)?;
+        let (gids, reps) = group_ids(view, &keys, input.par, prof_op)?;
         (gids, reps, false)
     };
     let n_groups = if select.group_by.is_empty() {
@@ -3431,9 +3373,6 @@ fn grouped(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'_>) -> Option<P
     } else {
         reps.len()
     };
-    if sb_obs::enabled() {
-        note_groups(n_groups);
-    }
 
     // Compile HAVING / projections / ORDER BY keys, registering
     // aggregate calls.
@@ -3457,7 +3396,7 @@ fn grouped(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'_>) -> Option<P
         .map(|o| cx.compile_gk(&o.expr, &mut aggs))
         .collect::<Option<_>>()?;
 
-    let agg_results = accumulate(&aggs, view, &gids, n_groups, input.par)?;
+    let agg_results = accumulate(&aggs, view, &gids, n_groups, input.par, prof_op)?;
     let scalars = ScalarGroups {
         view,
         reps_rowids: view
@@ -3507,84 +3446,4 @@ fn grouped(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'_>) -> Option<P
         crate::exec::prof_elapsed(prof_t0, Some(op));
     }
     Some((columns, out_rows, keys))
-}
-
-// ---------------------------------------------------------------------
-// Observability sinks (cold, called only under SB_OBS=1).
-// ---------------------------------------------------------------------
-
-#[cold]
-#[inline(never)]
-fn note_outcome(ok: bool) {
-    sb_obs::count(
-        if ok {
-            "engine.columnar.selects"
-        } else {
-            "engine.columnar.fallbacks"
-        },
-        1,
-    );
-}
-
-#[cold]
-#[inline(never)]
-fn note_scan(scanned: usize, kept: usize) {
-    // Same totals the row-path scans would report, so scan counters stay
-    // comparable across engines.
-    sb_obs::count("engine.scan.rows", scanned as u64);
-    sb_obs::count("engine.scan.rows_pruned_pushdown", (scanned - kept) as u64);
-}
-
-#[cold]
-#[inline(never)]
-fn note_filter(rows_in: usize, rows_out: usize) {
-    sb_obs::count("engine.columnar.filter.batches", 1);
-    sb_obs::count("engine.columnar.filter.rows_in", rows_in as u64);
-    sb_obs::count("engine.columnar.filter.rows_out", rows_out as u64);
-}
-
-#[cold]
-#[inline(never)]
-fn note_join(build: usize, probe: usize, output: usize) {
-    sb_obs::count("engine.columnar.join.hash", 1);
-    sb_obs::count("engine.columnar.join.build_rows", build as u64);
-    sb_obs::count("engine.columnar.join.probe_rows", probe as u64);
-    sb_obs::count("engine.columnar.join.output_rows", output as u64);
-}
-
-#[cold]
-#[inline(never)]
-fn note_groups(created: usize) {
-    sb_obs::count("engine.columnar.agg.groups", created as u64);
-}
-
-#[cold]
-#[inline(never)]
-fn note_dict_lut(entries: usize, probes: usize) {
-    sb_obs::count("engine.columnar.dict.lut_entries", entries as u64);
-    sb_obs::count("engine.columnar.dict.lut_probes", probes as u64);
-}
-
-/// Record one multi-morsel dispatch: the `engine.parallel.*` counters
-/// and, for a profiled operator, its morsel and steal counts.
-fn note_dispatch(stats: rayon::MorselStats, merges: usize, prof_op: Option<&sb_obs::OpStats>) {
-    if sb_obs::enabled() {
-        note_parallel(stats, merges);
-    }
-    if let Some(op) = prof_op {
-        op.parallel(stats.morsels as u64, stats.steals as u64);
-    }
-}
-
-/// One morsel-parallel operator dispatch. `morsels` depends only on row
-/// count and morsel size (thread-count-independent); `steals` is a
-/// scheduling observation and varies run to run; `merges` counts the
-/// per-morsel partial states folded into the global result.
-#[cold]
-#[inline(never)]
-fn note_parallel(stats: rayon::MorselStats, merges: usize) {
-    sb_obs::count("engine.parallel.ops", 1);
-    sb_obs::count("engine.parallel.morsels", stats.morsels as u64);
-    sb_obs::count("engine.parallel.steals", stats.steals as u64);
-    sb_obs::count("engine.parallel.merges", merges as u64);
 }

@@ -83,9 +83,7 @@ impl<'q> SubPlan<'q> {
         if let Some(rs) = &*self.cache.borrow() {
             return Ok(Rc::clone(rs));
         }
-        if sb_obs::enabled() {
-            sb_obs::count("engine.compile.subquery_exec", 1);
-        }
+        sb_obs::count("engine.compile.subquery_exec", 1);
         let rs = ctx.subquery(self.query)?;
         *self.cache.borrow_mut() = Some(Rc::clone(&rs));
         Ok(rs)
@@ -95,9 +93,7 @@ impl<'q> SubPlan<'q> {
         if let Some(set) = self.set.get() {
             return Ok(set);
         }
-        if sb_obs::enabled() {
-            sb_obs::count("engine.compile.subquery_exec", 1);
-        }
+        sb_obs::count("engine.compile.subquery_exec", 1);
         let set = ctx.in_set(self.query)?;
         Ok(self.set.get_or_init(|| set))
     }
@@ -747,7 +743,7 @@ mod tests {
     #[test]
     fn constant_subtrees_fold_to_const() {
         let db = db();
-        let ctx = EvalContext::new(&db);
+        let ctx = EvalContext::new(&db, crate::exec::ExecOptions::default());
         let scope = Scope::default();
         // 1 + 2 < 5  →  Const(true)
         let expr = Expr::binary(
@@ -762,7 +758,7 @@ mod tests {
     #[test]
     fn folded_type_errors_become_poison_not_immediate_failures() {
         let db = db();
-        let ctx = EvalContext::new(&db);
+        let ctx = EvalContext::new(&db, crate::exec::ExecOptions::default());
         let scope = Scope::default();
         // 1 + 'x' folds to a poison node; compiling must not error.
         let expr = Expr::binary(
@@ -781,7 +777,7 @@ mod tests {
     #[test]
     fn short_circuit_protects_poison_operands() {
         let db = db();
-        let ctx = EvalContext::new(&db);
+        let ctx = EvalContext::new(&db, crate::exec::ExecOptions::default());
         let mut scope = Scope::default();
         scope.push("r", vec!["id".into(), "name".into()]);
         // id = 0 AND nope = 1: the unknown column only errors when the
@@ -807,7 +803,7 @@ mod tests {
     #[test]
     fn slots_borrow_rows_without_cloning() {
         let db = db();
-        let ctx = EvalContext::new(&db);
+        let ctx = EvalContext::new(&db, crate::exec::ExecOptions::default());
         let mut scope = Scope::default();
         scope.push("r", vec!["id".into(), "name".into()]);
         let expr = Expr::col(None, "name");

@@ -5,6 +5,7 @@
 
 use crate::database::Database;
 use crate::error::{EngineError, Result};
+use crate::exec::ExecOptions;
 use crate::inset::InSet;
 use crate::result::ResultSet;
 use crate::value::Value;
@@ -92,12 +93,14 @@ impl Scope {
     }
 }
 
-/// Evaluation context: the database for subqueries plus a memo so a
-/// non-correlated subquery is executed once per statement, not once per
-/// candidate row.
+/// Evaluation context: the database and executor options for
+/// subqueries plus a memo so a non-correlated subquery is executed once
+/// per statement, not once per candidate row.
 pub struct EvalContext<'a> {
     /// The database subqueries run against.
     pub db: &'a Database,
+    /// The statement's executor options, which its subqueries run with.
+    pub opts: ExecOptions,
     memo: RefCell<HashMap<String, Rc<Memo>>>,
 }
 
@@ -111,10 +114,11 @@ struct Memo {
 }
 
 impl<'a> EvalContext<'a> {
-    /// Create a context over a database.
-    pub fn new(db: &'a Database) -> Self {
+    /// Create a context over a database for a statement run with `opts`.
+    pub fn new(db: &'a Database, opts: ExecOptions) -> Self {
         EvalContext {
             db,
+            opts,
             memo: RefCell::new(HashMap::new()),
         }
     }
@@ -125,7 +129,7 @@ impl<'a> EvalContext<'a> {
             return Rc::clone(hit);
         }
         let memo = Rc::new(Memo {
-            rs: crate::exec::execute(self.db, q).map(Rc::new),
+            rs: crate::exec::execute_with(self.db, q, self.opts).map(Rc::new),
             set: OnceCell::new(),
         });
         self.memo.borrow_mut().insert(key, Rc::clone(&memo));

@@ -27,13 +27,13 @@
 //! those axes to check strategy equivalence against the reference
 //! interpreter ([`crate::reference`]).
 //!
-//! Operators report `sb-obs` counters (`engine.scan.rows`,
-//! `engine.scan.rows_pruned_pushdown`, `engine.join.hash.*`,
-//! `engine.group.groups_created`, `engine.order.topk_pushes`) in
-//! batches — one add per operator invocation,
-//! derived from lengths the code already computes, never per row — and
-//! every report site is gated on `sb_obs::enabled()`, so with `SB_OBS`
-//! off the entire layer costs one relaxed atomic load per operator.
+//! Operators record their work only in the statement's
+//! [`QueryProfile`] slots. With `SB_OBS` on, `execute_query` attaches
+//! a statement-local profile when the caller gave none and folds the
+//! blocks it ran into the `engine.*` counters on exit
+//! ([`sb_obs::fold_engine_counters`]); with `SB_OBS` off that is one
+//! relaxed atomic load per statement, and the kernels are the same
+//! either way.
 
 use crate::compile::{compile, compile_grouped, compile_order_key, CExpr, GExpr, OrderProg};
 use crate::database::{Database, Row};
@@ -42,7 +42,7 @@ use crate::eval::{truth, EvalContext, Scope};
 use crate::key::{self, FxBuild, KeyIndex, RowSet};
 use crate::result::ResultSet;
 use crate::value::Value;
-use sb_obs::{FixedOp, OpStats, QueryProfile};
+use sb_obs::{Block, FixedOp, OpStats, QueryProfile};
 use sb_sql::{
     AggFunc, BinaryOp, ColumnRef, Expr, Join, OrderItem, Query, Select, SelectItem, SetExpr, SetOp,
     TableFactor, TableRef,
@@ -60,31 +60,9 @@ use std::time::Instant;
 /// profiling off is zero behavior change and near-zero cost.
 pub(crate) type Prof<'p> = Option<&'p QueryProfile>;
 
-/// One SELECT block's profile handle: the arena plus this block's
-/// reserved slot range. `Copy` so operator helpers can take it by value.
-#[derive(Clone, Copy)]
-pub(crate) struct BlockProf<'p> {
-    pub(crate) prof: &'p QueryProfile,
-    pub(crate) block: sb_obs::BlockId,
-}
-
-impl<'p> BlockProf<'p> {
-    pub(crate) fn scan(&self, rel: usize) -> Option<&'p OpStats> {
-        self.prof.scan(self.block, rel)
-    }
-
-    pub(crate) fn join(&self, step: usize) -> Option<&'p OpStats> {
-        self.prof.join(self.block, step)
-    }
-
-    pub(crate) fn fixed(&self, op: FixedOp) -> Option<&'p OpStats> {
-        self.prof.fixed(self.block, op)
-    }
-}
-
 /// Start a wall-clock measurement only when a profile is attached.
 #[inline]
-pub(crate) fn prof_clock(bp: &Option<BlockProf<'_>>) -> Option<Instant> {
+pub(crate) fn prof_clock(bp: &Option<Block<'_>>) -> Option<Instant> {
     bp.as_ref().map(|_| Instant::now())
 }
 
@@ -307,7 +285,29 @@ pub fn execute_with_plan_profile(
     execute_query(db, query, opts, plan, prof)
 }
 
+/// The one function every public `execute*` entry point goes through.
+/// Under `SB_OBS` it profiles the statement (in the caller's profile,
+/// else a local one) and folds the blocks this call began into the
+/// `engine.*` counters, whether the statement succeeded or failed.
 fn execute_query(
+    db: &Database,
+    query: &Query,
+    opts: ExecOptions,
+    plan: Option<&sb_opt::OwnedPlan>,
+    prof: Prof<'_>,
+) -> Result<ResultSet> {
+    if !sb_obs::enabled() {
+        return run_query(db, query, opts, plan, prof);
+    }
+    let local = QueryProfile::new();
+    let prof = prof.unwrap_or(&local);
+    let first = prof.block_count();
+    let out = run_query(db, query, opts, plan, Some(prof));
+    sb_obs::fold_engine_counters(&prof.snapshot().blocks[first..]);
+    out
+}
+
+fn run_query(
     db: &Database,
     query: &Query,
     opts: ExecOptions,
@@ -496,7 +496,7 @@ pub(crate) fn resolve_relation<'a>(
             // The derived query's SELECT blocks register in the profile
             // here, i.e. after the enclosing block and in FROM/JOIN
             // order — exactly the walk `explain_with_profile` replays.
-            let rs = execute_query(db, q, opts, None, prof)?;
+            let rs = run_query(db, q, opts, None, prof)?;
             Ok(Relation {
                 binding: alias,
                 columns: rs.columns.clone(),
@@ -570,45 +570,6 @@ pub(crate) fn rel_metas(relations: &[Relation<'_>]) -> Vec<sb_opt::RelMeta> {
         .collect()
 }
 
-// Out-of-line counter sinks for the hot operators. Keeping the
-// `sb_obs::count` calls behind `#[cold] #[inline(never)]` functions
-// leaves only a relaxed load and a never-taken branch in the operator
-// bodies themselves, so instrumentation does not perturb their code
-// size or layout when `SB_OBS` is off.
-#[cold]
-#[inline(never)]
-fn note_scan(scanned: usize, kept: usize) {
-    sb_obs::count("engine.scan.rows", scanned as u64);
-    sb_obs::count("engine.scan.rows_pruned_pushdown", (scanned - kept) as u64);
-}
-
-#[cold]
-#[inline(never)]
-fn note_hash_join(build: usize, probe: usize) {
-    sb_obs::count("engine.join.hash", 1);
-    sb_obs::count("engine.join.hash.build_rows", build as u64);
-    sb_obs::count("engine.join.hash.probe_rows", probe as u64);
-}
-
-#[cold]
-#[inline(never)]
-fn note_nested_loop_join() {
-    sb_obs::count("engine.join.nested_loop", 1);
-}
-
-#[cold]
-#[inline(never)]
-fn note_topk(pushes: u64) {
-    sb_obs::count("engine.order.topk", 1);
-    sb_obs::count("engine.order.topk_pushes", pushes);
-}
-
-#[cold]
-#[inline(never)]
-fn note_groups(created: usize) {
-    sb_obs::count("engine.group.groups_created", created as u64);
-}
-
 /// Scan one relation, applying its pushed-down conjuncts. Base-table
 /// scans share `Arc` row handles; derived tables own their rows already.
 fn scan_relation(
@@ -629,7 +590,7 @@ fn scan_relation(
         }
         Ok(true)
     };
-    let out = match rel.source {
+    let (scanned, out) = match rel.source {
         RelSource::Base(table) => {
             let mut out = Vec::with_capacity(if pushed.is_empty() {
                 table.rows.len()
@@ -641,13 +602,7 @@ fn scan_relation(
                     out.push(ExecRow::Shared(Arc::clone(row)));
                 }
             }
-            if sb_obs::enabled() {
-                note_scan(table.rows.len(), out.len());
-            }
-            if let Some(op) = prof_op {
-                op.rows(table.rows.len() as u64, out.len() as u64);
-            }
-            out
+            (table.rows.len(), out)
         }
         RelSource::Derived(rs) => {
             let scanned = rs.rows.len();
@@ -657,15 +612,12 @@ fn scan_relation(
                     out.push(ExecRow::Owned(row));
                 }
             }
-            if sb_obs::enabled() {
-                note_scan(scanned, out.len());
-            }
-            if let Some(op) = prof_op {
-                op.rows(scanned as u64, out.len() as u64);
-            }
-            out
+            (scanned, out)
         }
     };
+    if let Some(op) = prof_op {
+        op.rows(scanned as u64, out.len() as u64);
+    }
     Ok(out)
 }
 
@@ -760,14 +712,25 @@ fn join_key(v: &Value) -> Option<JoinKey<'_>> {
 /// Hash-join match lists: `matches[i]` holds the indices of right rows
 /// joining left row `i`, in right-scan order. Building the map on either
 /// side yields the same lists, so build-side selection never changes
-/// output order — only speed.
+/// output order — only speed. `op`, the join's profile slot, records the
+/// build and probe sizes.
 fn hash_join_matches(
     left: &[ExecRow],
     right: &[ExecRow],
     li: usize,
     ri: usize,
     build_left: bool,
+    op: Option<&OpStats>,
 ) -> Vec<Vec<u32>> {
+    if let Some(op) = op {
+        let (build, probe) = if build_left {
+            (left.len(), right.len())
+        } else {
+            (right.len(), left.len())
+        };
+        op.build_probe(build as u64, probe as u64);
+        op.mark();
+    }
     let mut matches: Vec<Vec<u32>> = vec![Vec::new(); left.len()];
     if build_left {
         let mut index: HashMap<JoinKey, Vec<u32>, FxBuild> =
@@ -861,7 +824,7 @@ fn join_relations(
     ctx: &EvalContext,
     opts: ExecOptions,
     build_sides: &[bool],
-    bp: Option<BlockProf<'_>>,
+    bp: Option<Block<'_>>,
 ) -> Result<(Scope, Vec<ExecRow>)> {
     let mut scanned = scanned.drain(..);
     let mut rows = scanned.next().expect("at least the FROM relation");
@@ -898,19 +861,8 @@ fn join_relations(
         let mut out = Vec::new();
         match hash_keys {
             Some((li, ri)) => {
-                let build_left = build_sides[ji];
-                let (build, probe) = if build_left {
-                    (rows.len(), jrows.len())
-                } else {
-                    (jrows.len(), rows.len())
-                };
-                if sb_obs::enabled() {
-                    note_hash_join(build, probe);
-                }
-                if let Some(op) = bp.as_ref().and_then(|b| b.join(ji)) {
-                    op.build_probe(build as u64, probe as u64);
-                }
-                let matches = hash_join_matches(&rows, &jrows, li, ri, build_left);
+                let op = bp.as_ref().and_then(|b| b.join(ji));
+                let matches = hash_join_matches(&rows, &jrows, li, ri, build_sides[ji], op);
                 for (l, js) in rows.iter().zip(&matches) {
                     for &j in js {
                         out.push(ExecRow::Owned(concat_row(l, &jrows[j as usize])));
@@ -924,9 +876,6 @@ fn join_relations(
             }
             None => {
                 // Nested loop with the full predicate (or cross join).
-                if sb_obs::enabled() {
-                    note_nested_loop_join();
-                }
                 let prog = join.constraint.as_ref().map(|c| compile(c, &scope, ctx));
                 for l in &rows {
                     let mut matched = false;
@@ -982,7 +931,7 @@ fn join_relations_reordered(
     scanned: Vec<Vec<ExecRow>>,
     relations: &[(String, Vec<String>)],
     planned: &sb_opt::PlannedSelect<'_>,
-    bp: Option<BlockProf<'_>>,
+    bp: Option<Block<'_>>,
 ) -> (Scope, Vec<ExecRow>) {
     let n = relations.len();
     let widths: Vec<usize> = relations.iter().map(|r| r.1.len()).collect();
@@ -1016,15 +965,8 @@ fn join_relations_reordered(
             + sb_opt::plan::pruned_index(&planned.keep[key.left_rel], key.left_col);
         let ri = sb_opt::plan::pruned_index(&planned.keep[step.rel], key.right_col);
         let t0 = prof_clock(&bp);
-        let (build, probe) = if step.build_left {
-            (rows.len(), jrows.len())
-        } else {
-            (jrows.len(), rows.len())
-        };
-        if sb_obs::enabled() {
-            note_hash_join(build, probe);
-        }
-        let matches = hash_join_matches(&rows, &jrows, li, ri, step.build_left);
+        let op = bp.as_ref().and_then(|b| b.join(si));
+        let matches = hash_join_matches(&rows, &jrows, li, ri, step.build_left, op);
         let mut out = Vec::new();
         let mut out_tags = Vec::new();
         for ((l, ltag), js) in rows.iter().zip(&tags).zip(&matches) {
@@ -1036,12 +978,11 @@ fn join_relations_reordered(
                 out_tags.push(t);
             }
         }
-        if let Some(op) = bp.as_ref().and_then(|b| b.join(si)) {
+        if let Some(op) = op {
             // Reordered execution: record which source relation this
             // step introduced so renderers and the conservation checker
             // can re-associate steps without re-deriving the plan.
             op.rows((rows.len() + jrows.len()) as u64, out.len() as u64);
-            op.build_probe(build as u64, probe as u64);
             op.link((si == 0).then_some(planned.order[0]), step.rel);
             prof_elapsed(t0, Some(op));
         }
@@ -1122,15 +1063,12 @@ fn execute_select_impl(
     cached: Option<&sb_opt::OwnedPlan>,
     prof: Prof<'_>,
 ) -> Result<ResultSet> {
-    let ctx = EvalContext::new(db);
+    let ctx = EvalContext::new(db, opts);
 
     // Reserve this SELECT's profile block before resolving relations:
     // derived tables execute during resolution and must register their
     // blocks *after* the enclosing one (the order renderers replay).
-    let bp: Option<BlockProf<'_>> = prof.map(|p| BlockProf {
-        prof: p,
-        block: p.begin_block(1 + select.joins.len()),
-    });
+    let bp: Option<Block<'_>> = prof.map(|p| p.begin_block(1 + select.joins.len()));
 
     // Resolve every relation and build the full scope up front, so
     // pushdown decisions see exactly what the residual filter would.
@@ -1185,7 +1123,7 @@ fn execute_select_impl(
         };
         if let Some(projected) = crate::batch::try_select(&input) {
             if let Some(bp) = &bp {
-                bp.prof.set_columnar(bp.block, true);
+                bp.set_columnar(true);
             }
             let r = Ok(finish_select(select, order_by, limit, projected, bp));
             return r;
@@ -1193,10 +1131,8 @@ fn execute_select_impl(
         if let Some(bp) = &bp {
             // The batch path may have recorded operators before bailing;
             // zero them so the row-engine retry doesn't double-count.
-            bp.prof.reset_block(bp.block);
-            if !bp.prof.has_fallback(bp.block) {
-                bp.prof.set_fallback(bp.block, "kernel");
-            }
+            bp.reset();
+            bp.set_fallback("kernel");
         }
     }
 
@@ -1260,7 +1196,6 @@ fn execute_select_impl(
         rows = kept;
         if let Some(op) = filter_op {
             op.rows(filter_in as u64, rows.len() as u64);
-            op.add_batches(planned.residual.len() as u64);
             prof_elapsed(t0, Some(op));
         }
     }
@@ -1291,7 +1226,7 @@ pub(crate) fn finish_select(
     order_by: &[OrderItem],
     limit: Option<u64>,
     projected: Projected,
-    bp: Option<BlockProf<'_>>,
+    bp: Option<Block<'_>>,
 ) -> ResultSet {
     let (columns, mut out_rows, mut keys) = projected;
 
@@ -1345,6 +1280,9 @@ pub(crate) fn finish_select(
         };
         let order = match limit {
             Some(n) if (n as usize) < out_rows.len() => {
+                if let Some(op) = order_op.filter(|_| n > 0) {
+                    op.mark();
+                }
                 top_k_indices(out_rows.len(), n as usize, cmp)
             }
             _ => {
@@ -1390,10 +1328,8 @@ fn top_k_indices(len: usize, k: usize, cmp: impl Fn(&usize, &usize) -> Ordering)
     }
     // `heap[0]` is the worst (greatest) element kept so far.
     let mut heap: Vec<usize> = Vec::with_capacity(k);
-    let mut pushes: u64 = 0;
     for i in 0..len {
         if heap.len() < k {
-            pushes += 1;
             heap.push(i);
             let mut c = heap.len() - 1;
             while c > 0 {
@@ -1406,7 +1342,6 @@ fn top_k_indices(len: usize, k: usize, cmp: impl Fn(&usize, &usize) -> Ordering)
                 }
             }
         } else if cmp(&i, &heap[0]) == Ordering::Less {
-            pushes += 1;
             heap[0] = i;
             let mut p = 0;
             loop {
@@ -1425,9 +1360,6 @@ fn top_k_indices(len: usize, k: usize, cmp: impl Fn(&usize, &usize) -> Ordering)
                 p = m;
             }
         }
-    }
-    if sb_obs::enabled() {
-        note_topk(pushes);
     }
     heap.sort_unstable_by(|a, b| cmp(a, b));
     heap
@@ -1551,9 +1483,6 @@ fn execute_grouped(
         }
     }
 
-    if sb_obs::enabled() {
-        note_groups(groups.len());
-    }
     if let Some(op) = agg_op {
         op.groups(groups.len() as u64);
     }

@@ -37,17 +37,19 @@
 //!
 //! With `SB_OBS=off` every entry point short-circuits on one
 //! `AtomicU8` relaxed load before touching thread-local storage, and
-//! [`span`] does not even read the clock. Hot loops are instrumented in
-//! *batches* (one counter add per scan / join / group stage, computed
-//! from lengths the code already knows) rather than per row, so the
-//! enabled cost stays proportional to the number of operators, not the
-//! number of rows.
+//! [`span`] does not even read the clock. The engine's counters are not
+//! counted in its hot loops at all: operators write their
+//! [`QueryProfile`] slots, and [`fold_engine_counters`] adds a
+//! statement's blocks to the `engine.*` counters once, when the
+//! statement ends, so the enabled cost stays proportional to the number
+//! of statements, not the number of rows.
 
 pub mod json;
 pub mod profile;
 
 pub use profile::{
-    BlockId, BlockSnapshot, FixedOp, OpSnapshot, OpStats, ProfileSnapshot, QueryProfile,
+    fold_engine_counters, Block, BlockSnapshot, FixedOp, OpSnapshot, OpStats, ProfileSnapshot,
+    QueryProfile, ENGINE_COUNTERS,
 };
 
 use std::cell::RefCell;

@@ -34,9 +34,12 @@
 //! by whichever thread coordinates the operator (morsel workers hand
 //! their counts back to the dispatching thread, which writes once per
 //! operator), so profiles compose under `sb-serve` concurrency without
-//! any global state. Profiling is strictly opt-in: when no profile is
-//! attached the engine's hot paths skip every write behind an
-//! `Option::is_some` check, and results are byte-identical either way.
+//! any global state. Profiling is opt-in: when no profile is attached
+//! the engine's hot paths skip every write behind an `Option::is_some`
+//! check, and results are byte-identical either way. With `SB_OBS` on
+//! the engine attaches a statement-local profile itself and folds it
+//! into the process-wide `engine.*` counters ([`fold_engine_counters`]),
+//! so the profile is the engine's only telemetry record.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -73,14 +76,18 @@ pub struct OpStats {
     touched: AtomicU64,
     rows_in: AtomicU64,
     rows_out: AtomicU64,
-    batches: AtomicU64,
     /// Joins: build-side rows. Aggregates: groups created (pre-HAVING).
     aux1: AtomicU64,
     /// Joins: probe-side rows.
     aux2: AtomicU64,
+    /// Morsel-parallel dispatches; `morsels` and `steals` sum over them.
+    dispatches: AtomicU64,
     morsels: AtomicU64,
     steals: AtomicU64,
     elapsed_ns: AtomicU64,
+    /// Joins: ran as a hash join (else a nested loop). Order: ran as a
+    /// bounded top-K heap (else a full sort or a bare limit).
+    mark: AtomicU64,
     /// Source relation index + 1 of the left input (join step 0 only);
     /// 0 = none.
     lhs: AtomicU64,
@@ -98,12 +105,6 @@ impl OpStats {
         self.rows_out.fetch_add(rows_out, Ordering::Relaxed);
     }
 
-    /// Add processed batch/conjunct evaluations.
-    #[inline]
-    pub fn add_batches(&self, n: u64) {
-        self.batches.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Record hash-join build/probe cardinalities.
     #[inline]
     pub fn build_probe(&self, build: u64, probe: u64) {
@@ -117,11 +118,12 @@ impl OpStats {
         self.aux1.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record morsel-parallel scheduling counts. `morsels` is
-    /// deterministic for a fixed workload; `steals` is scheduling noise
-    /// and is masked by deterministic renderings.
+    /// Record one morsel-parallel dispatch. `morsels` is deterministic
+    /// for a fixed workload; `steals` is scheduling noise and is masked
+    /// by deterministic renderings.
     #[inline]
     pub fn parallel(&self, morsels: u64, steals: u64) {
+        self.dispatches.fetch_add(1, Ordering::Relaxed);
         self.morsels.fetch_add(morsels, Ordering::Relaxed);
         self.steals.fetch_add(steals, Ordering::Relaxed);
     }
@@ -130,6 +132,13 @@ impl OpStats {
     #[inline]
     pub fn elapsed(&self, ns: u64) {
         self.elapsed_ns.fetch_add(ns, Ordering::Relaxed);
+    }
+
+    /// Mark a join step as a hash join, or an order stage as a top-K
+    /// heap.
+    #[inline]
+    pub fn mark(&self) {
+        self.mark.store(1, Ordering::Relaxed);
     }
 
     /// Record which source relations fed a join step (see module docs).
@@ -145,12 +154,13 @@ impl OpStats {
         self.touched.store(0, Ordering::Relaxed);
         self.rows_in.store(0, Ordering::Relaxed);
         self.rows_out.store(0, Ordering::Relaxed);
-        self.batches.store(0, Ordering::Relaxed);
         self.aux1.store(0, Ordering::Relaxed);
         self.aux2.store(0, Ordering::Relaxed);
+        self.dispatches.store(0, Ordering::Relaxed);
         self.morsels.store(0, Ordering::Relaxed);
         self.steals.store(0, Ordering::Relaxed);
         self.elapsed_ns.store(0, Ordering::Relaxed);
+        self.mark.store(0, Ordering::Relaxed);
         self.lhs.store(0, Ordering::Relaxed);
         self.rhs.store(0, Ordering::Relaxed);
     }
@@ -166,12 +176,13 @@ impl OpStats {
         Some(OpSnapshot {
             rows_in: self.rows_in.load(Ordering::Relaxed),
             rows_out: self.rows_out.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
             build_rows: self.aux1.load(Ordering::Relaxed),
             probe_rows: self.aux2.load(Ordering::Relaxed),
+            dispatches: self.dispatches.load(Ordering::Relaxed),
             morsels: self.morsels.load(Ordering::Relaxed),
             steals: self.steals.load(Ordering::Relaxed),
             elapsed_ns: self.elapsed_ns.load(Ordering::Relaxed),
+            marked: self.mark.load(Ordering::Relaxed) != 0,
             lhs: link(&self.lhs),
             rhs: link(&self.rhs),
         })
@@ -186,20 +197,81 @@ struct BlockMeta {
     fallback: Option<&'static str>,
 }
 
-/// Handle to one SELECT block's slot range. `Copy` so the engine can
-/// pass it down its call tree freely; all methods go through the owning
-/// [`QueryProfile`].
+/// Handle to one SELECT block's slot range in its [`QueryProfile`].
+/// `Copy` so the engine can pass it down its call tree freely.
 #[derive(Debug, Clone, Copy)]
-pub struct BlockId {
+pub struct Block<'p> {
+    prof: &'p QueryProfile,
     idx: usize,
     base: usize,
     scans: usize,
 }
 
-impl BlockId {
+impl<'p> Block<'p> {
     /// Number of scan slots (source relations) in this block.
     pub fn scans(&self) -> usize {
         self.scans
+    }
+
+    fn slot(&self, off: usize) -> Option<&'p OpStats> {
+        if self.base == NO_BASE {
+            return None;
+        }
+        self.prof.slots.get(self.base + off)
+    }
+
+    /// The scan slot for source relation `rel`, when slotted.
+    #[inline]
+    pub fn scan(&self, rel: usize) -> Option<&'p OpStats> {
+        if rel >= self.scans {
+            return None;
+        }
+        self.slot(rel)
+    }
+
+    /// The join slot for execution step `step`, when slotted.
+    #[inline]
+    pub fn join(&self, step: usize) -> Option<&'p OpStats> {
+        if step + 1 >= self.scans {
+            return None;
+        }
+        self.slot(self.scans + step)
+    }
+
+    /// The fixed operator slot, when slotted.
+    #[inline]
+    pub fn fixed(&self, op: FixedOp) -> Option<&'p OpStats> {
+        self.slot(self.scans + self.scans.saturating_sub(1) + op as usize)
+    }
+
+    /// Mark which engine ran the block (`true` = columnar/batch).
+    pub fn set_columnar(&self, columnar: bool) {
+        if let Some(m) = self.prof.metas().get_mut(self.idx) {
+            m.columnar = columnar;
+        }
+    }
+
+    /// Record why the columnar engine fell back to the row engine for
+    /// this block. The first recorded reason wins.
+    pub fn set_fallback(&self, reason: &'static str) {
+        if let Some(m) = self.prof.metas().get_mut(self.idx) {
+            if m.fallback.is_none() {
+                m.fallback = Some(reason);
+            }
+        }
+    }
+
+    /// Zero every operator slot of the block, keeping its metadata.
+    /// Called when the columnar engine bails after partially recording a
+    /// block, so the row-engine retry does not double-count.
+    pub fn reset(&self) {
+        let need = self.scans + self.scans.saturating_sub(1) + FIXED_OPS;
+        for off in 0..need {
+            if let Some(s) = self.slot(off) {
+                s.reset();
+            }
+        }
+        self.set_columnar(false);
     }
 }
 
@@ -232,12 +304,17 @@ impl QueryProfile {
         self.blocks.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Number of blocks begun so far.
+    pub fn block_count(&self) -> usize {
+        self.metas().len()
+    }
+
     /// Reserve the slot range for one SELECT block with `scans` source
     /// relations. Blocks must be begun in execution order (top-level
     /// select first, derived tables in FROM/JOIN order, set-operation
     /// leaves left to right) — renderers re-walk the statement in the
     /// same order to associate blocks with plan subtrees.
-    pub fn begin_block(&self, scans: usize) -> BlockId {
+    pub fn begin_block(&self, scans: usize) -> Block<'_> {
         let need = scans + scans.saturating_sub(1) + FIXED_OPS;
         let at = self.next.fetch_add(need, Ordering::Relaxed);
         let base = if at + need <= self.slots.len() {
@@ -252,82 +329,12 @@ impl QueryProfile {
             columnar: false,
             fallback: None,
         });
-        BlockId {
+        Block {
+            prof: self,
             idx: metas.len() - 1,
             base,
             scans,
         }
-    }
-
-    fn slot(&self, b: BlockId, off: usize) -> Option<&OpStats> {
-        if b.base == NO_BASE {
-            return None;
-        }
-        self.slots.get(b.base + off)
-    }
-
-    /// The scan slot for source relation `rel`, when slotted.
-    #[inline]
-    pub fn scan(&self, b: BlockId, rel: usize) -> Option<&OpStats> {
-        if rel >= b.scans {
-            return None;
-        }
-        self.slot(b, rel)
-    }
-
-    /// The join slot for execution step `step`, when slotted.
-    #[inline]
-    pub fn join(&self, b: BlockId, step: usize) -> Option<&OpStats> {
-        if step + 1 >= b.scans {
-            return None;
-        }
-        self.slot(b, b.scans + step)
-    }
-
-    /// The fixed operator slot, when slotted.
-    #[inline]
-    pub fn fixed(&self, b: BlockId, op: FixedOp) -> Option<&OpStats> {
-        self.slot(b, b.scans + b.scans.saturating_sub(1) + op as usize)
-    }
-
-    /// Mark which engine ran the block (`true` = columnar/batch).
-    pub fn set_columnar(&self, b: BlockId, columnar: bool) {
-        if let Some(m) = self.metas().get_mut(b.idx) {
-            m.columnar = columnar;
-        }
-    }
-
-    /// Record why the columnar engine fell back to the row engine for
-    /// this block. The first recorded reason wins.
-    pub fn set_fallback(&self, b: BlockId, reason: &'static str) {
-        if let Some(m) = self.metas().get_mut(b.idx) {
-            if m.fallback.is_none() {
-                m.fallback = Some(reason);
-            }
-        }
-    }
-
-    /// Whether a fallback reason was recorded for the block.
-    pub fn has_fallback(&self, b: BlockId) -> bool {
-        self.metas()
-            .get(b.idx)
-            .is_some_and(|m| m.fallback.is_some())
-    }
-
-    /// Zero every operator slot of the block, keeping its metadata.
-    /// Called when the columnar engine bails after partially recording a
-    /// block, so the row-engine retry does not double-count.
-    pub fn reset_block(&self, b: BlockId) {
-        if b.base == NO_BASE {
-            return;
-        }
-        let need = b.scans + b.scans.saturating_sub(1) + FIXED_OPS;
-        for off in 0..need {
-            if let Some(s) = self.slots.get(b.base + off) {
-                s.reset();
-            }
-        }
-        self.set_columnar(b, false);
     }
 
     /// An immutable copy of everything recorded so far.
@@ -370,18 +377,20 @@ pub struct OpSnapshot {
     pub rows_in: u64,
     /// Rows leaving the operator.
     pub rows_out: u64,
-    /// Batches / conjunct passes evaluated.
-    pub batches: u64,
     /// Hash-join build rows, or groups created for aggregates.
     pub build_rows: u64,
     /// Hash-join probe rows.
     pub probe_rows: u64,
+    /// Morsel-parallel dispatches (deterministic).
+    pub dispatches: u64,
     /// Morsels dispatched (deterministic).
     pub morsels: u64,
     /// Morsels stolen off the home worker (scheduling noise).
     pub steals: u64,
     /// Wall-clock nanoseconds attributed to the operator.
     pub elapsed_ns: u64,
+    /// Joins: a hash join (else a nested loop). Order: a top-K heap.
+    pub marked: bool,
     /// Join step 0: source relation index of the left input.
     pub lhs: Option<usize>,
     /// Join steps: source relation index the step introduced.
@@ -419,16 +428,6 @@ pub struct BlockSnapshot {
 }
 
 impl BlockSnapshot {
-    /// Rows leaving the block's operator chain, when determinable.
-    pub fn final_rows(&self) -> Option<u64> {
-        self.order
-            .or(self.distinct)
-            .or(self.aggregate)
-            .or(self.filter)
-            .map(|o| o.rows_out)
-            .or_else(|| self.chain_tail())
-    }
-
     fn chain_tail(&self) -> Option<u64> {
         if let Some(last) = self.joins.last() {
             return last.map(|j| j.rows_out);
@@ -531,6 +530,100 @@ impl ProfileSnapshot {
     }
 }
 
+/// How one `engine.*` counter counts one block's work.
+pub type BlockCount = fn(&BlockSnapshot) -> u64;
+
+/// Every `engine.*` counter [`fold_engine_counters`] writes, with what
+/// it counts. Scans count under both engines; joins and groups count
+/// under the engine that produced the block's rows, so a block that fell
+/// back counts only its row-path work.
+pub const ENGINE_COUNTERS: [(&str, BlockCount); 18] = [
+    ("engine.scan.rows", |b| sum(&b.scans, |s| s.rows_in)),
+    ("engine.scan.rows_pruned_pushdown", |b| {
+        sum(&b.scans, |s| s.rows_in - s.rows_out)
+    }),
+    ("engine.columnar.selects", |b| b.columnar as u64),
+    ("engine.columnar.fallbacks", |b| {
+        (!b.columnar && b.fallback.is_some()) as u64
+    }),
+    ("engine.columnar.join.hash", |b| {
+        columnar(b, sum(&b.joins, |_| 1))
+    }),
+    ("engine.columnar.join.build_rows", |b| {
+        columnar(b, sum(&b.joins, |j| j.build_rows))
+    }),
+    ("engine.columnar.join.probe_rows", |b| {
+        columnar(b, sum(&b.joins, |j| j.probe_rows))
+    }),
+    ("engine.columnar.join.output_rows", |b| {
+        columnar(b, sum(&b.joins, |j| j.rows_out))
+    }),
+    ("engine.columnar.agg.groups", |b| {
+        columnar(b, b.aggregate.map_or(0, |a| a.build_rows))
+    }),
+    ("engine.join.hash", |b| {
+        row(b, sum(&b.joins, |j| j.marked as u64))
+    }),
+    ("engine.join.hash.build_rows", |b| {
+        row(b, sum(&b.joins, |j| j.build_rows))
+    }),
+    ("engine.join.hash.probe_rows", |b| {
+        row(b, sum(&b.joins, |j| j.probe_rows))
+    }),
+    ("engine.join.nested_loop", |b| {
+        row(b, sum(&b.joins, |j| !j.marked as u64))
+    }),
+    ("engine.group.groups_created", |b| {
+        row(b, b.aggregate.map_or(0, |a| a.build_rows))
+    }),
+    ("engine.order.topk", |b| {
+        b.order.is_some_and(|o| o.marked) as u64
+    }),
+    ("engine.parallel.ops", |b| sum(slots(b), |o| o.dispatches)),
+    ("engine.parallel.morsels", |b| sum(slots(b), |o| o.morsels)),
+    ("engine.parallel.steals", |b| sum(slots(b), |o| o.steals)),
+];
+
+/// Add the operator work recorded in `blocks` to the [`ENGINE_COUNTERS`]
+/// — the engine's only writer of them.
+pub fn fold_engine_counters(blocks: &[BlockSnapshot]) {
+    for (name, count) in ENGINE_COUNTERS {
+        crate::count(name, blocks.iter().map(count).sum());
+    }
+}
+
+/// `f` summed over the operators in `ops` that ran.
+fn sum<'a>(
+    ops: impl IntoIterator<Item = &'a Option<OpSnapshot>>,
+    f: impl Fn(&OpSnapshot) -> u64,
+) -> u64 {
+    ops.into_iter().flatten().map(f).sum()
+}
+
+/// Every operator slot of a block.
+fn slots(b: &BlockSnapshot) -> impl Iterator<Item = &Option<OpSnapshot>> {
+    let fixed = [&b.filter, &b.aggregate, &b.distinct, &b.order];
+    b.scans.iter().chain(&b.joins).chain(fixed)
+}
+
+/// `n` when the columnar engine produced the block's rows, else 0.
+fn columnar(b: &BlockSnapshot, n: u64) -> u64 {
+    if b.columnar {
+        n
+    } else {
+        0
+    }
+}
+
+/// `n` when the row engine produced the block's rows, else 0.
+fn row(b: &BlockSnapshot, n: u64) -> u64 {
+    if b.columnar {
+        0
+    } else {
+        n
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,21 +634,21 @@ mod tests {
         let b = p.begin_block(3);
         assert_eq!(b.scans(), 3);
         for (rel, (inn, out)) in [(24u64, 10u64), (24, 24), (8, 8)].iter().enumerate() {
-            p.scan(b, rel).unwrap().rows(*inn, *out);
+            b.scan(rel).unwrap().rows(*inn, *out);
         }
-        let j0 = p.join(b, 0).unwrap();
+        let j0 = b.join(0).unwrap();
         j0.rows(34, 30);
         j0.build_probe(10, 24);
         j0.link(Some(0), 1);
-        let j1 = p.join(b, 1).unwrap();
+        let j1 = b.join(1).unwrap();
         j1.rows(38, 12);
         j1.build_probe(8, 30);
         j1.link(None, 2);
-        p.fixed(b, FixedOp::Filter).unwrap().rows(12, 5);
-        p.fixed(b, FixedOp::Order).unwrap().rows(5, 3);
-        p.set_columnar(b, true);
-        p.set_fallback(b, "first");
-        p.set_fallback(b, "second"); // first wins
+        b.fixed(FixedOp::Filter).unwrap().rows(12, 5);
+        b.fixed(FixedOp::Order).unwrap().rows(5, 3);
+        b.set_columnar(true);
+        b.set_fallback("first");
+        b.set_fallback("second"); // first wins
 
         let snap = p.snapshot();
         assert_eq!(snap.blocks.len(), 1);
@@ -567,7 +660,7 @@ mod tests {
         assert_eq!(blk.joins[0].unwrap().lhs, Some(0));
         assert_eq!(blk.joins[1].unwrap().lhs, None);
         assert_eq!(blk.filter.unwrap().selectivity_pct(), Some(41));
-        assert_eq!(blk.final_rows(), Some(3));
+        assert_eq!(blk.order.unwrap().rows_out, 3);
         snap.check_conservation().expect("conserved");
     }
 
@@ -575,9 +668,9 @@ mod tests {
     fn conservation_catches_row_leaks() {
         let p = QueryProfile::new();
         let b = p.begin_block(2);
-        p.scan(b, 0).unwrap().rows(10, 10);
-        p.scan(b, 1).unwrap().rows(5, 5);
-        let j = p.join(b, 0).unwrap();
+        b.scan(0).unwrap().rows(10, 10);
+        b.scan(1).unwrap().rows(5, 5);
+        let j = b.join(0).unwrap();
         j.rows(14, 9); // should be 15 in
         j.link(Some(0), 1);
         let err = p.snapshot().check_conservation().unwrap_err();
@@ -587,7 +680,7 @@ mod tests {
         j.reset();
         j.rows(15, 9);
         j.link(Some(0), 1);
-        p.fixed(b, FixedOp::Filter).unwrap().rows(8, 8);
+        b.fixed(FixedOp::Filter).unwrap().rows(8, 8);
         let err = p.snapshot().check_conservation().unwrap_err();
         assert!(err.contains("filter rows_in 8"), "got: {err}");
     }
@@ -596,12 +689,12 @@ mod tests {
     fn reset_block_clears_partial_columnar_attempts() {
         let p = QueryProfile::new();
         let b = p.begin_block(1);
-        p.scan(b, 0).unwrap().rows(100, 40);
-        p.set_columnar(b, true);
-        p.set_fallback(b, "join-kernel");
-        p.reset_block(b);
+        b.scan(0).unwrap().rows(100, 40);
+        b.set_columnar(true);
+        b.set_fallback("join-kernel");
+        b.reset();
         // Row-engine retry records fresh numbers into the same slots.
-        p.scan(b, 0).unwrap().rows(100, 40);
+        b.scan(0).unwrap().rows(100, 40);
         let blk = &p.snapshot().blocks[0];
         assert!(!blk.columnar);
         assert_eq!(blk.fallback, Some("join-kernel"), "reason survives reset");
@@ -614,10 +707,10 @@ mod tests {
         let p = QueryProfile::new();
         let big = PROFILE_SLOT_CAP; // needs 2*cap-1+4 slots: never fits
         let b = p.begin_block(big);
-        assert!(p.scan(b, 0).is_none());
-        assert!(p.join(b, 0).is_none());
-        assert!(p.fixed(b, FixedOp::Order).is_none());
-        p.reset_block(b); // no-op, must not panic
+        assert!(b.scan(0).is_none());
+        assert!(b.join(0).is_none());
+        assert!(b.fixed(FixedOp::Order).is_none());
+        b.reset(); // no-op, must not panic
         let snap = p.snapshot();
         assert!(!snap.blocks[0].slotted);
         snap.check_conservation()
@@ -628,10 +721,10 @@ mod tests {
     fn empty_single_scan_block_conserves_trivially() {
         let p = QueryProfile::new();
         let b = p.begin_block(1);
-        p.scan(b, 0).unwrap().rows(7, 7);
-        p.fixed(b, FixedOp::Order).unwrap().rows(7, 2);
+        b.scan(0).unwrap().rows(7, 7);
+        b.fixed(FixedOp::Order).unwrap().rows(7, 2);
         let snap = p.snapshot();
-        assert_eq!(snap.blocks[0].final_rows(), Some(2));
+        assert_eq!(snap.blocks[0].order.unwrap().rows_out, 2);
         snap.check_conservation().expect("conserved");
     }
 }

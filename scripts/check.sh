@@ -83,6 +83,7 @@ for threads in 1 8; do
     RAYON_NUM_THREADS=$threads cargo test -q --test generation_oracle
 done
 par_report="$(mktemp)"
+serial_report="$(mktemp)"
 RAYON_NUM_THREADS=8 SB_MORSEL_ROWS=7 SB_OBS=summary \
     ./target/release/profile_run --quick --domain sdss > "$par_report"
 grep -q '"engine.parallel.morsels"' "$par_report" || {
@@ -93,12 +94,19 @@ grep -q '"engine.parallel.morsels"' "$par_report" || {
 # thread must run every operator inline, so no engine.parallel counter
 # may appear.
 RAYON_NUM_THREADS=1 SB_MORSEL_ROWS=7 SB_OBS=summary \
-    ./target/release/profile_run --quick --domain sdss > "$par_report"
-if grep -q '"engine\.parallel\.' "$par_report"; then
+    ./target/release/profile_run --quick --domain sdss > "$serial_report"
+if grep -q '"engine\.parallel\.' "$serial_report"; then
     echo "one-worker profile_run report has engine.parallel counters (morsels dispatched)" >&2
     exit 1
 fi
-rm -f "$par_report"
+# Counters are deterministic at any thread count (DESIGN §10): apart
+# from the engine.parallel.* dispatch counters, the 8-thread and
+# 1-thread reports must be identical.
+diff <(grep -v '"engine\.parallel\.' "$par_report") "$serial_report" || {
+    echo "profile_run counters depend on the thread count (beyond engine.parallel.*)" >&2
+    exit 1
+}
+rm -f "$par_report" "$serial_report"
 
 echo "== serve smoke: in-process load run across all three domains =="
 # Closed-loop mini load test against the concurrent query service (plan

@@ -247,7 +247,7 @@ fn obs_on_and_off_produce_identical_result_sets() {
     // workload is batch-eligible) and its kernels are instrumented.
     assert!(report.counter("engine.columnar.selects") > 0);
     assert!(report.counter("engine.columnar.join.hash") > 0);
-    assert!(report.counter("engine.columnar.filter.batches") > 0);
+    assert!(report.counter("engine.scan.rows_pruned_pushdown") > 0);
 }
 
 /// The per-query profile collector must be equally invisible: attaching

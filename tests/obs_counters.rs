@@ -1,5 +1,8 @@
 //! Pins the exact value of every `engine.*` sb-obs counter over a fixed
-//! set of sdss Tiny statements, under the row and columnar executors.
+//! set of sdss Tiny statements, under the row and columnar executors,
+//! plus two properties of the fold from statement profiles: a block
+//! that falls back to the row path counts only the row path's work, and
+//! subqueries run with the statement's executor options.
 //!
 //! The sb-obs registry is process-global, so this binary holds exactly
 //! one `#[test]`: nothing else can add to the counters between a reset
@@ -104,6 +107,37 @@ fn engine_counters_are_pinned() {
             "engine counters under {name}"
         );
     }
+
+    // The columnar attempt scans and joins, then bails in the
+    // projection: its eager AND evaluates an overflowing product the row
+    // path's short circuit never reaches. The abandoned attempt's work
+    // is not counted: the counters are the row path's plus one fallback.
+    let fallback = "SELECT p.objid, (p.type = 99) AND (p.objid * 9223372036854775807 > 0) \
+                    FROM photoobj AS p JOIN specobj AS s ON p.objid = s.bestobjid \
+                    WHERE p.u > 18";
+    let row = ExecOptions {
+        columnar: false,
+        ..columnar
+    };
+    let row_counters = engine_counters(&d.db, &[fallback], row);
+    assert_eq!(row_counters, FALLBACK_ROW);
+    assert_eq!(
+        engine_counters(&d.db, &[fallback], configs[2].1),
+        format!("engine.columnar.fallbacks 1\n{row_counters}")
+    );
+
+    // A row-path statement's subquery runs on the row path too.
+    let subquery = "SELECT objid FROM photoobj \
+                    WHERE type IN (SELECT value FROM photo_type WHERE name <> 'STAR')";
+    let counters = engine_counters(&d.db, &[subquery], row);
+    assert!(
+        !counters.contains("engine.columnar.selects"),
+        "subquery ran columnar under columnar: false:\n{counters}"
+    );
+    assert!(
+        counters.contains("engine.compile.subquery_exec 1\n"),
+        "{counters}"
+    );
 }
 
 const ROW_AUTO: &str = "\
@@ -113,7 +147,6 @@ engine.join.hash.build_rows 1760
 engine.join.hash.probe_rows 4536
 engine.join.nested_loop 1
 engine.order.topk 2
-engine.order.topk_pushes 37
 engine.scan.rows 11365
 engine.scan.rows_pruned_pushdown 3479
 ";
@@ -121,17 +154,11 @@ const ROW_NESTED_LOOP: &str = "\
 engine.group.groups_created 26
 engine.join.nested_loop 6
 engine.order.topk 2
-engine.order.topk_pushes 37
 engine.scan.rows 11365
 engine.scan.rows_pruned_pushdown 3479
 ";
 const COLUMNAR_SERIAL: &str = "\
 engine.columnar.agg.groups 26
-engine.columnar.dict.lut_entries 15
-engine.columnar.dict.lut_probes 1892
-engine.columnar.filter.batches 9
-engine.columnar.filter.rows_in 6037
-engine.columnar.filter.rows_out 4286
 engine.columnar.join.build_rows 1697
 engine.columnar.join.hash 4
 engine.columnar.join.output_rows 3090
@@ -142,17 +169,11 @@ engine.join.hash.build_rows 150
 engine.join.hash.probe_rows 607
 engine.join.nested_loop 1
 engine.order.topk 2
-engine.order.topk_pushes 37
 engine.scan.rows 11365
 engine.scan.rows_pruned_pushdown 3479
 ";
 const COLUMNAR_MORSELS: &str = "\
 engine.columnar.agg.groups 26
-engine.columnar.dict.lut_entries 162
-engine.columnar.dict.lut_probes 1892
-engine.columnar.filter.batches 9
-engine.columnar.filter.rows_in 6037
-engine.columnar.filter.rows_out 4286
 engine.columnar.join.build_rows 1697
 engine.columnar.join.hash 4
 engine.columnar.join.output_rows 3090
@@ -163,10 +184,15 @@ engine.join.hash.build_rows 150
 engine.join.hash.probe_rows 607
 engine.join.nested_loop 1
 engine.order.topk 2
-engine.order.topk_pushes 37
-engine.parallel.merges 5114
 engine.parallel.morsels 2404
 engine.parallel.ops 21
 engine.scan.rows 11365
 engine.scan.rows_pruned_pushdown 3479
+";
+const FALLBACK_ROW: &str = "\
+engine.join.hash 1
+engine.join.hash.build_rows 150
+engine.join.hash.probe_rows 937
+engine.scan.rows 1600
+engine.scan.rows_pruned_pushdown 513
 ";
