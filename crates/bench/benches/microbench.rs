@@ -9,6 +9,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sb_core::{Pipeline, PipelineConfig};
 use sb_data::{synth_db, Domain, SizeClass, SynthScale};
+use sb_embed::discriminate::geometric_median;
 use sb_embed::{embed, select_top_k};
 use sb_gen::Generator;
 use sb_nl::{LlmProfile, Realizer, Style};
@@ -299,6 +300,10 @@ fn bench_nl_and_embedding(c: &mut Criterion) {
         .collect();
     g.bench_function("discriminator_select_8", |b| {
         b.iter(|| select_top_k(std::hint::black_box(&candidates), 2))
+    });
+    let points: Vec<_> = candidates.iter().map(|c| embed(c)).collect();
+    g.bench_function("geometric_median_8", |b| {
+        b.iter(|| geometric_median(std::hint::black_box(&points)))
     });
     g.finish();
 }

@@ -5,7 +5,8 @@
 //! median* of all candidates (Equation 1 of the paper, after the
 //! centroid-based summarization method of Rossiello et al.).
 
-use crate::{embed, Embedding};
+use crate::{embed, Embedding, DIM};
+use std::borrow::Borrow;
 
 /// The discriminative-phase selector.
 #[derive(Debug, Clone)]
@@ -33,40 +34,64 @@ impl Discriminator {
     }
 }
 
+/// Points per lane group of the Weiszfeld distance pass.
+const LANES: usize = 8;
+
 /// Geometric median of a set of embeddings via Weiszfeld's algorithm
 /// (a handful of iterations is plenty at this dimensionality and set
 /// size).
-pub fn geometric_median(points: &[Embedding]) -> Embedding {
+///
+/// Each point's squared distance to the current estimate is its own
+/// float chain, summed in dimension order; the chains of up to [`LANES`]
+/// points run side by side over a transposed copy of the points, so no
+/// reduction ever runs across dimensions. The weighted sum then
+/// accumulates in point order.
+pub fn geometric_median<P: Borrow<Embedding>>(points: &[P]) -> Embedding {
     if points.is_empty() {
         return Embedding::zero();
     }
     // Initialize at the centroid.
-    let mut m = [0.0f32; crate::DIM];
+    let mut m = [0.0f32; DIM];
     for p in points {
-        for (mi, pi) in m.iter_mut().zip(p.0.iter()) {
+        for (mi, pi) in m.iter_mut().zip(p.borrow().0.iter()) {
             *mi += *pi;
         }
     }
     for x in &mut m {
         *x /= points.len() as f32;
     }
+    // `groups[g][i][l]` is dimension `i` of point `g * LANES + l`; lanes
+    // past the last point stay zero and their distances go unread.
+    let mut groups = vec![[[0.0f32; LANES]; DIM]; points.len().div_ceil(LANES)];
+    for (j, p) in points.iter().enumerate() {
+        for (row, x) in groups[j / LANES].iter_mut().zip(p.borrow().0.iter()) {
+            row[j % LANES] = *x;
+        }
+    }
+    let mut dist = vec![0.0f32; groups.len() * LANES];
     for _ in 0..16 {
-        let mut num = [0.0f32; crate::DIM];
+        for (group, out) in groups.iter().zip(dist.chunks_exact_mut(LANES)) {
+            let mut d2 = [0.0f32; LANES];
+            for (row, mi) in group.iter().zip(m.iter()) {
+                for (acc, pi) in d2.iter_mut().zip(row) {
+                    let diff = pi - mi;
+                    *acc += diff * diff;
+                }
+            }
+            for (d, acc) in out.iter_mut().zip(d2) {
+                *d = acc.sqrt();
+            }
+        }
+        let mut num = [0.0f32; DIM];
         let mut denom = 0.0f32;
         let mut coincident = false;
-        for p in points {
-            let mut d2 = 0.0f32;
-            for (pi, mi) in p.0.iter().zip(m.iter()) {
-                let diff = pi - mi;
-                d2 += diff * diff;
-            }
-            let d = d2.sqrt();
+        for (p, &d) in points.iter().zip(&dist) {
             if d < 1e-9 {
                 coincident = true;
                 continue;
             }
             let w = 1.0 / d;
-            for (ni, pi) in num.iter_mut().zip(p.0.iter()) {
+            for (ni, pi) in num.iter_mut().zip(p.borrow().0.iter()) {
                 *ni += w * pi;
             }
             denom += w;
@@ -74,7 +99,7 @@ pub fn geometric_median(points: &[Embedding]) -> Embedding {
         if denom == 0.0 || coincident && denom < 1e-9 {
             break;
         }
-        for i in 0..crate::DIM {
+        for i in 0..DIM {
             m[i] = num[i] / denom;
         }
     }
@@ -94,20 +119,18 @@ pub fn select_top_k(candidates: &[String], k: usize) -> Vec<&String> {
     let mut remaining: Vec<usize> = (0..candidates.len()).collect();
     let mut picked = Vec::new();
     for _ in 0..k.min(candidates.len()) {
-        let pts: Vec<Embedding> = remaining.iter().map(|&i| embeddings[i].clone()).collect();
+        let pts: Vec<&Embedding> = remaining.iter().map(|&i| &embeddings[i]).collect();
         let median = geometric_median(&pts);
-        let best_pos = remaining
-            .iter()
-            .enumerate()
-            .max_by(|(_, &a), (_, &b)| {
-                embeddings[a]
-                    .cosine(&median)
-                    .partial_cmp(&embeddings[b].cosine(&median))
+        let scores: Vec<f32> = pts.iter().map(|e| e.cosine(&median)).collect();
+        // `remaining` is ascending, so position order is candidate order.
+        let best_pos = (0..remaining.len())
+            .max_by(|&a, &b| {
+                scores[a]
+                    .partial_cmp(&scores[b])
                     .unwrap_or(std::cmp::Ordering::Equal)
                     // Stable tie-break: prefer the earlier candidate.
                     .then_with(|| b.cmp(&a))
             })
-            .map(|(pos, _)| pos)
             .expect("remaining is non-empty");
         picked.push(remaining.remove(best_pos));
     }
@@ -117,6 +140,86 @@ pub fn select_top_k(candidates: &[String], k: usize) -> Vec<&String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use crate::oracle;
+    use crate::tests::assert_same_bits;
+
+    /// Point sets of 0..=12 points cut from the embedding corpus, with
+    /// duplicates, zero vectors and majorities of one point.
+    fn point_sets() -> Vec<Vec<Embedding>> {
+        let pool: Vec<Embedding> = crate::tests::corpus()
+            .iter()
+            .skip(200)
+            .take(300)
+            .map(|t| embed(t))
+            .collect();
+        let a = embed("find all starburst galaxies");
+        let b = embed("list the projects of the EU");
+        let mut sets: Vec<Vec<Embedding>> = (0..=12)
+            .flat_map(|n| (0..20).map(move |s| (n, s)))
+            .map(|(n, s)| {
+                (0..n)
+                    .map(|j| pool[(s * 13 + j * 7) % pool.len()].clone())
+                    .collect()
+            })
+            .collect();
+        sets.push(vec![a.clone(), a.clone()]);
+        sets.push(vec![Embedding::zero(); 3]);
+        sets.push(vec![Embedding::zero(), a.clone(), Embedding::zero()]);
+        sets.push(vec![a.clone(), a.clone(), b.clone()]);
+        for n in 2..=11 {
+            let mut set = vec![a.clone(); n];
+            set.push(b.clone());
+            sets.push(set);
+        }
+        sets
+    }
+
+    #[test]
+    fn geometric_median_matches_the_point_at_a_time_oracle_bit_for_bit() {
+        let sets = point_sets();
+        oracle::COINCIDENT_STEPS.with(|c| c.set([0; 2]));
+        for (s, set) in sets.iter().enumerate() {
+            let got = geometric_median(set);
+            assert_same_bits(&got, &oracle::geometric_median(set), &format!("set {s}"));
+            let refs: Vec<&Embedding> = set.iter().collect();
+            assert_same_bits(&geometric_median(&refs), &got, &format!("borrowed set {s}"));
+        }
+        // Both outcomes of the `d < 1e-9` branch must be covered.
+        let [stopped, went_on] = oracle::COINCIDENT_STEPS.with(|c| c.get());
+        assert!(stopped > 0 && went_on > 0, "{stopped} {went_on}");
+    }
+
+    #[test]
+    fn select_top_k_matches_the_oracle_picks() {
+        let corpus = crate::tests::corpus();
+        let mut sets: Vec<Vec<String>> = (1..=12)
+            .flat_map(|n| (0..15).map(move |s| (n, s)))
+            .map(|(n, s)| {
+                (0..n)
+                    .map(|j| corpus[200 + (s * 17 + j * 5) % 400].clone())
+                    .collect()
+            })
+            .collect();
+        // Duplicates tie on cosine and exercise the earlier-candidate rule.
+        sets.push(vec!["alpha beta".into(); 4]);
+        sets.push(vec!["b".into(), "a a".into(), "b".into(), "a a".into()]);
+        sets.push(vec!["".into(), "".into(), "x y".into()]);
+        for set in &sets {
+            // Positions by address, so equal duplicates stay apart.
+            let positions = |picks: Vec<&String>| -> Vec<usize> {
+                let at = |c: &String| set.iter().position(|s| std::ptr::eq(s, c)).unwrap();
+                picks.into_iter().map(at).collect()
+            };
+            for k in 1..=3 {
+                assert_eq!(
+                    positions(select_top_k(set, k)),
+                    positions(oracle::select_top_k(set, k)),
+                    "k = {k} over {set:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn selects_the_consensus_candidate() {

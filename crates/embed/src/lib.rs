@@ -12,6 +12,8 @@
 //! cosine space, which is the only property the pipeline relies on.
 
 pub mod discriminate;
+#[cfg(test)]
+mod oracle;
 
 pub use discriminate::{select_top_k, Discriminator};
 
@@ -48,19 +50,31 @@ impl Embedding {
     }
 }
 
-/// FNV-1a 64-bit hash — stable across platforms and runs, which keeps the
-/// whole benchmark build deterministic.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+const FNV_PRIME: u64 = 0x100000001b3;
+
+/// FNV-1a 64-bit hash continued from state `h` over `bytes` — stable
+/// across platforms and runs, which keeps the whole benchmark build
+/// deterministic. FNV-1a reads bytes in sequence, so the hash of
+/// `prefix ++ rest` is the prefix's state continued over `rest`: a
+/// feature string never has to be built to be hashed.
+const fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+        i += 1;
     }
     h
 }
 
-fn add_feature(v: &mut [f32; DIM], feature: &str, weight: f32) {
-    let h = fnv1a(feature.as_bytes());
+/// Hash states after the feature prefixes `w:` (word), `b:` (bigram)
+/// and `c:` (character trigram).
+const WORD: u64 = fnv1a_from(FNV_OFFSET, b"w:");
+const BIGRAM: u64 = fnv1a_from(FNV_OFFSET, b"b:");
+const TRIGRAM: u64 = fnv1a_from(FNV_OFFSET, b"c:");
+
+fn add_feature(v: &mut [f32; DIM], h: u64, weight: f32) {
     let idx = (h % DIM as u64) as usize;
     // The next bit decides the sign: signed hashing keeps the expectation
     // of collisions at zero.
@@ -68,39 +82,72 @@ fn add_feature(v: &mut [f32; DIM], feature: &str, weight: f32) {
     v[idx] += sign * weight;
 }
 
-/// Lower-case word tokens (alphanumeric runs).
-pub fn tokenize(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
+/// The one token rule: lower-cased alphanumeric runs, appended to `out`
+/// joined by single spaces. Lower-casing never yields a space, so
+/// `out.split(' ')` gives the tokens back.
+fn lower_tokens(text: &str, out: &mut String) {
+    let mut in_token = false;
     for ch in text.chars() {
         if ch.is_alphanumeric() {
-            cur.extend(ch.to_lowercase());
-        } else if !cur.is_empty() {
-            out.push(std::mem::take(&mut cur));
+            if !in_token && !out.is_empty() {
+                out.push(' ');
+            }
+            in_token = true;
+            if ch.is_ascii() {
+                out.push(ch.to_ascii_lowercase());
+            } else {
+                out.extend(ch.to_lowercase());
+            }
+        } else {
+            in_token = false;
         }
     }
-    if !cur.is_empty() {
-        out.push(cur);
-    }
-    out
+}
+
+/// The tokens of a [`lower_tokens`] buffer.
+fn words(joined: &str) -> impl Iterator<Item = &str> + '_ {
+    joined.split(' ').filter(|w| !w.is_empty())
+}
+
+/// Lower-case word tokens (alphanumeric runs).
+pub fn tokenize(text: &str) -> Vec<String> {
+    let mut joined = String::with_capacity(text.len());
+    lower_tokens(text, &mut joined);
+    words(&joined).map(str::to_string).collect()
 }
 
 /// Embed a sentence: signed-hash word unigrams (weight 1.0), word bigrams
 /// (0.7) and character trigrams (0.3), then L2-normalize.
+///
+/// Features are added in that order — every unigram, then every bigram,
+/// then every trigram — because a dimension's float sum depends on it.
 pub fn embed(text: &str) -> Embedding {
-    let tokens = tokenize(text);
+    let mut joined = String::with_capacity(text.len());
+    lower_tokens(text, &mut joined);
     let mut v = [0.0f32; DIM];
-    for t in &tokens {
-        add_feature(&mut v, &format!("w:{t}"), 1.0);
+    for w in words(&joined) {
+        add_feature(&mut v, fnv1a_from(WORD, w.as_bytes()), 1.0);
     }
-    for pair in tokens.windows(2) {
-        add_feature(&mut v, &format!("b:{} {}", pair[0], pair[1]), 0.7);
+    // `b:x y` is the state after `b:x ` continued over `y`.
+    let mut after_prev: Option<u64> = None;
+    for w in words(&joined) {
+        if let Some(h) = after_prev {
+            add_feature(&mut v, fnv1a_from(h, w.as_bytes()), 0.7);
+        }
+        after_prev = Some(fnv1a_from(fnv1a_from(BIGRAM, w.as_bytes()), b" "));
     }
-    let joined = tokens.join(" ");
-    let chars: Vec<char> = joined.chars().collect();
-    for tri in chars.windows(3) {
-        let g: String = tri.iter().collect();
-        add_feature(&mut v, &format!("c:{g}"), 0.3);
+    // Each trigram is the slice of `joined` between the start of one char
+    // and the start (or end) three chars later.
+    let bytes = joined.as_bytes();
+    let mut bounds = joined
+        .char_indices()
+        .map(|(i, _)| i)
+        .chain(std::iter::once(joined.len()));
+    if let (Some(mut a), Some(mut b), Some(mut c)) = (bounds.next(), bounds.next(), bounds.next()) {
+        for d in bounds {
+            add_feature(&mut v, fnv1a_from(TRIGRAM, &bytes[a..d]), 0.3);
+            (a, b, c) = (b, c, d);
+        }
     }
     let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
     if norm > 0.0 {
@@ -127,6 +174,61 @@ pub fn corpus_similarity(pairs: &[(String, String)]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Deterministic test corpus: every string of up to two chars over a
+    /// small pool, then random concatenations of words, digits and
+    /// punctuation runs, including chars whose lower case is several
+    /// chars (`İ`), another char (`ẞ`, `ǅ`) or themselves (`ﬁ`).
+    pub(crate) fn corpus() -> Vec<String> {
+        const CHARS: [&str; 14] = [
+            "a", "Z", "7", " ", "-", "İ", "ẞ", "ﬁ", "ǅ", "é", "Σ", "日", "'", "\t",
+        ];
+        let pieces: Vec<&str> =
+            "Find galaxies İstanbul STRAẞE ﬁle ǅemal ǄǅǆX 42 0.5 z>0.5 ... !! -- \
+             ΣΑΣ Éclair 日本語 a I ’s x RedShift ra/dec ( )"
+                .split_whitespace()
+                .collect();
+        const SEPS: [&str; 6] = ["", " ", "  ", ", ", "\n", "?! "];
+        let mut out = vec![String::new()];
+        for a in CHARS {
+            out.push(a.to_string());
+            for b in CHARS {
+                out.push(format!("{a}{b}"));
+            }
+        }
+        let mut state = 0x9e3779b97f4a7c15u64;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        // Every fourth sentence is long, so that lanes collect many
+        // features of mixed weights and their order shows in the bits.
+        for i in 0..3000 {
+            let mut s = String::new();
+            for _ in 0..next(if i % 4 == 0 { 60 } else { 12 }) {
+                s.push_str(pieces[next(pieces.len())]);
+                s.push_str(SEPS[next(SEPS.len())]);
+            }
+            out.push(s);
+        }
+        out
+    }
+
+    pub(crate) fn assert_same_bits(got: &Embedding, want: &Embedding, what: &str) {
+        for (i, (g, w)) in got.0.iter().zip(want.0.iter()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "lane {i} of {what}");
+        }
+    }
+
+    #[test]
+    fn embed_matches_the_string_building_oracle_bit_for_bit() {
+        for text in corpus() {
+            assert_eq!(tokenize(&text), oracle::tokenize(&text), "{text:?}");
+            assert_same_bits(&embed(&text), &oracle::embed(&text), &format!("{text:?}"));
+        }
+    }
 
     #[test]
     fn tokenizer_lowercases_and_splits() {
