@@ -2,13 +2,11 @@
 //! `crates/obs/NAMES.md` registry.
 //!
 //! Runs the exact `profile_run --quick` scenario (via the shared
-//! `sb_bench::profiling` library path) for one domain, then a small
-//! serve load run with profiling and the slow log armed, and checks
-//! every counter, span and histogram name the `sb-obs` registry
-//! collected against the names registered in the markdown tables. A
-//! `<placeholder>` segment in a registered name matches exactly one
-//! dynamic segment (`serve.latency_us.<domain>` ⇒
-//! `serve.latency_us.sdss`).
+//! `sb_bench::profiling` library path) for one domain, then a short
+//! replay of the serve load workload with profiling sampled and the
+//! slow log armed, and checks every counter, span and histogram name
+//! the `sb-obs` registry collected against the names registered in the
+//! markdown tables.
 //!
 //! Both scenarios run inside one test: the `sb-obs` registry is global,
 //! so parallel test threads would trample each other's snapshots.
@@ -19,10 +17,12 @@
 
 use sb_bench::profiling::{profile_domain, quick_profile_config};
 use sb_core::SpiderPairs;
-use sb_data::Domain;
+use sb_data::{Domain, SizeClass};
 use sb_nl2sql::Pair;
-use sb_serve::{run_domain_load, LoadConfig};
+use sb_serve::loadgen::workload_sql;
+use sb_serve::{LoadConfig, QueryRequest, QueryService, ServeConfig, SlowLogConfig};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Every backticked name in a table row of `crates/obs/NAMES.md`.
 fn registry() -> Vec<String> {
@@ -46,21 +46,7 @@ fn registry() -> Vec<String> {
 }
 
 fn is_registered(name: &str, registry: &[String]) -> bool {
-    registry.iter().any(|r| {
-        if r == name {
-            return true;
-        }
-        if !r.contains('<') {
-            return false;
-        }
-        let rsegs: Vec<&str> = r.split('.').collect();
-        let nsegs: Vec<&str> = name.split('.').collect();
-        rsegs.len() == nsegs.len()
-            && rsegs
-                .iter()
-                .zip(&nsegs)
-                .all(|(r, n)| (r.starts_with('<') && r.ends_with('>')) || r == n)
-    })
+    registry.iter().any(|r| r == name)
 }
 
 fn assert_all_registered(report: &sb_obs::Report, registry: &[String], scenario: &str) {
@@ -106,8 +92,6 @@ fn every_registered_engine_counter_is_written() {
 #[test]
 fn every_emitted_metric_name_is_registered() {
     let reg = registry();
-    assert!(is_registered("serve.latency_us.sdss", &reg));
-    assert!(!is_registered("serve.latency_us.a.b", &reg));
     assert!(!is_registered("engine.scan.rowz", &reg));
 
     if sb_obs::mode() == sb_obs::Mode::Off {
@@ -129,26 +113,26 @@ fn every_emitted_metric_name_is_registered() {
     );
     assert_all_registered(&cell.obs, &reg, "profile_run --quick");
 
-    // Scenario 2: a serve load run with profiling sampled and the slow
-    // log armed, so the tracing-path counters fire too.
-    let _ = run_domain_load(
-        Domain::Sdss,
-        &LoadConfig {
-            clients: 2,
-            requests: 40,
-            profile_sample: 4,
-            slow_log_threshold_us: Some(0),
-            ..LoadConfig::default()
+    // Scenario 2: the serve load workload through a service with every
+    // 4th request profiled and the slow log armed at threshold 0, so the
+    // tracing-path counters fire too.
+    sb_obs::reset();
+    let db = Arc::new(Domain::Sdss.build(SizeClass::Tiny).db);
+    let service = QueryService::new(ServeConfig {
+        slow_log: SlowLogConfig {
+            enabled: true,
+            threshold_us: 0,
         },
-    );
+        ..ServeConfig::default()
+    })
+    .with_snapshot("sdss", Arc::clone(&db));
+    let load = LoadConfig::default();
+    for index in 0..40u64 {
+        let mut req = QueryRequest::new(index, "sdss", &workload_sql(&db, &load, index));
+        req.profile = index.is_multiple_of(4);
+        service.handle(&req);
+    }
     let serve_report = sb_obs::snapshot();
-    assert!(
-        serve_report
-            .hists
-            .iter()
-            .any(|(n, _)| n == "serve.latency_us.sdss"),
-        "load run recorded no latency histogram"
-    );
     assert!(serve_report.counter("serve.slow_logged") > 0);
     assert_all_registered(&serve_report, &reg, "serve load");
 }

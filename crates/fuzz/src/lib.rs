@@ -83,8 +83,8 @@ pub fn fuzz_database(domain: Domain) -> Database {
 /// One serving-workload query, generated from a deterministic
 /// *per-index* RNG stream: request `index` is a function of
 /// `(database, base_seed, index)` only, never of which client issues
-/// it or how many clients exist. This is what lets the `sb-serve` load
-/// generator replay a byte-identical total workload at any client
+/// it or how many clients exist. This is what lets a replay of the
+/// `sb-serve` load workload issue byte-identical requests at any client
 /// count (the same per-index seeding discipline as the rayon-parallel
 /// generation pipeline).
 pub fn workload_query(db: &Database, base_seed: u64, index: u64) -> sb_sql::Query {

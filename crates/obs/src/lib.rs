@@ -220,9 +220,8 @@ impl Default for HistStat {
 
 impl HistStat {
     /// Record one observation. Public so consumers that need *local*
-    /// histograms (e.g. the load generator's per-error-code latency
-    /// breakdown, whose names are dynamic) can reuse the bucketing and
-    /// merge machinery outside the named global registry.
+    /// histograms (for example under dynamic names) can reuse the
+    /// bucketing and merge machinery outside the named global registry.
     pub fn observe(&mut self, v: f64) {
         if self.count == 0 {
             self.min = v;

@@ -49,7 +49,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// Every code in wire order — the iteration basis for per-code
-    /// counters (the load generator's `errors_by_code` breakdown).
+    /// counters (the benchmark indexes its per-request codes by it).
     pub const ALL: [ErrorCode; 8] = [
         ErrorCode::Ok,
         ErrorCode::InvalidRequest,

@@ -19,10 +19,9 @@
 //!   bounded by CLOCK eviction.
 //! - [`admission`] — bounded in-flight admission with explicit
 //!   `overloaded` rejection; the service never queues.
-//! - [`loadgen`] — a closed-loop load generator replaying the fuzzer
-//!   workload from N simulated clients, reporting p50/p95/p99 latency
-//!   and throughput through `sb-obs` histograms (the `serve_load`
-//!   binary emits `BENCH_serve.json`).
+//! - [`loadgen`] — the deterministic request mix (fuzzer statements
+//!   with a hot set) that the serve tests and the benchmark's serve
+//!   workloads replay; load itself is measured by `sbbench`.
 //!
 //! ## Concurrency model
 //!
@@ -53,7 +52,7 @@ pub use cache::{PlanCache, PlanCacheStats, Prepared};
 pub use envelope::{
     trace_id, validate_read_only_sql, ErrorCode, QueryRequest, QueryResponse, RequestProfile,
 };
-pub use loadgen::{render_bench_json, run_domain_load, validate_bench_json, LoadConfig};
+pub use loadgen::LoadConfig;
 
 use sb_engine::{Database, ExecOptions};
 use sb_obs::QueryProfile;
@@ -70,8 +69,8 @@ pub struct SlowLogConfig {
     /// Arm the slow log (and with it, per-request engine profiling).
     pub enabled: bool,
     /// Minimum total request wall time, in microseconds, for a request
-    /// to be logged. `0` logs every request — how tests and the load
-    /// generator exercise the path deterministically.
+    /// to be logged. `0` logs every request — how tests exercise the
+    /// path deterministically.
     pub threshold_us: u64,
 }
 
@@ -135,8 +134,8 @@ pub struct QueryService {
     cache: PlanCache,
     gate: AdmissionGate,
     /// Buffered slow-query log lines (JSON, one request per line).
-    /// In-memory so the service stays filesystem-free; `serve_load`
-    /// drains it to the `--slow-log` path.
+    /// In-memory so the service stays filesystem-free; callers drain
+    /// it with [`QueryService::drain_slow_log`].
     slow_log: Mutex<Vec<String>>,
 }
 
@@ -466,7 +465,7 @@ mod tests {
             .collect()
     }
 
-    /// The load generator's hot-and-fresh mix through caches of 1 to 64
+    /// The load workload's hot-and-fresh mix through caches of 1 to 64
     /// entries: every response matches the uncached service, the cache
     /// stays within its bound and evicts, and a cache with room for the
     /// hot set keeps it however many one-off statements pass through.

@@ -4,19 +4,30 @@
 //!
 //! This is the serving layer's core guarantee made testable: snapshots
 //! are immutable, execution is deterministic, and the only shared
-//! mutable state (plan cache, admission counters) must never leak into
-//! response bytes. The matrix covers the plan cache on/off and the
-//! columnar engine on/off, so cache first-touch races and the batch
-//! fallback path are both exercised under real contention.
+//! mutable state (plan cache, admission counters, slow log) must never
+//! leak into response bytes. The matrix covers the plan cache on/off
+//! and the columnar engine on/off, so cache first-touch races and the
+//! batch fallback path are both exercised under real contention. In the
+//! cached columnar cell the concurrent service also traces: the slow
+//! log is armed at threshold 0 and every 16th request asks for a
+//! profile, so tracing under load must stay invisible on the wire.
+//! Byte identity also means no `timeout` or `overloaded` response:
+//! a deterministic run must not shed load.
 //!
 //! `SB_SERVE_COUNT` overrides the per-domain request count.
 
 use sb_data::Domain;
 use sb_engine::ExecOptions;
-use sb_serve::{LoadConfig, QueryRequest, QueryService, ServeConfig};
+use sb_serve::{
+    ErrorCode, LoadConfig, QueryRequest, QueryResponse, QueryService, ServeConfig, SlowLogConfig,
+};
 use std::sync::Arc;
 
 const THREADS: usize = 8;
+
+/// In the tracing cell, every `PROFILE_EVERY`-th request sets
+/// `profile`.
+const PROFILE_EVERY: u64 = 16;
 
 fn request_count() -> usize {
     std::env::var("SB_SERVE_COUNT")
@@ -25,14 +36,20 @@ fn request_count() -> usize {
         .unwrap_or(200)
 }
 
-/// Replay the whole workload on one thread, collecting response JSON.
-fn replay(service: &QueryService, domain: Domain, sqls: &[String]) -> Vec<String> {
+/// Replay the whole workload on one thread. With `profile_every > 0`,
+/// every `profile_every`-th request sets `profile`.
+fn replay(
+    service: &QueryService,
+    domain: Domain,
+    sqls: &[String],
+    profile_every: u64,
+) -> Vec<QueryResponse> {
     sqls.iter()
         .enumerate()
         .map(|(i, sql)| {
-            service
-                .handle(&QueryRequest::new(i as u64, domain.name(), sql))
-                .to_json()
+            let mut req = QueryRequest::new(i as u64, domain.name(), sql);
+            req.profile = profile_every > 0 && (i as u64).is_multiple_of(profile_every);
+            service.handle(&req)
         })
         .collect()
 }
@@ -56,27 +73,47 @@ fn check_domain(domain: Domain, plan_cache: bool, columnar: bool) {
         plan_cache,
         ..ServeConfig::default()
     };
+    let traced = plan_cache && columnar;
 
     let baseline = {
         let service = QueryService::new(cfg).with_snapshot(domain.name(), Arc::clone(&db));
-        replay(&service, domain, &sqls)
+        replay(&service, domain, &sqls, 0)
     };
+    let baseline_json: Vec<String> = baseline.iter().map(|r| r.to_json()).collect();
+    // The fuzzer generates a slice of erroring statements on purpose
+    // (its oracle checks error parity), so a healthy workload answers
+    // mostly, not only, `ok`.
+    let errors = baseline.iter().filter(|r| r.code != ErrorCode::Ok).count();
+    assert!(
+        errors < count / 5,
+        "{}: error responses dominate the workload ({errors}/{count})",
+        domain.name()
+    );
 
     // Fresh service, so concurrent threads also race on cache
     // first-touch rather than finding it pre-warmed.
-    let service = QueryService::new(cfg).with_snapshot(domain.name(), Arc::clone(&db));
+    let concurrent_cfg = ServeConfig {
+        slow_log: SlowLogConfig {
+            enabled: traced,
+            threshold_us: 0,
+        },
+        ..cfg
+    };
+    let profile_every = if traced { PROFILE_EVERY } else { 0 };
+    let service = QueryService::new(concurrent_cfg).with_snapshot(domain.name(), Arc::clone(&db));
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..THREADS)
-            .map(|_| s.spawn(|| replay(&service, domain, &sqls)))
+            .map(|_| s.spawn(|| replay(&service, domain, &sqls, profile_every)))
             .collect();
         for (t, handle) in handles.into_iter().enumerate() {
             let got = handle.join().expect("client thread panicked");
-            for (i, (g, want)) in got.iter().zip(&baseline).enumerate() {
+            for (i, (g, want)) in got.iter().zip(&baseline_json).enumerate() {
                 assert_eq!(
-                    g,
+                    &g.to_json(),
                     want,
                     "{} thread {t} request {i} diverged from the single-threaded \
-                     baseline (plan_cache={plan_cache}, columnar={columnar})\nsql: {}",
+                     baseline (plan_cache={plan_cache}, columnar={columnar}, \
+                     traced={traced})\nsql: {}",
                     domain.name(),
                     sqls[i]
                 );
@@ -92,6 +129,45 @@ fn check_domain(domain: Domain, plan_cache: bool, columnar: bool) {
             domain.name()
         );
     }
+
+    let lines = service.drain_slow_log();
+    if !traced {
+        assert!(lines.is_empty(), "slow log must stay off unless armed");
+        return;
+    }
+    // Requests stopped before execution (guardrail, unknown snapshot,
+    // parse) leave no slow-log line; every other one does at
+    // threshold 0, errors included.
+    let before_execution = [
+        ErrorCode::InvalidRequest,
+        ErrorCode::NotReadOnly,
+        ErrorCode::ParseError,
+    ];
+    let executed = baseline
+        .iter()
+        .filter(|r| !before_execution.contains(&r.code))
+        .count();
+    assert!(executed > 0, "{}: workload executed nothing", domain.name());
+    assert_eq!(
+        lines.len(),
+        executed * THREADS,
+        "{}: threshold-0 slow log must record every executed request",
+        domain.name()
+    );
+    for line in &lines {
+        sb_obs::json::validate(line).unwrap_or_else(|e| panic!("bad slow-log JSON ({e}): {line}"));
+        assert!(
+            line.contains("\"trace_id\""),
+            "slow-log line without a trace id: {line}"
+        );
+    }
+    assert!(
+        lines
+            .iter()
+            .any(|l| l.contains("Scan") || l.contains("HashJoin")),
+        "{}: slow log carries no analyzed plan",
+        domain.name()
+    );
 }
 
 #[test]

@@ -1,11 +1,11 @@
-//! The serve load generator's hot set contains one erroring statement
+//! The serve load workload's hot set contains one erroring statement
 //! per domain on cordis and oncomx: hot statement 11, whose
 //! `HAVING MIN(<text column>) <= 2` compares text with an int. The
 //! fuzzer generates such type mismatches on purpose, and the reference
 //! interpreter rejects it too, so the `exec_error` it produces on every
-//! replay (128 per domain in `BENCH_serve.json`) is the correct answer,
-//! not an engine bug. This pins it: the statement, its error code, and
-//! its message, which must be the reference's.
+//! replay (one request in 16 of each domain's default mix) is the
+//! correct answer, not an engine bug. This pins it: the statement, its
+//! error code, and its message, which must be the reference's.
 
 use sb_data::Domain;
 use sb_engine::execute_reference;

@@ -1,19 +1,16 @@
-//! Load-generator determinism: the workload is a pure function of
+//! Load-workload determinism: the workload is a pure function of
 //! `(snapshot, seed, index)`, so replaying it at any client count
-//! produces the identical request stream — and a real mini load run
-//! emits a `BENCH_serve.json` document that validates.
+//! produces the identical request stream, and profiling a replay does
+//! not change a response byte.
 
 use sb_data::Domain;
 use sb_serve::loadgen::workload_sql;
-use sb_serve::{
-    render_bench_json, run_domain_load, validate_bench_json, LoadConfig, QueryRequest,
-    QueryService, ServeConfig, SlowLogConfig,
-};
+use sb_serve::{LoadConfig, QueryRequest, QueryService, ServeConfig, SlowLogConfig};
 use std::sync::Arc;
 
-/// The request stream exactly as `run_domain_load`'s clients generate
-/// it: client `c` of `n` walks indices `c, c + n, c + 2n, ...`. Streams
-/// are reassembled by index so the comparison covers both the statement
+/// The request stream as `n` closed-loop clients generate it: client
+/// `c` of `n` walks indices `c, c + n, c + 2n, ...`. Streams are
+/// reassembled by index so the comparison covers both the statement
 /// bytes and the index → client assignment.
 fn workload_at(clients: usize, requests: usize, load: &LoadConfig) -> Vec<String> {
     let db = sb_fuzz::fuzz_database(Domain::Sdss);
@@ -107,89 +104,4 @@ fn profiling_does_not_perturb_workload_response_bytes() {
         executed,
         "threshold-0 slow log must record every executed request"
     );
-}
-
-/// The same property through `run_domain_load` itself: sampling
-/// profiles and arming the slow log must not change what the service
-/// answers, only add side-band reporting.
-#[test]
-fn sampled_profiling_run_matches_plain_run_outcomes() {
-    let base = LoadConfig {
-        clients: 2,
-        requests: 60,
-        ..LoadConfig::default()
-    };
-    let plain = run_domain_load(Domain::Sdss, &base);
-    let instrumented = run_domain_load(
-        Domain::Sdss,
-        &LoadConfig {
-            profile_sample: 7,
-            slow_log_threshold_us: Some(0),
-            ..base
-        },
-    );
-    assert_eq!(plain.ok, instrumented.ok);
-    assert_eq!(plain.errors_by_code, instrumented.errors_by_code);
-    assert_eq!(plain.cache.misses, instrumented.cache.misses);
-    assert!(plain.slow_log_lines.is_empty());
-    assert_eq!(
-        instrumented.slow_log_lines.len(),
-        instrumented.ok + instrumented.errors
-            - instrumented
-                .errors_by_code
-                .iter()
-                .filter(|(c, _)| matches!(*c, "invalid_request" | "not_read_only" | "parse_error"))
-                .map(|(_, n)| n)
-                .sum::<usize>(),
-        "slow log records exactly the requests that reached execution"
-    );
-    for line in &instrumented.slow_log_lines {
-        sb_obs::json::validate(line).unwrap_or_else(|e| panic!("bad slow-log JSON ({e}): {line}"));
-    }
-}
-
-#[test]
-fn mini_load_run_emits_a_validating_bench_document() {
-    let load = LoadConfig {
-        clients: 4,
-        requests: 120,
-        ..LoadConfig::default()
-    };
-    let reports: Vec<_> = Domain::ALL
-        .into_iter()
-        .map(|d| run_domain_load(d, &load))
-        .collect();
-    for r in &reports {
-        assert_eq!(
-            r.ok + r.errors,
-            r.requests,
-            "{}: every request answered",
-            r.domain
-        );
-        // The fuzzer deliberately generates a slice of erroring
-        // statements (the differential oracle checks error parity), so
-        // a healthy run answers mostly-ok, not all-ok.
-        assert!(
-            r.errors < r.requests / 5,
-            "{}: error responses dominate the workload ({}/{})",
-            r.domain,
-            r.errors,
-            r.requests
-        );
-        assert!(
-            r.cache.hits > 0,
-            "{}: hot set must hit the plan cache",
-            r.domain
-        );
-        assert!(r.qps > 0.0 && r.p50_us <= r.p95_us && r.p95_us <= r.p99_us);
-    }
-    let doc = render_bench_json(&load, &reports);
-    validate_bench_json(&doc).expect("load run must emit a valid BENCH_serve document");
-    for domain in Domain::ALL {
-        assert!(
-            doc.contains(&format!("\"domain\": \"{}\"", domain.name())),
-            "document must carry a section for {}",
-            domain.name()
-        );
-    }
 }

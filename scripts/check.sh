@@ -43,8 +43,7 @@ RAYON_NUM_THREADS=1 cargo test -q --test plan_snapshots_analyzed
 
 echo "== obs smoke: SB_OBS=summary profile_run on one domain =="
 report="$(mktemp)"
-serve_report="$(mktemp)"
-trap 'rm -f "$report" "$serve_report"' EXIT
+trap 'rm -f "$report"' EXIT
 SB_OBS=summary ./target/release/profile_run --quick --domain sdss > "$report"
 ./target/release/profile_run --validate "$report"
 grep -q '"engine.scan.rows"' "$report" || {
@@ -108,68 +107,26 @@ diff <(grep -v '"engine\.parallel\.' "$par_report") "$serial_report" || {
 }
 rm -f "$par_report" "$serial_report"
 
-echo "== serve smoke: in-process load run across all three domains =="
-# Closed-loop mini load test against the concurrent query service (plan
-# cache on, 4 clients), then shape-check the emitted BENCH document:
-# well-formed JSON with per-domain qps and latency quantiles. A
-# deterministic quick run must not shed load: --forbid-transient fails
-# on any timeout/overloaded error, and the per-code error split must be
-# present in the document.
-# --profile-sample/--slow-log also exercise the tracing path: sampled
-# requests carry phase breakdowns and the slow log (threshold 0) records
-# a trace id + analyzed plan for every executed request.
-slow_log="$(mktemp)"
-./target/release/serve_load --quick --forbid-transient --out "$serve_report" \
-    --profile-sample 16 --slow-log "$slow_log"
-./target/release/serve_load --validate "$serve_report"
-grep -q '"trace_id"' "$slow_log" || {
-    echo "slow-query log is missing trace ids" >&2
-    exit 1
-}
-grep -q 'HashJoin\|Scan' "$slow_log" || {
-    echo "slow-query log is missing analyzed plans" >&2
-    exit 1
-}
-rm -f "$slow_log"
-for key in '"qps"' '"p99"' '"cache"' '"errors_by_code"'; do
-    grep -q "$key" "$serve_report" || {
-        echo "BENCH_serve report is missing $key" >&2
-        exit 1
-    }
-done
-for domain in cordis sdss oncomx; do
-    grep -q "\"domain\": \"$domain\"" "$serve_report" || {
-        echo "BENCH_serve report is missing domain $domain" >&2
-        exit 1
-    }
-done
-
 echo "== ab_pairs: syntax only =="
 # The alternating-pairs A/B script builds two trees and runs minutes of
 # benchmark pairs, too slow for this gate; parse it so it cannot rot.
 bash -n scripts/ab_pairs
 
-echo "== bench baseline shape: scaling_curve group committed =="
-# The criterion baseline must carry the serial-vs-parallel scaling curve
-# (regenerated by CRITERION_JSON=$PWD/BENCH_engine.json cargo bench -p sb-bench).
-for probe in '"group": "scaling_curve"' '_serial"' '_parallel"'; do
-    grep -q "$probe" BENCH_engine.json || {
-        echo "BENCH_engine.json is missing the scaling_curve group ($probe)" >&2
-        exit 1
-    }
-done
-
-echo "== bench regression gate (informational) =="
-# Compare the committed BENCH_serve.json baseline against the load run
-# this script just produced. Wall-clock numbers vary across machines, so
-# a regression here warns instead of failing the gate; scripts/bench_diff
-# is the same tool CI/reviewers run against two committed snapshots,
-# where its nonzero exit is binding.
-./scripts/bench_diff BENCH_serve.json "$serve_report" \
-    || echo "bench_diff: regressions vs committed baseline (informational only)"
-# Self-diff the criterion baseline: parses the engine format and must be
-# clean by construction — a failure here means the tool or format broke.
-./scripts/bench_diff BENCH_engine.json BENCH_engine.json > /dev/null
+echo "== bench baseline shape: BENCH_engine.json =="
+# The committed criterion record (regenerated by
+# CRITERION_JSON=$PWD/BENCH_engine.json cargo bench -p sb-bench) must be a
+# non-empty array of uniquely named entries with a positive ns_per_iter,
+# and must carry the serial-vs-parallel scaling curve.
+jq -e '
+    type == "array" and length > 0
+    and all(.[]; (.group | type) == "string" and (.name | type) == "string"
+        and (.ns_per_iter | type) == "number" and .ns_per_iter > 0)
+    and (map([.group, .name]) | unique | length) == length
+    and any(.[]; .group == "scaling_curve")
+' BENCH_engine.json > /dev/null || {
+    echo "BENCH_engine.json is malformed or missing the scaling_curve group" >&2
+    exit 1
+}
 
 echo "== cargo clippy -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings

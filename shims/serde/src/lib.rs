@@ -193,19 +193,3 @@ impl<T: Deserialize> Deserialize for Option<T> {
         }
     }
 }
-
-// Identity impls so callers can (de)serialize the JSON tree itself —
-// e.g. `serde_json::from_str::<serde::json::Value>` for documents whose
-// schema is inspected dynamically (the `bench_diff` gate reads both
-// BENCH document shapes this way).
-impl Serialize for Value {
-    fn to_json_value(&self) -> Value {
-        self.clone()
-    }
-}
-
-impl Deserialize for Value {
-    fn from_json_value(v: &Value) -> Result<Self, String> {
-        Ok(v.clone())
-    }
-}
