@@ -170,6 +170,26 @@ fn bench_scaling_curve(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_data_build(c: &mut Criterion) {
+    use sb_engine::{profile_database, ColumnarTable};
+    // The two halves of profiling a built domain: the columnar image of
+    // every table, then the profile counted over those images.
+    let db = Domain::Sdss.build(SizeClass::Full).db;
+    let mut g = c.benchmark_group("data_build");
+    g.sample_size(10);
+    g.bench_function("columnar_image_sdss_full", |b| {
+        b.iter(|| {
+            let tables = std::hint::black_box(&db).tables();
+            tables.iter().map(ColumnarTable::build).collect::<Vec<_>>()
+        })
+    });
+    // `Domain::build` profiled `db`, so its images already exist.
+    g.bench_function("profile_sdss_full", |b| {
+        b.iter(|| profile_database(std::hint::black_box(&db)))
+    });
+    g.finish();
+}
+
 fn bench_exec_acc_cached(c: &mut Criterion) {
     use sb_metrics::{execution_accuracy, execution_accuracy_cached, GoldCache};
     let d = Domain::Sdss.build(SizeClass::Small);
@@ -384,6 +404,7 @@ criterion_group!(
     bench_engine,
     bench_columnar_operators,
     bench_scaling_curve,
+    bench_data_build,
     bench_exec_acc_cached,
     bench_join_strategies,
     bench_templates_and_generation,

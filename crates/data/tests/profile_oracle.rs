@@ -3,13 +3,15 @@
 //! distinct value rendered, all of them sorted by (count desc, literal
 //! asc), the first `FREQUENT_VALUES` kept. The two must agree on every
 //! column of every domain at every size class, of the Spider-like
-//! corpus, and of hand-built tables aimed at the top-k selection's edges.
+//! corpus, and of hand-built tables aimed at the top-k selection's edges
+//! and at the columns counted from the rows rather than from the
+//! columnar image: `Mixed` columns and tables whose image has drifted.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sb_data::{Domain, SizeClass, SpiderCorpus};
 use sb_engine::key::KeyIndex;
-use sb_engine::{profile_database, sql_literal, Database, Value};
+use sb_engine::{profile_database, sql_literal, ColumnData, Database, Value};
 use sb_schema::{Column, ColumnProfile, ColumnType, DataProfile, Schema, TableDef};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::Hasher;
@@ -228,6 +230,9 @@ fn hand_built_edges_profile_like_the_full_sort() {
         ("empty", ColumnType::Int, Vec::new()),
     ]);
     assert_matches_reference(&db, "edges");
+    // `mixed` is profiled from its rows, not from its image.
+    let image = db.table("mixed").unwrap().columnar().unwrap();
+    assert!(matches!(image.columns[0].data, ColumnData::Mixed));
 
     let p = profile_database(&db);
     let straddle = p.column("straddle", "v").unwrap();
@@ -292,4 +297,55 @@ fn random_tie_heavy_columns_profile_like_the_full_sort() {
         cases.push((name.as_str(), ty, values));
     }
     assert_matches_reference(&single_column_tables(cases), "random");
+}
+
+/// A copy of `db` whose tables share its rows but have no columnar
+/// image yet.
+fn without_images(db: &Database) -> Database {
+    let mut copy = Database::new(db.schema.clone());
+    for t in db.tables() {
+        copy.table_mut(&t.def.name).unwrap().rows = t.rows.clone();
+    }
+    copy
+}
+
+#[test]
+fn profiling_before_and_after_the_images_exist_agrees() {
+    for domain in Domain::ALL {
+        // `Domain::build` profiles, so its tables already carry images.
+        let data = domain.build(SizeClass::Small);
+        let fresh = without_images(&data.db);
+        assert_eq!(
+            profile_database(&fresh),
+            profile_database(&data.db),
+            "{}",
+            domain.name()
+        );
+        assert_eq!(*fresh.profile(), *data.db.profile(), "{}", domain.name());
+    }
+}
+
+#[test]
+fn drifted_tables_profile_from_the_rows_like_the_full_sort() {
+    let mut db = single_column_tables(vec![
+        (
+            "drifted",
+            ColumnType::Int,
+            (0..50).map(Value::Int).collect(),
+        ),
+        ("clean", ColumnType::Text, repeated("v", 0..30, 2)),
+    ]);
+    let table = db.table_mut("drifted").unwrap();
+    let built = table.columnar().expect("a fresh image matches its rows");
+    assert_eq!(built.len, 50);
+    // Rows pushed straight into `rows` bypass the image's invalidation.
+    for i in 0..30 {
+        table.rows.push(vec![Value::Int(i % 4)].into());
+    }
+    assert!(db.table("drifted").unwrap().columnar().is_none());
+    assert_matches_reference(&db, "drifted");
+    let drifted = profile_database(&db);
+    let drifted = drifted.column("drifted", "v").unwrap();
+    assert_eq!((drifted.count, drifted.distinct), (80, 50));
+    assert_eq!(drifted.frequent_values[..4], ["0", "1", "2", "3"]);
 }

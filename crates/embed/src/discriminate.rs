@@ -121,7 +121,11 @@ pub fn select_top_k(candidates: &[String], k: usize) -> Vec<&String> {
     for _ in 0..k.min(candidates.len()) {
         let pts: Vec<&Embedding> = remaining.iter().map(|&i| &embeddings[i]).collect();
         let median = geometric_median(&pts);
-        let scores: Vec<f32> = pts.iter().map(|e| e.cosine(&median)).collect();
+        let median_norm = median.sq_norm();
+        let scores: Vec<f32> = pts
+            .iter()
+            .map(|e| median.cosine_with_sq_norm(median_norm, e))
+            .collect();
         // `remaining` is ascending, so position order is candidate order.
         let best_pos = (0..remaining.len())
             .max_by(|&a, &b| {

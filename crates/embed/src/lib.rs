@@ -30,22 +30,36 @@ impl Embedding {
         Embedding([0.0; DIM])
     }
 
+    /// Squared L2 norm, summed lane by lane in order.
+    pub fn sq_norm(&self) -> f32 {
+        let mut n = 0.0f32;
+        for x in &self.0 {
+            n += x * x;
+        }
+        n
+    }
+
     /// Cosine similarity in `[-1, 1]`; 0 when either vector is zero.
     pub fn cosine(&self, other: &Embedding) -> f32 {
+        self.cosine_with_sq_norm(self.sq_norm(), other)
+    }
+
+    /// [`Embedding::cosine`] given this side's [`Embedding::sq_norm`], for
+    /// comparing one embedding against many: the norm is summed once, and
+    /// the result is bit-identical to `cosine` either way round.
+    pub fn cosine_with_sq_norm(&self, sq_norm: f32, other: &Embedding) -> f32 {
         let mut dot = 0.0f32;
-        let mut na = 0.0f32;
         let mut nb = 0.0f32;
         for i in 0..DIM {
             dot += self.0[i] * other.0[i];
-            na += self.0[i] * self.0[i];
             nb += other.0[i] * other.0[i];
         }
-        if na == 0.0 || nb == 0.0 {
+        if sq_norm == 0.0 || nb == 0.0 {
             0.0
         } else {
             // Clamp away float rounding that can push a self-similarity
             // infinitesimally past 1.
-            (dot / (na.sqrt() * nb.sqrt())).clamp(-1.0, 1.0)
+            (dot / (sq_norm.sqrt() * nb.sqrt())).clamp(-1.0, 1.0)
         }
     }
 }
@@ -227,6 +241,21 @@ mod tests {
         for text in corpus() {
             assert_eq!(tokenize(&text), oracle::tokenize(&text), "{text:?}");
             assert_same_bits(&embed(&text), &oracle::embed(&text), &format!("{text:?}"));
+        }
+    }
+
+    #[test]
+    fn cosine_with_sq_norm_matches_the_three_sum_cosine_bit_for_bit() {
+        let embeddings: Vec<Embedding> = corpus().iter().map(|t| embed(t)).collect();
+        for (i, a) in embeddings.iter().enumerate().step_by(61) {
+            let norm = a.sq_norm();
+            for (j, b) in embeddings.iter().enumerate() {
+                let want = oracle::cosine(a, b).to_bits();
+                assert_eq!(a.cosine_with_sq_norm(norm, b).to_bits(), want, "{i} vs {j}");
+                assert_eq!(a.cosine(b).to_bits(), want, "{i} vs {j}");
+                // Either side may be the fixed one.
+                assert_eq!(oracle::cosine(b, a).to_bits(), want, "{j} vs {i}");
+            }
         }
     }
 

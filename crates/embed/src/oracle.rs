@@ -1,6 +1,7 @@
-//! The string-building `embed` and the point-at-a-time Weiszfeld median
-//! that the kernels in `lib.rs` and `discriminate.rs` replace, kept as
-//! bit-identity references for their tests.
+//! The string-building `embed`, the point-at-a-time Weiszfeld median
+//! and the three-sum cosine that the kernels in `lib.rs` and
+//! `discriminate.rs` replace, kept as bit-identity references for their
+//! tests.
 
 use crate::{Embedding, DIM};
 use std::cell::Cell;
@@ -9,6 +10,24 @@ thread_local! {
     /// Weiszfeld steps on this thread that met a point at distance
     /// `< 1e-9`: `[stopped there, went on without that point]`.
     pub static COINCIDENT_STEPS: Cell<[usize; 2]> = const { Cell::new([0; 2]) };
+}
+
+/// Cosine similarity with both squared norms summed alongside the dot
+/// product.
+pub fn cosine(a: &Embedding, b: &Embedding) -> f32 {
+    let mut dot = 0.0f32;
+    let mut na = 0.0f32;
+    let mut nb = 0.0f32;
+    for i in 0..DIM {
+        dot += a.0[i] * b.0[i];
+        na += a.0[i] * a.0[i];
+        nb += b.0[i] * b.0[i];
+    }
+    if na == 0.0 || nb == 0.0 {
+        0.0
+    } else {
+        (dot / (na.sqrt() * nb.sqrt())).clamp(-1.0, 1.0)
+    }
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -133,9 +152,8 @@ pub fn select_top_k(candidates: &[String], k: usize) -> Vec<&String> {
             .iter()
             .enumerate()
             .max_by(|(_, &a), (_, &b)| {
-                embeddings[a]
-                    .cosine(&median)
-                    .partial_cmp(&embeddings[b].cosine(&median))
+                cosine(&embeddings[a], &median)
+                    .partial_cmp(&cosine(&embeddings[b], &median))
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then_with(|| b.cmp(&a))
             })

@@ -5,8 +5,9 @@
 //! (`i64` / `f64` / `bool` arrays, dictionary-encoded strings) plus a
 //! null bitmap. The batch executor ([`crate::batch`]) runs its
 //! vectorized kernels over these vectors and materializes `Value`s only
-//! at result boundaries; the row storage remains the source of truth
-//! and the fallback path.
+//! at result boundaries, and the data profiler ([`crate::profile`])
+//! counts over them; the row storage remains the source of truth and
+//! the fallback path.
 //!
 //! Layout conventions (documented in DESIGN.md §12):
 //!
@@ -148,18 +149,129 @@ pub struct ColumnarTable {
 }
 
 impl ColumnarTable {
-    /// Build the columnar image of a table by scanning its row storage
-    /// once per column. The first non-NULL value fixes the expected
-    /// variant; any later disagreement demotes the column to
-    /// [`ColumnData::Mixed`].
+    /// Build the columnar image of a table in one row-major pass over
+    /// its row storage: each row's cells go to one builder per column.
+    /// The first non-NULL value of a column fixes its variant (the NULL
+    /// rows before it are backfilled with placeholders); any later
+    /// disagreement demotes the column to [`ColumnData::Mixed`].
     pub fn build(table: &Table) -> Self {
         let len = table.rows.len();
-        let width = table.def.columns.len();
-        let columns = (0..width).map(|j| build_column(table, j, len)).collect();
+        let mut builders: Vec<ColumnBuilder<'_>> = table
+            .def
+            .columns
+            .iter()
+            .map(|_| ColumnBuilder::new(len))
+            .collect();
+        for (i, row) in table.rows.iter().enumerate() {
+            for (b, v) in builders.iter_mut().zip(row.iter()) {
+                b.push(i, v);
+            }
+        }
+        let columns = builders.into_iter().map(ColumnBuilder::finish).collect();
         ColumnarTable { columns, len }
     }
 }
 
+/// One column of [`ColumnarTable::build`] while the rows stream in.
+/// `data` is `AllNull` until the first non-NULL value.
+struct ColumnBuilder<'a> {
+    data: ColumnData,
+    /// Text columns: code of each distinct string.
+    dict: HashMap<&'a str, u32, FxBuild>,
+    nulls: NullMask,
+    len: usize,
+}
+
+/// A vector of capacity `len` holding `backfill` placeholders (the NULL
+/// rows seen so far) followed by `first`.
+fn started<T: Copy>(len: usize, backfill: usize, placeholder: T, first: T) -> Vec<T> {
+    let mut out = Vec::with_capacity(len);
+    out.resize(backfill, placeholder);
+    out.push(first);
+    out
+}
+
+impl<'a> ColumnBuilder<'a> {
+    fn new(len: usize) -> Self {
+        ColumnBuilder {
+            data: ColumnData::AllNull,
+            dict: HashMap::default(),
+            nulls: NullMask::new(len),
+            len,
+        }
+    }
+
+    /// Take row `i`'s cell.
+    #[inline]
+    fn push(&mut self, i: usize, v: &'a Value) {
+        match (&mut self.data, v) {
+            (ColumnData::Int(out), Value::Int(x)) => out.push(*x),
+            (ColumnData::Float(out), Value::Float(x)) => out.push(*x),
+            (ColumnData::Bool(out), Value::Bool(x)) => out.push(*x),
+            (ColumnData::Text(d), Value::Text(s)) => {
+                let code = *self.dict.entry(s.as_str()).or_insert_with(|| {
+                    d.values.push(Arc::clone(s));
+                    (d.values.len() - 1) as u32
+                });
+                d.codes.push(code);
+            }
+            (data, Value::Null) => {
+                self.nulls.set(i);
+                match data {
+                    ColumnData::Int(out) => out.push(0),
+                    ColumnData::Float(out) => out.push(0.0),
+                    ColumnData::Bool(out) => out.push(false),
+                    ColumnData::Text(d) => d.codes.push(0),
+                    ColumnData::AllNull | ColumnData::Mixed => {}
+                }
+            }
+            (ColumnData::Mixed, _) => {}
+            // The first non-NULL value fixes the variant.
+            (ColumnData::AllNull, v) => {
+                let len = self.len;
+                self.data = match v {
+                    Value::Int(x) => ColumnData::Int(started(len, i, 0, *x)),
+                    Value::Float(x) => ColumnData::Float(started(len, i, 0.0, *x)),
+                    Value::Bool(x) => ColumnData::Bool(started(len, i, false, *x)),
+                    Value::Text(s) => {
+                        self.dict.insert(s.as_str(), 0);
+                        ColumnData::Text(DictColumn {
+                            codes: started(len, i, 0, 0),
+                            values: vec![Arc::clone(s)],
+                        })
+                    }
+                    Value::Null => unreachable!("NULL is matched above"),
+                }
+            }
+            (data, _) => *data = ColumnData::Mixed,
+        }
+    }
+
+    fn finish(self) -> Column {
+        // Kernels never read a Mixed column, so it keeps no null bits.
+        let nulls = match self.data {
+            ColumnData::Mixed => NullMask::new(self.len),
+            _ => self.nulls,
+        };
+        Column {
+            data: self.data,
+            nulls,
+        }
+    }
+}
+
+/// The two-pass, column-at-a-time builder that [`ColumnarTable::build`]
+/// replaced, kept as its differential oracle: per column, a classify
+/// pass over every row and then a fill pass.
+#[cfg(test)]
+fn build_per_column(table: &Table) -> ColumnarTable {
+    let len = table.rows.len();
+    let width = table.def.columns.len();
+    let columns = (0..width).map(|j| build_column(table, j, len)).collect();
+    ColumnarTable { columns, len }
+}
+
+#[cfg(test)]
 fn build_column(table: &Table, j: usize, len: usize) -> Column {
     // Pass 1: classify. `tag` is the variant of the first non-NULL value.
     #[derive(PartialEq, Clone, Copy)]
@@ -269,7 +381,7 @@ fn build_column(table: &Table, j: usize, len: usize) -> Column {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::Database;
+    use crate::database::{Database, Row};
     use sb_schema::{Column as SColumn, ColumnType, Schema, TableDef};
 
     fn table() -> Database {
@@ -342,5 +454,167 @@ mod tests {
         assert!(matches!(ct.columns[1].data, ColumnData::AllNull));
         assert!(ct.columns[1].nulls.is_null(0));
         assert_eq!(ct.columns[1].value_at(0), Value::Null);
+    }
+
+    /// Assert two images are identical: variants, vectors (floats by
+    /// bits), null masks, dictionary order and dictionary handles.
+    fn assert_same_image(got: &ColumnarTable, want: &ColumnarTable, what: &str) {
+        assert_eq!(got.len, want.len, "{what}: len");
+        assert_eq!(got.columns.len(), want.columns.len(), "{what}: width");
+        for (j, (g, w)) in got.columns.iter().zip(&want.columns).enumerate() {
+            assert_eq!(g.nulls.words, w.nulls.words, "{what}.{j}: null bits");
+            assert_eq!(g.nulls.any, w.nulls.any, "{what}.{j}: any null");
+            match (&g.data, &w.data) {
+                (ColumnData::Int(a), ColumnData::Int(b)) => assert_eq!(a, b, "{what}.{j}"),
+                (ColumnData::Float(a), ColumnData::Float(b)) => {
+                    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(a), bits(b), "{what}.{j}");
+                }
+                (ColumnData::Bool(a), ColumnData::Bool(b)) => assert_eq!(a, b, "{what}.{j}"),
+                (ColumnData::Text(a), ColumnData::Text(b)) => {
+                    assert_eq!(a.codes, b.codes, "{what}.{j}: codes");
+                    assert_eq!(a.values, b.values, "{what}.{j}: dictionary order");
+                    for (x, y) in a.values.iter().zip(&b.values) {
+                        assert!(Arc::ptr_eq(x, y), "{what}.{j}: handle of {x:?}");
+                    }
+                }
+                (ColumnData::AllNull, ColumnData::AllNull)
+                | (ColumnData::Mixed, ColumnData::Mixed) => {}
+                _ => panic!("{what}.{j}: variants differ"),
+            }
+        }
+    }
+
+    fn assert_db_matches_oracle(db: &Database, what: &str) {
+        for t in db.tables() {
+            let what = format!("{what} {}", t.def.name);
+            assert_same_image(&ColumnarTable::build(t), &build_per_column(t), &what);
+        }
+    }
+
+    /// A copy of a database built by `sb-data`, in this crate's types.
+    /// `sb-data` links the library build of `sb-engine`, whose `Value`
+    /// is a different type from this test build's, so each cell goes
+    /// over by its column type and exact payload.
+    macro_rules! local_copy {
+        ($src:expr) => {{
+            let src = &$src;
+            let mut db = Database::new(src.schema.clone());
+            for t in src.tables() {
+                let rows = t
+                    .rows
+                    .iter()
+                    .map(|row| {
+                        row.iter()
+                            .map(|v| match v.column_type() {
+                                None => Value::Null,
+                                Some(ColumnType::Int) => Value::Int(v.to_string().parse().unwrap()),
+                                Some(ColumnType::Float) => Value::Float(v.as_f64().unwrap()),
+                                Some(ColumnType::Text) => Value::from(v.to_string()),
+                                Some(ColumnType::Bool) => {
+                                    Value::Bool(v.to_string().parse().unwrap())
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                db.table_mut(&t.def.name).unwrap().push_rows(rows);
+            }
+            assert_eq!(db.total_rows(), src.total_rows());
+            db
+        }};
+    }
+
+    #[test]
+    fn one_pass_build_matches_the_oracle_on_domains() {
+        use sb_data::{Domain, SizeClass};
+        for size in [SizeClass::Tiny, SizeClass::Small, SizeClass::Full] {
+            for domain in Domain::ALL {
+                let db = local_copy!(domain.build(size).db);
+                assert_db_matches_oracle(&db, &format!("{} {size:?}", domain.name()));
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_build_matches_the_oracle_on_the_spider_corpus() {
+        for member in sb_data::SpiderCorpus::build().databases {
+            let db = local_copy!(member.db);
+            assert_db_matches_oracle(&db, &db.schema.name);
+        }
+    }
+
+    #[test]
+    fn one_pass_build_matches_the_oracle_on_hand_built_tables() {
+        let text = |s: &str| Value::from(s);
+        // Rows go straight into `Table::rows`, so a column may hold any
+        // variant whatever its declared type.
+        let cases: Vec<(&str, Vec<Vec<Value>>)> = vec![
+            (
+                "null_led",
+                vec![
+                    vec![Value::Null, Value::Null, Value::Null, Value::Null],
+                    vec![Value::Null, Value::Null, Value::Null, Value::Null],
+                    vec![7.into(), 0.5.into(), text("a"), true.into()],
+                    vec![Value::Null, 1.5.into(), text("b"), Value::Null],
+                    vec![8.into(), Value::Null, text("a"), false.into()],
+                ],
+            ),
+            (
+                "mixed_at_row_0",
+                vec![
+                    vec![1.into(), 0.5.into(), text("a"), true.into()],
+                    vec![2.5.into(), 2.into(), 3.into(), text("t")],
+                    vec![Value::Null, Value::Null, text("b"), false.into()],
+                ],
+            ),
+            (
+                "mixed_after_nulls",
+                vec![
+                    vec![Value::Null, Value::Null, Value::Null, Value::Null],
+                    vec![Value::Null, 0.5.into(), text("a"), true.into()],
+                    vec![3.into(), 4.into(), false.into(), 1.into()],
+                    vec![Value::Null, Value::Null, Value::Null, Value::Null],
+                ],
+            ),
+            ("all_null", vec![vec![Value::Null; 4]; 70]),
+            ("empty", Vec::new()),
+            (
+                "bool",
+                (0..130)
+                    .map(|i| {
+                        let b = if i % 7 == 0 {
+                            Value::Null
+                        } else {
+                            (i % 3 == 0).into()
+                        };
+                        vec![Value::Int(i), Value::Null, Value::Null, b]
+                    })
+                    .collect(),
+            ),
+            (
+                "floats",
+                [
+                    f64::NAN,
+                    -f64::NAN,
+                    f64::from_bits(f64::NAN.to_bits() | 1),
+                    0.0,
+                    -0.0,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    2.5,
+                ]
+                .into_iter()
+                .map(|f| vec![Value::Null, Value::Float(f), Value::Null, Value::Null])
+                .chain([vec![Value::Null; 4]])
+                .collect(),
+            ),
+        ];
+        let mut db = table();
+        let t = db.table_mut("x").unwrap();
+        for (name, rows) in cases {
+            t.rows = rows.into_iter().map(Row::from).collect();
+            assert_same_image(&ColumnarTable::build(t), &build_per_column(t), name);
+        }
     }
 }

@@ -18,9 +18,12 @@ pub type Row = Arc<[Value]>;
 /// A row-oriented in-memory table.
 ///
 /// Row storage is the source of truth and what row-at-a-time execution
-/// scans. A columnar image ([`ColumnarTable`]) is built lazily on first
-/// use by the batch executor and cached until the next mutation; the
-/// two views always describe the same rows.
+/// scans. A columnar image ([`ColumnarTable`]) is built on the first
+/// [`Table::columnar`] call — the first [`Database::profile`] of the
+/// table's database, so every domain build, or else the batch
+/// executor's first scan — and cached until [`Table::push_row`] or
+/// [`Database::table_mut`] drops it; the two views always describe the
+/// same rows.
 ///
 /// Text cells are interned per table: [`Table::push_row`] swaps each
 /// text handle for the table's first handle with the same content, so a
@@ -31,7 +34,8 @@ pub struct Table {
     pub def: TableDef,
     /// Row data; every row has exactly `def.columns.len()` values.
     pub rows: Vec<Row>,
-    /// Lazily built columnar image, invalidated by [`Table::push_row`].
+    /// Lazily built columnar image, dropped by [`Table::push_row`] and
+    /// [`Database::table_mut`].
     columnar: OnceLock<Arc<ColumnarTable>>,
     /// One handle per distinct string stored through [`Table::push_row`].
     text_pool: HashSet<Arc<String>, FxBuild>,
@@ -48,11 +52,13 @@ impl Table {
         }
     }
 
-    /// The columnar image of this table, built on first call and shared
-    /// afterwards. Returns `None` when the cached image has drifted from
-    /// the row storage (possible only through direct `rows` mutation,
-    /// which bypasses [`Table::push_row`]'s invalidation) — callers fall
-    /// back to the row path.
+    /// The columnar image of this table, built in one pass over the rows
+    /// on first call and shared afterwards. Returns `None` when the
+    /// cached image has drifted from the row storage (possible only when
+    /// `rows` is changed directly after the image was built, so neither
+    /// [`Table::push_row`] nor [`Database::table_mut`] dropped it) —
+    /// callers, the batch executor and the profiler, fall back to the
+    /// row path.
     pub fn columnar(&self) -> Option<Arc<ColumnarTable>> {
         let ct = self
             .columnar
@@ -172,7 +178,9 @@ impl Database {
     /// The data profile of the current content ([`profile_database`]),
     /// computed on first call and shared afterwards, so the enhanced-
     /// schema inference, every generator and every schema linker over
-    /// this database profile it once between them.
+    /// this database profile it once between them. Profiling counts
+    /// over each table's columnar image, so the first call also builds
+    /// every image ([`Table::columnar`]).
     ///
     /// [`profile_database`]: crate::profile_database
     pub fn profile(&self) -> Arc<DataProfile> {
@@ -189,13 +197,17 @@ impl Database {
             .find(|t| t.def.name.eq_ignore_ascii_case(name))
     }
 
-    /// Mutable table lookup. Drops the cached data profile, since the
-    /// caller may change the table's content.
+    /// Mutable table lookup. Drops the cached data profile and the
+    /// table's columnar image, since the caller may change the table's
+    /// content, `rows` included.
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
         self.profile = OnceLock::new();
-        self.tables
+        let table = self
+            .tables
             .iter_mut()
-            .find(|t| t.def.name.eq_ignore_ascii_case(name))
+            .find(|t| t.def.name.eq_ignore_ascii_case(name))?;
+        table.columnar = OnceLock::new();
+        Some(table)
     }
 
     /// All tables.

@@ -1,6 +1,7 @@
 //! Data profiling: extract a [`DataProfile`] from database content for
 //! automatic enhanced-schema inference.
 
+use crate::column::{Column, ColumnData, NullMask};
 use crate::database::Database;
 use crate::key::FxBuild;
 use crate::value::Value;
@@ -26,13 +27,20 @@ enum LitKey<'a> {
     Bool(bool),
 }
 
+/// The literal-identity bits of a float: every NaN renders alike, so
+/// every NaN gets one bit pattern.
+#[inline]
+fn float_bits(f: f64) -> u64 {
+    if f.is_nan() { f64::NAN } else { f }.to_bits()
+}
+
 impl<'a> LitKey<'a> {
     /// The key of a value; `None` for NULL.
     fn of(v: &'a Value) -> Option<Self> {
         Some(match v {
             Value::Null => return None,
             Value::Int(i) => LitKey::Int(*i),
-            Value::Float(f) => LitKey::Float(if f.is_nan() { f64::NAN } else { *f }.to_bits()),
+            Value::Float(f) => LitKey::Float(float_bits(*f)),
             Value::Text(s) => LitKey::Text(s),
             Value::Bool(b) => LitKey::Bool(*b),
         })
@@ -72,7 +80,7 @@ impl<'a> LitKey<'a> {
     }
 }
 
-/// Per-column occurrence counts under literal identity.
+/// Per-column occurrence counts under literal identity (the row path).
 type Counts<'a> = HashMap<LitKey<'a>, usize, FxBuild>;
 
 /// Profile every column of every table in `db`: non-NULL count, distinct
@@ -80,70 +88,191 @@ type Counts<'a> = HashMap<LitKey<'a>, usize, FxBuild>;
 /// rendered as SQL literals, most frequent first with ties broken by
 /// ascending literal (byte order).
 ///
-/// Values are counted by borrowed literal identity, then the top values
-/// are selected exactly, with no full sort and no literal allocated per
-/// distinct value: a selection finds the count `t` of the last retained
-/// slot, every value counted more than `t` is rendered and sorted, and
-/// the remaining slots go to the smallest literals counted exactly `t`,
-/// each rendered into one reused buffer and kept in a bounded max-heap.
-/// Values sharing a (count, literal) pair render identically, so the
-/// result equals a full sort by (count desc, literal asc) truncated to
-/// [`FREQUENT_VALUES`].
+/// Counting runs over each table's columnar image ([`Table::columnar`],
+/// built here if it does not exist yet), with the cheapest structure
+/// that fits the column: an Fx map keyed by `i64` for ints, by
+/// normalized bits for floats, a count per dictionary code for text and
+/// two counters for bools. A `Mixed` column, or every column of a table
+/// whose image has drifted from its rows, is counted from the rows in
+/// one map keyed by borrowed literal identity.
+///
+/// The top values are then selected exactly, with no full sort and no
+/// literal allocated per distinct value: a selection finds the count `t`
+/// of the last retained slot, every value counted more than `t` is
+/// rendered and sorted, and the remaining slots go to the smallest
+/// literals counted exactly `t`, each rendered into one reused buffer and
+/// kept in a bounded max-heap. Values sharing a (count, literal) pair
+/// render identically, so the result equals a full sort by (count desc,
+/// literal asc) truncated to [`FREQUENT_VALUES`].
+///
+/// [`Table::columnar`]: crate::database::Table::columnar
 pub fn profile_database(db: &Database) -> DataProfile {
     let mut profile = DataProfile::new();
+    let mut tallies = Tallies::default();
     let mut counts = Counts::default();
     for table in db.tables() {
         profile.set_row_count(&table.def.name, table.len());
+        let image = table.columnar();
         for (idx, col) in table.def.columns.iter().enumerate() {
-            counts.clear();
-            let mut count = 0usize;
-            let mut min = f64::INFINITY;
-            let mut max = f64::NEG_INFINITY;
-            let mut saw_numeric = false;
-            for v in table.column_values(idx) {
-                let Some(key) = LitKey::of(v) else { continue };
-                count += 1;
-                *counts.entry(key).or_insert(0) += 1;
-                if let Some(x) = v.as_f64() {
-                    saw_numeric = true;
-                    min = min.min(x);
-                    max = max.max(x);
-                }
-            }
-            profile.insert(
-                &table.def.name,
-                &col.name,
-                ColumnProfile {
-                    count,
-                    distinct: counts.len(),
-                    min: saw_numeric.then_some(min),
-                    max: saw_numeric.then_some(max),
-                    frequent_values: frequent_values(&counts),
-                },
-            );
+            let column = match image.as_ref().map(|ct| &ct.columns[idx]) {
+                Some(c) if !matches!(c.data, ColumnData::Mixed) => tallies.profile(c),
+                _ => profile_rows(table.column_values(idx), &mut counts),
+            };
+            profile.insert(&table.def.name, &col.name, column);
         }
     }
     profile
 }
 
-/// The [`FREQUENT_VALUES`] most frequent literals of a column, most
-/// frequent first, ties by ascending literal.
-fn frequent_values(counts: &Counts<'_>) -> Vec<String> {
-    let slots = counts.len().min(FREQUENT_VALUES);
-    if slots == 0 {
-        return Vec::new();
+/// Profile one column from its row-store cells.
+fn profile_rows<'a>(
+    values: impl Iterator<Item = &'a Value>,
+    counts: &mut Counts<'a>,
+) -> ColumnProfile {
+    counts.clear();
+    let mut count = 0usize;
+    let mut min = f64::INFINITY;
+    let mut max = f64::NEG_INFINITY;
+    let mut saw_numeric = false;
+    for v in values {
+        let Some(key) = LitKey::of(v) else { continue };
+        count += 1;
+        *counts.entry(key).or_insert(0) += 1;
+        if let Some(x) = v.as_f64() {
+            saw_numeric = true;
+            min = min.min(x);
+            max = max.max(x);
+        }
     }
+    ColumnProfile {
+        count,
+        distinct: counts.len(),
+        min: saw_numeric.then_some(min),
+        max: saw_numeric.then_some(max),
+        frequent_values: frequent_values(counts.iter().map(|(&k, &n)| (k, n))),
+    }
+}
+
+/// Counting structures for the columnar path, reused across columns.
+#[derive(Default)]
+struct Tallies {
+    ints: HashMap<i64, usize, FxBuild>,
+    floats: HashMap<u64, usize, FxBuild>,
+    codes: Vec<usize>,
+}
+
+impl Tallies {
+    /// Profile one typed column of a columnar image (never `Mixed`).
+    fn profile(&mut self, column: &Column) -> ColumnProfile {
+        let nulls = &column.nulls;
+        let mut count = 0usize;
+        match &column.data {
+            ColumnData::Int(v) => {
+                let map = &mut self.ints;
+                map.clear();
+                map.reserve(v.len());
+                let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+                for_each_valid(v, nulls, |x| {
+                    count += 1;
+                    *map.entry(x).or_insert(0) += 1;
+                    lo = lo.min(x);
+                    hi = hi.max(x);
+                });
+                // i64 -> f64 is monotone, so the range equals the fold
+                // over each value's f64 that the row path takes.
+                let range = (count > 0).then_some((lo as f64, hi as f64));
+                let top = frequent_values(map.iter().map(|(&k, &n)| (LitKey::Int(k), n)));
+                column_profile(count, map.len(), range, top)
+            }
+            ColumnData::Float(v) => {
+                let map = &mut self.floats;
+                map.clear();
+                map.reserve(v.len());
+                let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+                for_each_valid(v, nulls, |x| {
+                    count += 1;
+                    *map.entry(float_bits(x)).or_insert(0) += 1;
+                    lo = lo.min(x);
+                    hi = hi.max(x);
+                });
+                let range = (count > 0).then_some((lo, hi));
+                let top = frequent_values(map.iter().map(|(&k, &n)| (LitKey::Float(k), n)));
+                column_profile(count, map.len(), range, top)
+            }
+            ColumnData::Text(d) => {
+                let tally = &mut self.codes;
+                tally.clear();
+                tally.resize(d.values.len(), 0);
+                for_each_valid(&d.codes, nulls, |code| {
+                    count += 1;
+                    tally[code as usize] += 1;
+                });
+                // Every dictionary entry is some non-NULL row's value.
+                let pairs = d.values.iter().zip(tally.iter());
+                let top = frequent_values(pairs.map(|(s, &n)| (LitKey::Text(s), n)));
+                column_profile(count, d.values.len(), None, top)
+            }
+            ColumnData::Bool(v) => {
+                let mut tally = [0usize; 2];
+                for_each_valid(v, nulls, |b| tally[b as usize] += 1);
+                let seen = [false, true].into_iter().zip(tally).filter(|&(_, n)| n > 0);
+                let top = frequent_values(seen.clone().map(|(b, n)| (LitKey::Bool(b), n)));
+                column_profile(tally[0] + tally[1], seen.count(), None, top)
+            }
+            ColumnData::AllNull => column_profile(0, 0, None, Vec::new()),
+            ColumnData::Mixed => unreachable!("Mixed columns are profiled from the rows"),
+        }
+    }
+}
+
+fn column_profile(
+    count: usize,
+    distinct: usize,
+    range: Option<(f64, f64)>,
+    frequent_values: Vec<String>,
+) -> ColumnProfile {
+    ColumnProfile {
+        count,
+        distinct,
+        min: range.map(|r| r.0),
+        max: range.map(|r| r.1),
+        frequent_values,
+    }
+}
+
+/// Call `f` on every non-NULL slot of a typed vector, in row order.
+#[inline]
+fn for_each_valid<T: Copy>(values: &[T], nulls: &NullMask, mut f: impl FnMut(T)) {
+    if nulls.any() {
+        for (i, &v) in values.iter().enumerate() {
+            if !nulls.is_null(i) {
+                f(v);
+            }
+        }
+    } else {
+        values.iter().for_each(|&v| f(v));
+    }
+}
+
+/// The [`FREQUENT_VALUES`] most frequent literals of a column, given as
+/// `(literal, count)` pairs with distinct literals, most frequent first,
+/// ties by ascending literal.
+fn frequent_values<'a>(counts: impl Iterator<Item = (LitKey<'a>, usize)> + Clone) -> Vec<String> {
     // `t`: the count of the last retained slot. Every count above `t`
     // ranks before that slot, so all of them are among the first
     // `slots - 1` after the selection.
-    let mut tallies: Vec<usize> = counts.values().copied().collect();
+    let mut tallies: Vec<usize> = counts.clone().map(|(_, n)| n).collect();
+    let slots = tallies.len().min(FREQUENT_VALUES);
+    if slots == 0 {
+        return Vec::new();
+    }
     let (above, &mut t, _) = tallies.select_nth_unstable_by(slots - 1, |a, b| b.cmp(a));
     let tied_slots = slots - above.iter().filter(|&&n| n > t).count();
 
     let mut top: Vec<(usize, String)> = Vec::with_capacity(slots);
     let mut tied: BinaryHeap<String> = BinaryHeap::with_capacity(tied_slots);
     let mut scratch = String::new();
-    for (key, &n) in counts {
+    for (key, n) in counts {
         if n > t {
             top.push((n, key.literal()));
         } else if n == t {

@@ -766,6 +766,7 @@ impl NlToSql for SmBopSim {
         }
         let realizer = Realizer::new(&enhanced);
         let q_embed = embed(question);
+        let q_sq_norm = q_embed.sq_norm();
         let q_tokens = sb_embed::tokenize(question);
         let cues = QuestionCues::of(question);
         // Raw scores need no execution; a candidate that does not execute
@@ -775,7 +776,7 @@ impl NlToSql for SmBopSim {
             .iter()
             .map(|c| {
                 let text = realizer.realize(c, Style::reference());
-                let similarity = 0.5 * q_embed.cosine(&embed(&text)) as f64;
+                let similarity = 0.5 * q_embed.cosine_with_sq_norm(q_sq_norm, &embed(&text)) as f64;
                 let features = score_features(c, &q_tokens, &cues, &link);
                 (similarity + features, (similarity - 10.0) + features)
             })

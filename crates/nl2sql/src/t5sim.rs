@@ -344,6 +344,7 @@ impl NlToSql for T5Sim {
 
     fn predict(&self, question: &str, db: &Database) -> String {
         let q = retrieval_embed(question);
+        let q_sq_norm = q.sq_norm();
         let db_name = db.schema.name.to_ascii_lowercase();
         // Nearest neighbour with a small in-domain bonus (fine-tuned
         // models are biased toward their domain-matching training modes).
@@ -359,7 +360,8 @@ impl NlToSql for T5Sim {
                 } else {
                     0.0
                 };
-                (q.cosine(&m.embedding) + domain_bonus + arity_bonus, m)
+                let similarity = q.cosine_with_sq_norm(q_sq_norm, &m.embedding);
+                (similarity + domain_bonus + arity_bonus, m)
             })
             .max_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         match best {

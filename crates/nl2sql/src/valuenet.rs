@@ -611,11 +611,12 @@ impl NlToSql for ValueNetSim {
             .map(|c| if c.is_ascii_digit() { '#' } else { c })
             .collect();
         let q_norm = embed(&normalized);
+        let q_norm_sq = q_norm.sq_norm();
         let mut near: Vec<(f32, &MemoryEntry)> = self
             .memory
             .iter()
             .filter(|m| m.db == db_name)
-            .map(|m| (q_norm.cosine(&m.embedding), m))
+            .map(|m| (q_norm.cosine_with_sq_norm(q_norm_sq, &m.embedding), m))
             .filter(|(sim, _)| *sim >= 0.90)
             .collect();
         near.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
@@ -660,6 +661,7 @@ impl NlToSql for ValueNetSim {
         }
         let delex = Self::delexicalize(question, &link, db);
         let q_embed = embed(&delex);
+        let q_sq_norm = q_embed.sq_norm();
 
         // Rank sketches by similarity; delexicalization collapses distinct
         // columns to the same token, so break near-ties by how well the
@@ -677,7 +679,8 @@ impl NlToSql for ValueNetSim {
             .map(|(i, s)| {
                 let slot_gap =
                     (s.template.columns.len() as i64 - distinct_linked as i64).unsigned_abs();
-                let score = q_embed.cosine(&s.embedding) - 0.015 * slot_gap as f32;
+                let score =
+                    q_embed.cosine_with_sq_norm(q_sq_norm, &s.embedding) - 0.015 * slot_gap as f32;
                 (score, i)
             })
             .collect();
