@@ -236,29 +236,18 @@ fn bench_exec_acc_cached(c: &mut Criterion) {
 }
 
 fn bench_join_strategies(c: &mut Criterion) {
-    use sb_engine::{ExecOptions, JoinStrategy};
     let d = Domain::Sdss.build(SizeClass::Small);
     let mut g = c.benchmark_group("join_strategies");
     g.sample_size(10);
-    // Join strategy in isolation: the same bare equi-join, hash vs.
-    // nested loop.
+    // A bare equi-join, run as a hash join.
     let join = sb_sql::parse(
         "SELECT p.objid, s.specobjid FROM photoobj AS p \
          JOIN specobj AS s ON s.bestobjid = p.objid",
     )
     .unwrap();
-    for (label, join_strategy) in [
-        ("equi_join_hash", JoinStrategy::Auto),
-        ("equi_join_nested_loop", JoinStrategy::NestedLoop),
-    ] {
-        let opts = ExecOptions {
-            join: join_strategy,
-            ..ExecOptions::default()
-        };
-        g.bench_function(label, |b| {
-            b.iter(|| d.db.run_query_with(std::hint::black_box(&join), opts))
-        });
-    }
+    g.bench_function("equi_join_hash", |b| {
+        b.iter(|| d.db.run_query(std::hint::black_box(&join)))
+    });
     // A selective single-table scan with its predicate pushed down.
     let filtered =
         sb_sql::parse("SELECT s.specobjid FROM specobj AS s WHERE s.class = 'QSO' AND s.z > 1.0")

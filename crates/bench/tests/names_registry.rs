@@ -4,7 +4,7 @@
 //! Runs the exact `profile_run --quick` scenario (via the shared
 //! `sb_bench::profiling` library path) for one domain, then a short
 //! replay of the serve load workload with profiling sampled and the
-//! slow log armed, and checks every counter, span and histogram name
+//! slow log armed, and checks every counter and span name
 //! the `sb-obs` registry collected against the names registered in the
 //! markdown tables.
 //!
@@ -56,7 +56,6 @@ fn assert_all_registered(report: &sb_obs::Report, registry: &[String], scenario:
             report.counters.iter().map(|(n, _)| n).collect::<Vec<_>>(),
         ),
         ("span", report.spans.iter().map(|(n, _)| n).collect()),
-        ("hist", report.hists.iter().map(|(n, _)| n).collect()),
     ] {
         for name in names {
             assert!(

@@ -155,11 +155,6 @@ pub(crate) struct BatchInput<'a, 'q> {
     /// The statement's plan: pushed-down and residual conjuncts, join
     /// order and keys.
     pub(crate) planned: &'a sb_opt::PlannedSelect<'q>,
-    /// Whether the executor is forced to nested-loop joins (the batch
-    /// path only implements hash joins, and must not silently hash-join
-    /// a query whose row path would error inside a nested-loop
-    /// predicate).
-    pub(crate) nested_loop: bool,
     /// Morsel-parallel execution knobs (workers, morsel size).
     pub(crate) par: ParConfig,
     /// Per-statement profile block (EXPLAIN ANALYZE), if requested.
@@ -180,9 +175,6 @@ fn bail(input: &BatchInput<'_, '_>, reason: &'static str) -> Option<Projected> {
 /// Attempt batch execution. `None` means "fall back to the row path" —
 /// never an error.
 pub(crate) fn try_select(input: &BatchInput<'_, '_>) -> Option<Projected> {
-    if input.nested_loop && !input.select.joins.is_empty() {
-        return bail(input, "nested-loop");
-    }
     // Base tables with clean columnar images only.
     let tables: Vec<Arc<ColumnarTable>> = match input
         .relations

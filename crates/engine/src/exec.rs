@@ -6,9 +6,10 @@
 //! conjuncts down into the scan, so non-qualifying rows are dropped
 //! before any join or materialization. Equi-joins (`ON a = b`) run as a
 //! hash join that builds on the smaller input and probes the larger;
-//! anything else falls back to a nested loop. Output row order is
-//! identical across all join strategies and build sides (left-major,
-//! probe order within a match set), which the equivalence tests rely on.
+//! anything else (non-equi and bare-name constraints, cross joins) runs
+//! as a nested loop. Output row order is identical for both algorithms
+//! and either build side (left-major, probe order within a match set),
+//! which the equivalence tests rely on.
 //!
 //! Expressions run through the compile-once layer
 //! ([`crate::compile`]): each `SELECT`'s expressions are lowered against
@@ -21,11 +22,11 @@
 //!
 //! There is one row executor. Every `SELECT` is planned by `sb-opt`
 //! (predicate and projection pushdown, join reordering, build sides)
-//! and its expressions run compiled. [`ExecOptions`] can force
-//! build-on-right or nested-loop joins and turn the columnar batch
-//! engine and its morsel parallelism off; the differential tests use
-//! those axes to check strategy equivalence against the reference
-//! interpreter ([`crate::reference`]).
+//! and its expressions run compiled. [`ExecOptions`] can turn the
+//! columnar batch engine and its morsel parallelism off; the
+//! differential tests use those axes, plus query twins whose join
+//! constraints only the nested loop can run, to check every path
+//! against the reference interpreter ([`crate::reference`]).
 //!
 //! Operators record their work only in the statement's
 //! [`QueryProfile`] slots. With `SB_OBS` on, `execute_query` attaches
@@ -74,31 +75,13 @@ pub(crate) fn prof_elapsed(t0: Option<Instant>, op: Option<&OpStats>) {
     }
 }
 
-/// Join algorithm selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinStrategy {
-    /// Hash join on equi-constraints, building on the smaller input;
-    /// nested loop otherwise.
-    #[default]
-    Auto,
-    /// Hash join on equi-constraints, always building on the right input
-    /// (no build-side selection); nested loop otherwise.
-    BuildRight,
-    /// Nested loop for every join, even equi-joins.
-    NestedLoop,
-}
-
 /// Executor tuning knobs. [`Default`] is the configuration every
 /// production caller runs. Whatever the options, each `SELECT` is
-/// planned by `sb-opt` and its row-path expressions run compiled; the
-/// options only choose the join algorithm and whether (and how wide)
-/// the columnar batch engine runs. No option changes a result.
+/// planned by `sb-opt` with every rule on and its row-path expressions
+/// run compiled; the options only choose whether (and how wide) the
+/// columnar batch engine runs. No option changes a result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Join algorithm selection. Under [`JoinStrategy::Auto`] the planner
-    /// also reorders inner equi-join chains and picks build sides from
-    /// its estimates.
-    pub join: JoinStrategy,
     /// Attempt vectorized batch execution over columnar storage for
     /// structurally eligible statements (see
     /// [`sb_opt::columnar_eligible`]). The batch path falls back to the
@@ -131,7 +114,6 @@ pub struct ExecOptions {
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
-            join: JoinStrategy::Auto,
             columnar: true,
             parallel: true,
             workers: 0,
@@ -182,12 +164,10 @@ impl ExecOptions {
         self
     }
 
-    /// The `sb-opt` rule switches implied by these options.
+    /// What `sb-opt` needs to know about these options (EXPLAIN's
+    /// engine labels).
     pub(crate) fn opt_options(&self) -> sb_opt::OptOptions {
         sb_opt::OptOptions {
-            reorder: matches!(self.join, JoinStrategy::Auto),
-            choose_build: matches!(self.join, JoinStrategy::Auto),
-            hash_joins: !matches!(self.join, JoinStrategy::NestedLoop),
             columnar: self.columnar,
             parallel: self.parallel,
         }
@@ -814,16 +794,14 @@ fn concat_row(left: &[Value], right: &[Value]) -> Vec<Value> {
 }
 
 /// Build the joined rows for `FROM ... JOIN ...` from pre-scanned
-/// relations, in source order. `build_sides` carries the planner's
-/// hash build side per join (always the right input unless the join
-/// strategy is `Auto`).
+/// relations, in source order. `steps` carries the planner's hash
+/// build side per join.
 fn join_relations(
     mut scanned: Vec<Vec<ExecRow>>,
     relations: &[(String, Vec<String>)],
     joins: &[Join],
     ctx: &EvalContext,
-    opts: ExecOptions,
-    build_sides: &[bool],
+    steps: &[sb_opt::PlannedJoin],
     bp: Option<Block<'_>>,
 ) -> Result<(Scope, Vec<ExecRow>)> {
     let mut scanned = scanned.drain(..);
@@ -839,13 +817,10 @@ fn join_relations(
 
         // Attempt hash join on a column equality before extending the
         // scope (so "left side" means the scope built so far).
-        let hash_keys = if matches!(opts.join, JoinStrategy::NestedLoop) {
-            None
-        } else {
-            join.constraint
-                .as_ref()
-                .and_then(|c| equi_join_keys(c, &scope, &rel.1, &rel.0))
-        };
+        let hash_keys = join
+            .constraint
+            .as_ref()
+            .and_then(|c| equi_join_keys(c, &scope, &rel.1, &rel.0));
 
         scope.push(&rel.0, rel.1.clone());
 
@@ -862,7 +837,7 @@ fn join_relations(
         match hash_keys {
             Some((li, ri)) => {
                 let op = bp.as_ref().and_then(|b| b.join(ji));
-                let matches = hash_join_matches(&rows, &jrows, li, ri, build_sides[ji], op);
+                let matches = hash_join_matches(&rows, &jrows, li, ri, steps[ji].build_left, op);
                 for (l, js) in rows.iter().zip(&matches) {
                     for &j in js {
                         out.push(ExecRow::Owned(concat_row(l, &jrows[j as usize])));
@@ -1116,7 +1091,6 @@ fn execute_select_impl(
             scope: &full_scope,
             relations: &relations,
             planned: &planned,
-            nested_loop: matches!(opts.join, JoinStrategy::NestedLoop),
             par: crate::batch::ParConfig::from_options(&opts),
             bp,
             ctx: &ctx,
@@ -1164,15 +1138,7 @@ fn execute_select_impl(
     let (scope, mut rows) = if planned.reordered {
         join_relations_reordered(scanned, &rel_names, &planned, bp)
     } else {
-        join_relations(
-            scanned,
-            &rel_names,
-            &select.joins,
-            &ctx,
-            opts,
-            &planned.build_sides,
-            bp,
-        )?
+        join_relations(scanned, &rel_names, &select.joins, &ctx, &planned.steps, bp)?
     };
 
     if !planned.residual.is_empty() {
@@ -2006,64 +1972,94 @@ mod tests {
     // Executor-option equivalence and pushdown semantics.
 
     /// Queries exercising scans, filters, joins (equi and not), left
-    /// joins, grouping, subqueries and derived tables.
-    const STRATEGY_CASES: [&str; 8] = [
-        "SELECT specobjid FROM specobj WHERE class = 'GALAXY' AND z > 0.5",
-        "SELECT s.specobjid, p.objid FROM specobj AS s \
-         JOIN photoobj AS p ON s.bestobjid = p.objid",
-        "SELECT s.specobjid, p.objid FROM specobj AS s \
-         JOIN photoobj AS p ON s.bestobjid = p.objid \
-         WHERE s.class = 'GALAXY' AND p.u - p.r < 2.22 AND p.u - p.r > 1",
-        "SELECT s.specobjid, p.objid FROM specobj AS s \
-         LEFT JOIN photoobj AS p ON s.bestobjid = p.objid WHERE p.objid IS NULL",
-        "SELECT s.specobjid FROM specobj AS s \
-         JOIN photoobj AS p ON s.bestobjid < p.objid WHERE s.specobjid = 3",
-        "SELECT class, COUNT(*) FROM specobj GROUP BY class HAVING COUNT(*) >= 2",
-        "SELECT specobjid FROM specobj WHERE bestobjid IN \
-         (SELECT objid FROM photoobj) AND class = 'GALAXY' ORDER BY specobjid",
-        "SELECT g.class FROM (SELECT class, COUNT(*) AS n FROM specobj \
-         GROUP BY class) AS g WHERE g.n >= 2",
+    /// joins, grouping, subqueries and derived tables. Each equi-join
+    /// case carries its nested-loop twin: the same statement with every
+    /// `ON a = b` written `ON NOT (a <> b)`, which neither the planner
+    /// nor the executor recognizes as a hash-join key.
+    const STRATEGY_CASES: [(&str, Option<&str>); 8] = [
+        (
+            "SELECT specobjid FROM specobj WHERE class = 'GALAXY' AND z > 0.5",
+            None,
+        ),
+        (
+            "SELECT s.specobjid, p.objid FROM specobj AS s \
+             JOIN photoobj AS p ON s.bestobjid = p.objid",
+            Some(
+                "SELECT s.specobjid, p.objid FROM specobj AS s \
+                 JOIN photoobj AS p ON NOT (s.bestobjid <> p.objid)",
+            ),
+        ),
+        (
+            "SELECT s.specobjid, p.objid FROM specobj AS s \
+             JOIN photoobj AS p ON s.bestobjid = p.objid \
+             WHERE s.class = 'GALAXY' AND p.u - p.r < 2.22 AND p.u - p.r > 1",
+            Some(
+                "SELECT s.specobjid, p.objid FROM specobj AS s \
+                 JOIN photoobj AS p ON NOT (s.bestobjid <> p.objid) \
+                 WHERE s.class = 'GALAXY' AND p.u - p.r < 2.22 AND p.u - p.r > 1",
+            ),
+        ),
+        (
+            "SELECT s.specobjid, p.objid FROM specobj AS s \
+             LEFT JOIN photoobj AS p ON s.bestobjid = p.objid WHERE p.objid IS NULL",
+            Some(
+                "SELECT s.specobjid, p.objid FROM specobj AS s \
+                 LEFT JOIN photoobj AS p ON NOT (s.bestobjid <> p.objid) \
+                 WHERE p.objid IS NULL",
+            ),
+        ),
+        (
+            "SELECT s.specobjid FROM specobj AS s \
+             JOIN photoobj AS p ON s.bestobjid < p.objid WHERE s.specobjid = 3",
+            None,
+        ),
+        (
+            "SELECT class, COUNT(*) FROM specobj GROUP BY class HAVING COUNT(*) >= 2",
+            None,
+        ),
+        (
+            "SELECT specobjid FROM specobj WHERE bestobjid IN \
+             (SELECT objid FROM photoobj) AND class = 'GALAXY' ORDER BY specobjid",
+            None,
+        ),
+        (
+            "SELECT g.class FROM (SELECT class, COUNT(*) AS n FROM specobj \
+             GROUP BY class) AS g WHERE g.n >= 2",
+            None,
+        ),
     ];
 
-    /// Every join strategy, each with the columnar batch engine on and
-    /// off.
-    fn strategy_variants() -> Vec<ExecOptions> {
-        let mut out = Vec::new();
-        for join in [
-            JoinStrategy::Auto,
-            JoinStrategy::BuildRight,
-            JoinStrategy::NestedLoop,
-        ] {
-            for columnar in [true, false] {
-                out.push(ExecOptions {
-                    join,
-                    columnar,
-                    ..Default::default()
-                });
-            }
-        }
-        out
+    /// The columnar batch engine on (the default) and off.
+    fn engine_variants() -> [ExecOptions; 2] {
+        [
+            ExecOptions::default(),
+            ExecOptions {
+                columnar: false,
+                ..Default::default()
+            },
+        ]
     }
 
     #[test]
     fn all_strategies_agree_on_rows_and_order() {
         let db = galaxy_db();
-        let variants = strategy_variants();
-        for sql in STRATEGY_CASES {
-            let baseline = db.run_with(sql, variants[0]).unwrap();
+        for (sql, twin) in STRATEGY_CASES {
+            let baseline = db.run(sql).unwrap();
             let reference = crate::execute_reference(&db, &sb_sql::parse(sql).unwrap()).unwrap();
             assert!(
                 baseline.same_result(&reference),
                 "default options disagree with the reference on: {sql}"
             );
-            for opts in &variants[1..] {
-                let got = db.run_with(sql, *opts).unwrap();
-                // Strict equality: same rows in the same order, not just
-                // multiset equivalence.
-                assert_eq!(
-                    baseline.rows, got.rows,
-                    "options {opts:?} changed the result of: {sql}"
-                );
+            for run in std::iter::once(sql).chain(twin) {
+                for opts in engine_variants() {
+                    let got = db.run_with(run, opts).unwrap();
+                    // Strict equality: same rows in the same order, not
+                    // just multiset equivalence.
+                    assert_eq!(
+                        baseline.rows, got.rows,
+                        "options {opts:?} changed the result of: {run}"
+                    );
+                }
             }
         }
     }
@@ -2096,11 +2092,14 @@ mod tests {
         // `id` is ambiguous across a and b: the planner must leave the
         // conjunct residual so it errors, not silently bind to one side.
         let sql = "SELECT a.id FROM a JOIN b ON a.id = b.id WHERE id = 1";
-        for opts in strategy_variants() {
-            assert!(matches!(
-                dup.run_with(sql, opts),
-                Err(EngineError::AmbiguousColumn(_))
-            ));
+        let twin = "SELECT a.id FROM a JOIN b ON NOT (a.id <> b.id) WHERE id = 1";
+        for run in [sql, twin] {
+            for opts in engine_variants() {
+                assert!(matches!(
+                    dup.run_with(run, opts),
+                    Err(EngineError::AmbiguousColumn(_))
+                ));
+            }
         }
         assert!(matches!(
             crate::execute_reference(&dup, &sb_sql::parse(sql).unwrap()),
@@ -2118,27 +2117,27 @@ mod tests {
 
     #[test]
     fn build_side_selection_matches_input_sizes() {
-        // Left (5 rows) larger than right (3): Auto builds on the right;
-        // flip the join order and it builds on the left. Either way the
-        // results must agree with the nested loop.
+        // Left (5 rows) larger than right (3): the planner builds on the
+        // right; flip the join order and it builds on the left. Either
+        // way the results must agree with the nested-loop twin's.
         let db = galaxy_db();
-        for sql in [
-            "SELECT s.specobjid, p.objid FROM specobj AS s \
-             JOIN photoobj AS p ON s.bestobjid = p.objid",
-            "SELECT s.specobjid, p.objid FROM photoobj AS p \
-             JOIN specobj AS s ON s.bestobjid = p.objid",
+        for (sql, twin) in [
+            (
+                "SELECT s.specobjid, p.objid FROM specobj AS s \
+                 JOIN photoobj AS p ON s.bestobjid = p.objid",
+                "SELECT s.specobjid, p.objid FROM specobj AS s \
+                 JOIN photoobj AS p ON NOT (s.bestobjid <> p.objid)",
+            ),
+            (
+                "SELECT s.specobjid, p.objid FROM photoobj AS p \
+                 JOIN specobj AS s ON s.bestobjid = p.objid",
+                "SELECT s.specobjid, p.objid FROM photoobj AS p \
+                 JOIN specobj AS s ON NOT (s.bestobjid <> p.objid)",
+            ),
         ] {
-            let auto = db.run_with(sql, ExecOptions::default()).unwrap();
-            let nested = db
-                .run_with(
-                    sql,
-                    ExecOptions {
-                        join: JoinStrategy::NestedLoop,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-            assert_eq!(auto.rows, nested.rows, "strategy mismatch for: {sql}");
+            let hash = db.run(sql).unwrap();
+            let nested = db.run(twin).unwrap();
+            assert_eq!(hash.rows, nested.rows, "strategy mismatch for: {sql}");
         }
     }
 

@@ -5,9 +5,7 @@
 //! test; replay with e.g.
 //! `cargo run --release -p sb-fuzz --bin fuzz -- --domain sdss --seed 23893`.
 
-use sb_engine::{
-    execute_reference, Database, EngineError, ExecOptions, JoinStrategy, ResultSet, Value,
-};
+use sb_engine::{execute_reference, Database, EngineError, ExecOptions, ResultSet, Value};
 use sb_schema::{Column, ColumnType, Schema, TableDef};
 
 /// SDSS-shaped fixture: `specobj` and `galspecline` share the column
@@ -56,33 +54,26 @@ fn db() -> Database {
     db
 }
 
-/// Every point of the executor's configuration matrix: each join
-/// strategy with the columnar batch engine off, on, and on with every
-/// operator split into one-row morsels across three workers.
+/// Every point of the executor's configuration matrix: the columnar
+/// batch engine off, on, and on with every operator split into one-row
+/// morsels across three workers. The nested-loop join is covered by
+/// each equi-join test's twin statement, with `ON a = b` written
+/// `ON NOT (a <> b)` so that no hash-join key extractor recognizes it.
 fn matrix() -> Vec<ExecOptions> {
-    let mut out = Vec::new();
-    for join in [
-        JoinStrategy::Auto,
-        JoinStrategy::BuildRight,
-        JoinStrategy::NestedLoop,
-    ] {
-        for columnar in [false, true] {
-            out.push(ExecOptions {
-                join,
-                columnar,
-                ..ExecOptions::default()
-            });
-        }
-        out.push(multi_morsel(join));
-    }
-    out
+    vec![
+        ExecOptions {
+            columnar: false,
+            ..ExecOptions::default()
+        },
+        ExecOptions::default(),
+        multi_morsel(),
+    ]
 }
 
 /// The columnar engine with every operator over more than one row split
 /// into one-row morsels, dispatched across three workers.
-fn multi_morsel(join: JoinStrategy) -> ExecOptions {
+fn multi_morsel() -> ExecOptions {
     ExecOptions {
-        join,
         columnar: true,
         parallel: true,
         workers: 3,
@@ -105,11 +96,15 @@ fn bare_on_column_ambiguous_across_sides_errors_under_every_strategy() {
     let db = db();
     let sql = "SELECT T1.flux FROM galspecline AS T1 \
                JOIN specobj AS T2 ON specobjid = T2.specobjid";
-    for opts in matrix() {
-        assert!(
-            matches!(db.run_with(sql, opts), Err(EngineError::AmbiguousColumn(_))),
-            "{opts:?} did not report the ambiguity"
-        );
+    let twin = "SELECT T1.flux FROM galspecline AS T1 \
+                JOIN specobj AS T2 ON NOT (specobjid <> T2.specobjid)";
+    for run in [sql, twin] {
+        for opts in matrix() {
+            assert!(
+                matches!(db.run_with(run, opts), Err(EngineError::AmbiguousColumn(_))),
+                "{opts:?} did not report the ambiguity: {run}"
+            );
+        }
     }
     let q = sb_sql::parse(sql).unwrap();
     assert!(matches!(
@@ -126,10 +121,14 @@ fn bare_on_column_unique_to_one_side_joins_identically() {
     let db = db();
     let sql = "SELECT T1.specobjid, T2.u FROM specobj AS T1 \
                JOIN photoobj AS T2 ON bestobjid = T2.objid";
+    let twin = "SELECT T1.specobjid, T2.u FROM specobj AS T1 \
+                JOIN photoobj AS T2 ON NOT (bestobjid <> T2.objid)";
     let baseline = reference(&db, sql);
     assert_eq!(baseline.rows.len(), 1); // only bestobjid=10 matches
-    for opts in matrix() {
-        assert_eq!(db.run_with(sql, opts).unwrap().rows, baseline.rows);
+    for run in [sql, twin] {
+        for opts in matrix() {
+            assert_eq!(db.run_with(run, opts).unwrap().rows, baseline.rows);
+        }
     }
 }
 
@@ -182,24 +181,31 @@ fn on_constraint_resolution_does_not_depend_on_row_counts() {
     let sql = "SELECT T2.flux FROM specobj AS T1 \
                JOIN galspecline AS T2 ON specobjid = T1.specobjid \
                WHERE T1.class = 'NOMATCH'";
-    for opts in matrix() {
-        assert!(
-            matches!(db.run_with(sql, opts), Err(EngineError::AmbiguousColumn(_))),
-            "{opts:?} lost the ambiguity error"
-        );
+    let twin = "SELECT T2.flux FROM specobj AS T1 \
+                JOIN galspecline AS T2 ON NOT (specobjid <> T1.specobjid) \
+                WHERE T1.class = 'NOMATCH'";
+    for run in [sql, twin] {
+        for opts in matrix() {
+            assert!(
+                matches!(db.run_with(run, opts), Err(EngineError::AmbiguousColumn(_))),
+                "{opts:?} lost the ambiguity error: {run}"
+            );
+        }
     }
     // Same for a plain unknown column against an empty side.
     let unknown = "SELECT T1.class FROM specobj AS T1 \
                    JOIN galspecline AS T2 ON T1.nope = T2.specobjid \
                    WHERE T1.class = 'NOMATCH'";
-    for opts in matrix() {
-        assert!(
-            matches!(
-                db.run_with(unknown, opts),
-                Err(EngineError::UnknownColumn(_))
-            ),
-            "{opts:?} lost the unknown-column error"
-        );
+    let twin = "SELECT T1.class FROM specobj AS T1 \
+                JOIN galspecline AS T2 ON NOT (T1.nope <> T2.specobjid) \
+                WHERE T1.class = 'NOMATCH'";
+    for run in [unknown, twin] {
+        for opts in matrix() {
+            assert!(
+                matches!(db.run_with(run, opts), Err(EngineError::UnknownColumn(_))),
+                "{opts:?} lost the unknown-column error: {run}"
+            );
+        }
     }
 }
 
@@ -215,11 +221,15 @@ fn null_join_keys_never_match_under_any_strategy() {
     // must not pair with any photoobj row — including another NULL key.
     let sql = "SELECT T1.specobjid, T2.objid FROM specobj AS T1 \
                JOIN photoobj AS T2 ON T1.bestobjid = T2.objid";
+    let twin = "SELECT T1.specobjid, T2.objid FROM specobj AS T1 \
+                JOIN photoobj AS T2 ON NOT (T1.bestobjid <> T2.objid)";
     let baseline = reference(&db, sql);
     let ids: Vec<_> = baseline.rows.iter().map(|r| r[0].clone()).collect();
     assert_eq!(ids, vec![Value::Int(1)]);
-    for opts in matrix() {
-        assert_eq!(db.run_with(sql, opts).unwrap().rows, baseline.rows);
+    for run in [sql, twin] {
+        for opts in matrix() {
+            assert_eq!(db.run_with(run, opts).unwrap().rows, baseline.rows);
+        }
     }
 }
 
@@ -230,6 +240,9 @@ fn left_join_null_extension_agrees_between_hash_and_nested_loop() {
     let sql = "SELECT T1.specobjid, T2.objid, T2.u FROM specobj AS T1 \
                LEFT JOIN photoobj AS T2 ON T1.bestobjid = T2.objid \
                ORDER BY T1.specobjid";
+    let twin = "SELECT T1.specobjid, T2.objid, T2.u FROM specobj AS T1 \
+                LEFT JOIN photoobj AS T2 ON NOT (T1.bestobjid <> T2.objid) \
+                ORDER BY T1.specobjid";
     let baseline = reference(&db, sql);
     assert_eq!(
         baseline.rows,
@@ -240,8 +253,10 @@ fn left_join_null_extension_agrees_between_hash_and_nested_loop() {
             vec![4.into(), Value::Null, Value::Null],
         ]
     );
-    for opts in matrix() {
-        assert_eq!(db.run_with(sql, opts).unwrap().rows, baseline.rows);
+    for run in [sql, twin] {
+        for opts in matrix() {
+            assert_eq!(db.run_with(run, opts).unwrap().rows, baseline.rows);
+        }
     }
 }
 
@@ -325,18 +340,21 @@ fn grouping_and_joins_distinguish_adjacent_huge_ints() {
     assert_eq!(execute_reference(&db, &q).unwrap().rows.len(), 3);
 
     let sql = "SELECT T1.id FROM big AS T1 JOIN keys AS T2 ON T1.v = T2.f";
+    let twin = "SELECT T1.id FROM big AS T1 JOIN keys AS T2 ON NOT (T1.v <> T2.f)";
     let baseline = reference(&db, sql);
     assert_eq!(
         baseline.rows,
         vec![vec![Value::Int(2)]],
         "float 2^53 = int 2^53 only"
     );
-    for opts in matrix() {
-        assert_eq!(
-            db.run_with(sql, opts).unwrap().rows,
-            baseline.rows,
-            "{opts:?}"
-        );
+    for run in [sql, twin] {
+        for opts in matrix() {
+            assert_eq!(
+                db.run_with(run, opts).unwrap().rows,
+                baseline.rows,
+                "{opts:?}: {run}"
+            );
+        }
     }
 }
 
@@ -398,7 +416,7 @@ fn sum_whose_morsel_alone_leaves_i64_is_exact() {
     assert_eq!(reference(&db, sql).rows, vec![vec![Value::Int(1)]]);
     let split = ExecOptions {
         morsel_rows: 2,
-        ..multi_morsel(JoinStrategy::Auto)
+        ..multi_morsel()
     };
     for opts in matrix().into_iter().chain([split]) {
         assert_eq!(
@@ -481,6 +499,9 @@ fn key_kinds_split_into_morsels_match_the_reference() {
         "SELECT t, g, COUNT(*), SUM(id) FROM kinds GROUP BY t, g",
         "SELECT T1.id, T2.w FROM kinds AS T1 JOIN other AS T2 ON T1.t = T2.t",
         "SELECT T1.id, T2.w FROM kinds AS T1 JOIN other AS T2 ON T1.f = T2.f",
+        // The joins' nested-loop twins.
+        "SELECT T1.id, T2.w FROM kinds AS T1 JOIN other AS T2 ON NOT (T1.t <> T2.t)",
+        "SELECT T1.id, T2.w FROM kinds AS T1 JOIN other AS T2 ON NOT (T1.f <> T2.f)",
     ] {
         let baseline = reference(&db, sql);
         assert!(!baseline.rows.is_empty(), "{sql}");

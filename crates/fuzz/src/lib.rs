@@ -13,7 +13,8 @@
 //!   sampled from real column values, grouping, set operations,
 //!   subqueries).
 //! - [`oracle`] — the differential check: parse↔print↔parse round trip,
-//!   then reference vs. the full `ExecOptions` matrix.
+//!   then reference vs. the full `ExecOptions` matrix, for the statement
+//!   and for its [`nested_loop_twin`].
 //! - [`shrink`] — greedy AST minimization of failing queries.
 //! - [`run_fuzz`] — a bounded campaign over one domain; failures come
 //!   back with the seed, the original SQL and a shrunk reproducer.
@@ -26,7 +27,7 @@ pub mod oracle;
 pub mod shrink;
 
 pub use generator::QueryGenerator;
-pub use oracle::{check_query, exec_matrix, Disagreement, Outcome};
+pub use oracle::{check_query, exec_matrix, nested_loop_twin, Disagreement, Outcome};
 pub use shrink::shrink;
 
 use sb_data::{Domain, SizeClass};

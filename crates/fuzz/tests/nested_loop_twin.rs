@@ -1,0 +1,79 @@
+//! Guard for the nested-loop coverage of the differential oracle.
+//!
+//! The planner and both executors run every recognized `col = col`
+//! join as a hash join, so the nested-loop join is exercised by each
+//! statement's [`nested_loop_twin`] (`ON a = b` written
+//! `ON NOT (a <> b)`). This test pins that the twins really do take
+//! that path: per domain, over the first 200 statements of the
+//! differential campaign (same base seeds) that have a twin, every join
+//! the twin's [`QueryProfile`] records under every configuration of
+//! [`exec_matrix`] is a nested loop — no row-path hash join and no
+//! columnar block with joins, whose joins are always hash joins.
+
+use sb_data::Domain;
+use sb_engine::execute_with_profile;
+use sb_fuzz::{exec_matrix, fuzz_database, nested_loop_twin, QueryGenerator};
+use sb_obs::QueryProfile;
+
+/// Twins checked per domain.
+const TWINS: usize = 200;
+
+/// Campaign statements scanned for twins before giving up.
+const SCAN_LIMIT: usize = 2_000;
+
+fn twins_run_only_nested_loops(domain: Domain, base_seed: u64) {
+    let db = fuzz_database(domain);
+    let mut gen = QueryGenerator::new(&db, base_seed);
+    let twins: Vec<_> = (0..SCAN_LIMIT)
+        .filter_map(|_| nested_loop_twin(&gen.query()))
+        .take(TWINS)
+        .collect();
+    assert_eq!(
+        twins.len(),
+        TWINS,
+        "{}: fewer than {TWINS} joins in {SCAN_LIMIT} campaign statements",
+        domain.name()
+    );
+    let mut nested_loops = 0usize;
+    for twin in &twins {
+        for (config, opts) in exec_matrix() {
+            let prof = QueryProfile::new();
+            // A statement that fails still records the joins it ran.
+            let _ = execute_with_profile(&db, twin, opts, Some(&prof));
+            for block in prof.snapshot().blocks {
+                let joins: Vec<_> = block.joins.iter().flatten().collect();
+                assert!(
+                    joins.is_empty() || !block.columnar,
+                    "{} [{config}]: a columnar block ran the joins of: {twin}",
+                    domain.name()
+                );
+                assert!(
+                    joins.iter().all(|j| !j.marked),
+                    "{} [{config}]: a hash join ran in: {twin}",
+                    domain.name()
+                );
+                nested_loops += joins.len();
+            }
+        }
+    }
+    assert!(
+        nested_loops >= TWINS,
+        "{}: only {nested_loops} nested-loop joins recorded over {TWINS} twins",
+        domain.name()
+    );
+}
+
+#[test]
+fn nested_loop_twins_cordis() {
+    twins_run_only_nested_loops(Domain::Cordis, 0xC0D15);
+}
+
+#[test]
+fn nested_loop_twins_sdss() {
+    twins_run_only_nested_loops(Domain::Sdss, 0x5D55);
+}
+
+#[test]
+fn nested_loop_twins_oncomx() {
+    twins_run_only_nested_loops(Domain::OncoMx, 0x0C0);
+}

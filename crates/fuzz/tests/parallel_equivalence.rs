@@ -40,7 +40,6 @@ fn parallel_opts(workers: usize) -> ExecOptions {
         parallel: true,
         workers,
         morsel_rows: MORSEL_ROWS,
-        ..ExecOptions::default()
     }
 }
 

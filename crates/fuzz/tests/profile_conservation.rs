@@ -5,8 +5,10 @@
 //!
 //! Per domain, `SB_FUZZ_COUNT` generated statements (default 500, same
 //! base seeds as the differential campaign) run under a curated set of
-//! exec-option axes spanning the row path, serial columnar kernels,
-//! morsel-parallel execution and nested-loop joins. For each success:
+//! exec-option axes spanning the row path, serial columnar kernels and
+//! morsel-parallel execution, and each statement's nested-loop twin
+//! ([`sb_fuzz::nested_loop_twin`]) runs under the default options. For
+//! each success:
 //!
 //! - `ProfileSnapshot::check_conservation()` holds: every reserved scan
 //!   was touched, join step `j`'s `rows_in` equals its recorded
@@ -23,8 +25,8 @@
 //! mid-record, so no flow invariant is owed.
 
 use sb_data::Domain;
-use sb_engine::{execute_with_profile, Database, ExecOptions, JoinStrategy};
-use sb_fuzz::{fuzz_database, QueryGenerator};
+use sb_engine::{execute_with_profile, Database, ExecOptions};
+use sb_fuzz::{fuzz_database, nested_loop_twin, QueryGenerator};
 use sb_obs::QueryProfile;
 use sb_sql::{Query, SetExpr, TableFactor};
 
@@ -37,9 +39,8 @@ fn fuzz_count() -> usize {
         .unwrap_or(DEFAULT_COUNT)
 }
 
-/// The exec-option axes. Not the fuzz oracle's full 9-configuration
-/// matrix — one representative per code path the profile plumbing
-/// threads through (row/columnar/parallel, join strategies).
+/// The exec-option axes: one representative per code path the profile
+/// plumbing threads through (row/columnar/parallel).
 fn axes() -> Vec<(&'static str, ExecOptions)> {
     let base = ExecOptions::default();
     vec![
@@ -58,13 +59,6 @@ fn axes() -> Vec<(&'static str, ExecOptions)> {
                 parallel: true,
                 workers: 3,
                 morsel_rows: 7,
-                ..base
-            },
-        ),
-        (
-            "nested-loop",
-            ExecOptions {
-                join: JoinStrategy::NestedLoop,
                 ..base
             },
         ),
@@ -96,7 +90,15 @@ fn check_campaign(domain: Domain, base_seed: u64) {
     let mut checked = 0usize;
     for (qi, query) in queries.iter().enumerate() {
         let tables = top_level_base_tables(query);
-        for (axis, opts) in axes() {
+        let twin = nested_loop_twin(query);
+        let runs = axes()
+            .into_iter()
+            .map(|(axis, opts)| (axis, opts, query))
+            .chain(
+                twin.as_ref()
+                    .map(|t| ("nested-loop twin", ExecOptions::default(), t)),
+            );
+        for (axis, opts, query) in runs {
             let prof = QueryProfile::new();
             if execute_with_profile(&db, query, opts, Some(&prof)).is_err() {
                 continue;

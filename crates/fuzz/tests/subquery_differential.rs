@@ -17,15 +17,16 @@
 //! - subqueries in projections and in `HAVING`;
 //! - erroring subqueries over an empty outer table, which must succeed.
 //!
-//! Every statement runs under the full [`sb_fuzz::exec_matrix`] plus a
-//! parallel configuration whose worker count and morsel size resolve
-//! from `RAYON_NUM_THREADS` and `SB_MORSEL_ROWS`, and must agree with
-//! [`execute_reference`]: the same result under execution match, or an
-//! error where the reference errs — with, on the columnar
-//! configurations, exactly the message of the same configuration's row
-//! path. The statement generator is local to this file, so the shared
-//! [`sb_fuzz::QueryGenerator`] streams (which the serving benchmarks
-//! replay) are untouched.
+//! Every statement, and the nested-loop twin of every statement with an
+//! FK join ([`sb_fuzz::nested_loop_twin`]), runs under the full
+//! [`sb_fuzz::exec_matrix`] plus a parallel configuration whose worker
+//! count and morsel size resolve from `RAYON_NUM_THREADS` and
+//! `SB_MORSEL_ROWS`, and must agree with [`execute_reference`]: the
+//! same result under execution match, or an error where the reference
+//! errs — with, on the columnar configurations, exactly the message of
+//! the row configuration. The statement generator is local to this
+//! file, so the shared [`sb_fuzz::QueryGenerator`] streams (which the
+//! serving benchmarks replay) are untouched.
 //!
 //! `SB_FUZZ_COUNT` sets the statements per domain (default 400).
 
@@ -36,8 +37,9 @@ use sb_data::Domain;
 use sb_engine::{
     execute_reference, execute_with, explain_analyze, sql_literal, Database, ExecOptions, Value,
 };
-use sb_fuzz::{exec_matrix, fuzz_database};
+use sb_fuzz::{exec_matrix, fuzz_database, nested_loop_twin};
 use sb_schema::{ColumnType, TableDef};
+use sb_sql::Query;
 
 const DEFAULT_COUNT: usize = 400;
 
@@ -367,47 +369,48 @@ fn show(o: &Result<sb_engine::ResultSet, String>) -> String {
     }
 }
 
-/// Run `sql` under every configuration; the first disagreement comes
-/// back as a report line. A success must match the reference's result.
-/// An error must meet an error in the reference, and in a columnar
-/// configuration it must be its row twin's error, message for message:
-/// the batch path never raises errors, it bails and the row path
-/// reports them. Against the reference only the fact of an error is
-/// compared, because pushdown and join order legitimately change which
-/// of several latent errors surfaces first.
+/// Run `sql`, and its nested-loop twin when it has a join, under every
+/// configuration; the first disagreement comes back as a report line.
 fn check(db: &Database, sql: &str) -> Option<String> {
     let query =
         sb_sql::parse(sql).unwrap_or_else(|e| panic!("generated SQL fails to parse: {e}\n  {sql}"));
-    let want = outcome(execute_reference(db, &query));
+    let twin = nested_loop_twin(&query);
+    std::iter::once(&query)
+        .chain(twin.as_ref())
+        .find_map(|q| check_configs(db, q))
+}
+
+/// Run `query` under every configuration. A success must match the
+/// reference's result. An error must meet an error in the reference,
+/// and in a columnar configuration it must be the row configuration's
+/// error, message for message: the batch path never raises errors, it
+/// bails and the row path reports them. Against the reference only the
+/// fact of an error is compared, because pushdown and join order
+/// legitimately change which of several latent errors surfaces first.
+fn check_configs(db: &Database, query: &Query) -> Option<String> {
+    let want = outcome(execute_reference(db, query));
     let configs = configs();
     let runs: Vec<_> = configs
         .iter()
-        .map(|(_, opts)| outcome(execute_with(db, &query, *opts)))
+        .map(|(_, opts)| outcome(execute_with(db, query, *opts)))
         .collect();
-    for ((name, opts), got) in configs.iter().zip(&runs) {
-        let row_opts = ExecOptions {
-            columnar: false,
-            parallel: false,
-            workers: 0,
-            morsel_rows: 0,
-            ..*opts
-        };
-        let twin = configs
-            .iter()
-            .position(|(_, o)| *o == row_opts)
-            .map(|i| &runs[i])
-            .expect("every configuration has a row twin in the matrix");
+    let row = configs
+        .iter()
+        .position(|(_, o)| !o.columnar)
+        .map(|i| &runs[i])
+        .expect("the matrix has a row configuration");
+    for ((name, _), got) in configs.iter().zip(&runs) {
         let agree = match (&want, got) {
             (Ok(a), Ok(b)) => a.same_result(b),
-            (Err(_), Err(e)) => twin.as_ref().err() == Some(e),
+            (Err(_), Err(e)) => row.as_ref().err() == Some(e),
             _ => false,
         };
         if !agree {
             return Some(format!(
-                "[{name}] reference: {} | executor: {} | row twin: {}\n  {sql}",
+                "[{name}] reference: {} | executor: {} | row: {}\n  {query}",
                 show(&want),
                 show(got),
-                show(twin)
+                show(row)
             ));
         }
     }

@@ -2,17 +2,16 @@
 //!
 //! A dependency-free (shim-style, like `shims/`) tracing layer for the
 //! whole workspace: RAII [`span`]s with monotonic timers, named
-//! [`count`]ers and [`observe`]d histograms, thread-local collectors
+//! [`count`]ers, thread-local collectors
 //! that merge deterministically across the rayon shim's worker threads,
 //! and a [`Report`] that renders both a human summary and a
 //! machine-readable JSON run report.
 //!
 //! ## The determinism contract
 //!
-//! - **Counters and histogram value statistics are deterministic**: for
-//!   a fixed workload they hold the same values at any thread count and
-//!   under any scheduling, because merging is commutative addition /
-//!   min / max and rendering sorts by name.
+//! - **Counters are deterministic**: for a fixed workload they hold the
+//!   same values at any thread count and under any scheduling, because
+//!   merging is commutative addition and rendering sorts by name.
 //! - **Durations are wall-clock** and therefore *not* deterministic.
 //!   [`Report::to_json`] takes `include_timings`; every artifact that is
 //!   golden-compared must be rendered with `include_timings = false`,
@@ -152,143 +151,17 @@ pub struct SpanStat {
     pub total_ns: u64,
 }
 
-/// Number of log-linear histogram buckets (see [`bucket_of`]): exact
-/// buckets for values 0–7, then 8 linear subdivisions per power of two
-/// up to 2^40 — sub-7% relative quantile error over the whole range a
-/// microsecond latency can realistically occupy (2^40 µs ≈ 12 days).
-const HIST_BUCKETS: usize = 8 + 37 * 8;
-
-/// Bucket index of a (non-negative) observation. Negative and NaN
-/// values land in bucket 0; values at or above 2^40 saturate into the
-/// last bucket. Pure integer math, so bucketing is deterministic.
-fn bucket_of(v: f64) -> usize {
-    let x = if v.is_finite() && v > 0.0 {
-        v.min(u64::MAX as f64) as u64
-    } else {
-        0
-    };
-    if x < 8 {
-        return x as usize;
-    }
-    let o = (63 - x.leading_zeros() as usize).min(39);
-    let sub = ((x >> (o - 3)) & 7) as usize;
-    8 + (o - 3) * 8 + sub
-}
-
-/// Upper edge of a bucket: the largest integer value that maps to it.
-/// Quantiles report this edge (clamped to the observed min/max), so an
-/// estimate never undershoots the true order statistic's bucket.
-fn bucket_upper(b: usize) -> f64 {
-    if b < 8 {
-        return b as f64;
-    }
-    let o = 3 + (b - 8) / 8;
-    let sub = ((b - 8) % 8) as u64;
-    (((sub + 1) << (o - 3)) - 1 + (1u64 << o)) as f64
-}
-
-/// Aggregate statistics for one named histogram: exact count / sum /
-/// min / max plus log-linear bucket counts for quantile estimation
-/// ([`HistStat::quantile`]). Everything is commutative under
-/// [`HistStat::merge`], so histogram statistics are deterministic at
-/// any thread count.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistStat {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observed values.
-    pub sum: f64,
-    /// Smallest observed value.
-    pub min: f64,
-    /// Largest observed value.
-    pub max: f64,
-    /// Log-linear bucket counts (see [`bucket_of`]).
-    buckets: [u64; HIST_BUCKETS],
-}
-
-impl Default for HistStat {
-    fn default() -> Self {
-        HistStat {
-            count: 0,
-            sum: 0.0,
-            min: 0.0,
-            max: 0.0,
-            buckets: [0; HIST_BUCKETS],
-        }
-    }
-}
-
-impl HistStat {
-    /// Record one observation. Public so consumers that need *local*
-    /// histograms (for example under dynamic names) can reuse the
-    /// bucketing and merge machinery outside the named global registry.
-    pub fn observe(&mut self, v: f64) {
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-        self.count += 1;
-        self.sum += v;
-        self.buckets[bucket_of(v)] += 1;
-    }
-
-    /// Fold another shard into this one. Commutative and associative,
-    /// so K-shard merges are order-independent (property-tested in
-    /// `tests/hist_property.rs`).
-    pub fn merge(&mut self, other: &HistStat) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-    }
-
-    /// Estimated `q`-quantile (`0.0 ..= 1.0`) of the observed values:
-    /// the upper edge of the bucket holding the ⌈q·count⌉-th smallest
-    /// observation, clamped into `[min, max]`. Relative error is
-    /// bounded by the bucket width (≤ 1/8 of a power of two); `q = 0`
-    /// returns `min` and `q = 1` returns `max` exactly. Returns 0 for
-    /// an empty histogram.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return bucket_upper(b).clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-}
-
 /// One collector's worth of metrics. Used both per-thread and as the
 /// global merge target.
 #[derive(Default)]
 struct Registry {
     counters: HashMap<&'static str, u64>,
     spans: HashMap<&'static str, SpanStat>,
-    hists: HashMap<&'static str, HistStat>,
 }
 
 impl Registry {
     fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.spans.is_empty() && self.hists.is_empty()
+        self.counters.is_empty() && self.spans.is_empty()
     }
 
     fn merge_into(&mut self, global: &mut Registry) {
@@ -299,9 +172,6 @@ impl Registry {
             let g = global.spans.entry(name).or_default();
             g.count += s.count;
             g.total_ns += s.total_ns;
-        }
-        for (name, h) in self.hists.drain() {
-            global.hists.entry(name).or_default().merge(&h);
         }
     }
 }
@@ -354,15 +224,6 @@ pub fn count(name: &'static str, n: u64) {
         return;
     }
     with_local(|r| *r.counters.entry(name).or_default() += n);
-}
-
-/// Record one observation into the named histogram. No-op when disabled.
-#[inline]
-pub fn observe(name: &'static str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    with_local(|r| r.hists.entry(name).or_default().observe(value));
 }
 
 /// An RAII span: construction (via [`span`]) reads the monotonic clock,
@@ -450,11 +311,9 @@ pub fn snapshot() -> Report {
             .map(|(k, v)| (k.to_string(), *v))
             .collect();
         report.spans = reg.spans.iter().map(|(k, v)| (k.to_string(), *v)).collect();
-        report.hists = reg.hists.iter().map(|(k, v)| (k.to_string(), *v)).collect();
     }
     report.counters.sort_by(|a, b| a.0.cmp(&b.0));
     report.spans.sort_by(|a, b| a.0.cmp(&b.0));
-    report.hists.sort_by(|a, b| a.0.cmp(&b.0));
     report
 }
 
@@ -466,14 +325,12 @@ pub struct Report {
     pub counters: Vec<(String, u64)>,
     /// `(name, stat)` pairs, sorted by name.
     pub spans: Vec<(String, SpanStat)>,
-    /// `(name, stat)` pairs, sorted by name.
-    pub hists: Vec<(String, HistStat)>,
 }
 
 impl Report {
     /// Whether nothing at all was collected.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.spans.is_empty() && self.hists.is_empty()
+        self.counters.is_empty() && self.spans.is_empty()
     }
 
     /// The value of a counter (0 when absent).
@@ -524,26 +381,6 @@ impl Report {
             out.push('}');
         }
         out.push_str(if self.spans.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"histograms\": {");
-        for (i, (name, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}}}",
-                json::escape(name),
-                h.count,
-                json::number(h.sum),
-                json::number(h.min),
-                json::number(h.max)
-            );
-        }
-        out.push_str(if self.hists.is_empty() {
             "}\n"
         } else {
             "\n  }\n"
@@ -564,7 +401,6 @@ impl Report {
             .iter()
             .map(|(n, _)| n.len())
             .chain(self.spans.iter().map(|(n, _)| n.len()))
-            .chain(self.hists.iter().map(|(n, _)| n.len()))
             .max()
             .unwrap_or(0);
         if !self.counters.is_empty() {
@@ -581,23 +417,6 @@ impl Report {
                     "  {name:width$}  {} call(s), {:.3} ms total",
                     s.count,
                     s.total_ns as f64 / 1e6
-                );
-            }
-        }
-        if !self.hists.is_empty() {
-            out.push_str("[sb-obs] histograms:\n");
-            for (name, h) in &self.hists {
-                let mean = if h.count > 0 {
-                    h.sum / h.count as f64
-                } else {
-                    0.0
-                };
-                let _ = writeln!(
-                    out,
-                    "  {name:width$}  n={} mean={mean:.3} min={} max={}",
-                    h.count,
-                    json::number(h.min),
-                    json::number(h.max)
                 );
             }
         }
@@ -635,7 +454,6 @@ mod tests {
         set_mode(Mode::Off);
         reset();
         count("x.counter", 5);
-        observe("x.hist", 1.0);
         {
             let s = span("x.span");
             assert!(s.name().is_none());
@@ -651,8 +469,6 @@ mod tests {
         count("t.alpha", 2);
         count("t.alpha", 3);
         count("t.beta", 1);
-        observe("t.h", 2.0);
-        observe("t.h", 4.0);
         {
             let _s = span("t.span");
         }
@@ -662,11 +478,6 @@ mod tests {
         assert_eq!(r.counter("t.missing"), 0);
         let s = r.span("t.span").unwrap();
         assert_eq!(s.count, 1);
-        let h = &r.hists.iter().find(|(n, _)| n == "t.h").unwrap().1;
-        assert_eq!(h.count, 2);
-        assert!((h.sum - 6.0).abs() < 1e-12);
-        assert!((h.min - 2.0).abs() < 1e-12);
-        assert!((h.max - 4.0).abs() < 1e-12);
         set_mode(Mode::Off);
         reset();
     }
@@ -724,7 +535,6 @@ mod tests {
         reset();
         count("j.z", 1);
         count("j.a", 2);
-        observe("j.h", 1.5);
         {
             let _s = span("j.span");
         }
@@ -740,45 +550,6 @@ mod tests {
         assert!(!r.summary().is_empty());
         set_mode(Mode::Off);
         reset();
-    }
-
-    #[test]
-    fn histogram_quantiles_bound_order_statistics() {
-        let mut h = HistStat::default();
-        for v in 1..=1000u64 {
-            h.observe(v as f64);
-        }
-        assert_eq!(h.quantile(0.0), 1.0);
-        assert_eq!(h.quantile(1.0), 1000.0);
-        // Log-linear buckets guarantee ≤ 1/8-octave relative error.
-        for (q, exact) in [(0.5, 500.0), (0.95, 950.0), (0.99, 990.0)] {
-            let est = h.quantile(q);
-            assert!(
-                est >= exact && est <= exact * 1.15,
-                "q={q}: estimate {est} vs exact {exact}"
-            );
-        }
-        // Merge is commutative: two shards merge to the same quantiles.
-        let (mut a, mut b) = (HistStat::default(), HistStat::default());
-        for v in 1..=1000u64 {
-            if v % 2 == 0 {
-                a.observe(v as f64);
-            } else {
-                b.observe(v as f64);
-            }
-        }
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.quantile(0.95), h.quantile(0.95));
-        // Zero and tiny values land in the exact buckets.
-        let mut z = HistStat::default();
-        z.observe(0.0);
-        z.observe(3.0);
-        assert_eq!(z.quantile(0.5), 0.0);
-        assert_eq!(z.quantile(1.0), 3.0);
     }
 
     #[test]

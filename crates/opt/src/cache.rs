@@ -39,8 +39,6 @@ pub struct OwnedPlan {
     steps: Vec<PlannedJoin>,
     /// Whether `order` differs from source order.
     reordered: bool,
-    /// Build sides for the source-order executor path.
-    build_sides: Vec<bool>,
     /// Estimated scan output rows per relation.
     scan_est: Vec<f64>,
 }
@@ -81,7 +79,6 @@ impl OwnedPlan {
             order: planned.order.clone(),
             steps: planned.steps.clone(),
             reordered: planned.reordered,
-            build_sides: planned.build_sides.clone(),
             scan_est: planned.scan_est.clone(),
         })
     }
@@ -115,7 +112,6 @@ impl OwnedPlan {
             order: self.order.clone(),
             steps: self.steps.clone(),
             reordered: self.reordered,
-            build_sides: self.build_sides.clone(),
             scan_est: self.scan_est.clone(),
         })
     }

@@ -162,7 +162,7 @@ fn build_plan_inner(
         let source_join = step.rel.checked_sub(1).map(|j| &select.joins[j]);
         let outer = source_join.is_some_and(|j| j.left);
         let label = match &step.key {
-            Some(k) if input.opts.hash_joins => {
+            Some(k) => {
                 let l = &rels[k.left_rel];
                 let r = &rels[step.rel];
                 format!(

@@ -77,19 +77,10 @@ pub struct RelMeta {
     pub rows: usize,
 }
 
-/// Which rewrites are enabled. The engine derives this from its
-/// `ExecOptions`, so every fuzz configuration exercises a different
-/// slice of the rule set. Predicate and projection pushdown always run.
+/// What the planner is told about the executor's options. Every
+/// rewrite always runs; these only label EXPLAIN output.
 #[derive(Debug, Clone, Copy)]
 pub struct OptOptions {
-    /// Reorder inner equi-join chains by estimated cost.
-    pub reorder: bool,
-    /// Choose hash-join build sides from cardinality estimates.
-    pub choose_build: bool,
-    /// Whether the executor will run equi-joins as hash joins at all
-    /// (false under a forced nested-loop strategy); gates reordering
-    /// and EXPLAIN's operator labels.
-    pub hash_joins: bool,
     /// Whether the executor will attempt vectorized columnar execution
     /// for eligible statements (see [`columnar_eligible`]); gates
     /// EXPLAIN's `Execute engine=` label.
@@ -105,9 +96,6 @@ pub struct OptOptions {
 impl Default for OptOptions {
     fn default() -> Self {
         OptOptions {
-            reorder: true,
-            choose_build: true,
-            hash_joins: true,
             columnar: true,
             parallel: true,
         }

@@ -38,7 +38,7 @@ pub struct PlanInput<'a> {
     pub limit: Option<u64>,
     /// Per-relation metadata, in FROM/JOIN order.
     pub rels: &'a [RelMeta],
-    /// Which rewrites are enabled.
+    /// The executor options EXPLAIN labels depend on.
     pub opts: OptOptions,
 }
 
@@ -81,15 +81,12 @@ pub struct PlannedSelect<'e> {
     /// Execution order of relations (original indices);
     /// `order[0]` is scanned first.
     pub order: Vec<usize>,
-    /// Join steps aligned with `order[1..]` — used by the executor only
-    /// when `reordered`, and by EXPLAIN for labels either way.
+    /// Join steps aligned with `order[1..]`: in source order unless
+    /// `reordered`, each with its estimate-chosen hash build side.
     pub steps: Vec<PlannedJoin>,
     /// Whether `order` differs from source order (the executor must run
     /// the order-restoring join pipeline).
     pub reordered: bool,
-    /// Estimate-chosen hash build sides per *source* join, for the
-    /// source-order executor path.
-    pub build_sides: Vec<bool>,
     /// Estimated scan output rows per relation (after pushed filters).
     pub scan_est: Vec<f64>,
 }
@@ -122,8 +119,9 @@ pub fn plan_select<'e>(input: &PlanInput<'e>, resolver: &dyn Resolver) -> Planne
         .map(|i| scan_estimate(&rels[i], &pushed[i], resolver, rels))
         .collect();
 
-    // Rule 3: cost-based join reordering over the equi-join tree.
-    let edges = if input.opts.reorder && input.opts.hash_joins && n >= 3 {
+    // Rules 3 and 4: cost-based join reordering over the equi-join
+    // tree; every step, reordered or not, carries its build side.
+    let edges = if n >= 3 {
         extract_join_tree(input, resolver)
     } else {
         None
@@ -142,13 +140,6 @@ pub fn plan_select<'e>(input: &PlanInput<'e>, resolver: &dyn Resolver) -> Planne
         )
     };
 
-    // Rule 4: build-side selection for the source-order path. (Reordered
-    // steps carry their own build sides.)
-    let build_sides = steps
-        .iter()
-        .map(|s| input.opts.choose_build && s.build_left)
-        .collect();
-
     PlannedSelect {
         pushed,
         residual,
@@ -156,7 +147,6 @@ pub fn plan_select<'e>(input: &PlanInput<'e>, resolver: &dyn Resolver) -> Planne
         order,
         steps,
         reordered,
-        build_sides,
         scan_est,
     }
 }
@@ -655,12 +645,6 @@ mod tests {
         let parsed = parse(sql).unwrap();
         let p = plan(sql, &parsed, &rels, OptOptions::default());
         assert!(!p.reordered, "two relations never reorder");
-        assert_eq!(p.build_sides, vec![true], "build on the 3-row side");
-        let no_build = OptOptions {
-            choose_build: false,
-            ..OptOptions::default()
-        };
-        let p = plan(sql, &parsed, &rels, no_build);
-        assert_eq!(p.build_sides, vec![false]);
+        assert!(p.steps[0].build_left, "build on the 3-row side");
     }
 }

@@ -92,16 +92,21 @@ fn cold_warm_and_uncached_responses_are_byte_identical() {
 }
 
 /// The same equivalence swept across the full `ExecOptions` matrix the
-/// differential fuzzer uses (9 configurations), at a reduced statement
-/// budget: the captured plan must reproduce fresh planning under every
-/// join strategy and execution engine.
+/// differential fuzzer uses (3 configurations), at a reduced statement
+/// budget, for each statement and its nested-loop twin: the captured
+/// plan must reproduce fresh planning under every execution engine and
+/// both join algorithms.
 #[test]
 fn cache_equivalence_holds_across_the_exec_options_matrix() {
     let count = (fuzz_count() / 50).max(10);
     for domain in Domain::ALL {
         let db = Arc::new(sb_fuzz::fuzz_database(domain));
         let sqls: Vec<String> = (0..count as u64)
-            .map(|i| sb_fuzz::workload_query(&db, 0xBEEF, i).to_string())
+            .flat_map(|i| {
+                let q = sb_fuzz::workload_query(&db, 0xBEEF, i);
+                let twin = sb_fuzz::nested_loop_twin(&q);
+                std::iter::once(q).chain(twin).map(|q| q.to_string())
+            })
             .collect();
         for (name, exec) in sb_fuzz::exec_matrix() {
             let cached = QueryService::new(ServeConfig {

@@ -59,8 +59,8 @@ echo "== columnar smoke: batch engine live under default options =="
 # ExecOptions::default() has columnar on; the report must carry batch
 # counters, proving the vectorized path executed rather than silently
 # falling back to the row engine everywhere. (The fuzz smoke above
-# already differentially checks the six columnar configurations of the
-# 9-configuration matrix against the reference interpreter.)
+# already differentially checks the two columnar configurations of the
+# 3-configuration matrix against the reference interpreter.)
 grep -q '"engine.columnar.selects"' "$report" || {
     echo "profile_run report is missing columnar batch counters (batch engine never ran)" >&2
     exit 1
@@ -115,12 +115,16 @@ bash -n scripts/ab_pairs
 echo "== bench baseline shape: BENCH_engine.json =="
 # The committed criterion record (regenerated by
 # CRITERION_JSON=$PWD/BENCH_engine.json cargo bench -p sb-bench) must be a
-# non-empty array of uniquely named entries with a positive ns_per_iter,
-# and must carry the serial-vs-parallel scaling curve.
+# non-empty array of uniquely named entries with a positive ns_per_iter
+# inside its sample quartiles and the host's core count, and must carry
+# the serial-vs-parallel scaling curve.
 jq -e '
     type == "array" and length > 0
     and all(.[]; (.group | type) == "string" and (.name | type) == "string"
-        and (.ns_per_iter | type) == "number" and .ns_per_iter > 0)
+        and (.ns_per_iter | type) == "number" and .ns_per_iter > 0
+        and (.ns_q1 | type) == "number" and (.ns_q3 | type) == "number"
+        and .ns_q1 <= .ns_per_iter and .ns_per_iter <= .ns_q3
+        and (.cores | type) == "number" and .cores >= 1)
     and (map([.group, .name]) | unique | length) == length
     and any(.[]; .group == "scaling_curve")
 ' BENCH_engine.json > /dev/null || {

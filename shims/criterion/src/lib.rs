@@ -11,10 +11,14 @@
 //!   runs exactly once as a smoke test, so `cargo test -q` stays fast.
 //! - Under `cargo bench`, each benchmark is calibrated to a minimum
 //!   sample duration, measured over several samples, and the median
-//!   ns/iter is reported on stdout.
+//!   ns/iter is reported on stdout with the samples' quartiles.
 //! - If `CRITERION_JSON` names a file, all results are also written
-//!   there as a JSON array of `{group, name, ns_per_iter, iters_per_sample,
-//!   samples}` records — this is how `BENCH_*.json` baselines are made.
+//!   there as a JSON array of `{group, name, ns_per_iter, ns_q1, ns_q3,
+//!   iters_per_sample, samples, cores}` records — this is how
+//!   `BENCH_*.json` baselines are made. `ns_q1`/`ns_q3` are the lower
+//!   and upper sample quartiles around the median `ns_per_iter`, and
+//!   `cores` is the host's available parallelism, so a reader can tell
+//!   a change from run-to-run noise and knows the machine.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -36,7 +40,12 @@ pub enum BatchSize {
 pub struct Record {
     pub group: String,
     pub name: String,
+    /// Median ns/iter over the samples.
     pub ns_per_iter: f64,
+    /// Lower sample quartile, ns/iter.
+    pub ns_q1: f64,
+    /// Upper sample quartile, ns/iter.
+    pub ns_q3: f64,
     pub iters_per_sample: u64,
     pub samples: usize,
     /// Auxiliary named values attached via [`BenchmarkGroup::metric`]
@@ -138,16 +147,37 @@ fn run_one(
         })
         .collect();
     per_iter.sort_by(|a, b| a.total_cmp(b));
-    let median = per_iter[per_iter.len() / 2];
-    println!("{group}/{name}: {median:.1} ns/iter ({iters} iters x {samples} samples)");
+    let (q1, median, q3) = quartiles(&per_iter);
+    println!(
+        "{group}/{name}: {median:.1} ns/iter [{q1:.1}, {q3:.1}] ({iters} iters x {samples} samples)"
+    );
     Some(Record {
         group: group.to_string(),
         name: name.to_string(),
         ns_per_iter: median,
+        ns_q1: q1,
+        ns_q3: q3,
         iters_per_sample: iters,
         samples,
         metrics: Vec::new(),
     })
+}
+
+/// Lower quartile, median and upper quartile of ascending `sorted`, by
+/// nearest rank: the quartile ranks sit symmetrically around the
+/// (upper) median, so `q1 <= median <= q3` always holds.
+fn quartiles(sorted: &[f64]) -> (f64, f64, f64) {
+    let last = sorted.len() - 1;
+    (
+        sorted[last / 4],
+        sorted[sorted.len() / 2],
+        sorted[(3 * last).div_ceil(4)],
+    )
+}
+
+/// The host's available parallelism, recorded with every result.
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// The harness entry point.
@@ -195,6 +225,7 @@ impl Criterion {
             return;
         }
         if let Ok(path) = std::env::var("CRITERION_JSON") {
+            let cores = cores();
             let mut out = String::from("[\n");
             for (i, r) in records.iter().enumerate() {
                 if i > 0 {
@@ -202,10 +233,13 @@ impl Criterion {
                 }
                 out.push_str(&format!(
                     "  {{\"group\": \"{}\", \"name\": \"{}\", \"ns_per_iter\": {:.1}, \
-                     \"queries_per_sec\": {:.1}, \"iters_per_sample\": {}, \"samples\": {}",
+                     \"ns_q1\": {:.1}, \"ns_q3\": {:.1}, \"queries_per_sec\": {:.1}, \
+                     \"iters_per_sample\": {}, \"samples\": {}, \"cores\": {cores}",
                     r.group,
                     r.name,
                     r.ns_per_iter,
+                    r.ns_q1,
+                    r.ns_q3,
                     1e9 / r.ns_per_iter.max(f64::MIN_POSITIVE),
                     r.iters_per_sample,
                     r.samples
@@ -324,6 +358,8 @@ mod tests {
             group: "g".to_string(),
             name: "n".to_string(),
             ns_per_iter: 1.0,
+            ns_q1: 1.0,
+            ns_q3: 1.0,
             iters_per_sample: 1,
             samples: 1,
             metrics: Vec::new(),
@@ -334,6 +370,20 @@ mod tests {
         assert_eq!(
             c.records.borrow()[0].metrics,
             vec![("hits".to_string(), 3.0)]
+        );
+    }
+
+    #[test]
+    fn quartiles_bracket_the_median() {
+        for n in 3..=25 {
+            let sorted: Vec<f64> = (0..n).map(|i| i as f64).collect();
+            let (q1, median, q3) = quartiles(&sorted);
+            assert!(q1 <= median && median <= q3, "n = {n}");
+            assert_eq!(q1 + q3, (n - 1) as f64, "symmetric ranks, n = {n}");
+        }
+        assert_eq!(
+            quartiles(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]),
+            (2.0, 4.0, 6.0)
         );
     }
 

@@ -1,38 +1,37 @@
-//! Equivalence and determinism guarantees for the execution-engine
-//! rework: every join strategy, with the columnar engine on and off,
-//! must produce the exact same `ResultSet` (rows *and* order), error
-//! parity is pinned against the reference interpreter, and the parallel
-//! pipeline must be byte-identical regardless of thread count.
+//! Equivalence and determinism guarantees for the execution engine:
+//! the columnar engine on and off, and each statement's nested-loop
+//! twin, must produce the exact same `ResultSet` (rows *and* order),
+//! error parity is pinned against the reference interpreter, and the
+//! parallel pipeline must be byte-identical regardless of thread count.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sciencebenchmark::core::{Pipeline, PipelineConfig};
 use sciencebenchmark::data::{Domain, SizeClass};
-use sciencebenchmark::engine::{
-    execute_reference, Database, EngineError, ExecOptions, JoinStrategy,
-};
+use sciencebenchmark::engine::{execute_reference, Database, EngineError, ExecOptions};
 use sciencebenchmark::schema::{Column, ColumnType, Schema, TableDef};
 
-/// Every execution configuration that must agree: each join strategy
-/// with the columnar batch engine on and off. The default options are
-/// the `Auto` + columnar point.
+/// Every execution configuration that must agree: the columnar batch
+/// engine on and off. The default options are the columnar point.
 fn all_options() -> Vec<ExecOptions> {
-    let mut out = Vec::new();
-    for join in [
-        JoinStrategy::Auto,
-        JoinStrategy::BuildRight,
-        JoinStrategy::NestedLoop,
-    ] {
-        for columnar in [false, true] {
-            out.push(ExecOptions {
-                join,
-                columnar,
-                ..ExecOptions::default()
-            });
-        }
-    }
-    out
+    [false, true]
+        .into_iter()
+        .map(|columnar| ExecOptions {
+            columnar,
+            ..ExecOptions::default()
+        })
+        .collect()
+}
+
+/// `sql` followed, when it has an equi-join, by its nested-loop twin
+/// ([`sb_fuzz::nested_loop_twin`]): the hash joins and the nested loop
+/// must agree on both.
+fn with_twin(sql: &str) -> Vec<String> {
+    let query = sciencebenchmark::sql::parser::parse(sql).unwrap();
+    std::iter::once(sql.to_string())
+        .chain(sb_fuzz::nested_loop_twin(&query).map(|t| t.to_string()))
+        .collect()
 }
 
 /// A type-appropriate comparison for `col_ref`, so generated queries
@@ -116,17 +115,20 @@ fn join_strategies_agree_on_random_equi_joins_across_domains() {
             let reference =
                 d.db.run_with(&sql, ExecOptions::default())
                     .unwrap_or_else(|e| panic!("{}: `{sql}`: {e}", domain.name()));
-            for opts in all_options() {
-                let rs = d
-                    .db
-                    .run_with(&sql, opts)
-                    .unwrap_or_else(|e| panic!("{}: `{sql}` with {opts:?}: {e}", domain.name()));
-                assert_eq!(
-                    rs,
-                    reference,
-                    "{}: `{sql}` differs under {opts:?}",
-                    domain.name()
-                );
+            let runs = with_twin(&sql);
+            assert_eq!(runs.len(), 2, "`{sql}` has no nested-loop twin");
+            for run in &runs {
+                for opts in all_options() {
+                    let rs = d.db.run_with(run, opts).unwrap_or_else(|e| {
+                        panic!("{}: `{run}` with {opts:?}: {e}", domain.name())
+                    });
+                    assert_eq!(
+                        rs,
+                        reference,
+                        "{}: `{run}` differs under {opts:?}",
+                        domain.name()
+                    );
+                }
             }
         }
     }
@@ -218,9 +220,9 @@ fn obs_on_and_off_produce_identical_result_sets() {
     };
     let run_all = || -> Vec<sciencebenchmark::engine::ResultSet> {
         let mut out = Vec::new();
-        for sql in &queries {
+        for sql in queries.iter().flat_map(|sql| with_twin(sql)) {
             for opts in all_options() {
-                out.push(d.db.run_with(sql, opts).unwrap());
+                out.push(d.db.run_with(&sql, opts).unwrap());
             }
         }
         out
@@ -244,9 +246,11 @@ fn obs_on_and_off_produce_identical_result_sets() {
         "engine instrumentation did not collect"
     );
     // The columnar batch engine ran (half the matrix enables it, the
-    // workload is batch-eligible) and its kernels are instrumented.
+    // workload is batch-eligible) and its kernels are instrumented, and
+    // the twins ran nested loops.
     assert!(report.counter("engine.columnar.selects") > 0);
     assert!(report.counter("engine.columnar.join.hash") > 0);
+    assert!(report.counter("engine.join.nested_loop") > 0);
     assert!(report.counter("engine.scan.rows_pruned_pushdown") > 0);
 }
 
@@ -268,8 +272,7 @@ fn query_profiles_do_not_change_result_sets() {
         }
     }
     let mut rng = StdRng::seed_from_u64(0x0B5_0700);
-    for _ in 0..30 {
-        let sql = random_equi_join(&mut rng, schema, &edges);
+    for sql in (0..30).flat_map(|_| with_twin(&random_equi_join(&mut rng, schema, &edges))) {
         let query = sciencebenchmark::sql::parser::parse(&sql).unwrap();
         for opts in all_options() {
             let plain = execute_with_profile(&d.db, &query, opts, None).unwrap();
@@ -325,18 +328,20 @@ fn parity_db() -> Database {
 /// interpreter must reject it too, with the same variant.
 fn assert_uniform_error(db: &Database, sql: &str) -> EngineError {
     let mut first: Option<EngineError> = None;
-    for opts in all_options() {
-        let err = db
-            .run_with(sql, opts)
-            .err()
-            .unwrap_or_else(|| panic!("`{sql}` must fail under {opts:?}"));
-        match &first {
-            None => first = Some(err),
-            Some(f) => assert_eq!(
-                f.to_string(),
-                err.to_string(),
-                "`{sql}` error message drifts under {opts:?}"
-            ),
+    for run in with_twin(sql) {
+        for opts in all_options() {
+            let err = db
+                .run_with(&run, opts)
+                .err()
+                .unwrap_or_else(|| panic!("`{run}` must fail under {opts:?}"));
+            match &first {
+                None => first = Some(err),
+                Some(f) => assert_eq!(
+                    f.to_string(),
+                    err.to_string(),
+                    "`{run}` error message drifts under {opts:?}"
+                ),
+            }
         }
     }
     let first = first.unwrap();
@@ -408,7 +413,7 @@ fn pushdown_emptied_scans_keep_constraint_errors_and_swallow_residual_ones() {
     let db = parity_db();
     // `T1.x = 'NOMATCH'` pushes into the scan of `a` and empties it; the
     // ON constraint's unknown column must still be reported — with the
-    // same message — under every join strategy and engine.
+    // same message — under both engines and in the nested-loop twin.
     let err = assert_uniform_error(
         &db,
         "SELECT T2.shared FROM a AS T1 JOIN b AS T2 ON T1.nope = T2.id \
@@ -420,10 +425,12 @@ fn pushdown_emptied_scans_keep_constraint_errors_and_swallow_residual_ones() {
     // configuration succeeds with an empty result instead of erroring.
     let sql = "SELECT T1.x FROM a AS T1 JOIN b AS T2 ON T1.id = T2.id \
                WHERE T1.x = 'NOMATCH' AND T1.shared + T2.nope < 0";
-    for opts in all_options() {
-        let rs = db
-            .run_with(sql, opts)
-            .unwrap_or_else(|e| panic!("`{sql}` must succeed under {opts:?}: {e}"));
-        assert!(rs.rows.is_empty(), "`{sql}` returned rows under {opts:?}");
+    for run in with_twin(sql) {
+        for opts in all_options() {
+            let rs = db
+                .run_with(&run, opts)
+                .unwrap_or_else(|e| panic!("`{run}` must succeed under {opts:?}: {e}"));
+            assert!(rs.rows.is_empty(), "`{run}` returned rows under {opts:?}");
+        }
     }
 }

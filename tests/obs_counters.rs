@@ -1,8 +1,9 @@
 //! Pins the exact value of every `engine.*` sb-obs counter over a fixed
-//! set of sdss Tiny statements, under the row and columnar executors,
-//! plus two properties of the fold from statement profiles: a block
-//! that falls back to the row path counts only the row path's work, and
-//! subqueries run with the statement's executor options.
+//! set of sdss Tiny statements, under the row and columnar executors
+//! and, on the row path, as nested-loop twins, plus two properties of
+//! the fold from statement profiles: a block that falls back to the row
+//! path counts only the row path's work, and subqueries run with the
+//! statement's executor options.
 //!
 //! The sb-obs registry is process-global, so this binary holds exactly
 //! one `#[test]`: nothing else can add to the counters between a reset
@@ -11,7 +12,7 @@
 //! exactly, and no unlisted `engine.*` counter may appear.
 
 use sciencebenchmark::data::{Domain, SizeClass};
-use sciencebenchmark::engine::{Database, ExecOptions, JoinStrategy};
+use sciencebenchmark::engine::{Database, ExecOptions};
 use sciencebenchmark::obs;
 
 /// Statements without subqueries: equi-joins (two- and three-way), a
@@ -42,10 +43,10 @@ const STATEMENTS: &[&str] = &[
 
 /// Run `statements` under `opts` with collection on and render every
 /// `engine.*` counter except `engine.parallel.steals`, one per line.
-fn engine_counters(db: &Database, statements: &[&str], opts: ExecOptions) -> String {
+fn engine_counters<S: AsRef<str>>(db: &Database, statements: &[S], opts: ExecOptions) -> String {
     obs::set_mode(obs::Mode::Summary);
     obs::reset();
-    for sql in statements {
+    for sql in statements.iter().map(AsRef::as_ref) {
         db.run_with(sql, opts)
             .unwrap_or_else(|e| panic!("{sql}: {e}"));
     }
@@ -64,24 +65,12 @@ fn engine_counters(db: &Database, statements: &[&str], opts: ExecOptions) -> Str
 fn engine_counters_are_pinned() {
     let d = Domain::Sdss.build(SizeClass::Tiny);
     let columnar = ExecOptions::default();
+    let row = ExecOptions {
+        columnar: false,
+        ..columnar
+    };
     let configs = [
-        (
-            "row/Auto",
-            ExecOptions {
-                columnar: false,
-                ..columnar
-            },
-            ROW_AUTO,
-        ),
-        (
-            "row/NestedLoop",
-            ExecOptions {
-                join: JoinStrategy::NestedLoop,
-                columnar: false,
-                ..columnar
-            },
-            ROW_NESTED_LOOP,
-        ),
+        ("row", row, ROW),
         (
             "columnar/1 worker",
             ExecOptions {
@@ -108,6 +97,21 @@ fn engine_counters_are_pinned() {
         );
     }
 
+    // The nested-loop twins (`ON a = b` written `ON NOT (a <> b)`) run
+    // every join as a nested loop and count the same rows otherwise.
+    let twins: Vec<String> = STATEMENTS
+        .iter()
+        .map(|sql| {
+            let q = sciencebenchmark::sql::parser::parse(sql).unwrap();
+            sb_fuzz::nested_loop_twin(&q).map_or_else(|| sql.to_string(), |t| t.to_string())
+        })
+        .collect();
+    assert_eq!(
+        engine_counters(&d.db, &twins, row),
+        ROW_TWINS,
+        "engine counters of the nested-loop twins on the row path"
+    );
+
     // The columnar attempt scans and joins, then bails in the
     // projection: its eager AND evaluates an overflowing product the row
     // path's short circuit never reaches. The abandoned attempt's work
@@ -115,14 +119,10 @@ fn engine_counters_are_pinned() {
     let fallback = "SELECT p.objid, (p.type = 99) AND (p.objid * 9223372036854775807 > 0) \
                     FROM photoobj AS p JOIN specobj AS s ON p.objid = s.bestobjid \
                     WHERE p.u > 18";
-    let row = ExecOptions {
-        columnar: false,
-        ..columnar
-    };
     let row_counters = engine_counters(&d.db, &[fallback], row);
     assert_eq!(row_counters, FALLBACK_ROW);
     assert_eq!(
-        engine_counters(&d.db, &[fallback], configs[2].1),
+        engine_counters(&d.db, &[fallback], configs[1].1),
         format!("engine.columnar.fallbacks 1\n{row_counters}")
     );
 
@@ -140,7 +140,7 @@ fn engine_counters_are_pinned() {
     );
 }
 
-const ROW_AUTO: &str = "\
+const ROW: &str = "\
 engine.group.groups_created 26
 engine.join.hash 5
 engine.join.hash.build_rows 1760
@@ -150,7 +150,7 @@ engine.order.topk 2
 engine.scan.rows 11365
 engine.scan.rows_pruned_pushdown 3479
 ";
-const ROW_NESTED_LOOP: &str = "\
+const ROW_TWINS: &str = "\
 engine.group.groups_created 26
 engine.join.nested_loop 6
 engine.order.topk 2

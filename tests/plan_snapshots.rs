@@ -181,24 +181,19 @@ fn plan_snapshots_match_goldens() {
     );
 }
 
-/// The snapshot suite pins plans under default options; this pins that
-/// EXPLAIN respects non-default options too (a nested-loop-only session
-/// must not label joins as hash joins).
+/// The snapshot suite pins plans whose equi-joins are hash joins; this
+/// pins that EXPLAIN labels a join the way the executor runs it: the
+/// nested-loop twin of the same statement (`ON a = b` written
+/// `ON NOT (a <> b)`) must not be labelled a hash join.
 #[test]
 fn explain_respects_join_strategy() {
     let db = fuzz_database(Domain::Sdss);
     let sql = "SELECT s.class FROM specobj AS s JOIN photoobj AS p ON s.bestobjid = p.objid";
     let q = sb_sql::parse(sql).unwrap();
-    let auto = explain(&db, &q, ExecOptions::default()).unwrap();
-    assert!(auto.contains("HashJoin"), "auto:\n{auto}");
-    let nl = explain(
-        &db,
-        &q,
-        ExecOptions {
-            join: sb_engine::JoinStrategy::NestedLoop,
-            ..ExecOptions::default()
-        },
-    )
-    .unwrap();
-    assert!(nl.contains("NestedLoopJoin"), "nested loop:\n{nl}");
+    let hash = explain(&db, &q, ExecOptions::default()).unwrap();
+    assert!(hash.contains("HashJoin"), "equi-join:\n{hash}");
+    let twin = sb_fuzz::nested_loop_twin(&q).expect("the statement has an equi-join");
+    let nl = explain(&db, &twin, ExecOptions::default()).unwrap();
+    assert!(nl.contains("NestedLoopJoin"), "nested-loop twin:\n{nl}");
+    assert!(!nl.contains("HashJoin"), "nested-loop twin:\n{nl}");
 }
