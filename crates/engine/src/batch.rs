@@ -65,7 +65,7 @@ use crate::eval::{
     apply_cmp, apply_unary, arith, combine_logical, like_match, literal_value, truth_ref,
     EvalContext, Scope,
 };
-use crate::exec::{is_aggregate_query, Projected, Relation};
+use crate::exec::{Projected, Relation};
 use crate::inset::InSet;
 use crate::key::{self, FxBuild, KeyIndex};
 use crate::value::{canon_num, cmp_int_f64, Value};
@@ -154,7 +154,10 @@ pub(crate) struct BatchInput<'a, 'q> {
     pub(crate) relations: &'a [Relation<'a>],
     /// The statement's plan: pushed-down and residual conjuncts, join
     /// order and keys.
-    pub(crate) planned: &'a sb_opt::PlannedSelect<'q>,
+    pub(crate) planned: &'a sb_opt::PlannedSelect,
+    /// The statement's WHERE conjuncts ([`sb_opt::conjuncts`]), which
+    /// the plan's pushed and residual indices name.
+    pub(crate) conjuncts: &'a [&'q Expr],
     /// Morsel-parallel execution knobs (workers, morsel size).
     pub(crate) par: ParConfig,
     /// Per-statement profile block (EXPLAIN ANALYZE), if requested.
@@ -201,7 +204,12 @@ pub(crate) fn try_select(input: &BatchInput<'_, '_>) -> Option<Projected> {
         .planned
         .pushed
         .iter()
-        .map(|conjs| conjs.iter().map(|c| cx.compile_bool(c)).collect())
+        .map(|conjs| {
+            conjs
+                .iter()
+                .map(|&c| cx.compile_bool(input.conjuncts[c]))
+                .collect()
+        })
         .collect::<Option<_>>()
     {
         Some(p) => p,
@@ -211,7 +219,7 @@ pub(crate) fn try_select(input: &BatchInput<'_, '_>) -> Option<Projected> {
         .planned
         .residual
         .iter()
-        .map(|c| cx.compile_bool(c))
+        .map(|&c| cx.compile_bool(input.conjuncts[c]))
         .collect::<Option<_>>()
     {
         Some(r) => r,
@@ -256,7 +264,7 @@ pub(crate) fn try_select(input: &BatchInput<'_, '_>) -> Option<Projected> {
         crate::exec::prof_elapsed(filter_t0, Some(op));
     }
     let view = View::all(&tables, &rowids);
-    if is_aggregate_query(input.select, input.order_by) {
+    if sb_opt::is_aggregate(input.select, input.order_by) {
         grouped(&cx, input, &view).or_else(|| bail(input, "agg-kernel"))
     } else {
         plain(&cx, input, &view).or_else(|| bail(input, "project-kernel"))

@@ -48,6 +48,7 @@ use sb_sql::{
     AggFunc, BinaryOp, ColumnRef, Expr, Join, OrderItem, Query, Select, SelectItem, SetExpr, SetOp,
     TableFactor, TableRef,
 };
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::Hasher;
@@ -223,22 +224,6 @@ pub fn execute(db: &Database, query: &Query) -> Result<ResultSet> {
     execute_with(db, query, ExecOptions::default())
 }
 
-/// Execute a parsed query, reusing a previously captured top-level plan
-/// (see [`plan_top_select`]) instead of re-planning. The cached plan
-/// must have been captured from the *same* statement text against the
-/// *same* database snapshot; a structurally mismatched plan is detected
-/// and falls back to fresh planning, so the result is always identical
-/// to [`execute_with`] — errors included. Set operations ignore the plan
-/// entirely.
-pub fn execute_with_plan(
-    db: &Database,
-    query: &Query,
-    opts: ExecOptions,
-    plan: Option<&sb_opt::OwnedPlan>,
-) -> Result<ResultSet> {
-    execute_query(db, query, opts, plan, None)
-}
-
 /// [`execute_with`] plus a per-statement [`QueryProfile`] the engine's
 /// operators write runtime statistics into — the substrate of
 /// `EXPLAIN ANALYZE` and the serve layer's slow-query log. Results are
@@ -252,14 +237,20 @@ pub fn execute_with_profile(
     execute_query(db, query, opts, None, prof)
 }
 
-/// [`execute_with_plan`] plus an optional [`QueryProfile`] (see
-/// [`execute_with_profile`]). The serve layer's profiled requests run
-/// through here so the plan cache and profiling compose.
+/// [`execute_with_profile`], reusing a top-level plan prepared by
+/// [`plan_top_select`] instead of planning afresh. The plan is borrowed
+/// as it is, so a prepared-plan cache hit plans and copies nothing. It
+/// must come from the *same* statement against the *same* database
+/// snapshot; a plan whose relation count or conjunct indices do not fit
+/// the statement is ignored and the statement planned afresh, so the
+/// result is always identical to [`execute_with`], errors included. Set
+/// operations ignore the plan entirely. The serve layer runs every
+/// request through here, so the plan cache and profiling compose.
 pub fn execute_with_plan_profile(
     db: &Database,
     query: &Query,
     opts: ExecOptions,
-    plan: Option<&sb_opt::OwnedPlan>,
+    plan: Option<&sb_opt::PlannedSelect>,
     prof: Option<&QueryProfile>,
 ) -> Result<ResultSet> {
     execute_query(db, query, opts, plan, prof)
@@ -273,7 +264,7 @@ fn execute_query(
     db: &Database,
     query: &Query,
     opts: ExecOptions,
-    plan: Option<&sb_opt::OwnedPlan>,
+    plan: Option<&sb_opt::PlannedSelect>,
     prof: Prof<'_>,
 ) -> Result<ResultSet> {
     if !sb_obs::enabled() {
@@ -291,7 +282,7 @@ fn run_query(
     db: &Database,
     query: &Query,
     opts: ExecOptions,
-    plan: Option<&sb_opt::OwnedPlan>,
+    plan: Option<&sb_opt::PlannedSelect>,
     prof: Prof<'_>,
 ) -> Result<ResultSet> {
     match &query.body {
@@ -310,62 +301,33 @@ fn run_query(
     }
 }
 
-/// Plan the top-level `SELECT` of a query in cacheable (owned) form:
-/// the prepared-statement path of `sb-serve` calls this once per
-/// normalized statement and hands the result back to
-/// [`execute_with_plan`] on every subsequent request.
+/// Plan the top-level `SELECT` of a query for reuse: the
+/// prepared-statement path of `sb-serve` calls this once per normalized
+/// statement and hands the plan back to [`execute_with_plan_profile`]
+/// on every subsequent request.
 ///
 /// Returns `None` whenever caching would not be sound or useful: the
-/// query is a set operation, a FROM factor is a derived table (planning one means
-/// executing its subquery — that work belongs to the request, not the
-/// prepare step), or a table doesn't resolve (execution will surface
-/// the binding error itself). The plan derives only from the immutable
-/// snapshot's schema and row counts, so it reproduces exactly what
-/// fresh planning inside [`execute_with`] would decide.
+/// query is a set operation, a FROM factor is a derived table (planning
+/// one means executing its subquery — that work belongs to the request,
+/// not the prepare step), or a table doesn't resolve (execution will
+/// surface the binding error itself). Planning goes through the same
+/// [`plan_from`] as execution, over the immutable snapshot's schema and
+/// row counts, so the plan is exactly what fresh planning inside
+/// [`execute_with`] decides.
 pub fn plan_top_select(
     db: &Database,
     query: &Query,
     opts: ExecOptions,
-) -> Option<sb_opt::OwnedPlan> {
+) -> Option<sb_opt::PlannedSelect> {
     let SetExpr::Select(select) = &query.body else {
         return None;
     };
-    let mut metas = Vec::new();
-    let mut scope = Scope::default();
-    let factors = std::iter::once(&select.from).chain(select.joins.iter().map(|j| &j.table));
-    for tr in factors {
-        let TableFactor::Table(name) = &tr.factor else {
-            return None;
-        };
-        let table = db.table(name)?;
-        let binding = tr.binding().expect("named table always binds").to_string();
-        let columns: Vec<String> = table.def.columns.iter().map(|c| c.name.clone()).collect();
-        metas.push(sb_opt::RelMeta {
-            binding: binding.clone(),
-            table: Some(table.def.name.clone()),
-            columns: table
-                .def
-                .columns
-                .iter()
-                .map(|c| sb_opt::ColMeta {
-                    name: c.name.clone(),
-                    unique: c.primary_key,
-                })
-                .collect(),
-            rows: table.rows.len(),
-        });
-        scope.push(&binding, columns);
+    let mut factors = std::iter::once(&select.from).chain(select.joins.iter().map(|j| &j.table));
+    if factors.any(|tr| matches!(tr.factor, TableFactor::Derived(_))) {
+        return None;
     }
-    let resolver = ScopeResolver(&scope);
-    let input = sb_opt::PlanInput {
-        select,
-        order_by: &query.order_by,
-        limit: query.limit,
-        rels: &metas,
-        opts: opts.opt_options(),
-    };
-    let planned = sb_opt::plan_select(&input, &resolver);
-    sb_opt::OwnedPlan::capture(&planned, select)
+    let from = plan_from(db, select, &query.order_by, query.limit, opts, None, None).ok()?;
+    Some(from.planned.into_owned())
 }
 
 /// Execute a parsed query with explicit executor options.
@@ -518,11 +480,55 @@ impl sb_opt::Resolver for ScopeResolver<'_> {
     }
 }
 
-/// Planner-visible metadata for the resolved FROM relations: live row
-/// counts (derived tables are already materialized) and base-table
+/// One `SELECT`'s FROM relations and the plan over them.
+pub(crate) struct PlannedFrom<'a, 'p> {
+    /// The relations in FROM/JOIN order, derived tables materialized.
+    pub(crate) relations: Vec<Relation<'a>>,
+    /// The full scope over every relation's original columns.
+    pub(crate) scope: Scope,
+    /// What the planner was told about each relation; empty when a
+    /// prepared plan was reused.
+    pub(crate) metas: Vec<sb_opt::RelMeta>,
+    /// The prepared plan, borrowed, or the one planned here.
+    pub(crate) planned: Cow<'p, sb_opt::PlannedSelect>,
+}
+
+/// Resolve a `SELECT`'s FROM relations (derived tables execute here, in
+/// FROM/JOIN order), build their full scope, and plan the statement
+/// over them — unless the caller has a `prepared` plan, which is reused
+/// as it is. Execution, EXPLAIN and the serve layer's prepare step all
+/// plan through here, so they cannot disagree about a plan. Name
+/// resolution inside the planner delegates back to the scope, so
+/// pushdown and reorder decisions see exactly what the residual filter
+/// would. The metadata the planner sees is each relation's live row
+/// count (derived tables are already materialized) and base-table
 /// primary-key uniqueness for the cost model's distinct estimates.
-pub(crate) fn rel_metas(relations: &[Relation<'_>]) -> Vec<sb_opt::RelMeta> {
-    relations
+pub(crate) fn plan_from<'a, 'p>(
+    db: &'a Database,
+    select: &Select,
+    order_by: &[OrderItem],
+    limit: Option<u64>,
+    opts: ExecOptions,
+    prepared: Option<&'p sb_opt::PlannedSelect>,
+    prof: Prof<'_>,
+) -> Result<PlannedFrom<'a, 'p>> {
+    let mut relations = vec![resolve_relation(db, &select.from, opts, prof)?];
+    for join in &select.joins {
+        relations.push(resolve_relation(db, &join.table, opts, prof)?);
+    }
+    let mut scope = Scope::default();
+    for rel in &relations {
+        scope.push(&rel.binding, rel.columns.clone());
+    }
+    if let Some(p) = prepared {
+        return Ok(PlannedFrom {
+            relations,
+            scope,
+            metas: Vec::new(),
+            planned: Cow::Borrowed(p),
+        });
+    }
+    let metas: Vec<sb_opt::RelMeta> = relations
         .iter()
         .map(|r| {
             let (table, rows, unique_of): (Option<String>, usize, Option<&crate::database::Table>) =
@@ -547,21 +553,40 @@ pub(crate) fn rel_metas(relations: &[Relation<'_>]) -> Vec<sb_opt::RelMeta> {
                 rows,
             }
         })
-        .collect()
+        .collect();
+    let input = sb_opt::PlanInput {
+        select,
+        order_by,
+        limit,
+        rels: &metas,
+        opts: opts.opt_options(),
+    };
+    let planned = sb_opt::plan_select(&input, &ScopeResolver(&scope));
+    Ok(PlannedFrom {
+        relations,
+        scope,
+        metas,
+        planned: Cow::Owned(planned),
+    })
 }
 
-/// Scan one relation, applying its pushed-down conjuncts. Base-table
-/// scans share `Arc` row handles; derived tables own their rows already.
+/// Scan one relation, applying its pushed-down conjuncts (indices into
+/// the statement's `conjuncts`). Base-table scans share `Arc` row
+/// handles; derived tables own their rows already.
 fn scan_relation(
     rel: Relation<'_>,
-    pushed: &[&Expr],
+    pushed: &[usize],
+    conjuncts: &[&Expr],
     ctx: &EvalContext,
     prof_op: Option<&OpStats>,
 ) -> Result<Vec<ExecRow>> {
     let mut local = Scope::default();
     local.push(&rel.binding, rel.columns.clone());
     // Compile pushed conjuncts once against the single-relation scope.
-    let progs: Vec<CExpr> = pushed.iter().map(|c| compile(c, &local, ctx)).collect();
+    let progs: Vec<CExpr> = pushed
+        .iter()
+        .map(|&c| compile(conjuncts[c], &local, ctx))
+        .collect();
     let keep = |row: &[Value]| -> Result<bool> {
         for prog in &progs {
             if !prog.eval_filter(row, ctx)? {
@@ -905,7 +930,7 @@ fn join_relations(
 fn join_relations_reordered(
     scanned: Vec<Vec<ExecRow>>,
     relations: &[(String, Vec<String>)],
-    planned: &sb_opt::PlannedSelect<'_>,
+    planned: &sb_opt::PlannedSelect,
     bp: Option<Block<'_>>,
 ) -> (Scope, Vec<ExecRow>) {
     let n = relations.len();
@@ -1006,18 +1031,6 @@ fn join_relations_reordered(
     (scope, rows)
 }
 
-/// Whether the select needs grouped (aggregate) evaluation.
-pub(crate) fn is_aggregate_query(select: &Select, order_by: &[OrderItem]) -> bool {
-    if !select.group_by.is_empty() || select.having.is_some() {
-        return true;
-    }
-    let proj_agg = select.projections.iter().any(|p| match p {
-        SelectItem::Wildcard => false,
-        SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-    });
-    proj_agg || order_by.iter().any(|o| o.expr.contains_aggregate())
-}
-
 /// Output column name for a projection item.
 pub(crate) fn projection_name(item: &SelectItem) -> String {
     match item {
@@ -1035,49 +1048,32 @@ fn execute_select_impl(
     order_by: &[OrderItem],
     limit: Option<u64>,
     opts: ExecOptions,
-    cached: Option<&sb_opt::OwnedPlan>,
+    prepared: Option<&sb_opt::PlannedSelect>,
     prof: Prof<'_>,
 ) -> Result<ResultSet> {
     let ctx = EvalContext::new(db, opts);
+    // A prepared plan names WHERE conjuncts by index; one that does not
+    // fit this statement (a caller paired it with another one) is
+    // dropped, and the statement is planned afresh.
+    let conjuncts = sb_opt::conjuncts(select);
+    let n_rel = 1 + select.joins.len();
+    let prepared = prepared.filter(|p| {
+        p.pushed.len() == n_rel
+            && p.keep.len() == n_rel
+            && (p.pushed.iter().flatten().chain(&p.residual)).all(|&c| c < conjuncts.len())
+    });
 
     // Reserve this SELECT's profile block before resolving relations:
     // derived tables execute during resolution and must register their
     // blocks *after* the enclosing one (the order renderers replay).
-    let bp: Option<Block<'_>> = prof.map(|p| p.begin_block(1 + select.joins.len()));
+    let bp: Option<Block<'_>> = prof.map(|p| p.begin_block(n_rel));
 
-    // Resolve every relation and build the full scope up front, so
-    // pushdown decisions see exactly what the residual filter would.
-    let mut relations = vec![resolve_relation(db, &select.from, opts, prof)?];
-    for join in &select.joins {
-        relations.push(resolve_relation(db, &join.table, opts, prof)?);
-    }
-    let mut full_scope = Scope::default();
-    for rel in &relations {
-        full_scope.push(&rel.binding, rel.columns.clone());
-    }
-
-    // Plan the statement. Name resolution inside the planner delegates
-    // back to this scope, so pushdown and reorder decisions see exactly
-    // what the residual filter would. A cached plan (the serve-layer
-    // prepared path) skips the whole rewrite pipeline; `reify` rebuilds
-    // the exact borrowing plan the planner produced at prepare time. A
-    // mismatch — possible only if a caller pairs a plan with the wrong
-    // statement — re-plans.
-    let rels_meta;
-    let planned = match cached.and_then(|c| c.reify(select)) {
-        Some(p) => p,
-        None => {
-            rels_meta = rel_metas(&relations);
-            let input = sb_opt::PlanInput {
-                select,
-                order_by,
-                limit,
-                rels: &rels_meta,
-                opts: opts.opt_options(),
-            };
-            sb_opt::plan_select(&input, &ScopeResolver(&full_scope))
-        }
-    };
+    let PlannedFrom {
+        relations,
+        scope: full_scope,
+        planned,
+        ..
+    } = plan_from(db, select, order_by, limit, opts, prepared, prof)?;
 
     // Attempt vectorized batch execution before any rows are scanned:
     // the batch path works directly on the tables' columnar images. A
@@ -1091,6 +1087,7 @@ fn execute_select_impl(
             scope: &full_scope,
             relations: &relations,
             planned: &planned,
+            conjuncts: &conjuncts,
             par: crate::batch::ParConfig::from_options(&opts),
             bp,
             ctx: &ctx,
@@ -1118,7 +1115,7 @@ fn execute_select_impl(
     for (i, (rel, pushed)) in relations.into_iter().zip(&planned.pushed).enumerate() {
         let prof_op = bp.as_ref().and_then(|b| b.scan(i));
         let t0 = prof_clock(&bp);
-        scanned.push(scan_relation(rel, pushed, &ctx, prof_op)?);
+        scanned.push(scan_relation(rel, pushed, &conjuncts, &ctx, prof_op)?);
         prof_elapsed(t0, prof_op);
     }
 
@@ -1148,7 +1145,7 @@ fn execute_select_impl(
         let progs: Vec<CExpr> = planned
             .residual
             .iter()
-            .map(|c| compile(c, &scope, &ctx))
+            .map(|&c| compile(conjuncts[c], &scope, &ctx))
             .collect();
         let mut kept = Vec::with_capacity(rows.len());
         'row: for row in rows {
@@ -1166,7 +1163,7 @@ fn execute_select_impl(
         }
     }
 
-    let agg = is_aggregate_query(select, order_by);
+    let agg = sb_opt::is_aggregate(select, order_by);
     let agg_op = (agg && bp.is_some())
         .then(|| bp.as_ref().and_then(|b| b.fixed(FixedOp::Aggregate)))
         .flatten();
@@ -2151,11 +2148,36 @@ mod tests {
         let SetExpr::Select(select) = &q.body else {
             panic!("select expected")
         };
-        let mut conj = Vec::new();
-        sb_opt::split_conjuncts(select.selection.as_ref().unwrap(), &mut conj);
+        let conj = sb_opt::conjuncts(select);
         assert_eq!(conj.len(), 3);
         assert!(!sb_opt::has_subquery(conj[0]));
         assert!(!sb_opt::has_subquery(conj[1]));
         assert!(sb_opt::has_subquery(conj[2]));
+    }
+
+    /// A prepared plan paired with another statement is ignored: that
+    /// statement returns exactly what fresh planning gives, under both
+    /// engines.
+    #[test]
+    fn mismatched_prepared_plan_is_planned_afresh() {
+        let db = galaxy_db();
+        let prepared =
+            sb_sql::parse("SELECT specobjid FROM specobj WHERE class = 'GALAXY' AND z > 0.5")
+                .unwrap();
+        for opts in engine_variants() {
+            let plan = plan_top_select(&db, &prepared, opts).expect("plannable statement");
+            for sql in [
+                // Fewer conjuncts than the plan's indices name.
+                "SELECT specobjid FROM specobj WHERE class = 'GALAXY'",
+                // Another relation count, with every conjunct index in range.
+                "SELECT s.specobjid FROM specobj AS s JOIN photoobj AS p \
+                 ON s.bestobjid = p.objid WHERE s.z > 0.5 AND s.class = 'GALAXY'",
+            ] {
+                let q = sb_sql::parse(sql).unwrap();
+                let fresh = execute_with(&db, &q, opts);
+                let reused = execute_with_plan_profile(&db, &q, opts, Some(&plan), None);
+                assert_eq!(format!("{reused:?}"), format!("{fresh:?}"), "{sql}");
+            }
+        }
     }
 }

@@ -2,23 +2,27 @@
 //! operator tree, without executing the outer query.
 //!
 //! The tree is built from the exact [`sb_opt::PlannedSelect`] the
-//! executor would consume under the same [`ExecOptions`], so the text
-//! is a faithful record of pushdown, pruning, join order and build-side
+//! executor would consume under the same [`ExecOptions`]: each SELECT
+//! is planned through the executor's own `plan_from`, so the text is a
+//! faithful record of pushdown, pruning, join order and build-side
 //! choices. Derived tables are materialized (they must be, for the
 //! planner's row counts to mean anything) and their subplans nest under
 //! the `DerivedScan` operator that consumes them.
+//!
+//! EXPLAIN and EXPLAIN ANALYZE share one walk over the statement. The
+//! analyzed walk also carries a recorded profile and consumes one of
+//! its blocks per SELECT, in the order the executor reserved them.
 
 use crate::database::Database;
 use crate::error::Result;
-use crate::eval::Scope;
-use crate::exec::{rel_metas, resolve_relation, ExecOptions, ScopeResolver};
+use crate::exec::{plan_from, ExecOptions};
 use sb_obs::{BlockSnapshot, OpSnapshot, ProfileSnapshot, QueryProfile};
-use sb_opt::PlanNode;
+use sb_opt::{PlanAnnotator, PlanNode};
 use sb_sql::{OrderItem, Query, Select, SetExpr, SetOp, TableFactor};
 
 /// Render the execution plan for `query` under `opts` as indented text.
 pub fn explain(db: &Database, query: &Query, opts: ExecOptions) -> Result<String> {
-    let node = plan_set_expr(db, &query.body, &query.order_by, query.limit, opts)?;
+    let node = plan_set_expr(db, &query.body, &query.order_by, query.limit, opts, None)?;
     Ok(sb_opt::render(&node))
 }
 
@@ -54,42 +58,58 @@ pub fn explain_with_profile(
     include_timings: bool,
 ) -> Result<String> {
     let snap = prof.snapshot();
-    let mut cursor = 0usize;
-    let node = plan_set_expr_analyzed(
+    let mut analyzed = Analyzed {
+        snap: &snap,
+        cursor: 0,
+        timings: include_timings,
+    };
+    let node = plan_set_expr(
         db,
         &query.body,
         &query.order_by,
         query.limit,
         opts,
-        &snap,
-        &mut cursor,
-        include_timings,
+        Some(&mut analyzed),
     )?;
     Ok(sb_opt::render(&node))
 }
 
+/// What an EXPLAIN ANALYZE walk annotates from: the recorded profile,
+/// the next of its blocks to consume, and whether to show timings.
+struct Analyzed<'s> {
+    snap: &'s ProfileSnapshot,
+    cursor: usize,
+    timings: bool,
+}
+
+/// The walk visits SELECTs in the exact order the executor reserves
+/// profile blocks: top-level select first, derived tables in FROM/JOIN
+/// order recursively, set-operation leaves left to right.
 fn plan_set_expr(
     db: &Database,
     body: &SetExpr,
     order_by: &[OrderItem],
     limit: Option<u64>,
     opts: ExecOptions,
+    mut analyzed: Option<&mut Analyzed<'_>>,
 ) -> Result<PlanNode> {
     match body {
-        SetExpr::Select(select) => plan_select_node(db, select, order_by, limit, opts),
+        SetExpr::Select(select) => plan_select_node(db, select, order_by, limit, opts, analyzed),
         SetExpr::SetOp {
             op,
             all,
             left,
             right,
         } => {
-            let l = plan_set_expr(db, left, &[], None, opts)?;
-            let r = plan_set_expr(db, right, &[], None, opts)?;
+            let l = plan_set_expr(db, left, &[], None, opts, analyzed.as_deref_mut())?;
+            let r = plan_set_expr(db, right, &[], None, opts, analyzed)?;
             let name = match op {
                 SetOp::Union => "Union",
                 SetOp::Intersect => "Intersect",
                 SetOp::Except => "Except",
             };
+            // The combining operator and its sort/limit run outside any
+            // profile block, so their lines are never annotated.
             let mut node = PlanNode {
                 label: format!("{name}{}", if *all { " ALL" } else { "" }),
                 children: vec![l, r],
@@ -117,151 +137,44 @@ fn plan_select_node(
     order_by: &[OrderItem],
     limit: Option<u64>,
     opts: ExecOptions,
-) -> Result<PlanNode> {
-    let mut relations = vec![resolve_relation(db, &select.from, opts, None)?];
-    for join in &select.joins {
-        relations.push(resolve_relation(db, &join.table, opts, None)?);
-    }
-
-    // Subplans for derived tables, aligned with the relations.
-    let mut derived = Vec::with_capacity(relations.len());
-    for tr in std::iter::once(&select.from).chain(select.joins.iter().map(|j| &j.table)) {
-        derived.push(match &tr.factor {
-            TableFactor::Derived(q) => {
-                Some(plan_set_expr(db, &q.body, &q.order_by, q.limit, opts)?)
-            }
-            TableFactor::Table(_) => None,
-        });
-    }
-
-    let mut full_scope = Scope::default();
-    for rel in &relations {
-        full_scope.push(&rel.binding, rel.columns.clone());
-    }
-    let resolver = ScopeResolver(&full_scope);
-    let rels = rel_metas(&relations);
-    let input = sb_opt::PlanInput {
-        select,
-        order_by,
-        limit,
-        rels: &rels,
-        opts: opts.opt_options(),
-    };
-    let planned = sb_opt::plan_select(&input, &resolver);
-    Ok(sb_opt::build_plan(&input, &planned, &derived))
-}
-
-/// Analyzed twin of [`plan_set_expr`]: walks the statement in the exact
-/// order the executor reserves profile blocks (top-level select first,
-/// derived tables in FROM/JOIN order recursively, set-operation leaves
-/// left to right), consuming one block per SELECT via `cursor`.
-#[allow(clippy::too_many_arguments)]
-fn plan_set_expr_analyzed(
-    db: &Database,
-    body: &SetExpr,
-    order_by: &[OrderItem],
-    limit: Option<u64>,
-    opts: ExecOptions,
-    snap: &ProfileSnapshot,
-    cursor: &mut usize,
-    timings: bool,
-) -> Result<PlanNode> {
-    match body {
-        SetExpr::Select(select) => {
-            plan_select_node_analyzed(db, select, order_by, limit, opts, snap, cursor, timings)
-        }
-        SetExpr::SetOp {
-            op,
-            all,
-            left,
-            right,
-        } => {
-            let l = plan_set_expr_analyzed(db, left, &[], None, opts, snap, cursor, timings)?;
-            let r = plan_set_expr_analyzed(db, right, &[], None, opts, snap, cursor, timings)?;
-            let name = match op {
-                SetOp::Union => "Union",
-                SetOp::Intersect => "Intersect",
-                SetOp::Except => "Except",
-            };
-            // The combining operator and its sort/limit run outside any
-            // profile block; their lines stay unannotated.
-            let mut node = PlanNode {
-                label: format!("{name}{}", if *all { " ALL" } else { "" }),
-                children: vec![l, r],
-            };
-            if !order_by.is_empty() {
-                let keys: Vec<String> = order_by
-                    .iter()
-                    .map(|o| format!("{}{}", o.expr, if o.desc { " DESC" } else { " ASC" }))
-                    .collect();
-                node = PlanNode::unary(format!("Sort keys=[{}]", keys.join(", ")), node);
-            }
-            if let Some(k) = limit {
-                node = PlanNode::unary(format!("Limit k={k}"), node);
-            }
-            Ok(node)
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn plan_select_node_analyzed(
-    db: &Database,
-    select: &Select,
-    order_by: &[OrderItem],
-    limit: Option<u64>,
-    opts: ExecOptions,
-    snap: &ProfileSnapshot,
-    cursor: &mut usize,
-    timings: bool,
+    mut analyzed: Option<&mut Analyzed<'_>>,
 ) -> Result<PlanNode> {
     // This SELECT's block precedes its derived tables' blocks.
-    let my_block = *cursor;
-    *cursor += 1;
+    let ann = analyzed.as_deref_mut().and_then(|a| {
+        a.cursor += 1;
+        Some(BlockAnnotator {
+            block: a.snap.blocks.get(a.cursor - 1)?,
+            timings: a.timings,
+        })
+    });
 
-    let mut relations = vec![resolve_relation(db, &select.from, opts, None)?];
-    for join in &select.joins {
-        relations.push(resolve_relation(db, &join.table, opts, None)?);
-    }
+    let from = plan_from(db, select, order_by, limit, opts, None, None)?;
 
-    let mut derived = Vec::with_capacity(relations.len());
+    // Subplans for derived tables, aligned with the relations.
+    let mut derived = Vec::with_capacity(from.relations.len());
     for tr in std::iter::once(&select.from).chain(select.joins.iter().map(|j| &j.table)) {
         derived.push(match &tr.factor {
-            TableFactor::Derived(q) => Some(plan_set_expr_analyzed(
+            TableFactor::Derived(q) => Some(plan_set_expr(
                 db,
                 &q.body,
                 &q.order_by,
                 q.limit,
                 opts,
-                snap,
-                cursor,
-                timings,
+                analyzed.as_deref_mut(),
             )?),
             TableFactor::Table(_) => None,
         });
     }
 
-    let mut full_scope = Scope::default();
-    for rel in &relations {
-        full_scope.push(&rel.binding, rel.columns.clone());
-    }
-    let resolver = ScopeResolver(&full_scope);
-    let rels = rel_metas(&relations);
     let input = sb_opt::PlanInput {
         select,
         order_by,
         limit,
-        rels: &rels,
+        rels: &from.metas,
         opts: opts.opt_options(),
     };
-    let planned = sb_opt::plan_select(&input, &resolver);
-    Ok(match snap.blocks.get(my_block) {
-        Some(block) => {
-            let ann = BlockAnnotator { block, timings };
-            sb_opt::build_plan_annotated(&input, &planned, &derived, &ann)
-        }
-        None => sb_opt::build_plan(&input, &planned, &derived),
-    })
+    let ann = ann.as_ref().map(|a| a as &dyn PlanAnnotator);
+    Ok(sb_opt::build_plan(&input, &from.planned, &derived, ann))
 }
 
 /// [`sb_opt::PlanAnnotator`] over one recorded [`BlockSnapshot`].

@@ -38,8 +38,8 @@ pub use column::{Column, ColumnData, ColumnarTable, DictColumn, NullMask};
 pub use database::{Database, Row, Table};
 pub use error::{EngineError, Result};
 pub use exec::{
-    execute, execute_with, execute_with_plan, execute_with_plan_profile, execute_with_profile,
-    plan_top_select, ExecOptions,
+    execute, execute_with, execute_with_plan_profile, execute_with_profile, plan_top_select,
+    ExecOptions,
 };
 pub use explain::{explain, explain_analyze, explain_with_profile};
 pub use profile::{profile_database, sql_literal};

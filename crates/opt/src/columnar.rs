@@ -26,6 +26,7 @@
 //!   over scalar-set arguments, grouped by plain columns,
 //! - no `SELECT *` under grouping.
 
+use crate::is_aggregate;
 use sb_sql::{AggArg, Expr, OrderItem, Select, SelectItem, TableFactor};
 
 /// Whether one `SELECT` (with its statement-level ORDER BY keys) is
@@ -154,18 +155,6 @@ fn grouped_ok(e: &Expr) -> bool {
         Expr::Unary { expr, .. } => grouped_ok(expr),
         other => scalar_ok(other),
     }
-}
-
-/// Mirror of the executor's aggregate-query test.
-fn is_aggregate(select: &Select, order_by: &[OrderItem]) -> bool {
-    if !select.group_by.is_empty() || select.having.is_some() {
-        return true;
-    }
-    let proj_agg = select.projections.iter().any(|p| match p {
-        SelectItem::Wildcard => false,
-        SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-    });
-    proj_agg || order_by.iter().any(|o| o.expr.contains_aggregate())
 }
 
 #[cfg(test)]

@@ -87,16 +87,18 @@ fn eq_selectivity(left: &Expr, right: &Expr, resolver: &dyn Resolver, rels: &[Re
     best
 }
 
-/// Estimated output rows of a scan of `rel` after its pushed conjuncts.
+/// Estimated output rows of a scan of `rel` after its pushed conjuncts
+/// (indices into the statement's [`crate::conjuncts`]).
 pub fn scan_estimate(
     rel: &RelMeta,
-    pushed: &[&Expr],
+    pushed: &[usize],
+    conjuncts: &[&Expr],
     resolver: &dyn Resolver,
     rels: &[RelMeta],
 ) -> f64 {
     let mut est = rel.rows as f64;
-    for conj in pushed {
-        est *= selectivity(conj, resolver, rels);
+    for &c in pushed {
+        est *= selectivity(conjuncts[c], resolver, rels);
     }
     est
 }

@@ -13,9 +13,13 @@
 //! recognized a qualified equi-key for it; the executor additionally
 //! hash-joins some bare-name equalities, which EXPLAIN conservatively
 //! shows as `NestedLoopJoin`.
+//!
+//! [`build_plan`] builds both trees: the plain EXPLAIN tree, and with a
+//! [`PlanAnnotator`] the EXPLAIN ANALYZE tree, whose labels carry the
+//! runtime statistics the annotator supplies.
 
 use crate::plan::{PlanInput, PlannedSelect};
-use sb_sql::{Select, SelectItem};
+use sb_sql::SelectItem;
 
 /// One rendered operator: a label plus child operators. Deliberately
 /// schemaless — derived-table subplans nest as ordinary children.
@@ -97,33 +101,21 @@ pub trait PlanAnnotator {
 ///
 /// `derived` supplies a pre-built subplan per relation (for derived
 /// tables), in original relation order; `None` entries are base tables.
+/// With an annotator, runtime statistics are appended to the operator
+/// labels — the EXPLAIN ANALYZE tree.
 pub fn build_plan(
     input: &PlanInput<'_>,
-    planned: &PlannedSelect<'_>,
-    derived: &[Option<PlanNode>],
-) -> PlanNode {
-    build_plan_inner(input, planned, derived, None)
-}
-
-/// [`build_plan`] with runtime statistics appended to operator labels —
-/// the EXPLAIN ANALYZE tree.
-pub fn build_plan_annotated(
-    input: &PlanInput<'_>,
-    planned: &PlannedSelect<'_>,
-    derived: &[Option<PlanNode>],
-    ann: &dyn PlanAnnotator,
-) -> PlanNode {
-    build_plan_inner(input, planned, derived, Some(ann))
-}
-
-fn build_plan_inner(
-    input: &PlanInput<'_>,
-    planned: &PlannedSelect<'_>,
+    planned: &PlannedSelect,
     derived: &[Option<PlanNode>],
     ann: Option<&dyn PlanAnnotator>,
 ) -> PlanNode {
     let select = input.select;
     let rels = input.rels;
+    let conjuncts = crate::conjuncts(select);
+    let show = |idxs: &[usize]| -> String {
+        let preds: Vec<String> = idxs.iter().map(|&c| conjuncts[c].to_string()).collect();
+        preds.join(" AND ")
+    };
 
     // Scan leaves, in original coordinates.
     let scan_node = |i: usize| -> PlanNode {
@@ -138,8 +130,7 @@ fn build_plan_inner(
             label.push_str(&format!(" cols=[{}]", names.join(", ")));
         }
         if !planned.pushed[i].is_empty() {
-            let preds: Vec<String> = planned.pushed[i].iter().map(|e| e.to_string()).collect();
-            label.push_str(&format!(" filter=[{}]", preds.join(" AND ")));
+            label.push_str(&format!(" filter=[{}]", show(&planned.pushed[i])));
         }
         label.push_str(&format!(" rows~{}", round_est(planned.scan_est[i])));
         if let Some(a) = ann.and_then(|a| a.scan(i)) {
@@ -210,15 +201,14 @@ fn build_plan_inner(
     }
 
     if !planned.residual.is_empty() {
-        let preds: Vec<String> = planned.residual.iter().map(|e| e.to_string()).collect();
-        let mut label = format!("Filter [{}]", preds.join(" AND "));
+        let mut label = format!("Filter [{}]", show(&planned.residual));
         if let Some(a) = ann.and_then(|a| a.filter()) {
             label.push_str(&a);
         }
         node = PlanNode::unary(label, node);
     }
 
-    if is_aggregate(select, input) {
+    if crate::is_aggregate(select, input.order_by) {
         let mut label = "Aggregate".to_string();
         if !select.group_by.is_empty() {
             let keys: Vec<String> = select.group_by.iter().map(|e| e.to_string()).collect();
@@ -303,20 +293,6 @@ fn build_plan_inner(
         root.push_str(&a);
     }
     PlanNode::unary(root, node)
-}
-
-/// Mirror of the executor's aggregate-query test, structured on the
-/// plan input (group by / having / any aggregate in projections or
-/// order keys).
-fn is_aggregate(select: &Select, input: &PlanInput<'_>) -> bool {
-    if !select.group_by.is_empty() || select.having.is_some() {
-        return true;
-    }
-    let proj_agg = select.projections.iter().any(|p| match p {
-        SelectItem::Wildcard => false,
-        SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-    });
-    proj_agg || input.order_by.iter().any(|o| o.expr.contains_aggregate())
 }
 
 /// Estimates print as integers: stable, readable, and immune to float

@@ -34,21 +34,26 @@
 //! ([`Resolver`], implemented by the engine's `Scope`) — so resolution
 //! semantics, including ambiguity errors, have exactly one home.
 //!
-//! [`explain::render`] turns a plan into the indented EXPLAIN text that
-//! the plan-snapshot goldens under `tests/goldens/plans/` pin.
+//! A [`PlannedSelect`] owns its decisions: WHERE conjuncts are named by
+//! their index in [`conjuncts`] order, the crate's one definition of
+//! that coordinate system. The plan a statement executes with is
+//! therefore the plan a prepared-statement cache can store beside it.
+//!
+//! [`build_plan`] turns a plan into an operator tree, optionally
+//! annotated with runtime statistics, and [`render`] prints it as the
+//! indented EXPLAIN text that the plan-snapshot goldens under
+//! `tests/goldens/plans/` pin.
 
-pub mod cache;
 pub mod columnar;
 pub mod cost;
 pub mod explain;
 pub mod plan;
 pub mod pushdown;
 
-pub use cache::OwnedPlan;
 pub use columnar::{columnar_eligible, parallel_eligible};
-pub use explain::{build_plan, build_plan_annotated, render, PlanAnnotator, PlanNode};
+pub use explain::{build_plan, render, PlanAnnotator, PlanNode};
 pub use plan::{plan_select, EdgeKey, PlanInput, PlannedJoin, PlannedSelect};
-pub use pushdown::{assign_pushdown, collect_columns, has_subquery, split_conjuncts};
+pub use pushdown::{assign_pushdown, collect_columns, conjuncts, has_subquery, is_aggregate};
 
 use sb_sql::ColumnRef;
 

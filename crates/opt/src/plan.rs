@@ -24,7 +24,7 @@
 //! the strict row-order equivalence tests cannot observe the reorder.
 
 use crate::cost::{join_estimate, scan_estimate};
-use crate::pushdown::assign_pushdown;
+use crate::pushdown::{assign_pushdown, conjuncts};
 use crate::{OptOptions, RelMeta, Resolution, Resolver};
 use sb_sql::{BinaryOp, Expr, OrderItem, Select, SelectItem};
 
@@ -69,12 +69,17 @@ pub struct PlannedJoin {
 }
 
 /// The planner's decisions for one `SELECT`, in original coordinates.
+///
+/// The plan borrows nothing from the statement: WHERE conjuncts are
+/// named by their index in [`conjuncts`] order, so a plan can be stored
+/// next to the query it was planned for (the serve layer's prepared
+/// plans) and executed any number of times.
 #[derive(Debug, Clone)]
-pub struct PlannedSelect<'e> {
-    /// Per-relation pushed conjuncts (borrowed from the statement).
-    pub pushed: Vec<Vec<&'e Expr>>,
-    /// Residual WHERE conjuncts.
-    pub residual: Vec<&'e Expr>,
+pub struct PlannedSelect {
+    /// Per-relation pushed conjuncts, as indices into [`conjuncts`].
+    pub pushed: Vec<Vec<usize>>,
+    /// Residual WHERE conjuncts, as indices into [`conjuncts`].
+    pub residual: Vec<usize>,
     /// Projection pushdown: for each relation, the original column
     /// indices to keep (ascending), or `None` to keep every column.
     pub keep: Vec<Option<Vec<usize>>>,
@@ -103,20 +108,21 @@ struct Edge {
 
 /// Plan one `SELECT`. Resolution goes through `resolver` (the engine's
 /// scope), so the planner inherits executor name semantics verbatim.
-pub fn plan_select<'e>(input: &PlanInput<'e>, resolver: &dyn Resolver) -> PlannedSelect<'e> {
+pub fn plan_select(input: &PlanInput<'_>, resolver: &dyn Resolver) -> PlannedSelect {
     let select = input.select;
     let rels = input.rels;
     let n = rels.len();
 
     // Rule 1: predicate pushdown.
+    let conjuncts = conjuncts(select);
     let nullable: Vec<bool> = (0..n).map(|i| i > 0 && select.joins[i - 1].left).collect();
-    let (pushed, residual) = assign_pushdown(select.selection.as_ref(), resolver, n, &nullable);
+    let (pushed, residual) = assign_pushdown(&conjuncts, resolver, &nullable);
 
     // Rule 2: projection pushdown (decided here, applied by the engine).
     let keep = prune_columns(input);
 
     let scan_est: Vec<f64> = (0..n)
-        .map(|i| scan_estimate(&rels[i], &pushed[i], resolver, rels))
+        .map(|i| scan_estimate(&rels[i], &pushed[i], &conjuncts, resolver, rels))
         .collect();
 
     // Rules 3 and 4: cost-based join reordering over the equi-join
@@ -529,12 +535,12 @@ mod tests {
         }
     }
 
-    fn plan<'a>(
-        sql: &'a str,
-        parsed: &'a sb_sql::Query,
-        rels: &'a [RelMeta],
+    fn plan(
+        sql: &str,
+        parsed: &sb_sql::Query,
+        rels: &[RelMeta],
         opts: OptOptions,
-    ) -> PlannedSelect<'a> {
+    ) -> PlannedSelect {
         let _ = sql;
         let SetExpr::Select(select) = &parsed.body else {
             panic!("select expected")

@@ -14,10 +14,22 @@
 //!   because they must see the padded NULLs, not the scan rows.
 
 use crate::{Resolution, Resolver};
-use sb_sql::{AggArg, BinaryOp, ColumnRef, Expr};
+use sb_sql::{AggArg, BinaryOp, ColumnRef, Expr, OrderItem, Select, SelectItem};
+
+/// The statement's top-level WHERE conjuncts, left to right. This order
+/// is the one coordinate system of [`crate::PlannedSelect::pushed`] and
+/// [`crate::PlannedSelect::residual`]: a plan names conjuncts by their
+/// index here, so it owns nothing of the statement it was planned for.
+pub fn conjuncts(select: &Select) -> Vec<&Expr> {
+    let mut out = Vec::new();
+    if let Some(sel) = &select.selection {
+        split_conjuncts(sel, &mut out);
+    }
+    out
+}
 
 /// Flatten a predicate into its top-level AND conjuncts, left to right.
-pub fn split_conjuncts<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
+fn split_conjuncts<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
     if let Expr::Binary {
         left,
         op: BinaryOp::And,
@@ -49,6 +61,20 @@ pub fn has_subquery(expr: &Expr) -> bool {
         Expr::Like { expr, pattern, .. } => has_subquery(expr) || has_subquery(pattern),
         Expr::IsNull { expr, .. } => has_subquery(expr),
     }
+}
+
+/// Whether a `SELECT` (with its statement-level ORDER BY keys) needs
+/// grouped evaluation: GROUP BY, HAVING, or an aggregate in a
+/// projection or an order key.
+pub fn is_aggregate(select: &Select, order_by: &[OrderItem]) -> bool {
+    if !select.group_by.is_empty() || select.having.is_some() {
+        return true;
+    }
+    let proj_agg = select.projections.iter().any(|p| match p {
+        SelectItem::Wildcard => false,
+        SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
+    });
+    proj_agg || order_by.iter().any(|o| o.expr.contains_aggregate())
 }
 
 /// Collect every column reference in an expression. Subquery bodies are
@@ -89,27 +115,21 @@ pub fn collect_columns<'e>(expr: &'e Expr, out: &mut Vec<&'e ColumnRef>) {
     }
 }
 
-/// Assign WHERE conjuncts to scans. `nullable[i]` is true when relation
-/// `i` sits on the nullable side of a LEFT JOIN. Conjuncts that stay
-/// residual keep their source order, so the residual filter evaluates
-/// them left to right.
-pub fn assign_pushdown<'e>(
-    selection: Option<&'e Expr>,
+/// Assign WHERE conjuncts (the statement's [`conjuncts`]) to scans, by
+/// index. `nullable[i]` is true when relation `i` sits on the nullable
+/// side of a LEFT JOIN. Conjuncts that stay residual keep their source
+/// order, so the residual filter evaluates them left to right.
+pub fn assign_pushdown(
+    conjuncts: &[&Expr],
     resolver: &dyn Resolver,
-    n_rel: usize,
     nullable: &[bool],
-) -> (Vec<Vec<&'e Expr>>, Vec<&'e Expr>) {
-    let mut pushed: Vec<Vec<&'e Expr>> = (0..n_rel).map(|_| Vec::new()).collect();
-    let mut residual: Vec<&'e Expr> = Vec::new();
-    let Some(pred) = selection else {
-        return (pushed, residual);
-    };
-    let mut conjuncts = Vec::new();
-    split_conjuncts(pred, &mut conjuncts);
-    for conj in conjuncts {
+) -> (Vec<Vec<usize>>, Vec<usize>) {
+    let mut pushed: Vec<Vec<usize>> = vec![Vec::new(); nullable.len()];
+    let mut residual = Vec::new();
+    for (i, conj) in conjuncts.iter().enumerate() {
         match pushdown_target(conj, resolver, nullable) {
-            Some(t) => pushed[t].push(conj),
-            None => residual.push(conj),
+            Some(t) => pushed[t].push(i),
+            None => residual.push(i),
         }
     }
     (pushed, residual)
@@ -194,43 +214,48 @@ mod tests {
         }
     }
 
-    fn selection(sql: &str) -> Expr {
+    /// Route the WHERE conjuncts of `sql` and return the pushed and
+    /// residual index lists.
+    fn route(sql: &str, names: &Names, nullable: &[bool]) -> (Vec<Vec<usize>>, Vec<usize>) {
         let q = parse(sql).unwrap();
         let SetExpr::Select(s) = &q.body else {
             panic!("select expected")
         };
-        s.selection.clone().unwrap()
+        assign_pushdown(&conjuncts(s), names, nullable)
     }
 
     #[test]
     fn splits_and_routes_conjuncts() {
-        let pred = selection(
+        let names = Names(vec![vec!["a"], vec!["b"]]);
+        let (pushed, residual) = route(
             "SELECT a FROM x AS t1 WHERE t1.a = 1 AND t2.b > 2 AND t1.a < t2.b \
              AND c IN (SELECT a FROM x)",
+            &names,
+            &[false, false],
         );
-        let names = Names(vec![vec!["a"], vec!["b"]]);
-        let (pushed, residual) = assign_pushdown(Some(&pred), &names, 2, &[false, false]);
-        assert_eq!(pushed[0].len(), 1, "t1.a = 1 pushes to relation 0");
-        assert_eq!(pushed[1].len(), 1, "t2.b > 2 pushes to relation 1");
+        assert_eq!(pushed[0], vec![0], "t1.a = 1 pushes to relation 0");
+        assert_eq!(pushed[1], vec![1], "t2.b > 2 pushes to relation 1");
         // Cross-relation comparison and subquery conjunct stay residual.
-        assert_eq!(residual.len(), 2);
+        assert_eq!(residual, vec![2, 3]);
     }
 
     #[test]
     fn ambiguous_and_unknown_stay_residual() {
-        let pred = selection("SELECT a FROM x WHERE dup = 1 AND nope = 2");
         let names = Names(vec![vec!["dup"], vec!["dup"]]);
-        let (pushed, residual) = assign_pushdown(Some(&pred), &names, 2, &[false, false]);
+        let (pushed, residual) = route(
+            "SELECT a FROM x WHERE dup = 1 AND nope = 2",
+            &names,
+            &[false, false],
+        );
         assert!(pushed.iter().all(Vec::is_empty));
-        assert_eq!(residual.len(), 2);
+        assert_eq!(residual, vec![0, 1]);
     }
 
     #[test]
     fn nullable_side_of_left_join_is_not_pushed() {
-        let pred = selection("SELECT a FROM x WHERE t2.b = 1");
         let names = Names(vec![vec!["a"], vec!["b"]]);
-        let (pushed, residual) = assign_pushdown(Some(&pred), &names, 2, &[false, true]);
+        let (pushed, residual) = route("SELECT a FROM x WHERE t2.b = 1", &names, &[false, true]);
         assert!(pushed[1].is_empty());
-        assert_eq!(residual.len(), 1);
+        assert_eq!(residual, vec![0]);
     }
 }

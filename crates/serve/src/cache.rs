@@ -37,8 +37,10 @@
 //!
 //! ## Why a cached plan is safe to reuse
 //!
-//! A [`Prepared`] entry stores the statement AST (`Arc<Query>`) and an
-//! [`sb_opt::OwnedPlan`] captured by `sb_engine::plan_top_select`. The
+//! A [`Prepared`] entry stores the statement AST (`Arc<Query>`) and the
+//! [`sb_opt::PlannedSelect`] that `sb_engine::plan_top_select` planned
+//! for it. That is the engine's own plan type, planned through the same
+//! code as fresh execution, and a request borrows it as it is. The
 //! planner is a pure function of the statement, the snapshot's schema
 //! and its row counts — and a service snapshot is immutable — so the
 //! cached plan is *the same plan* fresh planning would produce, and
@@ -70,10 +72,10 @@ pub struct Prepared {
     pub normalized: String,
     /// The parsed statement.
     pub query: Arc<sb_sql::Query>,
-    /// The captured optimizer plan, when the statement is a plannable
-    /// top-level `SELECT` over base tables (`None` falls back to
-    /// per-request planning inside the engine).
-    pub plan: Option<sb_opt::OwnedPlan>,
+    /// The optimizer plan, when the statement is a plannable top-level
+    /// `SELECT` over base tables (`None` falls back to per-request
+    /// planning inside the engine).
+    pub plan: Option<sb_opt::PlannedSelect>,
 }
 
 /// Outcome of parsing one raw statement, cached either way.

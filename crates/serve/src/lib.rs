@@ -15,7 +15,7 @@
 //!   and the read-only guardrail that rejects anything but a single
 //!   `SELECT` before it reaches the parser.
 //! - [`cache`] — the prepared-plan cache: normalize → parse → plan
-//!   once, execute the cached [`sb_opt::OwnedPlan`] on every repeat;
+//!   once, execute the cached [`sb_opt::PlannedSelect`] on every repeat;
 //!   bounded by CLOCK eviction.
 //! - [`admission`] — bounded in-flight admission with explicit
 //!   `overloaded` rejection; the service never queues.

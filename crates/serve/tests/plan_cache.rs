@@ -7,9 +7,9 @@
 //! - **plain** — service with the plan cache disabled (parse + plan per
 //!   request, the pre-serving behavior),
 //! - **cold**  — cache-enabled service, first touch (parse + plan +
-//!   capture),
-//! - **warm**  — cache-enabled service, repeat (cached `OwnedPlan`
-//!   reified and executed).
+//!   store),
+//! - **warm**  — cache-enabled service, repeat (the cached
+//!   `PlannedSelect` borrowed and executed).
 //!
 //! All three responses must serialize identically. Error parity rides
 //! along for free: the envelope JSON embeds the error code and message,
