@@ -418,7 +418,7 @@ pub fn build(size: SizeClass) -> DomainData {
 
     // Dimension tables first.
     {
-        let t = db.table_mut("ec_framework_programs").unwrap();
+        let mut t = db.table_mut("ec_framework_programs").unwrap();
         for f in FRAMEWORKS {
             t.push_rows(vec![vec![
                 f.into(),
@@ -427,7 +427,7 @@ pub fn build(size: SizeClass) -> DomainData {
         }
     }
     {
-        let t = db.table_mut("funding_schemes").unwrap();
+        let mut t = db.table_mut("funding_schemes").unwrap();
         for s in FUNDING_SCHEMES {
             t.push_rows(vec![vec![
                 s.into(),
@@ -437,19 +437,19 @@ pub fn build(size: SizeClass) -> DomainData {
         }
     }
     {
-        let t = db.table_mut("activity_types").unwrap();
+        let mut t = db.table_mut("activity_types").unwrap();
         for (code, desc) in ACTIVITY_TYPES {
             t.push_rows(vec![vec![code.into(), desc.into()]]);
         }
     }
     {
-        let t = db.table_mut("project_member_roles").unwrap();
+        let mut t = db.table_mut("project_member_roles").unwrap();
         for (code, desc) in ROLES {
             t.push_rows(vec![vec![code.into(), desc.into()]]);
         }
     }
     {
-        let t = db.table_mut("countries").unwrap();
+        let mut t = db.table_mut("countries").unwrap();
         for (i, (c2, c3, name)) in COUNTRIES.iter().enumerate() {
             t.push_rows(vec![vec![
                 Value::Int(i as i64 + 1),
@@ -461,13 +461,13 @@ pub fn build(size: SizeClass) -> DomainData {
         }
     }
     {
-        let t = db.table_mut("erc_research_domains").unwrap();
+        let mut t = db.table_mut("erc_research_domains").unwrap();
         for (code, desc) in ERC_DOMAINS {
             t.push_rows(vec![vec![code.into(), desc.into()]]);
         }
     }
     {
-        let t = db.table_mut("erc_panels").unwrap();
+        let mut t = db.table_mut("erc_panels").unwrap();
         for i in 0..n_panels {
             let (dom, _) = ERC_DOMAINS[i % 3];
             t.push_rows(vec![vec![
@@ -478,7 +478,7 @@ pub fn build(size: SizeClass) -> DomainData {
         }
     }
     {
-        let t = db.table_mut("eu_territorial_units").unwrap();
+        let mut t = db.table_mut("eu_territorial_units").unwrap();
         for i in 0..n_nuts {
             let country = &COUNTRIES[i % COUNTRIES.len()];
             let level = (i % 4) as i64;
@@ -492,7 +492,7 @@ pub fn build(size: SizeClass) -> DomainData {
         }
     }
     {
-        let t = db.table_mut("subject_areas").unwrap();
+        let mut t = db.table_mut("subject_areas").unwrap();
         for (i, w) in TOPIC_WORDS.iter().take(n_subject_areas).enumerate() {
             t.push_rows(vec![vec![
                 format!("SA{i:02}").into(),
@@ -502,7 +502,7 @@ pub fn build(size: SizeClass) -> DomainData {
         }
     }
     {
-        let t = db.table_mut("topics").unwrap();
+        let mut t = db.table_mut("topics").unwrap();
         for i in 0..n_topics {
             let w = TOPIC_WORDS[i % TOPIC_WORDS.len()];
             t.push_rows(vec![vec![
@@ -513,7 +513,7 @@ pub fn build(size: SizeClass) -> DomainData {
         }
     }
     {
-        let t = db.table_mut("programmes").unwrap();
+        let mut t = db.table_mut("programmes").unwrap();
         for i in 0..n_programmes {
             let fw = FRAMEWORKS[i % FRAMEWORKS.len()];
             t.push_rows(vec![vec![
@@ -530,7 +530,7 @@ pub fn build(size: SizeClass) -> DomainData {
         }
     }
     {
-        let t = db.table_mut("people").unwrap();
+        let mut t = db.table_mut("people").unwrap();
         for i in 0..n_people {
             let first = FIRST_NAMES[i % FIRST_NAMES.len()];
             let last = LAST_NAMES[(i / FIRST_NAMES.len()) % LAST_NAMES.len()];
@@ -547,7 +547,7 @@ pub fn build(size: SizeClass) -> DomainData {
         }
     }
     {
-        let t = db.table_mut("institutions").unwrap();
+        let mut t = db.table_mut("institutions").unwrap();
         for i in 0..n_institutions {
             let country_idx = zipf(&mut rng, COUNTRIES.len(), 0.8);
             let country = &COUNTRIES[country_idx];
@@ -571,7 +571,7 @@ pub fn build(size: SizeClass) -> DomainData {
         }
     }
     {
-        let t = db.table_mut("projects").unwrap();
+        let mut t = db.table_mut("projects").unwrap();
         for i in 0..n_projects {
             let fw = *weighted(
                 &mut rng,
@@ -614,7 +614,7 @@ pub fn build(size: SizeClass) -> DomainData {
         }
     }
     {
-        let t = db.table_mut("project_members").unwrap();
+        let mut t = db.table_mut("project_members").unwrap();
         for i in 0..n_members {
             let project = rng.gen_range(0..n_projects as i64) + 1;
             let inst = rng.gen_range(0..n_institutions as i64) + 1;
@@ -699,7 +699,7 @@ fn link(
     n_projects: usize,
     mut other: impl FnMut(&mut StdRng, usize) -> Value,
 ) {
-    let t = db.table_mut(table).unwrap();
+    let mut t = db.table_mut(table).unwrap();
     for i in 0..n {
         let project = rng.gen_range(0..n_projects as i64) + 1;
         let o = other(rng, i);

@@ -420,7 +420,7 @@ pub fn build(size: SizeClass) -> DomainData {
     let n_disease_drug = scaled(6_000.0, d, 30);
 
     {
-        let t = db.table_mut("species").unwrap();
+        let mut t = db.table_mut("species").unwrap();
         t.push_rows(vec![
             vec![
                 Value::Int(9606),
@@ -437,7 +437,7 @@ pub fn build(size: SizeClass) -> DomainData {
         ]);
     }
     {
-        let t = db.table_mut("disease").unwrap();
+        let mut t = db.table_mut("disease").unwrap();
         for (i, (name, doid)) in DISEASES.iter().enumerate() {
             t.push_rows(vec![vec![
                 Value::Int(i as i64 + 1),
@@ -447,7 +447,7 @@ pub fn build(size: SizeClass) -> DomainData {
         }
     }
     {
-        let t = db.table_mut("anatomical_entity").unwrap();
+        let mut t = db.table_mut("anatomical_entity").unwrap();
         for (i, tissue) in TISSUES.iter().enumerate() {
             t.push_rows(vec![vec![
                 format!("UBERON:{:07}", 1000 + i).into(),
@@ -457,7 +457,7 @@ pub fn build(size: SizeClass) -> DomainData {
         }
     }
     {
-        let t = db.table_mut("stage").unwrap();
+        let mut t = db.table_mut("stage").unwrap();
         for (i, s) in ["stage I", "stage II", "stage III", "stage IV"]
             .iter()
             .enumerate()
@@ -466,7 +466,7 @@ pub fn build(size: SizeClass) -> DomainData {
         }
     }
     {
-        let t = db.table_mut("gene").unwrap();
+        let mut t = db.table_mut("gene").unwrap();
         for i in 0..n_genes {
             let symbol = GENES
                 .get(i)
@@ -483,7 +483,7 @@ pub fn build(size: SizeClass) -> DomainData {
         }
     }
     {
-        let t = db.table_mut("biomarker").unwrap();
+        let mut t = db.table_mut("biomarker").unwrap();
         for i in 0..n_biomarkers {
             // Famous genes are heavily studied: Zipf over the gene list.
             let gene = zipf(&mut rng, n_genes, 1.1) as i64 + 1;
@@ -703,7 +703,7 @@ fn fanout(
         .bytes()
         .fold(0u64, |acc, b| acc.wrapping_mul(31).wrapping_add(b as u64));
     let mut rng = StdRng::seed_from_u64(0x0C0_0000 ^ seed);
-    let t = db.table_mut(table).unwrap();
+    let mut t = db.table_mut(table).unwrap();
     for i in 0..n {
         t.push_rows(vec![row(&mut rng, i)]);
     }

@@ -151,7 +151,7 @@ pub fn build(size: SizeClass) -> DomainData {
     let n_gal = scaled(1_000_000.0, d, 60);
 
     {
-        let t = db.table_mut("photo_type").unwrap();
+        let mut t = db.table_mut("photo_type").unwrap();
         for (v, name) in [
             (0, "UNKNOWN"),
             (1, "COSMIC_RAY"),
@@ -164,7 +164,7 @@ pub fn build(size: SizeClass) -> DomainData {
     }
     let type_values = [3i64, 6, 0, 1, 8];
     {
-        let t = db.table_mut("photoobj").unwrap();
+        let mut t = db.table_mut("photoobj").unwrap();
         for i in 0..n_photo {
             let r_mag = float_in(&mut rng, 12.0, 24.0, 3);
             let u_mag = r_mag + float_in(&mut rng, -0.5, 4.0, 3);
@@ -195,7 +195,7 @@ pub fn build(size: SizeClass) -> DomainData {
         }
     }
     {
-        let t = db.table_mut("specobj").unwrap();
+        let mut t = db.table_mut("specobj").unwrap();
         for i in 0..n_spec {
             let class = *weighted(&mut rng, &SPEC_CLASSES.map(|(c, w)| (c, w)));
             let z = match class {
@@ -229,7 +229,7 @@ pub fn build(size: SizeClass) -> DomainData {
         }
     }
     {
-        let t = db.table_mut("neighbors").unwrap();
+        let mut t = db.table_mut("neighbors").unwrap();
         for _ in 0..n_neighbors {
             let a = rng.gen_range(0..n_photo as i64) + 1;
             let b = rng.gen_range(0..n_photo as i64) + 1;
@@ -244,7 +244,7 @@ pub fn build(size: SizeClass) -> DomainData {
         }
     }
     {
-        let t = db.table_mut("sppparams").unwrap();
+        let mut t = db.table_mut("sppparams").unwrap();
         for i in 0..n_spp {
             t.push_rows(vec![vec![
                 Value::Int((i % n_spec) as i64 + 1),
@@ -260,7 +260,7 @@ pub fn build(size: SizeClass) -> DomainData {
         }
     }
     {
-        let t = db.table_mut("galspecline").unwrap();
+        let mut t = db.table_mut("galspecline").unwrap();
         for i in 0..n_gal {
             let flux = float_in(&mut rng, 0.1, 900.0, 3);
             t.push_rows(vec![vec![

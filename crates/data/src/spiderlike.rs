@@ -414,7 +414,7 @@ fn build_theme(t: &Theme, idx: u64) -> SpiderDb {
     let ent_table = format!("{}s", t.ent);
     let ent2_table = format!("{}s", t.ent2);
     {
-        let table = db.table_mut(&ent_table).unwrap();
+        let mut table = db.table_mut(&ent_table).unwrap();
         for i in 0..n1 {
             let cat = t.cat_values[zipf(&mut rng, 4, 0.6)];
             table.push_rows(vec![vec![
@@ -428,7 +428,7 @@ fn build_theme(t: &Theme, idx: u64) -> SpiderDb {
         }
     }
     {
-        let table = db.table_mut(&ent2_table).unwrap();
+        let mut table = db.table_mut(&ent2_table).unwrap();
         for i in 0..n2 {
             table.push_rows(vec![vec![
                 Value::Int(i as i64 + 1),
@@ -438,7 +438,7 @@ fn build_theme(t: &Theme, idx: u64) -> SpiderDb {
         }
     }
     {
-        let table = db.table_mut(t.link).unwrap();
+        let mut table = db.table_mut(t.link).unwrap();
         for _ in 0..nl {
             table.push_rows(vec![vec![
                 Value::Int(rng.gen_range(0..n1 as i64) + 1),

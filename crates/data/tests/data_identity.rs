@@ -22,8 +22,8 @@ fn fingerprint(db: &Database) -> u64 {
             eat(&[0xfe]);
             eat(col.name.as_bytes());
         }
-        for row in &table.rows {
-            for v in row.iter() {
+        for r in 0..table.len() {
+            for v in table.row(r) {
                 match v {
                     Value::Null => eat(&[0]),
                     Value::Int(i) => {
@@ -39,7 +39,7 @@ fn fingerprint(db: &Database) -> u64 {
                         eat(&(s.len() as u64).to_le_bytes());
                         eat(s.as_bytes());
                     }
-                    Value::Bool(b) => eat(&[4, u8::from(*b)]),
+                    Value::Bool(b) => eat(&[4, u8::from(b)]),
                 }
             }
         }
@@ -89,18 +89,17 @@ fn text_cells_share_one_allocation_per_distinct_string() {
         let db = domain.build(SizeClass::Small).db;
         let mut repeated = 0;
         for table in db.tables() {
-            let mut ptrs = HashSet::new();
-            let mut strings = HashSet::new();
-            let mut cells = 0;
-            for row in &table.rows {
-                for v in row.iter() {
+            let mut handles = Vec::new();
+            for r in 0..table.len() {
+                for v in table.row(r) {
                     if let Value::Text(s) = v {
-                        ptrs.insert(Arc::as_ptr(s));
-                        strings.insert(s.as_str());
-                        cells += 1;
+                        handles.push(s);
                     }
                 }
             }
+            let ptrs: HashSet<_> = handles.iter().map(Arc::as_ptr).collect();
+            let strings: HashSet<&str> = handles.iter().map(|s| s.as_str()).collect();
+            let cells = handles.len();
             assert_eq!(
                 ptrs.len(),
                 strings.len(),
@@ -112,5 +111,23 @@ fn text_cells_share_one_allocation_per_distinct_string() {
             repeated += cells - strings.len();
         }
         assert!(repeated > 0, "{domain:?}: no repeated text to share");
+    }
+}
+
+/// A finished build trims every table's columnar image, its only copy
+/// of the data: no column vector keeps capacity beyond its length, so
+/// amortized growth during the build costs no resident memory after it.
+#[test]
+fn full_domain_images_keep_no_spare_capacity() {
+    for domain in Domain::ALL {
+        let db = domain.build(SizeClass::Full).db;
+        for table in db.tables() {
+            assert_eq!(
+                table.columnar().spare_bytes(),
+                0,
+                "{domain:?}.{}",
+                table.def.name
+            );
+        }
     }
 }

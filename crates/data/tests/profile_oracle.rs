@@ -4,8 +4,8 @@
 //! asc), the first `FREQUENT_VALUES` kept. The two must agree on every
 //! column of every domain at every size class, of the Spider-like
 //! corpus, and of hand-built tables aimed at the top-k selection's edges
-//! and at the columns counted from the rows rather than from the
-//! columnar image: `Mixed` columns and tables whose image has drifted.
+//! and at `Values` columns (ints stored in a float column), which are
+//! counted per value rather than per typed vector.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,7 +68,8 @@ fn reference_profile(db: &Database) -> DataProfile {
             let mut min = f64::INFINITY;
             let mut max = f64::NEG_INFINITY;
             let mut saw_numeric = false;
-            for v in table.column_values(idx) {
+            let cells: Vec<Value> = (0..table.len()).map(|r| table.cell(r, idx)).collect();
+            for v in &cells {
                 if v.is_null() {
                     continue;
                 }
@@ -230,9 +231,9 @@ fn hand_built_edges_profile_like_the_full_sort() {
         ("empty", ColumnType::Int, Vec::new()),
     ]);
     assert_matches_reference(&db, "edges");
-    // `mixed` is profiled from its rows, not from its image.
-    let image = db.table("mixed").unwrap().columnar().unwrap();
-    assert!(matches!(image.columns[0].data, ColumnData::Mixed));
+    // `mixed` is stored, and profiled, as one value per row.
+    let image = db.table("mixed").unwrap().columnar();
+    assert!(matches!(image.columns[0].data, ColumnData::Values(_)));
 
     let p = profile_database(&db);
     let straddle = p.column("straddle", "v").unwrap();
@@ -299,53 +300,28 @@ fn random_tie_heavy_columns_profile_like_the_full_sort() {
     assert_matches_reference(&single_column_tables(cases), "random");
 }
 
-/// A copy of `db` whose tables share its rows but have no columnar
-/// image yet.
-fn without_images(db: &Database) -> Database {
+/// A copy of `db` built row by row, without its profile memo.
+fn rebuilt(db: &Database) -> Database {
     let mut copy = Database::new(db.schema.clone());
     for t in db.tables() {
-        copy.table_mut(&t.def.name).unwrap().rows = t.rows.clone();
+        let rows = (0..t.len()).map(|r| t.row(r)).collect();
+        copy.table_mut(&t.def.name).unwrap().push_rows(rows);
     }
     copy
 }
 
 #[test]
-fn profiling_before_and_after_the_images_exist_agrees() {
+fn a_rebuilt_copy_profiles_like_the_domain() {
     for domain in Domain::ALL {
-        // `Domain::build` profiles, so its tables already carry images.
+        // `Domain::build` profiled `data.db` during its build.
         let data = domain.build(SizeClass::Small);
-        let fresh = without_images(&data.db);
+        let copy = rebuilt(&data.db);
         assert_eq!(
-            profile_database(&fresh),
+            profile_database(&copy),
             profile_database(&data.db),
             "{}",
             domain.name()
         );
-        assert_eq!(*fresh.profile(), *data.db.profile(), "{}", domain.name());
+        assert_eq!(*copy.profile(), *data.db.profile(), "{}", domain.name());
     }
-}
-
-#[test]
-fn drifted_tables_profile_from_the_rows_like_the_full_sort() {
-    let mut db = single_column_tables(vec![
-        (
-            "drifted",
-            ColumnType::Int,
-            (0..50).map(Value::Int).collect(),
-        ),
-        ("clean", ColumnType::Text, repeated("v", 0..30, 2)),
-    ]);
-    let table = db.table_mut("drifted").unwrap();
-    let built = table.columnar().expect("a fresh image matches its rows");
-    assert_eq!(built.len, 50);
-    // Rows pushed straight into `rows` bypass the image's invalidation.
-    for i in 0..30 {
-        table.rows.push(vec![Value::Int(i % 4)].into());
-    }
-    assert!(db.table("drifted").unwrap().columnar().is_none());
-    assert_matches_reference(&db, "drifted");
-    let drifted = profile_database(&db);
-    let drifted = drifted.column("drifted", "v").unwrap();
-    assert_eq!((drifted.count, drifted.distinct), (80, 50));
-    assert_eq!(drifted.frequent_values[..4], ["0", "1", "2", "3"]);
 }

@@ -1,7 +1,7 @@
 //! Vectorized batch execution over columnar storage.
 //!
 //! [`try_select`] runs one planned `SELECT` batch-at-a-time against the
-//! lazily built [`crate::column::ColumnarTable`] images: predicate
+//! tables' [`crate::column::ColumnarTable`] images: predicate
 //! kernels produce selection vectors over typed column vectors, hash
 //! joins probe column slices directly, and aggregation runs as
 //! per-group accumulators — `Value`s are materialized only at result
@@ -59,7 +59,6 @@ use sb_sql::{
 };
 
 use crate::column::{Column, ColumnData, ColumnarTable, DictColumn, NullMask};
-use crate::database::Table;
 use crate::error::EngineError;
 use crate::eval::{
     apply_cmp, apply_unary, arith, combine_logical, like_match, literal_value, truth_ref,
@@ -178,18 +177,18 @@ fn bail(input: &BatchInput<'_, '_>, reason: &'static str) -> Option<Projected> {
 /// Attempt batch execution. `None` means "fall back to the row path" —
 /// never an error.
 pub(crate) fn try_select(input: &BatchInput<'_, '_>) -> Option<Projected> {
-    // Base tables with clean columnar images only.
-    let tables: Vec<Arc<ColumnarTable>> = match input
+    // Base tables only: a derived table has no columnar image.
+    let tables: Vec<&ColumnarTable> = match input
         .relations
         .iter()
         .map(|r| match &r.source {
-            crate::exec::RelSource::Base(t) => Table::columnar(t),
+            crate::exec::RelSource::Base(t) => Some(t.columnar()),
             crate::exec::RelSource::Derived(_) => None,
         })
         .collect::<Option<_>>()
     {
         Some(t) => t,
-        None => return bail(input, "row-image"),
+        None => return bail(input, "derived"),
     };
     let cx = Cx {
         scope: input.scope,
@@ -286,7 +285,7 @@ pub(crate) fn try_select(input: &BatchInput<'_, '_>) -> Option<Projected> {
 /// keeps output byte-identical at any thread count.
 fn scan(
     input: &BatchInput<'_, '_>,
-    tables: &[Arc<ColumnarTable>],
+    tables: &[&ColumnarTable],
     rel: usize,
     conjs: &[BoolK],
 ) -> Option<Vec<u32>> {
@@ -317,7 +316,7 @@ fn scan(
 /// progressively over rows `lo..hi`. Returns the surviving selection,
 /// `None` on a bail.
 fn filter_range(
-    tables: &[Arc<ColumnarTable>],
+    tables: &[&ColumnarTable],
     n_rel: usize,
     rel: usize,
     conjs: &[BoolK],
@@ -408,7 +407,7 @@ enum Fused {
 /// placeholders stay finite (or overflow to ±inf) under Add/Sub/Mul,
 /// so the fused arithmetic lane sees the same NaN set the materialized
 /// batch would.
-fn filter_fused(tables: &[Arc<ColumnarTable>], sel: &SelRef<'_>, conj: &BoolK) -> Fused {
+fn filter_fused(tables: &[&ColumnarTable], sel: &SelRef<'_>, conj: &BoolK) -> Fused {
     let Some((e, op, lit)) = cmp_lit_parts(conj) else {
         return Fused::Unhandled;
     };
@@ -588,7 +587,7 @@ fn same_float_expr(a: &NumK, b: &NumK) -> bool {
 /// non-NaN survivors, so beyond a NaN literal (which bails whichever
 /// pass sees it) it adds no bail of its own.
 fn filter_fused_pair(
-    tables: &[Arc<ColumnarTable>],
+    tables: &[&ColumnarTable],
     sel: &SelRef<'_>,
     c1: &BoolK,
     c2: &BoolK,
@@ -892,7 +891,7 @@ impl SelRef<'_> {
 /// (`None` for relations not in scope of the current phase, e.g. other
 /// relations during a pushed-down scan filter).
 struct View<'a> {
-    tables: &'a [Arc<ColumnarTable>],
+    tables: &'a [&'a ColumnarTable],
     rows: Vec<Option<&'a [u32]>>,
     len: usize,
     /// Whether every in-scope selection is ascending and unique (true
@@ -903,7 +902,7 @@ struct View<'a> {
 }
 
 impl<'a> View<'a> {
-    fn single(tables: &'a [Arc<ColumnarTable>], n: usize, rel: usize, sel: &'a [u32]) -> Self {
+    fn single(tables: &'a [&'a ColumnarTable], n: usize, rel: usize, sel: &'a [u32]) -> Self {
         let mut rows = vec![None; n];
         rows[rel] = Some(sel);
         View {
@@ -914,7 +913,7 @@ impl<'a> View<'a> {
         }
     }
 
-    fn all(tables: &'a [Arc<ColumnarTable>], rowids: &'a [Vec<u32>]) -> Self {
+    fn all(tables: &'a [&'a ColumnarTable], rowids: &'a [Vec<u32>]) -> Self {
         let len = rowids.first().map_or(0, Vec::len);
         View {
             tables,
@@ -996,7 +995,7 @@ struct ColId {
 /// subquery memo that turns uncorrelated subqueries into constants.
 struct Cx<'a> {
     scope: &'a Scope,
-    tables: &'a [Arc<ColumnarTable>],
+    tables: &'a [&'a ColumnarTable],
     ctx: &'a EvalContext<'a>,
 }
 
@@ -2225,7 +2224,7 @@ fn col_join_key<'a>(col: &'a Column, rid: usize) -> Option<JKey<'a>> {
         }
         ColumnData::Bool(d) => Some(JKey::Bool(d[rid])),
         ColumnData::Text(d) => Some(JKey::Text(&d.values[d.codes[rid] as usize])),
-        ColumnData::AllNull | ColumnData::Mixed => None,
+        ColumnData::AllNull | ColumnData::Values(_) => None,
     }
 }
 
@@ -2457,8 +2456,8 @@ fn join_all(cx: &Cx<'_>, input: &BatchInput<'_, '_>, sels: Vec<Vec<u32>>) -> Opt
         let build_tbl = &cx.tables[step.new_rel];
         let build_col = build_tbl.columns.get(step.build_col)?;
         let probe_col = cx.tables[step.probe.rel].columns.get(step.probe.col)?;
-        if matches!(build_col.data, ColumnData::Mixed)
-            || matches!(probe_col.data, ColumnData::Mixed)
+        if matches!(build_col.data, ColumnData::Values(_))
+            || matches!(probe_col.data, ColumnData::Values(_))
         {
             return None;
         }
@@ -2573,7 +2572,7 @@ fn plain(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'_>) -> Option<Pro
                 for (rel, binding) in cx.scope.bindings.iter().enumerate() {
                     for col in 0..binding.columns.len() {
                         let id = ColId { rel, col };
-                        if matches!(cx.data(id), ColumnData::Mixed) {
+                        if matches!(cx.data(id), ColumnData::Values(_)) {
                             return None;
                         }
                         let gathered = (0..view.len)
@@ -2792,7 +2791,7 @@ fn group_ids(
             })
         }
         ColumnData::AllNull => group_single(par, op, sel, || vec![u32::MAX], |_| 0),
-        ColumnData::Mixed => return None,
+        ColumnData::Values(_) => return None,
     })
 }
 
@@ -2884,7 +2883,7 @@ fn group_ids_multi(view: &View<'_>, keys: &[ColId]) -> Option<(Vec<u32>, Vec<u32
         .iter()
         .map(|id| {
             let col = view.col(*id);
-            if matches!(col.data, ColumnData::Mixed) {
+            if matches!(col.data, ColumnData::Values(_)) {
                 return None;
             }
             Some((0..n).map(|i| col.value_at(view.rid(*id, i))).collect())

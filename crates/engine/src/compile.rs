@@ -19,7 +19,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::eval::{self, truth_ref, EvalContext, Scope};
-use crate::exec::{finish_aggregate, ExecRow};
+use crate::exec::finish_aggregate;
 use crate::inset::{in_result, InSet};
 use crate::result::ResultSet;
 use crate::value::Value;
@@ -583,7 +583,7 @@ pub(crate) fn compile_grouped<'q>(expr: &'q Expr, scope: &Scope, ctx: &EvalConte
 
 impl<'q> GExpr<'q> {
     /// Evaluate over one group of rows.
-    pub(crate) fn eval(&self, group: &[ExecRow], ctx: &EvalContext) -> Result<Value> {
+    pub(crate) fn eval(&self, group: &[Vec<Value>], ctx: &EvalContext) -> Result<Value> {
         match self {
             GExpr::Agg {
                 func,
@@ -628,7 +628,7 @@ fn fold_group_aggregate(
     func: AggFunc,
     distinct: bool,
     arg: &GArg,
-    group: &[ExecRow],
+    group: &[Vec<Value>],
     ctx: &EvalContext,
 ) -> Result<Value> {
     // COUNT(*) counts rows including NULLs.

@@ -1,6 +1,11 @@
 //! In-memory tables and databases.
+//!
+//! A [`Table`] stores its rows in one place, its columnar image
+//! ([`ColumnarTable`]): [`Table::push_row`] appends each cell to its
+//! column, and every reader — the batch kernels, the profiler, the row
+//! executor, the reference interpreter — reads the image.
 
-use crate::column::ColumnarTable;
+use crate::column::{ColumnData, ColumnarTable, TextCodes};
 use crate::error::{EngineError, Result};
 use crate::exec::ExecOptions;
 use crate::key::FxBuild;
@@ -8,62 +13,52 @@ use crate::result::ResultSet;
 use crate::value::Value;
 use sb_schema::{ColumnType, DataProfile, Schema, TableDef};
 use std::collections::HashSet;
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, OnceLock};
 
-/// One stored row. Rows are reference-counted so scans hand out handles
-/// instead of deep-copying cell data; cloning a `Row` is a pointer bump.
-/// `Arc` (not `Rc`) so shared tables can be scanned from worker threads.
-pub type Row = Arc<[Value]>;
-
-/// A row-oriented in-memory table.
-///
-/// Row storage is the source of truth and what row-at-a-time execution
-/// scans. A columnar image ([`ColumnarTable`]) is built on the first
-/// [`Table::columnar`] call — the first [`Database::profile`] of the
-/// table's database, so every domain build, or else the batch
-/// executor's first scan — and cached until [`Table::push_row`] or
-/// [`Database::table_mut`] drops it; the two views always describe the
-/// same rows.
+/// An in-memory table: a definition and the columnar image that holds
+/// its rows.
 ///
 /// Text cells are interned per table: [`Table::push_row`] swaps each
 /// text handle for the table's first handle with the same content, so a
-/// string repeated across rows and columns is stored once.
+/// string repeated across rows and columns is stored once. The interning
+/// pool and each text column's code map live only while rows are being
+/// appended; [`Database::table_mut`]'s handle drops them, and trims the
+/// image's spare capacity, when it goes out of scope.
 #[derive(Debug, Clone)]
 pub struct Table {
     /// The table's definition (name + typed columns).
     pub def: TableDef,
-    /// Row data; every row has exactly `def.columns.len()` values.
-    pub rows: Vec<Row>,
-    /// Lazily built columnar image, dropped by [`Table::push_row`] and
-    /// [`Database::table_mut`].
-    columnar: OnceLock<Arc<ColumnarTable>>,
-    /// One handle per distinct string stored through [`Table::push_row`].
-    text_pool: HashSet<Arc<String>, FxBuild>,
+    /// The rows, column by column.
+    image: ColumnarTable,
+    /// Interning state of an unfinished build, rebuilt from the image
+    /// when rows are appended after a build finished.
+    appending: Option<Appending>,
+}
+
+/// What appending rows needs beyond the image itself.
+#[derive(Debug, Clone)]
+struct Appending {
+    /// One handle per distinct string in the table.
+    pool: HashSet<Arc<String>, FxBuild>,
+    /// Per column, the dictionary code of each stored string.
+    codes: Vec<TextCodes>,
 }
 
 impl Table {
     /// Create an empty table for a definition.
     pub fn new(def: TableDef) -> Self {
+        let image = ColumnarTable::new(def.columns.len());
         Table {
             def,
-            rows: Vec::new(),
-            columnar: OnceLock::new(),
-            text_pool: HashSet::default(),
+            image,
+            appending: None,
         }
     }
 
-    /// The columnar image of this table, built in one pass over the rows
-    /// on first call and shared afterwards. Returns `None` when the
-    /// cached image has drifted from the row storage (possible only when
-    /// `rows` is changed directly after the image was built, so neither
-    /// [`Table::push_row`] nor [`Database::table_mut`] dropped it) —
-    /// callers, the batch executor and the profiler, fall back to the
-    /// row path.
-    pub fn columnar(&self) -> Option<Arc<ColumnarTable>> {
-        let ct = self
-            .columnar
-            .get_or_init(|| Arc::new(ColumnarTable::build(self)));
-        (ct.len == self.rows.len()).then(|| Arc::clone(ct))
+    /// The table's columnar image.
+    pub fn columnar(&self) -> &ColumnarTable {
+        &self.image
     }
 
     /// Append one row, validating arity and (loosely) types: NULL fits any
@@ -91,19 +86,22 @@ impl Table {
                 )));
             }
         }
+        let image = &self.image;
+        let state = self.appending.get_or_insert_with(|| Appending {
+            pool: image.dictionaries().flatten().cloned().collect(),
+            codes: image.text_codes(),
+        });
         for v in &mut row {
             if let Value::Text(s) = v {
-                match self.text_pool.get(&**s) {
+                match state.pool.get(&**s) {
                     Some(shared) => *s = Arc::clone(shared),
                     None => {
-                        self.text_pool.insert(Arc::clone(s));
+                        state.pool.insert(Arc::clone(s));
                     }
                 }
             }
         }
-        self.rows.push(row.into());
-        // The cached columnar image (if any) no longer matches.
-        self.columnar = OnceLock::new();
+        self.image.push_row(row, &mut state.codes);
         Ok(())
     }
 
@@ -116,45 +114,110 @@ impl Table {
         }
     }
 
+    /// Keep the first `n` rows. The image is rebuilt from them, so each
+    /// text column's dictionary holds exactly the strings still present.
+    pub fn truncate(&mut self, n: usize) {
+        if n >= self.len() {
+            return;
+        }
+        let rows: Vec<Vec<Value>> = (0..n).map(|r| self.row(r)).collect();
+        self.image = ColumnarTable::new(self.def.columns.len());
+        self.appending = None;
+        for row in rows {
+            self.push_row(row).expect("stored rows fit their table");
+        }
+    }
+
+    /// Remove every row.
+    pub fn clear(&mut self) {
+        self.truncate(0);
+    }
+
+    /// Drop the interning state and trim the image's spare capacity:
+    /// the end of a build.
+    fn finish_appending(&mut self) {
+        if self.appending.take().is_some() {
+            self.image.shrink_to_fit();
+        }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.image.len
     }
 
     /// Whether the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
-    /// Values of one column by index.
-    pub fn column_values(&self, idx: usize) -> impl Iterator<Item = &Value> {
-        self.rows.iter().map(move |r| &r[idx])
+    /// The cell at row `r`, column `c`.
+    pub fn cell(&self, r: usize, c: usize) -> Value {
+        self.image.columns[c].value_at(r)
     }
 
-    /// Approximate byte footprint of the stored data (used by Table 1).
+    /// Row `r`, one value per column.
+    pub fn row(&self, r: usize) -> Vec<Value> {
+        self.image.columns.iter().map(|c| c.value_at(r)).collect()
+    }
+
+    /// Approximate byte footprint of the stored data (used by Table 1):
+    /// 8 per number, 1 per bool or NULL, `len + 8` per string.
     pub fn approx_bytes(&self) -> usize {
+        let len = self.len();
+        let cell = |v: &Value| match v {
+            Value::Null | Value::Bool(_) => 1,
+            Value::Int(_) | Value::Float(_) => 8,
+            Value::Text(s) => s.len() + 8,
+        };
         let mut total = 0;
-        for row in &self.rows {
-            for v in row.iter() {
-                total += match v {
-                    Value::Null => 1,
-                    Value::Int(_) => 8,
-                    Value::Float(_) => 8,
-                    Value::Bool(_) => 1,
-                    Value::Text(s) => s.len() + 8,
-                };
-            }
+        for col in &self.image.columns {
+            let valid = (0..len).filter(|&i| !col.nulls.is_null(i));
+            total += match &col.data {
+                ColumnData::Int(_) | ColumnData::Float(_) => len + 7 * valid.count(),
+                ColumnData::Bool(_) | ColumnData::AllNull => len,
+                ColumnData::Text(d) => {
+                    len + valid
+                        .map(|i| d.values[d.codes[i] as usize].len() + 7)
+                        .sum::<usize>()
+                }
+                ColumnData::Values(v) => v.iter().map(cell).sum(),
+            };
         }
         total
     }
 }
 
+/// Mutable access to one table of a [`Database`], from
+/// [`Database::table_mut`]. Dropping it finishes any build: the table's
+/// interning state is freed and its image trimmed to size.
+pub struct TableMut<'a>(&'a mut Table);
+
+impl Deref for TableMut<'_> {
+    type Target = Table;
+
+    fn deref(&self) -> &Table {
+        self.0
+    }
+}
+
+impl DerefMut for TableMut<'_> {
+    fn deref_mut(&mut self) -> &mut Table {
+        self.0
+    }
+}
+
+impl Drop for TableMut<'_> {
+    fn drop(&mut self) {
+        self.0.finish_appending();
+    }
+}
+
 /// A database: a schema plus one [`Table`] of content per schema table.
 ///
-/// The data profile is derived from the content the same way a table's
-/// columnar image is: built on the first [`Database::profile`] call,
-/// shared afterwards, and dropped by [`Database::table_mut`], the only
-/// way to change the content.
+/// The data profile is derived from the content: built on the first
+/// [`Database::profile`] call, shared afterwards, and dropped by
+/// [`Database::table_mut`], the only way to change the content.
 #[derive(Debug, Clone)]
 pub struct Database {
     /// The schema (shape + foreign keys).
@@ -179,8 +242,7 @@ impl Database {
     /// computed on first call and shared afterwards, so the enhanced-
     /// schema inference, every generator and every schema linker over
     /// this database profile it once between them. Profiling counts
-    /// over each table's columnar image, so the first call also builds
-    /// every image ([`Table::columnar`]).
+    /// over each table's columnar image ([`Table::columnar`]).
     ///
     /// [`profile_database`]: crate::profile_database
     pub fn profile(&self) -> Arc<DataProfile> {
@@ -197,17 +259,16 @@ impl Database {
             .find(|t| t.def.name.eq_ignore_ascii_case(name))
     }
 
-    /// Mutable table lookup. Drops the cached data profile and the
-    /// table's columnar image, since the caller may change the table's
-    /// content, `rows` included.
-    pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
+    /// Mutable table lookup. Drops the cached data profile, since the
+    /// caller may change the table's content. Appending rows through the
+    /// returned handle grows the table's image, and dropping the handle
+    /// trims the image to size.
+    pub fn table_mut(&mut self, name: &str) -> Option<TableMut<'_>> {
         self.profile = OnceLock::new();
-        let table = self
-            .tables
+        self.tables
             .iter_mut()
-            .find(|t| t.def.name.eq_ignore_ascii_case(name))?;
-        table.columnar = OnceLock::new();
-        Some(table)
+            .find(|t| t.def.name.eq_ignore_ascii_case(name))
+            .map(TableMut)
     }
 
     /// All tables.
@@ -268,7 +329,7 @@ mod tests {
     #[test]
     fn push_row_validates_arity() {
         let mut d = db();
-        let t = d.table_mut("x").unwrap();
+        let mut t = d.table_mut("x").unwrap();
         assert!(t.push_row(vec![Value::Int(1)]).is_err());
         assert!(t.push_row(vec![Value::Int(1), Value::Float(0.5)]).is_ok());
     }
@@ -276,7 +337,7 @@ mod tests {
     #[test]
     fn push_row_validates_types_with_coercions() {
         let mut d = db();
-        let t = d.table_mut("x").unwrap();
+        let mut t = d.table_mut("x").unwrap();
         // Int into Float column is fine; Text into Int is not.
         assert!(t.push_row(vec![Value::Int(1), Value::Int(2)]).is_ok());
         assert!(t
@@ -364,9 +425,9 @@ mod tests {
             vec![Value::from("x"), Value::from("y")],
             vec![Value::from("y"), Value::from("x")],
         ]);
-        let rows = &d.table("s").unwrap().rows;
-        let handle = |r: usize, c: usize| match &rows[r][c] {
-            Value::Text(s) => Arc::clone(s),
+        let t = d.table("s").unwrap();
+        let handle = |r: usize, c: usize| match t.cell(r, c) {
+            Value::Text(s) => s,
             v => panic!("text expected, got {v:?}"),
         };
         assert!(

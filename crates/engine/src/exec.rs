@@ -1,11 +1,12 @@
 //! The query executor.
 //!
-//! Scans are **zero-copy**: base tables store reference-counted rows
-//! ([`crate::database::Row`]) and a scan collects `Arc` handles, never
-//! cell data. On single-relation predicates the executor pushes WHERE
-//! conjuncts down into the scan, so non-qualifying rows are dropped
-//! before any join or materialization. Equi-joins (`ON a = b`) run as a
-//! hash join that builds on the smaller input and probes the larger;
+//! Scans build rows from each base table's columnar image
+//! ([`crate::column`]), holding only the columns the statement
+//! references; on single-relation predicates the executor pushes WHERE
+//! conjuncts down into the scan, which builds only the rows that pass,
+//! so non-qualifying rows are dropped before any join. Equi-joins
+//! (`ON a = b`) run as a hash join that builds on the smaller input and
+//! probes the larger;
 //! anything else (non-equi and bare-name constraints, cross joins) runs
 //! as a nested loop. Output row order is identical for both algorithms
 //! and either build side (left-major, probe order within a match set),
@@ -37,7 +38,7 @@
 //! either way.
 
 use crate::compile::{compile, compile_grouped, compile_order_key, CExpr, GExpr, OrderProg};
-use crate::database::{Database, Row};
+use crate::database::Database;
 use crate::error::{EngineError, Result};
 use crate::eval::{truth, EvalContext, Scope};
 use crate::key::{self, FxBuild, KeyIndex, RowSet};
@@ -52,8 +53,6 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::Hasher;
-use std::ops::Deref;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Optional per-statement profile, threaded through execution by
@@ -191,34 +190,6 @@ fn default_morsel_rows() -> usize {
     })
 }
 
-/// A row flowing through the executor: either a shared handle into base
-/// table storage (scans) or an owned buffer (join outputs, derived
-/// tables). Derefs to `[Value]` so expression evaluation is agnostic.
-pub(crate) enum ExecRow {
-    Shared(Row),
-    Owned(Vec<Value>),
-}
-
-impl Deref for ExecRow {
-    type Target = [Value];
-
-    fn deref(&self) -> &[Value] {
-        match self {
-            ExecRow::Shared(r) => r,
-            ExecRow::Owned(v) => v,
-        }
-    }
-}
-
-impl ExecRow {
-    fn into_vec(self) -> Vec<Value> {
-        match self {
-            ExecRow::Shared(r) => r.to_vec(),
-            ExecRow::Owned(v) => v,
-        }
-    }
-}
-
 /// Execute a parsed query against a database with default options.
 pub fn execute(db: &Database, query: &Query) -> Result<ResultSet> {
     execute_with(db, query, ExecOptions::default())
@@ -241,9 +212,10 @@ pub fn execute_with_profile(
 /// [`plan_top_select`] instead of planning afresh. The plan is borrowed
 /// as it is, so a prepared-plan cache hit plans and copies nothing. It
 /// must come from the *same* statement against the *same* database
-/// snapshot; a plan whose relation count or conjunct indices do not fit
-/// the statement is ignored and the statement planned afresh, so the
-/// result is always identical to [`execute_with`], errors included. Set
+/// snapshot; a plan whose relation count, conjunct indices, kept
+/// columns or join steps do not fit the statement is ignored and the
+/// statement planned afresh, so a plan from another statement can make
+/// the executor neither panic nor read a column out of range. Set
 /// operations ignore the plan entirely. The serve layer runs every
 /// request through here, so the plan cache and profiling compose.
 pub fn execute_with_plan_profile(
@@ -520,7 +492,12 @@ pub(crate) fn plan_from<'a, 'p>(
     for rel in &relations {
         scope.push(&rel.binding, rel.columns.clone());
     }
-    if let Some(p) = prepared {
+    // A prepared plan names conjuncts, columns and relations by index;
+    // one that does not fit this statement (a caller paired it with
+    // another one) is dropped, and the statement is planned afresh.
+    let widths: Vec<usize> = relations.iter().map(|r| r.columns.len()).collect();
+    let n_conjuncts = sb_opt::conjuncts(select).len();
+    if let Some(p) = prepared.filter(|p| plan_fits(p, &widths, n_conjuncts)) {
         return Ok(PlannedFrom {
             relations,
             scope,
@@ -533,7 +510,7 @@ pub(crate) fn plan_from<'a, 'p>(
         .map(|r| {
             let (table, rows, unique_of): (Option<String>, usize, Option<&crate::database::Table>) =
                 match &r.source {
-                    RelSource::Base(t) => (Some(t.def.name.clone()), t.rows.len(), Some(t)),
+                    RelSource::Base(t) => (Some(t.def.name.clone()), t.len(), Some(t)),
                     RelSource::Derived(rs) => (None, rs.rows.len(), None),
                 };
             sb_opt::RelMeta {
@@ -570,16 +547,54 @@ pub(crate) fn plan_from<'a, 'p>(
     })
 }
 
+/// Whether a prepared plan fits a statement whose relations have
+/// `widths` columns and whose WHERE has `n_conjuncts` conjuncts: one
+/// entry per relation in every per-relation list, every conjunct index
+/// and kept column in range, the join order a permutation, and every
+/// reordered step joining a new relation on key columns that are in
+/// range, kept, and (on the probe side) already joined.
+fn plan_fits(p: &sb_opt::PlannedSelect, widths: &[usize], n_conjuncts: usize) -> bool {
+    let n = widths.len();
+    let kept = |rel: usize, col: usize| {
+        col < widths[rel] && p.keep[rel].as_ref().is_none_or(|k| k.contains(&col))
+    };
+    let mut order = p.order.clone();
+    order.sort_unstable();
+    p.pushed.len() == n
+        && p.keep.len() == n
+        && p.steps.len() + 1 == n
+        && (p.pushed.iter().flatten().chain(&p.residual)).all(|&c| c < n_conjuncts)
+        && (p.keep.iter().zip(widths))
+            .all(|(k, &w)| k.as_ref().is_none_or(|k| k.iter().all(|&c| c < w)))
+        && order.into_iter().eq(0..n)
+        && (!p.reordered
+            || p.steps.iter().enumerate().all(|(i, step)| {
+                step.rel == p.order[i + 1]
+                    && step.key.is_some_and(|key| {
+                        p.order[..=i].contains(&key.left_rel)
+                            && kept(key.left_rel, key.left_col)
+                            && kept(step.rel, key.right_col)
+                    })
+            }))
+}
+
+/// Rows an unfiltered base-table scan builds column by column.
+const SCAN_BLOCK: usize = 256;
+
 /// Scan one relation, applying its pushed-down conjuncts (indices into
-/// the statement's `conjuncts`). Base-table scans share `Arc` row
-/// handles; derived tables own their rows already.
+/// the statement's `conjuncts`) and narrowing every row that passes to
+/// the planner's `keep` columns (`None` keeps them all). A base table's
+/// rows are built from its columnar image: without conjuncts straight
+/// into the output, otherwise the columns the conjuncts read go into
+/// one reused buffer, and only a row that passes is built.
 fn scan_relation(
     rel: Relation<'_>,
     pushed: &[usize],
+    keep: Option<&[usize]>,
     conjuncts: &[&Expr],
     ctx: &EvalContext,
     prof_op: Option<&OpStats>,
-) -> Result<Vec<ExecRow>> {
+) -> Result<Vec<Vec<Value>>> {
     let mut local = Scope::default();
     local.push(&rel.binding, rel.columns.clone());
     // Compile pushed conjuncts once against the single-relation scope.
@@ -587,7 +602,7 @@ fn scan_relation(
         .iter()
         .map(|&c| compile(conjuncts[c], &local, ctx))
         .collect();
-    let keep = |row: &[Value]| -> Result<bool> {
+    let passes = |row: &[Value]| -> Result<bool> {
         for prog in &progs {
             if !prog.eval_filter(row, ctx)? {
                 return Ok(false);
@@ -595,26 +610,62 @@ fn scan_relation(
         }
         Ok(true)
     };
+    let width = rel.columns.len();
+    let kept: Vec<usize> = keep.map_or_else(|| (0..width).collect(), <[usize]>::to_vec);
     let (scanned, out) = match rel.source {
         RelSource::Base(table) => {
-            let mut out = Vec::with_capacity(if pushed.is_empty() {
-                table.rows.len()
+            let image = table.columnar();
+            let columns = &image.columns;
+            let mut out = Vec::new();
+            if progs.is_empty() {
+                // Column at a time within blocks of rows that stay in
+                // cache: one variant dispatch per column and block.
+                out.reserve(image.len);
+                for lo in (0..image.len).step_by(SCAN_BLOCK) {
+                    let start = out.len();
+                    let hi = (lo + SCAN_BLOCK).min(image.len);
+                    out.extend((lo..hi).map(|_| Vec::with_capacity(kept.len())));
+                    for &c in &kept {
+                        columns[c].push_cells(lo, &mut out[start..]);
+                    }
+                }
             } else {
-                0
-            });
-            for row in &table.rows {
-                if keep(row)? {
-                    out.push(ExecRow::Shared(Arc::clone(row)));
+                // Compiled conjuncts read only the slots their column
+                // references resolve to (subqueries are uncorrelated).
+                let mut refs = Vec::new();
+                for &c in pushed {
+                    sb_opt::collect_columns(conjuncts[c], &mut refs);
+                }
+                let mut read: Vec<usize> = refs
+                    .into_iter()
+                    .filter_map(|c| local.resolve(c).ok())
+                    .collect();
+                read.sort_unstable();
+                read.dedup();
+                let mut buf = vec![Value::Null; width];
+                for r in 0..image.len {
+                    for &c in &read {
+                        buf[c] = columns[c].value_at(r);
+                    }
+                    if passes(&buf)? {
+                        out.push(kept.iter().map(|&c| columns[c].value_at(r)).collect());
+                    }
                 }
             }
-            (table.rows.len(), out)
+            (image.len, out)
         }
         RelSource::Derived(rs) => {
             let scanned = rs.rows.len();
             let mut out = Vec::with_capacity(scanned);
-            for row in rs.rows {
-                if keep(&row)? {
-                    out.push(ExecRow::Owned(row));
+            for mut row in rs.rows {
+                if passes(&row)? {
+                    out.push(match keep {
+                        None => row,
+                        Some(_) => kept
+                            .iter()
+                            .map(|&c| std::mem::replace(&mut row[c], Value::Null))
+                            .collect(),
+                    });
                 }
             }
             (scanned, out)
@@ -720,8 +771,8 @@ fn join_key(v: &Value) -> Option<JoinKey<'_>> {
 /// output order — only speed. `op`, the join's profile slot, records the
 /// build and probe sizes.
 fn hash_join_matches(
-    left: &[ExecRow],
-    right: &[ExecRow],
+    left: &[Vec<Value>],
+    right: &[Vec<Value>],
     li: usize,
     ri: usize,
     build_left: bool,
@@ -822,13 +873,13 @@ fn concat_row(left: &[Value], right: &[Value]) -> Vec<Value> {
 /// relations, in source order. `steps` carries the planner's hash
 /// build side per join.
 fn join_relations(
-    mut scanned: Vec<Vec<ExecRow>>,
+    mut scanned: Vec<Vec<Vec<Value>>>,
     relations: &[(String, Vec<String>)],
     joins: &[Join],
     ctx: &EvalContext,
     steps: &[sb_opt::PlannedJoin],
     bp: Option<Block<'_>>,
-) -> Result<(Scope, Vec<ExecRow>)> {
+) -> Result<(Scope, Vec<Vec<Value>>)> {
     let mut scanned = scanned.drain(..);
     let mut rows = scanned.next().expect("at least the FROM relation");
     let mut scope = Scope::default();
@@ -865,12 +916,12 @@ fn join_relations(
                 let matches = hash_join_matches(&rows, &jrows, li, ri, steps[ji].build_left, op);
                 for (l, js) in rows.iter().zip(&matches) {
                     for &j in js {
-                        out.push(ExecRow::Owned(concat_row(l, &jrows[j as usize])));
+                        out.push(concat_row(l, &jrows[j as usize]));
                     }
                     if join.left && js.is_empty() {
                         let mut row = l.to_vec();
                         row.extend(std::iter::repeat_n(Value::Null, right_width));
-                        out.push(ExecRow::Owned(row));
+                        out.push(row);
                     }
                 }
             }
@@ -886,14 +937,14 @@ fn join_relations(
                             None => true,
                         };
                         if keep {
-                            out.push(ExecRow::Owned(row));
+                            out.push(row);
                             matched = true;
                         }
                     }
                     if join.left && !matched {
                         let mut row = l.to_vec();
                         row.extend(std::iter::repeat_n(Value::Null, right_width));
-                        out.push(ExecRow::Owned(row));
+                        out.push(row);
                     }
                 }
             }
@@ -928,11 +979,11 @@ fn join_relations(
 /// spanning tree over distinct bindings — which also guarantees no
 /// resolution error can surface mid-join.
 fn join_relations_reordered(
-    scanned: Vec<Vec<ExecRow>>,
+    scanned: Vec<Vec<Vec<Value>>>,
     relations: &[(String, Vec<String>)],
     planned: &sb_opt::PlannedSelect,
     bp: Option<Block<'_>>,
-) -> (Scope, Vec<ExecRow>) {
+) -> (Scope, Vec<Vec<Value>>) {
     let n = relations.len();
     let widths: Vec<usize> = relations.iter().map(|r| r.1.len()).collect();
     // Offsets of each relation's columns in execution layout...
@@ -951,9 +1002,9 @@ fn join_relations_reordered(
     }
     let total_width = off;
 
-    let mut scanned: Vec<Option<Vec<ExecRow>>> = scanned.into_iter().map(Some).collect();
+    let mut scanned: Vec<Option<Vec<Vec<Value>>>> = scanned.into_iter().map(Some).collect();
     let first = planned.order[0];
-    let mut rows: Vec<ExecRow> = scanned[first].take().expect("scan per relation");
+    let mut rows: Vec<Vec<Value>> = scanned[first].take().expect("scan per relation");
     // tags[i][k] = scan position of relation `order[k]`'s row in joined
     // row i.
     let mut tags: Vec<Vec<u32>> = (0..rows.len() as u32).map(|i| vec![i]).collect();
@@ -971,7 +1022,7 @@ fn join_relations_reordered(
         let mut out_tags = Vec::new();
         for ((l, ltag), js) in rows.iter().zip(&tags).zip(&matches) {
             for &j in js {
-                out.push(ExecRow::Owned(concat_row(l, &jrows[j as usize])));
+                out.push(concat_row(l, &jrows[j as usize]));
                 let mut t = Vec::with_capacity(ltag.len() + 1);
                 t.extend_from_slice(ltag);
                 t.push(j);
@@ -1011,16 +1062,16 @@ fn join_relations_reordered(
             col_perm.push(exec_off[r] + c);
         }
     }
-    let mut slots: Vec<Option<ExecRow>> = rows.into_iter().map(Some).collect();
-    let rows: Vec<ExecRow> = idx
+    let mut slots: Vec<Option<Vec<Value>>> = rows.into_iter().map(Some).collect();
+    let rows: Vec<Vec<Value>> = idx
         .into_iter()
         .map(|i| {
-            let mut v = slots[i].take().expect("indices are distinct").into_vec();
+            let mut v = slots[i].take().expect("indices are distinct");
             let mut out = Vec::with_capacity(total_width);
             for &s in &col_perm {
                 out.push(std::mem::replace(&mut v[s], Value::Null));
             }
-            ExecRow::Owned(out)
+            out
         })
         .collect();
 
@@ -1052,16 +1103,8 @@ fn execute_select_impl(
     prof: Prof<'_>,
 ) -> Result<ResultSet> {
     let ctx = EvalContext::new(db, opts);
-    // A prepared plan names WHERE conjuncts by index; one that does not
-    // fit this statement (a caller paired it with another one) is
-    // dropped, and the statement is planned afresh.
     let conjuncts = sb_opt::conjuncts(select);
     let n_rel = 1 + select.joins.len();
-    let prepared = prepared.filter(|p| {
-        p.pushed.len() == n_rel
-            && p.keep.len() == n_rel
-            && (p.pushed.iter().flatten().chain(&p.residual)).all(|&c| c < conjuncts.len())
-    });
 
     // Reserve this SELECT's profile block before resolving relations:
     // derived tables execute during resolution and must register their
@@ -1115,20 +1158,17 @@ fn execute_select_impl(
     for (i, (rel, pushed)) in relations.into_iter().zip(&planned.pushed).enumerate() {
         let prof_op = bp.as_ref().and_then(|b| b.scan(i));
         let t0 = prof_clock(&bp);
-        scanned.push(scan_relation(rel, pushed, &conjuncts, &ctx, prof_op)?);
+        let keep = planned.keep[i].as_deref();
+        scanned.push(scan_relation(rel, pushed, keep, &conjuncts, &ctx, prof_op)?);
         prof_elapsed(t0, prof_op);
     }
 
-    // Projection pushdown: narrow each scan to the columns the planner
+    // Projection pushdown: the scans kept only the columns the planner
     // proved are referenced (by name, so ambiguity errors and ORDER BY
     // alias resolution behave identically on the narrowed scope).
-    for (i, keep) in planned.keep.iter().enumerate() {
-        let Some(kept) = keep else { continue };
-        let names: Vec<String> = kept.iter().map(|&c| rel_names[i].1[c].clone()).collect();
-        rel_names[i].1 = names;
-        for row in &mut scanned[i] {
-            let narrowed: Vec<Value> = kept.iter().map(|&c| row[c].clone()).collect();
-            *row = ExecRow::Owned(narrowed);
+    for (names, keep) in rel_names.iter_mut().zip(&planned.keep) {
+        if let Some(kept) = keep {
+            names.1 = kept.iter().map(|&c| names.1[c].clone()).collect();
         }
     }
 
@@ -1343,7 +1383,7 @@ fn execute_plain(
     select: &Select,
     order_by: &[OrderItem],
     scope: &Scope,
-    rows: Vec<ExecRow>,
+    rows: Vec<Vec<Value>>,
     ctx: &EvalContext,
 ) -> Result<Projected> {
     let mut columns = Vec::new();
@@ -1357,7 +1397,7 @@ fn execute_plain(
     let passthrough =
         matches!(select.projections[..], [SelectItem::Wildcard]) && order_by.is_empty();
     if passthrough {
-        let out_rows: Vec<Vec<Value>> = rows.into_iter().map(ExecRow::into_vec).collect();
+        let out_rows = rows;
         let keys = vec![Vec::new(); out_rows.len()];
         return Ok((columns, out_rows, keys));
     }
@@ -1398,13 +1438,13 @@ fn execute_grouped(
     select: &Select,
     order_by: &[OrderItem],
     scope: &Scope,
-    rows: Vec<ExecRow>,
+    rows: Vec<Vec<Value>>,
     ctx: &EvalContext,
     agg_op: Option<&OpStats>,
 ) -> Result<Projected> {
     // Group rows by evaluated GROUP BY key — hashed `Vec<Value>` keys
     // under the canonical-key relation, no string concatenation.
-    let mut groups: Vec<Vec<ExecRow>> = Vec::new();
+    let mut groups: Vec<Vec<Vec<Value>>> = Vec::new();
     if select.group_by.is_empty() {
         // Single implicit group — even over zero rows (COUNT(*) = 0).
         groups.push(rows);
@@ -2178,6 +2218,103 @@ mod tests {
                 let reused = execute_with_plan_profile(&db, &q, opts, Some(&plan), None);
                 assert_eq!(format!("{reused:?}"), format!("{fresh:?}"), "{sql}");
             }
+        }
+    }
+
+    /// A prepared plan whose kept columns do not exist in the
+    /// statement's relations is planned afresh too. The plan of the
+    /// first statement keeps columns 0 and 3 of its first relation `a`
+    /// (4 columns); the second statement's first relation is `b` (2
+    /// columns).
+    #[test]
+    fn prepared_plan_with_out_of_range_columns_is_planned_afresh() {
+        let int = |name: &str| Column::new(name, ColumnType::Int);
+        let schema = Schema::new("t")
+            .with_table(TableDef::new(
+                "a",
+                vec![
+                    Column::pk("id", ColumnType::Int),
+                    int("x"),
+                    int("y"),
+                    int("z"),
+                ],
+            ))
+            .with_table(TableDef::new(
+                "b",
+                vec![Column::pk("id", ColumnType::Int), int("w")],
+            ));
+        let mut db = Database::new(schema);
+        db.table_mut("a").unwrap().push_rows(vec![
+            vec![1.into(), 0.into(), 0.into(), 10.into()],
+            vec![2.into(), 0.into(), 0.into(), 20.into()],
+            vec![3.into(), 0.into(), 0.into(), 10.into()],
+        ]);
+        db.table_mut("b").unwrap().push_rows(vec![
+            vec![10.into(), 1.into()],
+            vec![20.into(), 2.into()],
+            vec![30.into(), 3.into()],
+        ]);
+        let prepared = sb_sql::parse("SELECT a.id FROM a JOIN b ON a.z = b.id").unwrap();
+        let q = sb_sql::parse("SELECT b.id FROM b JOIN a ON b.id = a.z").unwrap();
+        for opts in engine_variants() {
+            let plan = plan_top_select(&db, &prepared, opts).expect("plannable statement");
+            assert_eq!(plan.keep[0], Some(vec![0, 3]));
+            let fresh = execute_with(&db, &q, opts);
+            let reused = execute_with_plan_profile(&db, &q, opts, Some(&plan), None);
+            assert_eq!(format!("{reused:?}"), format!("{fresh:?}"), "{opts:?}");
+            assert_eq!(fresh.unwrap().rows.len(), 3);
+        }
+    }
+
+    /// The fit check rejects every out-of-range index of a reordered
+    /// plan: kept columns, join order, step relations and key columns.
+    #[test]
+    fn plan_fits_checks_reordered_steps() {
+        use sb_opt::{EdgeKey, PlannedJoin, PlannedSelect};
+        fn step(rel: usize, left_rel: usize, left_col: usize, right_col: usize) -> PlannedJoin {
+            PlannedJoin {
+                rel,
+                key: Some(EdgeKey {
+                    left_rel,
+                    left_col,
+                    right_col,
+                }),
+                build_left: false,
+                est_rows: 1.0,
+            }
+        }
+        // a(3) JOIN b(2) JOIN c(4), executed as c, b, a.
+        let widths = [3, 2, 4];
+        let fit = PlannedSelect {
+            pushed: vec![vec![0], Vec::new(), Vec::new()],
+            residual: vec![1],
+            keep: vec![Some(vec![0, 2]), None, Some(vec![1])],
+            order: vec![2, 1, 0],
+            steps: vec![step(1, 2, 1, 0), step(0, 1, 1, 2)],
+            reordered: true,
+            scan_est: vec![1.0; 3],
+        };
+        assert!(plan_fits(&fit, &widths, 2));
+        assert!(!plan_fits(&fit, &widths, 1), "conjunct 1 out of range");
+        assert!(!plan_fits(&fit, &widths[..2], 2), "relation count");
+        type Break = fn(&mut PlannedSelect);
+        let broken: [(&str, Break); 7] = [
+            ("kept column past the width", |p| p.keep[1] = Some(vec![2])),
+            ("order not a permutation", |p| p.order = vec![2, 1, 1]),
+            ("step joins another relation", |p| p.steps[0].rel = 0),
+            ("probe side not yet joined", |p| {
+                p.steps[0] = step(1, 0, 0, 0)
+            }),
+            ("probe column not kept", |p| p.steps[0] = step(1, 2, 0, 0)),
+            ("build column past the width", |p| {
+                p.steps[0] = step(1, 2, 1, 2)
+            }),
+            ("step without a key", |p| p.steps[1].key = None),
+        ];
+        for (what, breaks) in broken {
+            let mut p = fit.clone();
+            breaks(&mut p);
+            assert!(!plan_fits(&p, &widths, 2), "{what}");
         }
     }
 }

@@ -35,7 +35,7 @@ pub mod result;
 pub mod value;
 
 pub use column::{Column, ColumnData, ColumnarTable, DictColumn, NullMask};
-pub use database::{Database, Row, Table};
+pub use database::{Database, Table, TableMut};
 pub use error::{EngineError, Result};
 pub use exec::{
     execute, execute_with, execute_with_plan_profile, execute_with_profile, plan_top_select,

@@ -6,6 +6,7 @@ use crate::database::Database;
 use crate::key::FxBuild;
 use crate::value::Value;
 use sb_schema::{ColumnProfile, DataProfile};
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt::Write as _;
 
@@ -80,7 +81,8 @@ impl<'a> LitKey<'a> {
     }
 }
 
-/// Per-column occurrence counts under literal identity (the row path).
+/// Per-column occurrence counts under literal identity (`Values`
+/// columns).
 type Counts<'a> = HashMap<LitKey<'a>, usize, FxBuild>;
 
 /// Profile every column of every table in `db`: non-NULL count, distinct
@@ -88,18 +90,18 @@ type Counts<'a> = HashMap<LitKey<'a>, usize, FxBuild>;
 /// rendered as SQL literals, most frequent first with ties broken by
 /// ascending literal (byte order).
 ///
-/// Counting runs over each table's columnar image ([`Table::columnar`],
-/// built here if it does not exist yet), with the cheapest structure
-/// that fits the column: an Fx map keyed by `i64` for ints, by
-/// normalized bits for floats, a count per dictionary code for text and
-/// two counters for bools. A `Mixed` column, or every column of a table
-/// whose image has drifted from its rows, is counted from the rows in
-/// one map keyed by borrowed literal identity.
+/// Counting runs over each table's columnar image ([`Table::columnar`]),
+/// with the cheapest structure that fits the column: one counter per
+/// value for ints whose range is under twice their count, else an Fx map
+/// keyed by `i64`; a map keyed by normalized bits for floats; a count per
+/// dictionary code for text; two counters for bools. A
+/// [`ColumnData::Values`] column is counted in one map keyed by borrowed
+/// literal identity.
 ///
 /// The top values are then selected exactly, with no full sort and no
-/// literal allocated per distinct value: a selection finds the count `t`
-/// of the last retained slot, every value counted more than `t` is
-/// rendered and sorted, and the remaining slots go to the smallest
+/// literal allocated per distinct value: a bounded heap of counts finds
+/// the count `t` of the last retained slot, every value counted more
+/// than `t` is rendered and sorted, and the remaining slots go to the smallest
 /// literals counted exactly `t`, each rendered into one reused buffer and
 /// kept in a bounded max-heap. Values sharing a (count, literal) pair
 /// render identically, so the result equals a full sort by (count desc,
@@ -109,27 +111,19 @@ type Counts<'a> = HashMap<LitKey<'a>, usize, FxBuild>;
 pub fn profile_database(db: &Database) -> DataProfile {
     let mut profile = DataProfile::new();
     let mut tallies = Tallies::default();
-    let mut counts = Counts::default();
     for table in db.tables() {
         profile.set_row_count(&table.def.name, table.len());
         let image = table.columnar();
-        for (idx, col) in table.def.columns.iter().enumerate() {
-            let column = match image.as_ref().map(|ct| &ct.columns[idx]) {
-                Some(c) if !matches!(c.data, ColumnData::Mixed) => tallies.profile(c),
-                _ => profile_rows(table.column_values(idx), &mut counts),
-            };
-            profile.insert(&table.def.name, &col.name, column);
+        for (col, column) in table.def.columns.iter().zip(&image.columns) {
+            profile.insert(&table.def.name, &col.name, tallies.profile(column));
         }
     }
     profile
 }
 
-/// Profile one column from its row-store cells.
-fn profile_rows<'a>(
-    values: impl Iterator<Item = &'a Value>,
-    counts: &mut Counts<'a>,
-) -> ColumnProfile {
-    counts.clear();
+/// Profile a [`ColumnData::Values`] column.
+fn profile_values(values: &[Value]) -> ColumnProfile {
+    let mut counts = Counts::default();
     let mut count = 0usize;
     let mut min = f64::INFINITY;
     let mut max = f64::NEG_INFINITY;
@@ -158,29 +152,42 @@ fn profile_rows<'a>(
 struct Tallies {
     ints: HashMap<i64, usize, FxBuild>,
     floats: HashMap<u64, usize, FxBuild>,
+    /// Per dictionary code, or per value of a dense int range.
     codes: Vec<usize>,
 }
 
 impl Tallies {
-    /// Profile one typed column of a columnar image (never `Mixed`).
+    /// Profile one column of a columnar image.
     fn profile(&mut self, column: &Column) -> ColumnProfile {
         let nulls = &column.nulls;
         let mut count = 0usize;
         match &column.data {
             ColumnData::Int(v) => {
-                let map = &mut self.ints;
-                map.clear();
-                map.reserve(v.len());
                 let (mut lo, mut hi) = (i64::MAX, i64::MIN);
                 for_each_valid(v, nulls, |x| {
                     count += 1;
-                    *map.entry(x).or_insert(0) += 1;
                     lo = lo.min(x);
                     hi = hi.max(x);
                 });
                 // i64 -> f64 is monotone, so the range equals the fold
-                // over each value's f64 that the row path takes.
+                // over each value's f64 that a per-value pass takes.
                 let range = (count > 0).then_some((lo as f64, hi as f64));
+                let span = hi.abs_diff(lo);
+                if span < 2 * count as u64 {
+                    // A dense range (ids, codes, years): one counter per
+                    // value in `lo..=hi`.
+                    let tally = &mut self.codes;
+                    tally.clear();
+                    tally.resize(span as usize + 1, 0);
+                    for_each_valid(v, nulls, |x| tally[x.abs_diff(lo) as usize] += 1);
+                    let seen = tally.iter().zip(lo..).filter(|(&n, _)| n > 0);
+                    let top = frequent_values(seen.clone().map(|(&n, k)| (LitKey::Int(k), n)));
+                    return column_profile(count, seen.count(), range, top);
+                }
+                let map = &mut self.ints;
+                map.clear();
+                map.reserve(v.len());
+                for_each_valid(v, nulls, |x| *map.entry(x).or_insert(0) += 1);
                 let top = frequent_values(map.iter().map(|(&k, &n)| (LitKey::Int(k), n)));
                 column_profile(count, map.len(), range, top)
             }
@@ -220,7 +227,7 @@ impl Tallies {
                 column_profile(tally[0] + tally[1], seen.count(), None, top)
             }
             ColumnData::AllNull => column_profile(0, 0, None, Vec::new()),
-            ColumnData::Mixed => unreachable!("Mixed columns are profiled from the rows"),
+            ColumnData::Values(v) => profile_values(v),
         }
     }
 }
@@ -258,16 +265,22 @@ fn for_each_valid<T: Copy>(values: &[T], nulls: &NullMask, mut f: impl FnMut(T))
 /// `(literal, count)` pairs with distinct literals, most frequent first,
 /// ties by ascending literal.
 fn frequent_values<'a>(counts: impl Iterator<Item = (LitKey<'a>, usize)> + Clone) -> Vec<String> {
-    // `t`: the count of the last retained slot. Every count above `t`
-    // ranks before that slot, so all of them are among the first
-    // `slots - 1` after the selection.
-    let mut tallies: Vec<usize> = counts.clone().map(|(_, n)| n).collect();
-    let slots = tallies.len().min(FREQUENT_VALUES);
-    if slots == 0 {
-        return Vec::new();
+    // The `FREQUENT_VALUES` largest counts, smallest on top. `t`, the
+    // count of the last retained slot, is the smallest of them; every
+    // count above `t` ranks before that slot, so all of them are here.
+    let mut largest: BinaryHeap<Reverse<usize>> = BinaryHeap::with_capacity(FREQUENT_VALUES + 1);
+    for (_, n) in counts.clone() {
+        if largest.len() < FREQUENT_VALUES {
+            largest.push(Reverse(n));
+        } else if let Some(mut least) = largest.peek_mut().filter(|least| n > least.0) {
+            *least = Reverse(n);
+        }
     }
-    let (above, &mut t, _) = tallies.select_nth_unstable_by(slots - 1, |a, b| b.cmp(a));
-    let tied_slots = slots - above.iter().filter(|&&n| n > t).count();
+    let slots = largest.len();
+    let Some(&Reverse(t)) = largest.peek() else {
+        return Vec::new();
+    };
+    let tied_slots = slots - largest.iter().filter(|n| n.0 > t).count();
 
     let mut top: Vec<(usize, String)> = Vec::with_capacity(slots);
     let mut tied: BinaryHeap<String> = BinaryHeap::with_capacity(tied_slots);
@@ -332,6 +345,60 @@ mod tests {
         assert_eq!(z.min, Some(0.5));
         assert_eq!(z.max, Some(1.5));
         assert_eq!(p.row_count("x"), Some(3));
+    }
+
+    /// The selection equals a full sort by (count desc, literal asc) on
+    /// tie-heavy columns of every type, floats of every magnitude and
+    /// sign and strings with quotes included.
+    #[test]
+    fn frequent_values_match_the_full_sort() {
+        let mut state = 0x9e37_79b9_u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let texts: Vec<String> = (0..300)
+            .map(|i| match i % 4 {
+                0 => format!("w{i}"),
+                1 => format!("{}'{}", i % 9, i),
+                2 => format!("'{i}"),
+                _ => format!("a{}", i % 11),
+            })
+            .collect();
+        for case in 0..400 {
+            let distinct = 1 + next(300) as usize;
+            let keys: Vec<LitKey> = (0..distinct)
+                .map(|i| {
+                    let k = next(2_000) as i64 - 1_000;
+                    match case % 4 {
+                        0 => LitKey::Int(k * [1, 7, 1_000_003][i % 3]),
+                        1 => LitKey::Float(float_bits(match i % 6 {
+                            0 => k as f64 / 8.0,
+                            1 => k as f64,
+                            2 => k as f64 * 1e13,
+                            3 => k as f64 * 1e-9,
+                            4 => [f64::NAN, f64::INFINITY, -0.0, 2e15][i % 4],
+                            _ => -(k as f64) / 3.0,
+                        })),
+                        2 => LitKey::Text(&texts[i % texts.len()]),
+                        _ => LitKey::Bool(i % 2 == 0),
+                    }
+                })
+                .collect();
+            let mut counts: HashMap<LitKey, usize> = HashMap::new();
+            for (i, k) in keys.into_iter().enumerate() {
+                *counts.entry(k).or_insert(0) += 1 + (i % 7 == 0) as usize;
+            }
+            let mut want: Vec<(usize, String)> =
+                counts.iter().map(|(k, &n)| (n, k.literal())).collect();
+            want.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+            want.truncate(FREQUENT_VALUES);
+            let want: Vec<String> = want.into_iter().map(|(_, lit)| lit).collect();
+            let got = frequent_values(counts.iter().map(|(&k, &n)| (k, n)));
+            assert_eq!(got, want, "case {case}");
+        }
     }
 
     #[test]

@@ -118,7 +118,7 @@ fn base_relation(db: &Database, tr: &TableRef) -> Result<(String, Vec<String>, V
                 .ok_or_else(|| EngineError::UnknownTable(name.clone()))?;
             let binding = tr.binding().expect("named table always binds").to_string();
             let columns = table.def.columns.iter().map(|c| c.name.clone()).collect();
-            let rows = table.rows.iter().map(|r| r.to_vec()).collect();
+            let rows = (0..table.len()).map(|r| table.row(r)).collect();
             Ok((binding, columns, rows))
         }
         TableFactor::Derived(q) => {

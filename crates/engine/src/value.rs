@@ -92,7 +92,7 @@ pub enum Value {
     Bool(bool),
 }
 
-// A thin text handle keeps every cell of the row store at 16 bytes.
+// A thin text handle keeps every materialized cell at 16 bytes.
 const _: () = assert!(std::mem::size_of::<Value>() == 16);
 
 impl Value {

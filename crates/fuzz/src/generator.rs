@@ -723,14 +723,14 @@ impl<'a> QueryGenerator<'a> {
 
     fn sample_value(&mut self, col: &BoundCol) -> Option<Value> {
         let table = self.db.table(&col.table)?;
-        if table.rows.is_empty() {
+        if table.is_empty() {
             return None;
         }
         for _ in 0..4 {
-            let i = self.rng.gen_range(0..table.rows.len());
-            let v = &table.rows[i][col.idx];
+            let i = self.rng.gen_range(0..table.len());
+            let v = table.cell(i, col.idx);
             if !v.is_null() {
-                return Some(v.clone());
+                return Some(v);
             }
         }
         None

@@ -74,8 +74,8 @@ pub fn fuzz_database(domain: Domain) -> Database {
     let mut db = domain.build(SizeClass::Tiny).db;
     let names: Vec<String> = db.schema.tables.iter().map(|t| t.name.clone()).collect();
     for name in names {
-        if let Some(table) = db.table_mut(&name) {
-            table.rows.truncate(FUZZ_ROWS_PER_TABLE);
+        if let Some(mut table) = db.table_mut(&name) {
+            table.truncate(FUZZ_ROWS_PER_TABLE);
         }
     }
     db

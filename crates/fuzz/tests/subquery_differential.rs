@@ -108,7 +108,8 @@ impl<'a> SubqueryGen<'a> {
                 .expect("pool")
                 .to_string();
         }
-        match table.rows.choose(&mut self.rng).map(|r| &r[idx]) {
+        let cells: Vec<Value> = (0..table.len()).map(|r| table.cell(r, idx)).collect();
+        match cells.choose(&mut self.rng) {
             Some(Value::Float(f)) if !f.is_finite() => "0.5".to_string(),
             Some(v) => sql_literal(v),
             None => match ty {
@@ -152,12 +153,9 @@ impl<'a> SubqueryGen<'a> {
             .iter()
             .position(|c| c.name == col)
             .expect("column");
-        let values: Vec<&Value> = db
-            .table(&t.name)
-            .expect("table")
-            .rows
-            .iter()
-            .map(|r| &r[idx])
+        let table = db.table(&t.name).expect("table");
+        let values: Vec<Value> = (0..table.len())
+            .map(|r| table.cell(r, idx))
             .filter(|v| !v.is_null() && !matches!(v, Value::Float(f) if !f.is_finite()))
             .collect();
         match values.choose(&mut self.rng) {
@@ -486,7 +484,7 @@ fn erroring_subqueries_over_an_empty_outer_table_succeed() {
         let names: Vec<String> = base.schema.tables.iter().map(|t| t.name.clone()).collect();
         for empty in &names {
             let mut db = fuzz_database(domain);
-            db.table_mut(empty).expect("table").rows.clear();
+            db.table_mut(empty).expect("table").clear();
             let t = db.schema.table(empty).expect("table");
             let col = &t.columns[0].name;
             let other = names.iter().find(|n| *n != empty).unwrap_or(empty);

@@ -19,6 +19,12 @@
 //!   and upper sample quartiles around the median `ns_per_iter`, and
 //!   `cores` is the host's available parallelism, so a reader can tell
 //!   a change from run-to-run noise and knows the machine.
+//! - The first argument that is not a flag filters the run, as
+//!   upstream: `cargo bench -p sb-bench -- data_build` runs only the
+//!   benchmarks whose `group/name` id contains `data_build` (their
+//!   setup code still runs). With `CRITERION_JSON` set, a filtered run
+//!   rewrites only the matching records of the existing file, in place,
+//!   and keeps every other record as it was.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -95,6 +101,17 @@ fn bench_mode() -> bool {
     std::env::args().any(|a| a == "--bench")
 }
 
+/// The benchmark id filter of a `cargo bench` run: its first argument
+/// that is not a flag.
+fn filter() -> Option<String> {
+    std::env::args().skip(1).find(|a| !a.starts_with('-'))
+}
+
+/// Whether the benchmark `group/name` is selected by `filter`.
+fn selected(filter: Option<&str>, group: &str, name: &str) -> bool {
+    filter.is_none_or(|f| format!("{group}/{name}").contains(f))
+}
+
 fn run_one(
     group: &str,
     name: &str,
@@ -108,6 +125,9 @@ fn run_one(
             elapsed: Duration::ZERO,
         };
         f(&mut b);
+        return None;
+    }
+    if !selected(filter().as_deref(), group, name) {
         return None;
     }
 
@@ -218,7 +238,8 @@ impl Criterion {
     }
 
     /// Print the report and, when `CRITERION_JSON` is set, write all
-    /// records to that path as JSON.
+    /// records to that path as JSON. A filtered run merges its records
+    /// into the file's ([`merge_records`]).
     pub fn final_summary(&self) {
         let records = self.records.borrow();
         if records.is_empty() {
@@ -226,44 +247,77 @@ impl Criterion {
         }
         if let Ok(path) = std::env::var("CRITERION_JSON") {
             let cores = cores();
-            let mut out = String::from("[\n");
-            for (i, r) in records.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
+            let mut lines: Vec<String> = records.iter().map(|r| json_record(r, cores)).collect();
+            if let Some(f) = filter() {
+                if let Ok(old) = std::fs::read_to_string(&path) {
+                    lines = merge_records(&old, lines, &f);
                 }
-                out.push_str(&format!(
-                    "  {{\"group\": \"{}\", \"name\": \"{}\", \"ns_per_iter\": {:.1}, \
-                     \"ns_q1\": {:.1}, \"ns_q3\": {:.1}, \"queries_per_sec\": {:.1}, \
-                     \"iters_per_sample\": {}, \"samples\": {}, \"cores\": {cores}",
-                    r.group,
-                    r.name,
-                    r.ns_per_iter,
-                    r.ns_q1,
-                    r.ns_q3,
-                    1e9 / r.ns_per_iter.max(f64::MIN_POSITIVE),
-                    r.iters_per_sample,
-                    r.samples
-                ));
-                if !r.metrics.is_empty() {
-                    out.push_str(", \"metrics\": {");
-                    for (j, (k, v)) in r.metrics.iter().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
-                        }
-                        out.push_str(&format!("\"{k}\": {v}"));
-                    }
-                    out.push('}');
-                }
-                out.push('}');
             }
-            out.push_str("\n]\n");
+            let out = format!("[\n{}\n]\n", lines.join(",\n"));
             if let Err(e) = std::fs::write(&path, out) {
                 eprintln!("criterion shim: failed to write {path}: {e}");
             } else {
-                println!("criterion shim: wrote {} records to {path}", records.len());
+                println!("criterion shim: wrote {} records to {path}", lines.len());
             }
         }
     }
+}
+
+/// One record as a one-line JSON object.
+fn json_record(r: &Record, cores: usize) -> String {
+    let mut out = format!(
+        "  {{\"group\": \"{}\", \"name\": \"{}\", \"ns_per_iter\": {:.1}, \
+         \"ns_q1\": {:.1}, \"ns_q3\": {:.1}, \"queries_per_sec\": {:.1}, \
+         \"iters_per_sample\": {}, \"samples\": {}, \"cores\": {cores}",
+        r.group,
+        r.name,
+        r.ns_per_iter,
+        r.ns_q1,
+        r.ns_q3,
+        1e9 / r.ns_per_iter.max(f64::MIN_POSITIVE),
+        r.iters_per_sample,
+        r.samples
+    );
+    if !r.metrics.is_empty() {
+        out.push_str(", \"metrics\": {");
+        for (j, (k, v)) in r.metrics.iter().enumerate() {
+            if j > 0 {
+                out.push_str(", ");
+            }
+            out.push_str(&format!("\"{k}\": {v}"));
+        }
+        out.push('}');
+    }
+    out.push('}');
+    out
+}
+
+/// The string value of `"key": "…"` in a one-line JSON record.
+fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let start = line.find(&format!("\"{key}\": \""))? + key.len() + 5;
+    let len = line[start..].find('"')?;
+    Some(&line[start..start + len])
+}
+
+/// The records of a file this shim wrote (one per line), with those
+/// selected by `filter` replaced by `fresh`: the fresh records take the
+/// place of the first replaced one, or go last when none matched.
+fn merge_records(old: &str, fresh: Vec<String>, filter: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut fresh = Some(fresh);
+    for line in old.lines() {
+        let line = line.trim_end().trim_end_matches(',');
+        let (Some(group), Some(name)) = (field(line, "group"), field(line, "name")) else {
+            continue;
+        };
+        if !selected(Some(filter), group, name) {
+            out.push(line.to_string());
+        } else if let Some(fresh) = fresh.take() {
+            out.extend(fresh);
+        }
+    }
+    out.extend(fresh.into_iter().flatten());
+    out
 }
 
 /// A group of related benchmarks sharing a sample count.
@@ -385,6 +439,47 @@ mod tests {
             quartiles(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]),
             (2.0, 4.0, 6.0)
         );
+    }
+
+    #[test]
+    fn filtered_records_replace_only_their_own() {
+        let rec = |group: &str, name: &str, ns: f64| {
+            json_record(
+                &Record {
+                    group: group.to_string(),
+                    name: name.to_string(),
+                    ns_per_iter: ns,
+                    ns_q1: ns,
+                    ns_q3: ns,
+                    iters_per_sample: 1,
+                    samples: 3,
+                    metrics: Vec::new(),
+                },
+                2,
+            )
+        };
+        let old = format!(
+            "[\n{}\n]\n",
+            [
+                rec("a", "x", 1.0),
+                rec("b", "y", 2.0),
+                rec("b", "z", 3.0),
+                rec("c", "w", 4.0)
+            ]
+            .join(",\n")
+        );
+        let merged = merge_records(&old, vec![rec("b", "v", 9.0)], "b");
+        assert_eq!(
+            merged,
+            [rec("a", "x", 1.0), rec("b", "v", 9.0), rec("c", "w", 4.0)]
+        );
+        // No match: the fresh records go last.
+        let merged = merge_records(&old, vec![rec("d", "u", 5.0)], "d/u");
+        assert_eq!(merged.len(), 5);
+        assert_eq!(merged[4], rec("d", "u", 5.0));
+        assert!(selected(None, "g", "n"));
+        assert!(selected(Some("g/n"), "g", "n"));
+        assert!(!selected(Some("h"), "g", "n"));
     }
 
     #[test]

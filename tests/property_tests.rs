@@ -154,14 +154,11 @@ fn test_db(rows: &[(i64, f64, bool)]) -> Database {
         ],
     ));
     let mut db = Database::new(schema);
-    let table = db.table_mut("t").unwrap();
-    for (id, x, flag) in rows {
-        table.push_rows(vec![vec![
-            Value::Int(*id),
-            Value::Float(*x),
-            Value::Bool(*flag),
-        ]]);
-    }
+    db.table_mut("t").unwrap().push_rows(
+        rows.iter()
+            .map(|(id, x, flag)| vec![Value::Int(*id), Value::Float(*x), Value::Bool(*flag)])
+            .collect(),
+    );
     db
 }
 
