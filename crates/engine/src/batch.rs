@@ -64,9 +64,11 @@ use crate::eval::{
     apply_cmp, apply_unary, arith, combine_logical, like_match, literal_value, truth_ref,
     EvalContext, Scope,
 };
-use crate::exec::{Projected, Relation};
+use crate::exec::Relation;
 use crate::inset::InSet;
 use crate::key::{self, FxBuild, KeyIndex};
+use crate::output::{finish_select, OutCol, Projected, SortKey};
+use crate::result::ResultSet;
 use crate::value::{canon_num, cmp_int_f64, Value};
 use sb_obs::{FixedOp, OpStats};
 use std::cmp::Ordering;
@@ -148,6 +150,9 @@ fn concat<T>(mut parts: Vec<Vec<T>>) -> Vec<T> {
 pub(crate) struct BatchInput<'a, 'q> {
     pub(crate) select: &'q Select,
     pub(crate) order_by: &'q [OrderItem],
+    pub(crate) limit: Option<u64>,
+    /// The caller's row cap: rows past it are never built.
+    pub(crate) cap: usize,
     /// Full statement scope (all relations, original columns).
     pub(crate) scope: &'a Scope,
     pub(crate) relations: &'a [Relation<'a>],
@@ -167,16 +172,17 @@ pub(crate) struct BatchInput<'a, 'q> {
 }
 
 /// Record why the batch path bailed (first reason wins) and fall back.
-fn bail(input: &BatchInput<'_, '_>, reason: &'static str) -> Option<Projected> {
+fn bail<T>(input: &BatchInput<'_, '_>, reason: &'static str) -> Option<T> {
     if let Some(bp) = &input.bp {
         bp.set_fallback(reason);
     }
     None
 }
 
-/// Attempt batch execution. `None` means "fall back to the row path" —
-/// never an error.
-pub(crate) fn try_select(input: &BatchInput<'_, '_>) -> Option<Projected> {
+/// Attempt batch execution: the first `input.cap` rows of the result
+/// and the result's row count before the cap. `None` means "fall back
+/// to the row path" — never an error.
+pub(crate) fn try_select(input: &BatchInput<'_, '_>) -> Option<(ResultSet, usize)> {
     // Base tables only: a derived table has no columnar image.
     let tables: Vec<&ColumnarTable> = match input
         .relations
@@ -263,11 +269,19 @@ pub(crate) fn try_select(input: &BatchInput<'_, '_>) -> Option<Projected> {
         crate::exec::prof_elapsed(filter_t0, Some(op));
     }
     let view = View::all(&tables, &rowids);
-    if sb_opt::is_aggregate(input.select, input.order_by) {
-        grouped(&cx, input, &view).or_else(|| bail(input, "agg-kernel"))
+    let projected = if sb_opt::is_aggregate(input.select, input.order_by) {
+        grouped(&cx, input, &view).or_else(|| bail(input, "agg-kernel"))?
     } else {
-        plain(&cx, input, &view).or_else(|| bail(input, "project-kernel"))
-    }
+        plain(&cx, input, &view).or_else(|| bail(input, "project-kernel"))?
+    };
+    Some(finish_select(
+        input.select.distinct,
+        input.order_by,
+        input.limit,
+        input.cap,
+        projected,
+        input.bp,
+    ))
 }
 
 /// Pushed-filter scan of one relation: [`filter_range`] over each
@@ -1647,7 +1661,6 @@ impl BoolK {
                             .map(|t| if t < 0 { -1 } else { lut[t as usize] })
                             .collect()
                     }
-                    ValK::OutCol(_) => return None,
                 }
             }
             BoolK::LikeDict {
@@ -1868,19 +1881,50 @@ impl AnyK {
 }
 
 /// Value-producing kernel: projections, IN subjects, aggregate
-/// arguments, ORDER BY keys. `OutCol(i)` reads already-projected output
-/// column `i` (the ORDER BY alias fallback).
+/// arguments, ORDER BY keys.
 enum ValK {
     Num(NumK),
     Text(TextK),
     Tri(BoolK),
-    OutCol(usize),
+}
+
+/// Column `id` of the batch as an output column read per row on demand.
+fn gather_column<'v>(v: &View<'v>, id: ColId) -> OutCol<'v> {
+    let (col, sel) = (v.col(id), v.sel(id));
+    OutCol::Gather(Box::new(move |i| col.value_at(sel[i] as usize)))
+}
+
+/// A compiled ORDER BY key: a kernel, or output column `i` (the alias
+/// fallback).
+enum OrderK {
+    Eval(ValK),
+    Output(usize),
 }
 
 impl ValK {
-    /// Materialize one `Value` per batch row. `projected` carries the
-    /// projected output columns (column-major) for `OutCol`.
-    fn materialize(&self, v: &View, projected: &[Vec<Value>]) -> Option<Vec<Value>> {
+    /// The kernel as a per-row read when it is a column or a literal:
+    /// those kernels cannot bail, so reading only some rows decides
+    /// nothing the full evaluation would. `None` for every other kernel.
+    fn gather<'v>(&self, v: &View<'v>) -> Option<OutCol<'v>> {
+        let constant =
+            |value: Value| -> OutCol<'v> { OutCol::Gather(Box::new(move |_| value.clone())) };
+        Some(match self {
+            ValK::Num(NumK::IntCol(id) | NumK::FloatCol(id))
+            | ValK::Text(TextK::Col(id))
+            | ValK::Tri(BoolK::Col(id)) => gather_column(v, *id),
+            ValK::Num(NumK::IntLit(i)) => constant(Value::Int(*i)),
+            ValK::Num(NumK::FloatLit(f)) => constant(Value::Float(*f)),
+            ValK::Text(TextK::Lit(s)) => constant(Value::Text(Arc::clone(s))),
+            ValK::Num(NumK::NullLit) | ValK::Text(TextK::Null) | ValK::Tri(BoolK::Const(-1)) => {
+                constant(Value::Null)
+            }
+            ValK::Tri(BoolK::Const(t)) => constant(Value::Bool(*t == 1)),
+            _ => return None,
+        })
+    }
+
+    /// Materialize one `Value` per batch row.
+    fn materialize(&self, v: &View) -> Option<Vec<Value>> {
         let n = v.len;
         Some(match self {
             ValK::Num(k) => match k.eval(v)? {
@@ -1923,10 +1967,6 @@ impl ValK {
                     _ => Value::Null,
                 })
                 .collect(),
-            ValK::OutCol(i) => {
-                let col = projected.get(*i)?;
-                col.clone()
-            }
         })
     }
 }
@@ -2167,7 +2207,7 @@ impl Cx<'_> {
     /// may fall back to a projection alias; the matching item's **flat
     /// output column** at the item's index is used, exactly like
     /// `OrderProg::Projected`.
-    fn compile_order_key(&self, e: &Expr, select: &Select) -> Option<ValK> {
+    fn compile_order_key(&self, e: &Expr, select: &Select) -> Option<OrderK> {
         if let Expr::Column(c) = e {
             if c.table.is_none() {
                 match self.scope.resolve(c) {
@@ -2175,7 +2215,7 @@ impl Cx<'_> {
                         for (i, item) in select.projections.iter().enumerate() {
                             if let SelectItem::Expr { alias: Some(a), .. } = item {
                                 if a.eq_ignore_ascii_case(&c.column) {
-                                    return Some(ValK::OutCol(i));
+                                    return Some(OrderK::Output(i));
                                 }
                             }
                         }
@@ -2186,7 +2226,7 @@ impl Cx<'_> {
                 }
             }
         }
-        self.compile_val(e)
+        self.compile_val(e).map(OrderK::Eval)
     }
 }
 
@@ -2554,7 +2594,7 @@ fn join_all(cx: &Cx<'_>, input: &BatchInput<'_, '_>, sels: Vec<Vec<u32>>) -> Opt
 // Plain (non-aggregate) output.
 // ---------------------------------------------------------------------
 
-fn plain(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'_>) -> Option<Projected> {
+fn plain<'v>(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'v>) -> Option<Projected<'v>> {
     let select = input.select;
     let mut columns = Vec::new();
     for item in &select.projections {
@@ -2564,8 +2604,10 @@ fn plain(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'_>) -> Option<Pro
         }
     }
 
-    // Projections, column-major.
-    let mut proj_cols: Vec<Vec<Value>> = Vec::with_capacity(columns.len());
+    // Projections, column-major. Column reads and literals are gathered
+    // later, for the rows the output stage returns; every other kernel
+    // runs over every row now, so its bails are those of a full run.
+    let mut out: Vec<OutCol<'v>> = Vec::with_capacity(columns.len());
     for item in &select.projections {
         match item {
             SelectItem::Wildcard => {
@@ -2575,55 +2617,36 @@ fn plain(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'_>) -> Option<Pro
                         if matches!(cx.data(id), ColumnData::Values(_)) {
                             return None;
                         }
-                        let gathered = (0..view.len)
-                            .map(|i| view.col(id).value_at(view.rid(id, i)))
-                            .collect();
-                        proj_cols.push(gathered);
+                        out.push(gather_column(view, id));
                     }
                 }
             }
             SelectItem::Expr { expr, .. } => {
                 let k = cx.compile_val(expr)?;
-                proj_cols.push(k.materialize(view, &[])?);
+                out.push(match k.gather(view) {
+                    Some(col) => col,
+                    None => OutCol::Values(k.materialize(view)?),
+                });
             }
         }
     }
 
-    // ORDER BY keys (may read projected output columns via the alias
-    // fallback).
-    let mut key_cols: Vec<Vec<Value>> = Vec::with_capacity(input.order_by.len());
+    // ORDER BY keys; the alias fallback reads its output column.
+    let mut keys = Vec::with_capacity(input.order_by.len());
     for item in input.order_by {
-        let k = cx.compile_order_key(&item.expr, select)?;
-        key_cols.push(k.materialize(view, &proj_cols)?);
+        keys.push(match cx.compile_order_key(&item.expr, select)? {
+            OrderK::Eval(k) => SortKey::Values(k.materialize(view)?),
+            OrderK::Output(i) => SortKey::Output(i),
+        });
     }
 
-    Some(transpose(columns, proj_cols, key_cols, view.len))
-}
-
-/// Column-major kernel output to the executor's row-major `Projected`.
-fn transpose(
-    columns: Vec<String>,
-    proj_cols: Vec<Vec<Value>>,
-    key_cols: Vec<Vec<Value>>,
-    len: usize,
-) -> Projected {
-    let mut out_rows: Vec<Vec<Value>> = (0..len)
-        .map(|_| Vec::with_capacity(proj_cols.len()))
-        .collect();
-    for col in proj_cols {
-        for (row, v) in out_rows.iter_mut().zip(col) {
-            row.push(v);
-        }
-    }
-    let mut keys: Vec<Vec<Value>> = (0..len)
-        .map(|_| Vec::with_capacity(key_cols.len()))
-        .collect();
-    for col in key_cols {
-        for (row, v) in keys.iter_mut().zip(col) {
-            row.push(v);
-        }
-    }
-    (columns, out_rows, keys)
+    Some(Projected {
+        columns,
+        out,
+        keys,
+        len: view.len,
+        rows: None,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -3231,7 +3254,7 @@ fn accumulate_part(agg: &AggK, view: &View<'_>, gids: &[u32], n_groups: usize) -
             func,
             distinct,
         } => {
-            let vals = arg.materialize(view, &[])?;
+            let vals = arg.materialize(view)?;
             let mut buckets: Vec<Vec<Value>> = vec![Vec::new(); n_groups];
             for (v, &g) in vals.into_iter().zip(gids) {
                 if !v.is_null() {
@@ -3332,11 +3355,11 @@ impl ScalarGroups<'_, '_> {
             return Some(vec![Value::Null]);
         }
         let reps_view = View::all(self.view.tables, &self.reps_rowids);
-        k.materialize(&reps_view, &[])
+        k.materialize(&reps_view)
     }
 }
 
-fn grouped(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'_>) -> Option<Projected> {
+fn grouped(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'_>) -> Option<Projected<'static>> {
     let select = input.select;
     let prof_op = input.bp.as_ref().and_then(|b| b.fixed(FixedOp::Aggregate));
     let prof_t0 = crate::exec::prof_clock(&input.bp);
@@ -3412,13 +3435,22 @@ fn grouped(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'_>) -> Option<P
     // HAVING: the row path evaluates it for every group (and only
     // evaluates projections for survivors — a subset of what we compute,
     // so extra evaluation can only cause a bail, never new output).
-    let keep: Vec<bool> = match &having {
-        Some(h) => eval_gk(h, &agg_results, &scalars, n_groups)?
-            .into_iter()
-            .map(|v| truth_ref(&v).map(|t| t.unwrap_or(false)))
-            .collect::<Result<_, _>>()
-            .ok()?,
-        None => vec![true; n_groups],
+    // Groups HAVING drops stay in the columns below; the output stage
+    // reads only the kept ones.
+    let rows: Option<Vec<u32>> = match &having {
+        Some(h) => {
+            let mut kept = Vec::new();
+            for (g, v) in eval_gk(h, &agg_results, &scalars, n_groups)?
+                .iter()
+                .enumerate()
+            {
+                if truth_ref(v).ok()?.unwrap_or(false) {
+                    kept.push(g as u32);
+                }
+            }
+            Some(kept)
+        }
+        None => None,
     };
 
     let proj_groups: Vec<Vec<Value>> = projs
@@ -3430,19 +3462,17 @@ fn grouped(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'_>) -> Option<P
         .map(|gk| eval_gk(gk, &agg_results, &scalars, n_groups))
         .collect::<Option<_>>()?;
 
-    let mut out_rows = Vec::new();
-    let mut keys = Vec::new();
-    for g in 0..n_groups {
-        if !keep[g] {
-            continue;
-        }
-        out_rows.push(proj_groups.iter().map(|col| col[g].clone()).collect());
-        keys.push(key_groups.iter().map(|col| col[g].clone()).collect());
-    }
+    let projected = Projected {
+        columns,
+        out: proj_groups.into_iter().map(OutCol::Values).collect(),
+        keys: key_groups.into_iter().map(SortKey::Values).collect(),
+        len: n_groups,
+        rows,
+    };
     if let Some(op) = prof_op {
-        op.rows(view.len as u64, out_rows.len() as u64);
+        op.rows(view.len as u64, projected.row_count() as u64);
         op.groups(n_groups as u64);
         crate::exec::prof_elapsed(prof_t0, Some(op));
     }
-    Some((columns, out_rows, keys))
+    Some(projected)
 }

@@ -661,14 +661,17 @@ fn fold_group_aggregate(
 /// (`UnknownColumn(expr.to_string())`) costs nothing per row.
 pub(crate) enum OrderProg<'q> {
     /// Evaluate the program against the input row.
-    Expr {
-        /// The compiled key expression.
-        prog: CExpr<'q>,
-        /// `expr.to_string()`, for `UnknownColumn` rewrapping.
-        display: String,
-    },
-    /// Read column `i` of the already-projected output row.
+    Expr(OrderExpr<'q>),
+    /// Read output column `i`.
     Projected(usize),
+}
+
+/// An ORDER BY key evaluated against the input row.
+pub(crate) struct OrderExpr<'q> {
+    /// The compiled key expression.
+    prog: CExpr<'q>,
+    /// `expr.to_string()`, for `UnknownColumn` rewrapping.
+    display: String,
 }
 
 /// Lower an ORDER BY key, resolving the projection-alias fallback.
@@ -692,32 +695,24 @@ pub(crate) fn compile_order_key<'q>(
             }
         }
     }
-    OrderProg::Expr {
+    OrderProg::Expr(OrderExpr {
         prog,
         display: expr.to_string(),
-    }
+    })
 }
 
-impl OrderProg<'_> {
-    /// Evaluate the key for one row, given that row's projected output.
-    pub(crate) fn eval(
-        &self,
-        row: &[Value],
-        projected: &[Value],
-        ctx: &EvalContext,
-    ) -> Result<Value> {
-        match self {
-            OrderProg::Projected(i) => Ok(projected[*i].clone()),
-            OrderProg::Expr { prog, display } => match prog.eval(row, ctx) {
-                Ok(v) => Ok(v.into_value()),
-                // Any unknown-column error — including one surfacing from
-                // a subquery at runtime — is reported under the ORDER BY
-                // expression's own text, exactly like the reference.
-                Err(EngineError::UnknownColumn(_)) => {
-                    Err(EngineError::UnknownColumn(display.clone()))
-                }
-                Err(e) => Err(e),
-            },
+impl OrderExpr<'_> {
+    /// Evaluate the key for one input row.
+    pub(crate) fn eval(&self, row: &[Value], ctx: &EvalContext) -> Result<Value> {
+        match self.prog.eval(row, ctx) {
+            Ok(v) => Ok(v.into_value()),
+            // Any unknown-column error — including one surfacing from a
+            // subquery at runtime — is reported under the ORDER BY
+            // expression's own text, exactly like the reference.
+            Err(EngineError::UnknownColumn(_)) => {
+                Err(EngineError::UnknownColumn(self.display.clone()))
+            }
+            Err(e) => Err(e),
         }
     }
 }

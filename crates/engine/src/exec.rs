@@ -30,7 +30,7 @@
 //! against the reference interpreter ([`crate::reference`]).
 //!
 //! Operators record their work only in the statement's
-//! [`QueryProfile`] slots. With `SB_OBS` on, `execute_query` attaches
+//! [`QueryProfile`] slots. With `SB_OBS` on, [`execute_capped`] attaches
 //! a statement-local profile when the caller gave none and folds the
 //! blocks it ran into the `engine.*` counters on exit
 //! ([`sb_obs::fold_engine_counters`]); with `SB_OBS` off that is one
@@ -42,6 +42,7 @@ use crate::database::Database;
 use crate::error::{EngineError, Result};
 use crate::eval::{truth, EvalContext, Scope};
 use crate::key::{self, FxBuild, KeyIndex, RowSet};
+use crate::output::{finish_select, OutCol, Projected, SortKey};
 use crate::result::ResultSet;
 use crate::value::Value;
 use sb_obs::{Block, FixedOp, OpStats, QueryProfile};
@@ -50,7 +51,6 @@ use sb_sql::{
     TableFactor, TableRef,
 };
 use std::borrow::Cow;
-use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::Hasher;
 use std::time::Instant;
@@ -205,19 +205,10 @@ pub fn execute_with_profile(
     opts: ExecOptions,
     prof: Option<&QueryProfile>,
 ) -> Result<ResultSet> {
-    execute_query(db, query, opts, None, prof)
+    execute_with_plan_profile(db, query, opts, None, prof)
 }
 
-/// [`execute_with_profile`], reusing a top-level plan prepared by
-/// [`plan_top_select`] instead of planning afresh. The plan is borrowed
-/// as it is, so a prepared-plan cache hit plans and copies nothing. It
-/// must come from the *same* statement against the *same* database
-/// snapshot; a plan whose relation count, conjunct indices, kept
-/// columns or join steps do not fit the statement is ignored and the
-/// statement planned afresh, so a plan from another statement can make
-/// the executor neither panic nor read a column out of range. Set
-/// operations ignore the plan entirely. The serve layer runs every
-/// request through here, so the plan cache and profiling compose.
+/// [`execute_capped`] without a row cap.
 pub fn execute_with_plan_profile(
     db: &Database,
     query: &Query,
@@ -225,27 +216,44 @@ pub fn execute_with_plan_profile(
     plan: Option<&sb_opt::PlannedSelect>,
     prof: Option<&QueryProfile>,
 ) -> Result<ResultSet> {
-    execute_query(db, query, opts, plan, prof)
+    execute_capped(db, query, opts, plan, prof, usize::MAX).map(|(rs, _)| rs)
 }
 
-/// The one function every public `execute*` entry point goes through.
-/// Under `SB_OBS` it profiles the statement (in the caller's profile,
-/// else a local one) and folds the blocks this call began into the
-/// `engine.*` counters, whether the statement succeeded or failed.
-fn execute_query(
+/// [`execute_with_profile`] under a row cap, reusing a top-level plan
+/// prepared by [`plan_top_select`] instead of planning afresh. Returns
+/// the first `row_cap` rows of the result and the result's full row
+/// count. Rows past the cap are never built; everything else runs as
+/// uncapped, so the rows are the uncapped result's first `row_cap`,
+/// and errors and the profile are the same.
+///
+/// The plan is borrowed as it is, so a prepared-plan cache hit plans
+/// and copies nothing. It must come from the *same* statement against
+/// the *same* database snapshot; a plan whose relation count, conjunct
+/// indices, kept columns or join steps do not fit the statement is
+/// ignored and the statement planned afresh, so a plan from another
+/// statement can make the executor neither panic nor read a column out
+/// of range. Set operations ignore the plan entirely. The serve layer
+/// runs every request through here, so the plan cache, the row cap and
+/// profiling compose.
+pub fn execute_capped(
     db: &Database,
     query: &Query,
     opts: ExecOptions,
     plan: Option<&sb_opt::PlannedSelect>,
-    prof: Prof<'_>,
-) -> Result<ResultSet> {
+    prof: Option<&QueryProfile>,
+    row_cap: usize,
+) -> Result<(ResultSet, usize)> {
+    // Every public `execute*` entry point ends here. Under `SB_OBS`,
+    // profile the statement (in the caller's profile, else a local one)
+    // and fold the blocks this call began into the `engine.*` counters,
+    // whether the statement succeeded or failed.
     if !sb_obs::enabled() {
-        return run_query(db, query, opts, plan, prof);
+        return run_query(db, query, opts, plan, prof, row_cap);
     }
     let local = QueryProfile::new();
     let prof = prof.unwrap_or(&local);
     let first = prof.block_count();
-    let out = run_query(db, query, opts, plan, Some(prof));
+    let out = run_query(db, query, opts, plan, Some(prof), row_cap);
     sb_obs::fold_engine_counters(&prof.snapshot().blocks[first..]);
     out
 }
@@ -256,19 +264,18 @@ fn run_query(
     opts: ExecOptions,
     plan: Option<&sb_opt::PlannedSelect>,
     prof: Prof<'_>,
-) -> Result<ResultSet> {
+    cap: usize,
+) -> Result<(ResultSet, usize)> {
+    let (order_by, limit) = (&query.order_by[..], query.limit);
     match &query.body {
         SetExpr::Select(select) => {
-            execute_select_impl(db, select, &query.order_by, query.limit, opts, plan, prof)
+            execute_select_impl(db, select, order_by, limit, cap, opts, plan, prof)
         }
         SetExpr::SetOp { .. } => {
-            let mut rs = execute_set_expr(db, &query.body, opts, prof)?;
-            apply_output_order(&mut rs, &query.order_by, query.limit)?;
-            if let Some(n) = query.limit {
-                rs.rows.truncate(n as usize);
-            }
-            rs.ordered = !query.order_by.is_empty();
-            Ok(rs)
+            let rs = execute_set_expr(db, &query.body, opts, prof)?;
+            let keys = output_order_keys(&rs.columns, order_by)?;
+            let projected = Projected::from_rows(rs.columns, rs.rows, keys);
+            Ok(finish_select(false, order_by, limit, cap, projected, None))
         }
     }
 }
@@ -304,7 +311,7 @@ pub fn plan_top_select(
 
 /// Execute a parsed query with explicit executor options.
 pub fn execute_with(db: &Database, query: &Query, opts: ExecOptions) -> Result<ResultSet> {
-    execute_query(db, query, opts, None, None)
+    execute_with_plan_profile(db, query, opts, None, None)
 }
 
 /// Set-operation leaves execute left to right, which is also the block
@@ -316,7 +323,9 @@ fn execute_set_expr(
     prof: Prof<'_>,
 ) -> Result<ResultSet> {
     match body {
-        SetExpr::Select(s) => execute_select_impl(db, s, &[], None, opts, None, prof),
+        SetExpr::Select(s) => {
+            execute_select_impl(db, s, &[], None, usize::MAX, opts, None, prof).map(|(rs, _)| rs)
+        }
         SetExpr::SetOp {
             op,
             all,
@@ -410,7 +419,7 @@ pub(crate) fn resolve_relation<'a>(
             // The derived query's SELECT blocks register in the profile
             // here, i.e. after the enclosing block and in FROM/JOIN
             // order — exactly the walk `explain_with_profile` replays.
-            let rs = run_query(db, q, opts, None, prof)?;
+            let (rs, _) = run_query(db, q, opts, None, prof, usize::MAX)?;
             Ok(Relation {
                 binding: alias,
                 columns: rs.columns.clone(),
@@ -1093,15 +1102,20 @@ pub(crate) fn projection_name(item: &SelectItem) -> String {
     }
 }
 
+/// Run one `SELECT` and its ORDER BY / LIMIT, building rows only for
+/// the first `cap` rows of the result; returns them with the result's
+/// row count before the cap.
+#[allow(clippy::too_many_arguments)]
 fn execute_select_impl(
     db: &Database,
     select: &Select,
     order_by: &[OrderItem],
     limit: Option<u64>,
+    cap: usize,
     opts: ExecOptions,
     prepared: Option<&sb_opt::PlannedSelect>,
     prof: Prof<'_>,
-) -> Result<ResultSet> {
+) -> Result<(ResultSet, usize)> {
     let ctx = EvalContext::new(db, opts);
     let conjuncts = sb_opt::conjuncts(select);
     let n_rel = 1 + select.joins.len();
@@ -1127,6 +1141,8 @@ fn execute_select_impl(
         let input = crate::batch::BatchInput {
             select,
             order_by,
+            limit,
+            cap,
             scope: &full_scope,
             relations: &relations,
             planned: &planned,
@@ -1135,12 +1151,11 @@ fn execute_select_impl(
             bp,
             ctx: &ctx,
         };
-        if let Some(projected) = crate::batch::try_select(&input) {
+        if let Some(out) = crate::batch::try_select(&input) {
             if let Some(bp) = &bp {
                 bp.set_columnar(true);
             }
-            let r = Ok(finish_select(select, order_by, limit, projected, bp));
-            return r;
+            return Ok(out);
         }
         if let Some(bp) = &bp {
             // The batch path may have recorded operators before bailing;
@@ -1215,162 +1230,18 @@ fn execute_select_impl(
         execute_plain(select, order_by, &scope, rows, &ctx)?
     };
     if let Some(op) = agg_op {
-        op.rows(agg_in as u64, projected.1.len() as u64);
+        op.rows(agg_in as u64, projected.row_count() as u64);
         prof_elapsed(t0, Some(op));
     }
-    Ok(finish_select(select, order_by, limit, projected, bp))
+    Ok(finish_select(
+        select.distinct,
+        order_by,
+        limit,
+        cap,
+        projected,
+        bp,
+    ))
 }
-
-/// The shared result tail of the row and batch pipelines: DISTINCT
-/// dedup (keeping sort keys aligned), ORDER BY (bounded top-K under
-/// LIMIT), LIMIT truncation.
-pub(crate) fn finish_select(
-    select: &Select,
-    order_by: &[OrderItem],
-    limit: Option<u64>,
-    projected: Projected,
-    bp: Option<Block<'_>>,
-) -> ResultSet {
-    let (columns, mut out_rows, mut keys) = projected;
-
-    if select.distinct {
-        let op = bp.as_ref().and_then(|b| b.fixed(FixedOp::Distinct));
-        let t0 = prof_clock(&bp);
-        let rows_in = out_rows.len();
-        // Dedup rows, keeping sort keys aligned.
-        let mut index = KeyIndex::with_capacity(out_rows.len());
-        let mut rows2: Vec<Vec<Value>> = Vec::with_capacity(out_rows.len());
-        let mut keys2 = Vec::with_capacity(keys.len());
-        for (row, sort_key) in out_rows.into_iter().zip(keys) {
-            let h = key::hash_values(&row);
-            if index
-                .insert(h, rows2.len() as u32, |t| {
-                    key::values_key_eq(&rows2[t as usize], &row)
-                })
-                .is_none()
-            {
-                rows2.push(row);
-                keys2.push(sort_key);
-            }
-        }
-        out_rows = rows2;
-        keys = keys2;
-        if let Some(op) = op {
-            op.rows(rows_in as u64, out_rows.len() as u64);
-            prof_elapsed(t0, Some(op));
-        }
-    }
-
-    let order_op = (!order_by.is_empty() || limit.is_some())
-        .then(|| bp.as_ref().and_then(|b| b.fixed(FixedOp::Order)))
-        .flatten();
-    let order_in = out_rows.len();
-    let order_t0 = prof_clock(&bp);
-
-    if !order_by.is_empty() {
-        // Total order: ORDER BY keys, then input position — making the
-        // bounded top-K heap under LIMIT agree exactly with a stable
-        // full sort.
-        let cmp = |&a: &usize, &b: &usize| -> Ordering {
-            for (item, (ka, kb)) in order_by.iter().zip(keys[a].iter().zip(keys[b].iter())) {
-                let ord = ka.total_cmp(kb);
-                let ord = if item.desc { ord.reverse() } else { ord };
-                if !ord.is_eq() {
-                    return ord;
-                }
-            }
-            a.cmp(&b)
-        };
-        let order = match limit {
-            Some(n) if (n as usize) < out_rows.len() => {
-                if let Some(op) = order_op.filter(|_| n > 0) {
-                    op.mark();
-                }
-                top_k_indices(out_rows.len(), n as usize, cmp)
-            }
-            _ => {
-                let mut idx: Vec<usize> = (0..out_rows.len()).collect();
-                idx.sort_unstable_by(&cmp);
-                idx
-            }
-        };
-        out_rows = permute(out_rows, &order);
-    }
-
-    if let Some(n) = limit {
-        out_rows.truncate(n as usize);
-    }
-    if let Some(op) = order_op {
-        op.rows(order_in as u64, out_rows.len() as u64);
-        prof_elapsed(order_t0, Some(op));
-    }
-
-    ResultSet {
-        columns,
-        rows: out_rows,
-        ordered: !order_by.is_empty(),
-    }
-}
-
-/// Reorder `rows` to `order` (a set of distinct indices) without cloning
-/// any row.
-fn permute(rows: Vec<Vec<Value>>, order: &[usize]) -> Vec<Vec<Value>> {
-    let mut slots: Vec<Option<Vec<Value>>> = rows.into_iter().map(Some).collect();
-    order
-        .iter()
-        .map(|&i| slots[i].take().expect("indices are distinct"))
-        .collect()
-}
-
-/// Indices of the least `k` elements under `cmp` (a strict total order),
-/// sorted — identical to sorting all of `0..len` and truncating, but via
-/// a bounded max-heap: O(len · log k) and O(k) memory.
-fn top_k_indices(len: usize, k: usize, cmp: impl Fn(&usize, &usize) -> Ordering) -> Vec<usize> {
-    if k == 0 {
-        return Vec::new();
-    }
-    // `heap[0]` is the worst (greatest) element kept so far.
-    let mut heap: Vec<usize> = Vec::with_capacity(k);
-    for i in 0..len {
-        if heap.len() < k {
-            heap.push(i);
-            let mut c = heap.len() - 1;
-            while c > 0 {
-                let p = (c - 1) / 2;
-                if cmp(&heap[c], &heap[p]) == Ordering::Greater {
-                    heap.swap(c, p);
-                    c = p;
-                } else {
-                    break;
-                }
-            }
-        } else if cmp(&i, &heap[0]) == Ordering::Less {
-            heap[0] = i;
-            let mut p = 0;
-            loop {
-                let (l, r) = (2 * p + 1, 2 * p + 2);
-                let mut m = p;
-                if l < heap.len() && cmp(&heap[l], &heap[m]) == Ordering::Greater {
-                    m = l;
-                }
-                if r < heap.len() && cmp(&heap[r], &heap[m]) == Ordering::Greater {
-                    m = r;
-                }
-                if m == p {
-                    break;
-                }
-                heap.swap(p, m);
-                p = m;
-            }
-        }
-    }
-    heap.sort_unstable_by(|a, b| cmp(a, b));
-    heap
-}
-
-/// Output columns, projected rows, and per-row ORDER BY keys — what a
-/// projection pipeline (row or batch) hands to [`finish_select`].
-pub(crate) type Projected = (Vec<String>, Vec<Vec<Value>>, Vec<Vec<Value>>);
 
 /// A compiled projection item.
 enum ProjProg<'q> {
@@ -1378,14 +1249,15 @@ enum ProjProg<'q> {
     Expr(CExpr<'q>),
 }
 
-/// Non-aggregate path: project each row, computing sort keys in-scope.
+/// Non-aggregate path: project each row, computing sort keys in-scope,
+/// and hand the values over column by column.
 fn execute_plain(
     select: &Select,
     order_by: &[OrderItem],
     scope: &Scope,
     rows: Vec<Vec<Value>>,
     ctx: &EvalContext,
-) -> Result<Projected> {
+) -> Result<Projected<'static>> {
     let mut columns = Vec::new();
     for item in &select.projections {
         match item {
@@ -1393,16 +1265,16 @@ fn execute_plain(
             other => columns.push(projection_name(other)),
         }
     }
-    // A bare `SELECT *` needs no per-cell work: the row comes back as-is.
+    // A bare `SELECT *` needs no per-cell work: the row's values move
+    // into the output columns as they are.
     let passthrough =
         matches!(select.projections[..], [SelectItem::Wildcard]) && order_by.is_empty();
     if passthrough {
-        let out_rows = rows;
-        let keys = vec![Vec::new(); out_rows.len()];
-        return Ok((columns, out_rows, keys));
+        return Ok(Projected::from_rows(columns, rows, Vec::new()));
     }
-    let mut out_rows = Vec::with_capacity(rows.len());
-    let mut keys = Vec::with_capacity(rows.len());
+    let mut cols: Vec<Vec<Value>> = (0..columns.len())
+        .map(|_| Vec::with_capacity(rows.len()))
+        .collect();
     let projs: Vec<ProjProg> = select
         .projections
         .iter()
@@ -1415,22 +1287,39 @@ fn execute_plain(
         .iter()
         .map(|item| compile_order_key(&item.expr, scope, ctx, select))
         .collect();
+    // An alias key reads its output column; every other key is
+    // evaluated per row.
+    let mut keys: Vec<SortKey> = order_progs
+        .iter()
+        .map(|prog| match prog {
+            OrderProg::Projected(i) => SortKey::Output(*i),
+            OrderProg::Expr(_) => SortKey::Values(Vec::with_capacity(rows.len())),
+        })
+        .collect();
+    let mut out = Vec::with_capacity(columns.len());
     for row in &rows {
-        let mut out = Vec::with_capacity(columns.len());
         for proj in &projs {
             match proj {
                 ProjProg::Wildcard => out.extend(row.iter().cloned()),
                 ProjProg::Expr(prog) => out.push(prog.eval(row, ctx)?.into_value()),
             }
         }
-        let mut key = Vec::with_capacity(order_by.len());
-        for prog in &order_progs {
-            key.push(prog.eval(row, &out, ctx)?);
+        for (prog, key) in order_progs.iter().zip(&mut keys) {
+            if let (OrderProg::Expr(prog), SortKey::Values(key)) = (prog, key) {
+                key.push(prog.eval(row, ctx)?);
+            }
         }
-        out_rows.push(out);
-        keys.push(key);
+        for (col, v) in cols.iter_mut().zip(out.drain(..)) {
+            col.push(v);
+        }
     }
-    Ok((columns, out_rows, keys))
+    Ok(Projected {
+        columns,
+        out: cols.into_iter().map(OutCol::Values).collect(),
+        keys,
+        len: rows.len(),
+        rows: None,
+    })
 }
 
 /// Aggregate path: group, filter with HAVING, project per group.
@@ -1441,7 +1330,7 @@ fn execute_grouped(
     rows: Vec<Vec<Value>>,
     ctx: &EvalContext,
     agg_op: Option<&OpStats>,
-) -> Result<Projected> {
+) -> Result<Projected<'static>> {
     // Group rows by evaluated GROUP BY key — hashed `Vec<Value>` keys
     // under the canonical-key relation, no string concatenation.
     let mut groups: Vec<Vec<Vec<Value>>> = Vec::new();
@@ -1502,8 +1391,9 @@ fn execute_grouped(
         }
     }
 
-    let mut out_rows = Vec::new();
-    let mut keys = Vec::new();
+    let mut cols: Vec<Vec<Value>> = vec![Vec::new(); columns.len()];
+    let mut keys: Vec<Vec<Value>> = vec![Vec::new(); order_by.len()];
+    let mut len = 0;
     let having: Option<GExpr> = select
         .having
         .as_ref()
@@ -1526,18 +1416,21 @@ fn execute_grouped(
                 continue;
             }
         }
-        let mut out = Vec::with_capacity(columns.len());
-        for prog in &projs {
-            out.push(prog.eval(group, ctx)?);
+        for (col, prog) in cols.iter_mut().zip(&projs) {
+            col.push(prog.eval(group, ctx)?);
         }
-        let mut key = Vec::with_capacity(order_by.len());
-        for prog in &order_progs {
-            key.push(prog.eval(group, ctx)?);
+        for (col, prog) in keys.iter_mut().zip(&order_progs) {
+            col.push(prog.eval(group, ctx)?);
         }
-        out_rows.push(out);
-        keys.push(key);
+        len += 1;
     }
-    Ok((columns, out_rows, keys))
+    Ok(Projected {
+        columns,
+        len,
+        out: cols.into_iter().map(OutCol::Values).collect(),
+        keys: keys.into_iter().map(SortKey::Values).collect(),
+        rows: None,
+    })
 }
 
 /// Reduce the non-NULL (and, for DISTINCT, deduped) argument values of
@@ -1614,33 +1507,24 @@ pub(crate) fn finish_aggregate(func: AggFunc, values: Vec<Value>) -> Result<Valu
     }
 }
 
-/// Order a set-operation result by output column names or 1-based
-/// ordinals. Under a LIMIT smaller than the result, only the top K rows
-/// are kept (bounded heap) instead of sorting everything.
-fn apply_output_order(
-    rs: &mut ResultSet,
-    order_by: &[OrderItem],
-    limit: Option<u64>,
-) -> Result<()> {
-    if order_by.is_empty() {
-        return Ok(());
-    }
-    let mut key_idx = Vec::with_capacity(order_by.len());
+/// A set operation's ORDER BY keys: output columns named by output
+/// column name or 1-based ordinal. Validated even when the result has
+/// no rows to sort: `ORDER BY 5` over two columns is an error, not a
+/// no-op.
+fn output_order_keys(columns: &[String], order_by: &[OrderItem]) -> Result<Vec<SortKey>> {
+    let mut keys = Vec::with_capacity(order_by.len());
     for item in order_by {
         let idx = match &item.expr {
-            Expr::Column(c) if c.table.is_none() => rs
-                .columns
+            Expr::Column(c) if c.table.is_none() => columns
                 .iter()
                 .position(|name| name.eq_ignore_ascii_case(&c.column))
                 .ok_or_else(|| EngineError::UnknownColumn(c.column.clone()))?,
-            // Ordinals are validated even when the result has no rows to
-            // sort: `ORDER BY 5` over two columns is an error, not a no-op.
             Expr::Literal(sb_sql::Literal::Int(n)) if *n >= 1 => {
                 let idx = (*n as usize) - 1;
-                if idx >= rs.columns.len() {
+                if idx >= columns.len() {
                     return Err(EngineError::UnknownColumn(format!(
                         "ORDER BY position {n} of {} columns",
-                        rs.columns.len()
+                        columns.len()
                     )));
                 }
                 idx
@@ -1651,29 +1535,9 @@ fn apply_output_order(
                 )))
             }
         };
-        key_idx.push((idx, item.desc));
+        keys.push(SortKey::Output(idx));
     }
-    let rows = std::mem::take(&mut rs.rows);
-    let cmp = |&a: &usize, &b: &usize| -> Ordering {
-        for (idx, desc) in &key_idx {
-            let ord = rows[a][*idx].total_cmp(&rows[b][*idx]);
-            let ord = if *desc { ord.reverse() } else { ord };
-            if !ord.is_eq() {
-                return ord;
-            }
-        }
-        a.cmp(&b)
-    };
-    let order = match limit {
-        Some(n) if (n as usize) < rows.len() => top_k_indices(rows.len(), n as usize, cmp),
-        _ => {
-            let mut idx: Vec<usize> = (0..rows.len()).collect();
-            idx.sort_unstable_by(&cmp);
-            idx
-        }
-    };
-    rs.rows = permute(rows, &order);
-    Ok(())
+    Ok(keys)
 }
 
 #[cfg(test)]

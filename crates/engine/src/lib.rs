@@ -29,6 +29,7 @@ pub mod exec;
 pub mod explain;
 pub(crate) mod inset;
 pub mod key;
+pub(crate) mod output;
 pub mod profile;
 pub mod reference;
 pub mod result;
@@ -38,8 +39,8 @@ pub use column::{Column, ColumnData, ColumnarTable, DictColumn, NullMask};
 pub use database::{Database, Table, TableMut};
 pub use error::{EngineError, Result};
 pub use exec::{
-    execute, execute_with, execute_with_plan_profile, execute_with_profile, plan_top_select,
-    ExecOptions,
+    execute, execute_capped, execute_with, execute_with_plan_profile, execute_with_profile,
+    plan_top_select, ExecOptions,
 };
 pub use explain::{explain, explain_analyze, explain_with_profile};
 pub use profile::{profile_database, sql_literal};

@@ -5,7 +5,10 @@
 //! test; replay with e.g.
 //! `cargo run --release -p sb-fuzz --bin fuzz -- --domain sdss --seed 23893`.
 
-use sb_engine::{execute_reference, Database, EngineError, ExecOptions, ResultSet, Value};
+use sb_engine::{
+    execute_capped, execute_reference, execute_with, Database, EngineError, ExecOptions, ResultSet,
+    Value,
+};
 use sb_schema::{Column, ColumnType, Schema, TableDef};
 
 /// SDSS-shaped fixture: `specobj` and `galspecline` share the column
@@ -393,6 +396,27 @@ fn integer_overflow_is_a_defined_error_everywhere() {
     // Non-overflowing neighbours still succeed exactly.
     let r = db.run("SELECT v + 1 FROM big WHERE id = 2").unwrap();
     assert_eq!(r.rows, vec![vec![Value::Int((1 << 53) + 1)]]);
+}
+
+/// A row cap builds only the rows it returns, but a projection that can
+/// fail still runs over every row: the only overflowing row (`v = -5`,
+/// the last) lies past caps 0, 1 and 2, and the capped statement must
+/// still report the uncapped statement's `Overflow`.
+#[test]
+fn overflow_past_the_row_cap_is_still_raised() {
+    let db = bigint_db();
+    let q = sb_sql::parse("SELECT id, 9223372036854775807 - v FROM big").unwrap();
+    for opts in matrix() {
+        let uncapped = execute_with(&db, &q, opts);
+        assert!(
+            matches!(uncapped, Err(EngineError::Overflow(_))),
+            "{opts:?}: {uncapped:?}"
+        );
+        for cap in [0, 1, 2] {
+            let capped = execute_capped(&db, &q, opts, None, None, cap).map(|(rs, _)| rs);
+            assert_eq!(capped, uncapped, "{opts:?} at cap {cap}");
+        }
+    }
 }
 
 /// Two-row morsels over `-2^62, -2^62, 2^62, 2^62, 1`: the second

@@ -60,16 +60,20 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
-/// Raw entries a [`PlanCache::new`] cache holds. An entry over the
-/// fuzz-sized snapshots takes about 3 KB, so a full default cache
-/// stays around 12 MB.
+/// Raw entries a [`PlanCache::new`] cache holds. Over the fuzz
+/// statements an entry requests about 2.3 KB from the allocator and
+/// costs about 4 KB of resident memory with the allocator's overhead:
+/// a full default cache holds about 17 MB (sbbench serve_plan_hot peaks
+/// at about 58 MB with it and about 42 MB with a 64-entry cache,
+/// 2-vCPU VM).
 pub const DEFAULT_CAPACITY: usize = 4096;
 
 /// One statement, prepared: parsed once, planned once.
 #[derive(Debug)]
 pub struct Prepared {
-    /// Canonical (printer-normalized) SQL text.
-    pub normalized: String,
+    /// Canonical (printer-normalized) SQL text; the normalized layer
+    /// keys its entry by this same allocation.
+    pub normalized: Arc<str>,
     /// The parsed statement.
     pub query: Arc<sb_sql::Query>,
     /// The optimizer plan, when the statement is a plannable top-level
@@ -117,7 +121,7 @@ struct Partition {
     /// Raw sql → slot index.
     raw: HashMap<Arc<str>, usize>,
     /// Normalized sql → shared prepared entry.
-    norm: HashMap<String, Shared>,
+    norm: HashMap<Arc<str>, Shared>,
 }
 
 #[derive(Debug, Default)]
@@ -269,12 +273,12 @@ impl PlanCache {
                     .read()
                     .partitions
                     .get(db_name)
-                    .and_then(|p| p.norm.get(&normalized))
+                    .and_then(|p| p.norm.get(normalized.as_str()))
                     .map(|s| Arc::clone(&s.prepared));
                 RawEntry::Prepared(existing.unwrap_or_else(|| {
                     let plan = sb_engine::plan_top_select(db, &query, opts);
                     Arc::new(Prepared {
-                        normalized,
+                        normalized: normalized.into(),
                         query: Arc::new(query),
                         plan,
                     })
@@ -304,10 +308,13 @@ impl PlanCache {
         let part = inner.partitions.entry(Arc::clone(&db)).or_default();
         let entry = match entry {
             RawEntry::Prepared(p) => {
-                let shared = part.norm.entry(p.normalized.clone()).or_insert(Shared {
-                    prepared: p,
-                    refs: 0,
-                });
+                let shared = part
+                    .norm
+                    .entry(Arc::clone(&p.normalized))
+                    .or_insert(Shared {
+                        prepared: p,
+                        refs: 0,
+                    });
                 shared.refs += 1;
                 RawEntry::Prepared(Arc::clone(&shared.prepared))
             }
@@ -412,7 +419,7 @@ impl PlanCache {
                 return Err(format!("empty partition `{db}` kept"));
             }
             for (norm, shared) in &part.norm {
-                let want = refs.get(&(&**db, norm.as_str())).copied().unwrap_or(0);
+                let want = refs.get(&(&**db, &**norm)).copied().unwrap_or(0);
                 if shared.refs != want {
                     return Err(format!(
                         "`{norm}` counts {} references, {want} resident",
@@ -580,7 +587,7 @@ mod tests {
                 let (got, _) = cache.prepare("sdss", &db, sql, ExecOptions::default());
                 cache.check_invariants().unwrap();
                 match sb_sql::parse(sql) {
-                    Ok(q) => assert_eq!(got.unwrap().normalized, q.to_string()),
+                    Ok(q) => assert_eq!(*got.unwrap().normalized, q.to_string()),
                     Err(e) => assert_eq!(got.unwrap_err(), e.to_string()),
                 }
             }

@@ -13,7 +13,10 @@
 //! - [`envelope`] — structured [`QueryRequest`] / [`QueryResponse`]
 //!   envelopes, a stable [`ErrorCode`] taxonomy, per-request row caps,
 //!   and the read-only guardrail that rejects anything but a single
-//!   `SELECT` before it reaches the parser.
+//!   `SELECT` before it reaches the parser. The row cap applies inside
+//!   the engine ([`sb_engine::execute_capped`]), before rows are built:
+//!   a response never materializes the rows it drops, yet still reports
+//!   the full count in `total_rows`.
 //! - [`cache`] — the prepared-plan cache: normalize → parse → plan
 //!   once, execute the cached [`sb_opt::PlannedSelect`] on every repeat;
 //!   bounded by CLOCK eviction.
@@ -92,6 +95,8 @@ pub struct ServeConfig {
     /// pin the overload golden).
     pub max_in_flight: usize,
     /// Default cap on returned rows when the request does not set one.
+    /// The engine applies the cap before it builds result rows, so rows
+    /// past it cost no materialization.
     pub default_row_cap: usize,
     /// Default per-request deadline when the request does not set one.
     pub default_timeout_ms: u64,
@@ -194,7 +199,7 @@ impl QueryService {
     }
 
     /// Handle one request end to end: admission → deadline → guardrail
-    /// → prepare (cached or fresh) → execute → row cap. Every exit path
+    /// → prepare (cached or fresh) → execute under the row cap. Every exit path
     /// produces a well-formed [`QueryResponse`] with a stable
     /// [`ErrorCode`]; this function never panics on user input.
     ///
@@ -308,7 +313,7 @@ impl QueryService {
                         rp.parse_us = (t_plan - t_parse).as_micros() as u64;
                     }
                     let plan = sb_engine::plan_top_select(db, &query, self.cfg.exec);
-                    let normalized = query.to_string();
+                    let normalized = query.to_string().into();
                     (
                         Arc::new(Prepared {
                             normalized,
@@ -342,12 +347,14 @@ impl QueryService {
         // shareable across load levels.
         let exec = self.cfg.exec.capped_workers(self.gate.in_flight());
         let prof = profiling.then(QueryProfile::new);
-        let result = sb_engine::execute_with_plan_profile(
+        let row_cap = req.row_cap.unwrap_or(self.cfg.default_row_cap);
+        let result = sb_engine::execute_capped(
             db,
             &prepared.query,
             exec,
             prepared.plan.as_ref(),
             prof.as_ref(),
+            row_cap,
         );
         let t_serialize = Instant::now();
         if let Some(rp) = rp.as_mut() {
@@ -363,13 +370,9 @@ impl QueryService {
         }
 
         let mut resp = match result {
-            Ok(rs) => {
-                let row_cap = req.row_cap.unwrap_or(self.cfg.default_row_cap);
-                let total_rows = rs.rows.len();
-                let mut rows = rs.rows;
+            Ok((rs, total_rows)) => {
                 let truncated = total_rows > row_cap;
                 if truncated {
-                    rows.truncate(row_cap);
                     sb_obs::count("serve.truncated", 1);
                 }
                 sb_obs::count("serve.ok", 1);
@@ -378,7 +381,7 @@ impl QueryService {
                     code: ErrorCode::Ok,
                     error: None,
                     columns: rs.columns,
-                    rows,
+                    rows: rs.rows,
                     total_rows,
                     truncated,
                     cache_hit,

@@ -37,30 +37,38 @@ fn request_count() -> usize {
 }
 
 /// Replay the whole workload on one thread. With `profile_every > 0`,
-/// every `profile_every`-th request sets `profile`.
+/// every `profile_every`-th request sets `profile`; every request sets
+/// `row_cap`.
 fn replay(
     service: &QueryService,
     domain: Domain,
     sqls: &[String],
     profile_every: u64,
+    row_cap: Option<usize>,
 ) -> Vec<QueryResponse> {
     sqls.iter()
         .enumerate()
         .map(|(i, sql)| {
             let mut req = QueryRequest::new(i as u64, domain.name(), sql);
             req.profile = profile_every > 0 && (i as u64).is_multiple_of(profile_every);
+            req.row_cap = row_cap;
             service.handle(&req)
         })
+        .collect()
+}
+
+/// The workload's statements for one domain's fuzz snapshot.
+fn workload(db: &sb_engine::Database) -> Vec<String> {
+    let load = LoadConfig::default();
+    (0..request_count() as u64)
+        .map(|i| sb_serve::loadgen::workload_sql(db, &load, i))
         .collect()
 }
 
 fn check_domain(domain: Domain, plan_cache: bool, columnar: bool) {
     let db = Arc::new(sb_fuzz::fuzz_database(domain));
     let count = request_count();
-    let load = LoadConfig::default();
-    let sqls: Vec<String> = (0..count as u64)
-        .map(|i| sb_serve::loadgen::workload_sql(&db, &load, i))
-        .collect();
+    let sqls = workload(&db);
 
     let cfg = ServeConfig {
         // Every thread replays the full workload concurrently; size
@@ -77,7 +85,7 @@ fn check_domain(domain: Domain, plan_cache: bool, columnar: bool) {
 
     let baseline = {
         let service = QueryService::new(cfg).with_snapshot(domain.name(), Arc::clone(&db));
-        replay(&service, domain, &sqls, 0)
+        replay(&service, domain, &sqls, 0, None)
     };
     let baseline_json: Vec<String> = baseline.iter().map(|r| r.to_json()).collect();
     // The fuzzer generates a slice of erroring statements on purpose
@@ -103,7 +111,7 @@ fn check_domain(domain: Domain, plan_cache: bool, columnar: bool) {
     let service = QueryService::new(concurrent_cfg).with_snapshot(domain.name(), Arc::clone(&db));
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..THREADS)
-            .map(|_| s.spawn(|| replay(&service, domain, &sqls, profile_every)))
+            .map(|_| s.spawn(|| replay(&service, domain, &sqls, profile_every, None)))
             .collect();
         for (t, handle) in handles.into_iter().enumerate() {
             let got = handle.join().expect("client thread panicked");
@@ -195,5 +203,71 @@ fn concurrent_replay_is_byte_identical_uncached_columnar() {
 fn concurrent_replay_is_byte_identical_uncached_row_engine() {
     for domain in Domain::ALL {
         check_domain(domain, false, false);
+    }
+}
+
+/// Truncation under concurrency: with every request capped at
+/// `CAP` rows, the 8-thread responses are byte-identical to a
+/// single-threaded replay, and each response holds the first `CAP` rows
+/// and the full row count of the uncapped service's response.
+#[test]
+fn concurrent_capped_replay_is_byte_identical_and_a_prefix() {
+    const CAP: usize = 3;
+    for domain in Domain::ALL {
+        let db = Arc::new(sb_fuzz::fuzz_database(domain));
+        let sqls = workload(&db);
+        let cfg = ServeConfig {
+            max_in_flight: THREADS * 2,
+            ..ServeConfig::default()
+        };
+        let service = || QueryService::new(cfg).with_snapshot(domain.name(), Arc::clone(&db));
+
+        let uncapped = replay(&service(), domain, &sqls, 0, None);
+        let baseline = replay(&service(), domain, &sqls, 0, Some(CAP));
+        let mut truncated = 0;
+        for (i, (capped, full)) in baseline.iter().zip(&uncapped).enumerate() {
+            let want = &full.rows[..full.rows.len().min(CAP)];
+            assert!(
+                capped.code == full.code
+                    && capped.error == full.error
+                    && capped.columns == full.columns
+                    && format!("{:?}", capped.rows) == format!("{want:?}")
+                    && capped.total_rows == full.total_rows
+                    && capped.truncated == (full.total_rows > CAP),
+                "{} request {i}: capped response is not the uncapped prefix\n\
+                 sql: {}\ncapped:   {}\nuncapped: {}",
+                domain.name(),
+                sqls[i],
+                capped.to_json(),
+                full.to_json()
+            );
+            truncated += capped.truncated as usize;
+        }
+        assert!(
+            truncated > 0,
+            "{}: no response exceeded {CAP} rows, so nothing was truncated",
+            domain.name()
+        );
+
+        let baseline_json: Vec<String> = baseline.iter().map(|r| r.to_json()).collect();
+        let service = service();
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| s.spawn(|| replay(&service, domain, &sqls, 0, Some(CAP))))
+                .collect();
+            for (t, handle) in handles.into_iter().enumerate() {
+                let got = handle.join().expect("client thread panicked");
+                for (i, (g, want)) in got.iter().zip(&baseline_json).enumerate() {
+                    assert_eq!(
+                        &g.to_json(),
+                        want,
+                        "{} thread {t} request {i} diverged from the capped single-threaded \
+                         baseline\nsql: {}",
+                        domain.name(),
+                        sqls[i]
+                    );
+                }
+            }
+        });
     }
 }

@@ -77,6 +77,10 @@ for threads in 1 8; do
         cargo test -q -p sb-fuzz --test parallel_equivalence
     RAYON_NUM_THREADS=$threads SB_MORSEL_ROWS=7 SB_FUZZ_COUNT=200 \
         cargo test -q -p sb-fuzz --test subquery_differential
+    # Capped executions against the uncapped prefix: the index-based
+    # output stage over multi-morsel concatenated selections.
+    RAYON_NUM_THREADS=$threads SB_MORSEL_ROWS=7 SB_FUZZ_COUNT=200 \
+        cargo test -q -p sb-fuzz --test row_cap_differential
     # Demand-driven generation against its eager oracle: same queries and
     # pairs at either thread count.
     RAYON_NUM_THREADS=$threads cargo test -q --test generation_oracle
