@@ -30,9 +30,9 @@
 //!   only over rows that survived conjuncts *1..k-1*, matching the
 //!   row-at-a-time early exit, so a data-dependent error fires for
 //!   exactly the same evaluation set.
-//! - Join keys reproduce the row path's `sql_eq` hash keys (ints and
-//!   integral floats unify; NULL and NaN never match), and reordered
-//!   plans restore source row order the same way the row executor does.
+//! - Joins run through the join layer the row path uses
+//!   ([`crate::join`]): the same `sql_eq` hash keys, equi-key rule and
+//!   source-order restoration.
 //! - Grouping keys use the canonical-key relation ([`canon_num`]
 //!   rounding, NaN collapsing) so float keys land in the same groups.
 //!
@@ -66,6 +66,7 @@ use crate::eval::{
 };
 use crate::exec::Relation;
 use crate::inset::InSet;
+use crate::join::{self, ColId};
 use crate::key::{self, FxBuild, KeyIndex};
 use crate::output::{finish_select, OutCol, Projected, SortKey};
 use crate::result::ResultSet;
@@ -83,17 +84,9 @@ pub(crate) struct ParConfig {
 }
 
 impl ParConfig {
-    pub(crate) fn from_options(opts: &crate::exec::ExecOptions) -> ParConfig {
-        let (workers, morsel_rows) = opts.par_config();
-        ParConfig {
-            workers,
-            morsel_rows,
-        }
-    }
-
     /// One morsel, for operators with nothing to split or whose partial
     /// results cannot merge exactly.
-    fn one_morsel(self) -> ParConfig {
+    pub(crate) fn one_morsel(self) -> ParConfig {
         ParConfig { workers: 1, ..self }
     }
 
@@ -101,7 +94,7 @@ impl ParConfig {
     /// worker or the rows fit one morsel, else a pure function of the
     /// row count and morsel size, whatever the number of workers.
     #[inline]
-    fn morsels(&self, rows: usize) -> usize {
+    pub(crate) fn morsels(&self, rows: usize) -> usize {
         if self.workers <= 1 || rows <= self.morsel_rows {
             1
         } else {
@@ -112,7 +105,7 @@ impl ParConfig {
     /// Run `kernel(lo, hi)` over each morsel of `rows` rows; parts come
     /// back in morsel order. One morsel runs inline; more go to the
     /// morsel pool, and the dispatch is recorded in `op`'s profile slot.
-    fn run<R: Send>(
+    pub(crate) fn run<R: Send>(
         &self,
         rows: usize,
         op: Option<&OpStats>,
@@ -135,7 +128,7 @@ impl ParConfig {
 
 /// Concatenate per-morsel parts in morsel order; a single part moves
 /// into place uncopied.
-fn concat<T>(mut parts: Vec<Vec<T>>) -> Vec<T> {
+pub(crate) fn concat<T>(mut parts: Vec<Vec<T>>) -> Vec<T> {
     if parts.len() == 1 {
         return parts.pop().expect("one part");
     }
@@ -183,19 +176,7 @@ fn bail<T>(input: &BatchInput<'_, '_>, reason: &'static str) -> Option<T> {
 /// and the result's row count before the cap. `None` means "fall back
 /// to the row path" — never an error.
 pub(crate) fn try_select(input: &BatchInput<'_, '_>) -> Option<(ResultSet, usize)> {
-    // Base tables only: a derived table has no columnar image.
-    let tables: Vec<&ColumnarTable> = match input
-        .relations
-        .iter()
-        .map(|r| match &r.source {
-            crate::exec::RelSource::Base(t) => Some(t.columnar()),
-            crate::exec::RelSource::Derived(_) => None,
-        })
-        .collect::<Option<_>>()
-    {
-        Some(t) => t,
-        None => return bail(input, "derived"),
-    };
+    let tables: Vec<&ColumnarTable> = input.relations.iter().map(|r| &*r.image).collect();
     let cx = Cx {
         scope: input.scope,
         tables: &tables,
@@ -205,31 +186,19 @@ pub(crate) fn try_select(input: &BatchInput<'_, '_>) -> Option<(ResultSet, usize
     // Compile pushed and residual conjuncts up front: any resolution or
     // typing problem bails before touching data, leaving error behavior
     // (including "zero rows swallow residual errors") to the row path.
-    let pushed: Vec<Vec<BoolK>> = match input
+    let compile = |conjs: &[usize]| -> Option<Vec<BoolK>> {
+        let kernels = conjs.iter().map(|&c| cx.compile_bool(input.conjuncts[c]));
+        kernels
+            .collect::<Option<_>>()
+            .or_else(|| bail(input, "predicate-kernel"))
+    };
+    let pushed: Vec<Vec<BoolK>> = input
         .planned
         .pushed
         .iter()
-        .map(|conjs| {
-            conjs
-                .iter()
-                .map(|&c| cx.compile_bool(input.conjuncts[c]))
-                .collect()
-        })
-        .collect::<Option<_>>()
-    {
-        Some(p) => p,
-        None => return bail(input, "predicate-kernel"),
-    };
-    let residual: Vec<BoolK> = match input
-        .planned
-        .residual
-        .iter()
-        .map(|&c| cx.compile_bool(input.conjuncts[c]))
-        .collect::<Option<_>>()
-    {
-        Some(r) => r,
-        None => return bail(input, "predicate-kernel"),
-    };
+        .map(|conjs| compile(conjs))
+        .collect::<Option<_>>()?;
+    let residual = compile(&input.planned.residual)?;
     // Per-relation scans: progressive selection vectors, conjunct k
     // evaluated only over survivors of conjuncts 1..k-1.
     let mut sels: Vec<Vec<u32>> = Vec::with_capacity(tables.len());
@@ -237,10 +206,7 @@ pub(crate) fn try_select(input: &BatchInput<'_, '_>) -> Option<(ResultSet, usize
         sels.push(scan(input, &tables, rel, conjs)?);
     }
     // Joins: hash only, source or planner order.
-    let mut rowids = match join_all(&cx, input, sels) {
-        Some(r) => r,
-        None => return bail(input, "join-kernel"),
-    };
+    let mut rowids = join_all(input, &tables, sels).or_else(|| bail(input, "join-kernel"))?;
 
     // Residual filter over the joined view.
     let filter_op = input
@@ -996,14 +962,6 @@ fn gather_nulls(mask: &NullMask, sel: &[u32], identity: bool) -> Vec<bool> {
     }
 }
 
-/// A resolved column: relation index (FROM/JOIN order) and column index
-/// in the relation's original (unpruned) layout.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct ColId {
-    rel: usize,
-    col: usize,
-}
-
 /// Kernel compiler context: resolution against the statement scope, the
 /// columnar images that decide each column's runtime class, and the
 /// subquery memo that turns uncorrelated subqueries into constants.
@@ -1015,12 +973,7 @@ struct Cx<'a> {
 
 impl Cx<'_> {
     fn resolve(&self, c: &ColumnRef) -> Option<ColId> {
-        let flat = self.scope.resolve(c).ok()?;
-        let rel = self.scope.bindings.iter().rposition(|b| b.offset <= flat)?;
-        Some(ColId {
-            rel,
-            col: flat - self.scope.bindings[rel].offset,
-        })
+        Some(self.scope.locate(self.scope.resolve(c).ok()?))
     }
 
     fn data(&self, id: ColId) -> &ColumnData {
@@ -2234,360 +2187,38 @@ impl Cx<'_> {
 // Joins.
 // ---------------------------------------------------------------------
 
-/// Join hash key under SQL equality — the column-vector mirror of the
-/// row executor's `join_key`: NULL and NaN never match, integral floats
-/// unify with ints.
-#[derive(PartialEq, Eq, Hash)]
-enum JKey<'a> {
-    Int(i64),
-    Float(u64),
-    Text(&'a str),
-    Bool(bool),
-}
-
-fn col_join_key<'a>(col: &'a Column, rid: usize) -> Option<JKey<'a>> {
-    const TWO_63: f64 = 9_223_372_036_854_775_808.0; // 2^63, exact as f64
-    if col.nulls.is_null(rid) {
-        return None;
-    }
-    match &col.data {
-        ColumnData::Int(d) => Some(JKey::Int(d[rid])),
-        ColumnData::Float(d) => {
-            let f = d[rid];
-            if f.is_nan() {
-                None
-            } else if f.fract() == 0.0 && (-TWO_63..TWO_63).contains(&f) {
-                Some(JKey::Int(f as i64))
-            } else {
-                Some(JKey::Float(f.to_bits()))
-            }
-        }
-        ColumnData::Bool(d) => Some(JKey::Bool(d[rid])),
-        ColumnData::Text(d) => Some(JKey::Text(&d.values[d.codes[rid] as usize])),
-        ColumnData::AllNull | ColumnData::Values(_) => None,
-    }
-}
-
-/// One hash-join step: probe column already in the accumulated output,
-/// build column on the incoming relation.
-struct JoinStep {
-    new_rel: usize,
-    probe: ColId,
-    build_col: usize,
-}
-
-/// Hash-join build: each morsel indexes a contiguous slice of the
-/// (ascending) build selection by `key` (`None` never matches), and the
-/// tables merge in morsel order, so each key's row ids stay in
-/// build-scan order whatever the split. One morsel's table moves into
-/// place unmerged.
-fn build_index<K: Hash + Eq + Send>(
-    par: ParConfig,
-    build_sel: &[u32],
-    key: impl Fn(usize) -> Option<K> + Sync,
-    prof_op: Option<&OpStats>,
-) -> HashMap<K, Vec<u32>, FxBuild> {
-    let n = build_sel.len();
-    let mut parts = par.run(n, prof_op, |lo, hi| {
-        let mut local: HashMap<K, Vec<u32>, FxBuild> =
-            HashMap::with_capacity_and_hasher(hi - lo, FxBuild::default());
-        for &rid in &build_sel[lo..hi] {
-            if let Some(k) = key(rid as usize) {
-                local.entry(k).or_default().push(rid);
-            }
-        }
-        local
-    });
-    if parts.len() == 1 {
-        return parts.pop().expect("one morsel");
-    }
-    let mut index: HashMap<K, Vec<u32>, FxBuild> =
-        HashMap::with_capacity_and_hasher(n, FxBuild::default());
-    for local in parts {
-        for (k, mut v) in local {
-            index.entry(k).and_modify(|e| e.append(&mut v)).or_insert(v);
-        }
-    }
-    index
-}
-
-/// Hash-join probe: each morsel emits its range of the accumulated rows
-/// once per build match (`matches` of the probe-side row id), and the
-/// outputs concatenate in morsel order — the one-morsel emission order.
-fn probe<'i>(
-    par: ParConfig,
-    acc: &[Vec<u32>],
-    probe_pos: usize,
-    matches: impl Fn(usize) -> &'i [u32] + Copy + Sync,
-    prof_op: Option<&OpStats>,
-) -> Vec<Vec<u32>> {
-    let mut parts = par.run(acc[0].len(), prof_op, |lo, hi| {
-        let mut out: Vec<Vec<u32>> = vec![Vec::new(); acc.len() + 1];
-        for i in lo..hi {
-            for &rid in matches(acc[probe_pos][i] as usize) {
-                for (c, col) in acc.iter().enumerate() {
-                    out[c].push(col[i]);
-                }
-                out[acc.len()].push(rid);
-            }
-        }
-        out
-    });
-    let column = |c| {
-        concat(
-            parts
-                .iter_mut()
-                .map(|p| std::mem::take(&mut p[c]))
-                .collect(),
-        )
-    };
-    (0..=acc.len()).map(column).collect()
-}
-
-/// A dense CSR join index over a compact integer key range: bucket
-/// `key - min` holds the build-side row ids in build-scan order, so a
-/// probe emits matches in exactly the order the hash index would.
-struct DenseIntIndex {
-    min: i64,
-    /// `starts[b]..starts[b + 1]` bounds bucket `b` in `rids`.
-    starts: Vec<u32>,
-    rids: Vec<u32>,
-}
-
-impl DenseIntIndex {
-    /// Key → bucket lookup. It copies the bounds and slices it reads, so
-    /// a probe loop keeps them in registers.
-    fn lookup<'a>(&'a self) -> impl Fn(i64) -> &'a [u32] + Copy + Sync + 'a {
-        let (min, starts, rids) = (self.min, self.starts.as_slice(), self.rids.as_slice());
-        // A negative or overflowing offset wraps to a huge u64 and
-        // fails the range check — one compare covers all misses.
-        move |key| match key.checked_sub(min) {
-            Some(off) if (off as u64) < (starts.len() - 1) as u64 => {
-                let b = off as usize;
-                &rids[starts[b] as usize..starts[b + 1] as usize]
-            }
-            _ => &[],
-        }
-    }
-}
-
-/// Counting-sort the filtered build keys into [`DenseIntIndex`] CSR
-/// buckets when their range is compact. "Compact" weighs the one cost
-/// dense adds — zeroing `range + 1` bucket bounds — against the
-/// hashing it removes, which scales with build keys *and* probes; a
-/// sparse key space (e.g. random 63-bit ids) returns `None` and keeps
-/// the hash index.
-fn build_dense_int_index(
-    build_sel: &[u32],
-    bd: &[i64],
-    nulls: &NullMask,
-    probes: usize,
-) -> Option<DenseIntIndex> {
-    let bn = nulls.any();
-    let mut min = i64::MAX;
-    let mut max = i64::MIN;
-    let mut keys = 0usize;
-    for &rid in build_sel {
-        if bn && nulls.is_null(rid as usize) {
-            continue;
-        }
-        let v = bd[rid as usize];
-        min = min.min(v);
-        max = max.max(v);
-        keys += 1;
-    }
-    if keys == 0 {
-        return None;
-    }
-    let range = max as i128 - min as i128 + 1;
-    if range > (32 * keys + 16 * probes).clamp(4096, 1 << 22) as i128 {
-        return None;
-    }
-    let range = range as usize;
-    let mut starts = vec![0u32; range + 1];
-    for &rid in build_sel {
-        if bn && nulls.is_null(rid as usize) {
-            continue;
-        }
-        starts[(bd[rid as usize] - min) as usize + 1] += 1;
-    }
-    for b in 0..range {
-        starts[b + 1] += starts[b];
-    }
-    let mut cursor: Vec<u32> = starts[..range].to_vec();
-    let mut rids = vec![0u32; keys];
-    for &rid in build_sel {
-        if bn && nulls.is_null(rid as usize) {
-            continue;
-        }
-        let b = (bd[rid as usize] - min) as usize;
-        rids[cursor[b] as usize] = rid;
-        cursor[b] += 1;
-    }
-    Some(DenseIntIndex { min, starts, rids })
-}
-
-/// Execute all joins, returning one row-id column per relation (in
-/// original FROM/JOIN order), rows in exactly the order the row-path
-/// pipeline would emit.
-fn join_all(cx: &Cx<'_>, input: &BatchInput<'_, '_>, sels: Vec<Vec<u32>>) -> Option<Vec<Vec<u32>>> {
-    let n = sels.len();
-    if n == 1 {
+/// Execute all joins as hash joins ([`crate::join`]), returning one
+/// row-id column per relation (in original FROM/JOIN order), rows in
+/// exactly the order the row-path pipeline would emit. `None` when some
+/// join is not an inner equi-join — the row path runs it, and raises
+/// its constraint's resolution error if it has one.
+fn join_all(
+    input: &BatchInput<'_, '_>,
+    tables: &[&ColumnarTable],
+    sels: Vec<Vec<u32>>,
+) -> Option<Vec<Vec<u32>>> {
+    let p = input.planned;
+    if input.select.joins.is_empty() {
         return Some(sels);
     }
-
-    let (order, steps) = if input.planned.reordered {
-        let p = input.planned;
-        let mut steps = Vec::with_capacity(p.steps.len());
-        for step in &p.steps {
-            let key = step.key?;
-            steps.push(JoinStep {
-                new_rel: step.rel,
-                probe: ColId {
-                    rel: key.left_rel,
-                    col: key.left_col,
-                },
-                build_col: key.right_col,
-            });
-        }
-        (p.order.clone(), steps)
+    let steps = if p.reordered {
+        join::reordered_steps(p)
     } else {
-        // Source order: extract each join's equi-key, requiring one side
-        // in the accumulated scope and the other on the new relation —
-        // anything else is a nested-loop join in the row path, whose
-        // per-pair predicate evaluation can error.
+        let mut scope = Scope::default();
+        let rel0 = &input.relations[0];
+        scope.push(&rel0.binding, rel0.columns.clone());
         let mut steps = Vec::with_capacity(input.select.joins.len());
         for (j, join) in input.select.joins.iter().enumerate() {
-            let new_rel = j + 1;
-            let Some(Expr::Binary {
-                left,
-                op: BinaryOp::Eq,
-                right,
-            }) = &join.constraint
-            else {
-                return None;
-            };
-            let (Expr::Column(a), Expr::Column(b)) = (left.as_ref(), right.as_ref()) else {
-                return None;
-            };
-            let (a, b) = (cx.resolve(a)?, cx.resolve(b)?);
-            let (probe, build) = if a.rel < new_rel && b.rel == new_rel {
-                (a, b)
-            } else if b.rel < new_rel && a.rel == new_rel {
-                (b, a)
-            } else {
-                return None;
-            };
-            steps.push(JoinStep {
-                new_rel,
-                probe,
-                build_col: build.col,
-            });
+            let rel = &input.relations[j + 1];
+            scope.push(&rel.binding, rel.columns.clone());
+            let constraint = join.constraint.as_ref().filter(|_| !join.left)?;
+            let cols = join::constraint_columns(constraint, &scope).ok()?;
+            steps.push((j + 1, join::equi_key(constraint, &cols, &scope)?));
         }
-        ((0..n).collect(), steps)
+        steps
     };
-
-    // Accumulated output: one row-id column per joined relation.
-    let mut acc_rels: Vec<usize> = vec![order[0]];
-    let mut acc: Vec<Vec<u32>> = vec![sels[order[0]].clone()];
-    for (si, step) in steps.iter().enumerate() {
-        let prof_op = input.bp.as_ref().and_then(|b| b.join(si));
-        let prof_t0 = crate::exec::prof_clock(&input.bp);
-        let build_tbl = &cx.tables[step.new_rel];
-        let build_col = build_tbl.columns.get(step.build_col)?;
-        let probe_col = cx.tables[step.probe.rel].columns.get(step.probe.col)?;
-        if matches!(build_col.data, ColumnData::Values(_))
-            || matches!(probe_col.data, ColumnData::Values(_))
-        {
-            return None;
-        }
-        // The probe relation must already be joined.
-        let probe_pos = acc_rels.iter().position(|&r| r == step.probe.rel)?;
-
-        // Build on the incoming relation's filtered rows, then probe
-        // the accumulated output in order; matches append in build-scan
-        // order — exactly the row pipeline's emission order.
-        let build_sel = &sels[step.new_rel];
-        let acc_len = acc[0].len();
-        let par = input.par;
-        let out = if let (ColumnData::Int(bd), ColumnData::Int(pd)) =
-            (&build_col.data, &probe_col.data)
-        {
-            // Typed fast path: Int×Int keys hash the raw i64 with no
-            // per-row JKey construction. Int columns never unify with
-            // float keys, so equality semantics are unchanged.
-            let (bn, pn) = (build_col.nulls.any(), probe_col.nulls.any());
-            let (bnulls, pnulls) = (&build_col.nulls, &probe_col.nulls);
-            let build_key = move |rid: usize| (!bn || !bnulls.is_null(rid)).then(|| bd[rid]);
-            let probe_key = move |rid: usize| (!pn || !pnulls.is_null(rid)).then(|| pd[rid]);
-            // Dense only when both sides fit in one morsel.
-            let dense = if par.morsels(build_sel.len()) == 1 && par.morsels(acc_len) == 1 {
-                build_dense_int_index(build_sel, bd, &build_col.nulls, acc_len)
-            } else {
-                None
-            };
-            if let Some(dense) = dense {
-                // Dense CSR probe: subtract + two array loads per probe,
-                // no hashing. Buckets hold build row ids in build-scan
-                // order, so emission order matches the hash index's.
-                let get = dense.lookup();
-                let matches = move |rid: usize| probe_key(rid).map_or(&[][..], get);
-                probe(par, &acc, probe_pos, matches, prof_op)
-            } else {
-                let index = build_index(par, build_sel, build_key, prof_op);
-                let index = &index;
-                let matches = move |rid: usize| {
-                    let rids = probe_key(rid).and_then(|k| index.get(&k));
-                    rids.map_or(&[][..], Vec::as_slice)
-                };
-                probe(par, &acc, probe_pos, matches, prof_op)
-            }
-        } else {
-            let index = build_index(par, build_sel, |rid| col_join_key(build_col, rid), prof_op);
-            let index = &index;
-            let matches = move |rid: usize| {
-                let rids = col_join_key(probe_col, rid).and_then(|k| index.get(&k));
-                rids.map_or(&[][..], Vec::as_slice)
-            };
-            probe(par, &acc, probe_pos, matches, prof_op)
-        };
-        if let Some(op) = prof_op {
-            op.rows((acc_len + build_sel.len()) as u64, out[0].len() as u64);
-            op.build_probe(build_sel.len() as u64, acc_len as u64);
-            op.link((si == 0).then_some(order[0]), step.new_rel);
-            crate::exec::prof_elapsed(prof_t0, Some(op));
-        }
-        acc = out;
-        acc_rels.push(step.new_rel);
-    }
-
-    // Back to original relation order.
-    let mut by_rel: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (pos, &rel) in acc_rels.iter().enumerate() {
-        by_rel[rel] = std::mem::take(&mut acc[pos]);
-    }
-
-    if input.planned.reordered {
-        // Restore source-order emission: selection vectors are ascending,
-        // so sorting by the row-id tuple in source-relation order equals
-        // the row path's sort by scan-position tags. Surviving tuples are
-        // unique, so an unstable sort is exact.
-        let len = by_rel[0].len();
-        let mut idx: Vec<usize> = (0..len).collect();
-        idx.sort_unstable_by(|&x, &y| {
-            for col in &by_rel {
-                match col[x].cmp(&col[y]) {
-                    Ordering::Equal => continue,
-                    other => return other,
-                }
-            }
-            Ordering::Equal
-        });
-        for col in &mut by_rel {
-            *col = idx.iter().map(|&i| col[i]).collect();
-        }
-    }
-    Some(by_rel)
+    let bp = input.bp.as_ref();
+    Some(join::hash_chain(tables, sels, p, &steps, input.par, bp))
 }
 
 // ---------------------------------------------------------------------

@@ -26,6 +26,7 @@
 //!   column mixing the two (legal: `push_row` admits ints into float
 //!   columns) is [`ColumnData::Values`], and the batch executor falls
 //!   back to the row path for queries touching it.
+use crate::join::NULL_RID;
 use crate::key::FxBuild;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -162,28 +163,36 @@ impl Column {
         }
     }
 
-    /// Push the cells of rows `lo..lo + rows.len()` onto `rows`, one
-    /// cell per row (the row executor's scans).
-    pub(crate) fn push_cells(&self, lo: usize, rows: &mut [Vec<Value>]) {
-        let nulls = &self.nulls;
-        let fill = |rows: &mut [Vec<Value>], cell: &dyn Fn(usize) -> Value| {
-            for (i, row) in (lo..).zip(rows) {
-                row.push(if nulls.any() && nulls.is_null(i) {
+    /// Push the cells of row ids `rids` onto `rows`, one cell per row;
+    /// [`NULL_RID`] reads NULL (the row executor's joined rows).
+    pub(crate) fn push_cells(&self, rids: &[u32], rows: &mut [Vec<Value>]) {
+        // Generic, not `&dyn`: each variant's cell read inlines into its
+        // own loop instead of costing an indirect call per cell.
+        fn fill(
+            rids: &[u32],
+            nulls: &NullMask,
+            rows: &mut [Vec<Value>],
+            cell: impl Fn(usize) -> Value,
+        ) {
+            for (&rid, row) in rids.iter().zip(rows) {
+                let i = rid as usize;
+                row.push(if rid == NULL_RID || (nulls.any() && nulls.is_null(i)) {
                     Value::Null
                 } else {
                     cell(i)
                 });
             }
-        };
+        }
+        let nulls = &self.nulls;
         match &self.data {
-            ColumnData::Int(v) => fill(rows, &|i| Value::Int(v[i])),
-            ColumnData::Float(v) => fill(rows, &|i| Value::Float(v[i])),
-            ColumnData::Bool(v) => fill(rows, &|i| Value::Bool(v[i])),
-            ColumnData::Text(d) => fill(rows, &|i| {
+            ColumnData::Int(v) => fill(rids, nulls, rows, |i| Value::Int(v[i])),
+            ColumnData::Float(v) => fill(rids, nulls, rows, |i| Value::Float(v[i])),
+            ColumnData::Bool(v) => fill(rids, nulls, rows, |i| Value::Bool(v[i])),
+            ColumnData::Text(d) => fill(rids, nulls, rows, |i| {
                 Value::Text(Arc::clone(&d.values[d.codes[i] as usize]))
             }),
-            ColumnData::AllNull => fill(rows, &|_| Value::Null),
-            ColumnData::Values(v) => fill(rows, &|i| v[i].clone()),
+            ColumnData::AllNull => fill(rids, nulls, rows, |_| Value::Null),
+            ColumnData::Values(v) => fill(rids, nulls, rows, |i| v[i].clone()),
         }
     }
 

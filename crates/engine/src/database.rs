@@ -64,7 +64,7 @@ impl Table {
     /// Append one row, validating arity and (loosely) types: NULL fits any
     /// column, ints are accepted by float columns. Text cells are interned
     /// against the table's earlier strings.
-    pub fn push_row(&mut self, mut row: Vec<Value>) -> Result<()> {
+    pub fn push_row(&mut self, row: Vec<Value>) -> Result<()> {
         if row.len() != self.def.columns.len() {
             return Err(EngineError::TypeMismatch(format!(
                 "table `{}` expects {} values, got {}",
@@ -87,21 +87,9 @@ impl Table {
             }
         }
         let image = &self.image;
-        let state = self.appending.get_or_insert_with(|| Appending {
-            pool: image.dictionaries().flatten().cloned().collect(),
-            codes: image.text_codes(),
-        });
-        for v in &mut row {
-            if let Value::Text(s) = v {
-                match state.pool.get(&**s) {
-                    Some(shared) => *s = Arc::clone(shared),
-                    None => {
-                        state.pool.insert(Arc::clone(s));
-                    }
-                }
-            }
-        }
-        self.image.push_row(row, &mut state.codes);
+        self.appending
+            .get_or_insert_with(|| Appending::new(image))
+            .push(&mut self.image, row);
         Ok(())
     }
 
@@ -186,6 +174,46 @@ impl Table {
         }
         total
     }
+}
+
+impl Appending {
+    /// The state for appending to `image`.
+    fn new(image: &ColumnarTable) -> Self {
+        Appending {
+            pool: image.dictionaries().flatten().cloned().collect(),
+            codes: image.text_codes(),
+        }
+    }
+
+    /// Intern the row's text against the strings appended so far and
+    /// append it to `image`.
+    fn push(&mut self, image: &mut ColumnarTable, mut row: Vec<Value>) {
+        for v in &mut row {
+            if let Value::Text(s) = v {
+                match self.pool.get(&**s) {
+                    Some(shared) => *s = Arc::clone(shared),
+                    None => {
+                        self.pool.insert(Arc::clone(s));
+                    }
+                }
+            }
+        }
+        image.push_row(row, &mut self.codes);
+    }
+}
+
+/// The column image of `width`-column rows, such as a derived table's
+/// result: text interned by content as in [`Table::push_row`], so each
+/// text column's dictionary holds distinct strings even when equal
+/// strings come from different base tables. Rows are not type-checked:
+/// a column may mix value types ([`ColumnData::Values`]).
+pub(crate) fn image_of_rows(width: usize, rows: Vec<Vec<Value>>) -> ColumnarTable {
+    let mut image = ColumnarTable::new(width);
+    let mut state = Appending::new(&image);
+    for row in rows {
+        state.push(&mut image, row);
+    }
+    image
 }
 
 /// Mutable access to one table of a [`Database`], from

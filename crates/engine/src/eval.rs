@@ -7,6 +7,7 @@ use crate::database::Database;
 use crate::error::{EngineError, Result};
 use crate::exec::ExecOptions;
 use crate::inset::InSet;
+use crate::join::ColId;
 use crate::result::ResultSet;
 use crate::value::Value;
 use sb_sql::{BinaryOp, ColumnRef, Literal, Query, UnaryOp};
@@ -81,6 +82,20 @@ impl Scope {
                 }
                 found.ok_or_else(|| EngineError::UnknownColumn(col.column.clone()))
             }
+        }
+    }
+
+    /// The relation (index into `bindings`) and column a position of
+    /// the concatenated row belongs to.
+    pub(crate) fn locate(&self, flat: usize) -> ColId {
+        let rel = self
+            .bindings
+            .iter()
+            .rposition(|b| b.offset <= flat)
+            .expect("position within scope width");
+        ColId {
+            rel,
+            col: flat - self.bindings[rel].offset,
         }
     }
 

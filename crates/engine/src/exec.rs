@@ -1,16 +1,17 @@
 //! The query executor.
 //!
-//! Scans build rows from each base table's columnar image
-//! ([`crate::column`]), holding only the columns the statement
-//! references; on single-relation predicates the executor pushes WHERE
-//! conjuncts down into the scan, which builds only the rows that pass,
-//! so non-qualifying rows are dropped before any join. Equi-joins
-//! (`ON a = b`) run as a hash join that builds on the smaller input and
-//! probes the larger;
-//! anything else (non-equi and bare-name constraints, cross joins) runs
-//! as a nested loop. Output row order is identical for both algorithms
-//! and either build side (left-major, probe order within a match set),
-//! which the equivalence tests rely on.
+//! Every FROM relation is a column image ([`crate::column`]): a base
+//! table's own, or a derived table's result built into one. Scans yield
+//! selection vectors of row ids; on single-relation predicates the
+//! executor pushes WHERE conjuncts down into the scan, so non-qualifying
+//! rows are dropped before any join. Joins combine row ids through the
+//! join layer both executors share ([`crate::join`]): equi-joins
+//! (`ON a = b`) run as a hash join that builds on the incoming relation,
+//! anything else (non-equi constraints, cross joins) as a nested loop.
+//! Output row order is identical for both algorithms (left-major, scan
+//! order within a match set), which the equivalence tests rely on. Rows
+//! are built only for the joined tuples, holding only the columns the
+//! statement references.
 //!
 //! Expressions run through the compile-once layer
 //! ([`crate::compile`]): each `SELECT`'s expressions are lowered against
@@ -22,7 +23,7 @@
 //! heap instead of sorting everything.
 //!
 //! There is one row executor. Every `SELECT` is planned by `sb-opt`
-//! (predicate and projection pushdown, join reordering, build sides)
+//! (predicate and projection pushdown, join reordering)
 //! and its expressions run compiled. [`ExecOptions`] can turn the
 //! columnar batch engine and its morsel parallelism off; the
 //! differential tests use those axes, plus query twins whose join
@@ -37,21 +38,24 @@
 //! relaxed atomic load per statement, and the kernels are the same
 //! either way.
 
+use crate::batch::ParConfig;
+use crate::column::ColumnarTable;
 use crate::compile::{compile, compile_grouped, compile_order_key, CExpr, GExpr, OrderProg};
 use crate::database::Database;
 use crate::error::{EngineError, Result};
 use crate::eval::{truth, EvalContext, Scope};
-use crate::key::{self, FxBuild, KeyIndex, RowSet};
+use crate::join::{self, ColId, Tuples};
+use crate::key::{self, KeyIndex, RowSet};
 use crate::output::{finish_select, OutCol, Projected, SortKey};
 use crate::result::ResultSet;
 use crate::value::Value;
 use sb_obs::{Block, FixedOp, OpStats, QueryProfile};
+use sb_schema::TableDef;
 use sb_sql::{
-    AggFunc, BinaryOp, ColumnRef, Expr, Join, OrderItem, Query, Select, SelectItem, SetExpr, SetOp,
+    AggFunc, ColumnRef, Expr, Join, OrderItem, Query, Select, SelectItem, SetExpr, SetOp,
     TableFactor, TableRef,
 };
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::hash::Hasher;
 use std::time::Instant;
 
@@ -123,12 +127,12 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// The effective parallel configuration for one batch execution:
-    /// `(workers, morsel_rows)`. Workers come from the explicit
-    /// override, else the rayon shim (`RAYON_NUM_THREADS` / cores);
-    /// morsel size from the explicit override, else `SB_MORSEL_ROWS`,
-    /// else 64K rows. `parallel: false` pins one worker.
-    pub(crate) fn par_config(&self) -> (usize, usize) {
+    /// The effective parallel configuration for one batch execution.
+    /// Workers come from the explicit override, else the rayon shim
+    /// (`RAYON_NUM_THREADS` / cores); morsel size from the explicit
+    /// override, else `SB_MORSEL_ROWS`, else 64K rows. `parallel: false`
+    /// pins one worker.
+    pub(crate) fn par_config(&self) -> ParConfig {
         let workers = if !self.parallel {
             1
         } else if self.workers > 0 {
@@ -141,7 +145,10 @@ impl ExecOptions {
         } else {
             default_morsel_rows()
         };
-        (workers.max(1), morsel_rows.max(1))
+        ParConfig {
+            workers: workers.max(1),
+            morsel_rows: morsel_rows.max(1),
+        }
     }
 
     /// Divide this session's worker budget across `in_flight`
@@ -282,8 +289,8 @@ fn run_query(
 
 /// Plan the top-level `SELECT` of a query for reuse: the
 /// prepared-statement path of `sb-serve` calls this once per normalized
-/// statement and hands the plan back to [`execute_with_plan_profile`]
-/// on every subsequent request.
+/// statement and hands the plan back to [`execute_capped`] on every
+/// subsequent request.
 ///
 /// Returns `None` whenever caching would not be sound or useful: the
 /// query is a set operation, a FROM factor is a derived table (planning
@@ -382,15 +389,14 @@ fn execute_set_expr(
 }
 
 /// One relation of the FROM clause, resolved but not yet scanned.
-pub(crate) enum RelSource<'a> {
-    Base(&'a crate::database::Table),
-    Derived(ResultSet),
-}
-
 pub(crate) struct Relation<'a> {
     pub(crate) binding: String,
     pub(crate) columns: Vec<String>,
-    pub(crate) source: RelSource<'a>,
+    /// The base table's definition; `None` for a derived table.
+    pub(crate) def: Option<&'a TableDef>,
+    /// The relation's rows: a base table's image, or the image of a
+    /// derived table's result.
+    pub(crate) image: Cow<'a, ColumnarTable>,
 }
 
 pub(crate) fn resolve_relation<'a>(
@@ -409,7 +415,8 @@ pub(crate) fn resolve_relation<'a>(
             Ok(Relation {
                 binding,
                 columns,
-                source: RelSource::Base(table),
+                def: Some(&table.def),
+                image: Cow::Borrowed(table.columnar()),
             })
         }
         TableFactor::Derived(q) => {
@@ -422,21 +429,12 @@ pub(crate) fn resolve_relation<'a>(
             let (rs, _) = run_query(db, q, opts, None, prof, usize::MAX)?;
             Ok(Relation {
                 binding: alias,
-                columns: rs.columns.clone(),
-                source: RelSource::Derived(rs),
+                image: Cow::Owned(crate::database::image_of_rows(rs.columns.len(), rs.rows)),
+                columns: rs.columns,
+                def: None,
             })
         }
     }
-}
-
-/// Which relation (index into `scope.bindings`) a concatenated-row column
-/// index belongs to.
-fn relation_of(scope: &Scope, col_idx: usize) -> usize {
-    scope
-        .bindings
-        .iter()
-        .rposition(|b| b.offset <= col_idx)
-        .expect("column index within scope width")
 }
 
 /// The planner's name-resolution callback, backed by the executor's
@@ -449,11 +447,8 @@ impl sb_opt::Resolver for ScopeResolver<'_> {
     fn resolve(&self, c: &ColumnRef) -> sb_opt::Resolution {
         match self.0.resolve(c) {
             Ok(idx) => {
-                let rel = relation_of(self.0, idx);
-                sb_opt::Resolution::Col {
-                    rel,
-                    col: idx - self.0.bindings[rel].offset,
-                }
+                let ColId { rel, col } = self.0.locate(idx);
+                sb_opt::Resolution::Col { rel, col }
             }
             Err(EngineError::AmbiguousColumn(_)) => sb_opt::Resolution::Ambiguous,
             Err(_) => sb_opt::Resolution::Unknown,
@@ -516,28 +511,19 @@ pub(crate) fn plan_from<'a, 'p>(
     }
     let metas: Vec<sb_opt::RelMeta> = relations
         .iter()
-        .map(|r| {
-            let (table, rows, unique_of): (Option<String>, usize, Option<&crate::database::Table>) =
-                match &r.source {
-                    RelSource::Base(t) => (Some(t.def.name.clone()), t.len(), Some(t)),
-                    RelSource::Derived(rs) => (None, rs.rows.len(), None),
-                };
-            sb_opt::RelMeta {
-                binding: r.binding.clone(),
-                table,
-                columns: r
-                    .columns
-                    .iter()
-                    .enumerate()
-                    .map(|(i, name)| sb_opt::ColMeta {
-                        name: name.clone(),
-                        unique: unique_of
-                            .map(|t| t.def.columns[i].primary_key)
-                            .unwrap_or(false),
-                    })
-                    .collect(),
-                rows,
-            }
+        .map(|r| sb_opt::RelMeta {
+            binding: r.binding.clone(),
+            table: r.def.map(|d| d.name.clone()),
+            columns: r
+                .columns
+                .iter()
+                .enumerate()
+                .map(|(i, name)| sb_opt::ColMeta {
+                    name: name.clone(),
+                    unique: r.def.is_some_and(|d| d.columns[i].primary_key),
+                })
+                .collect(),
+            rows: r.image.len,
         })
         .collect();
     let input = sb_opt::PlanInput {
@@ -587,23 +573,17 @@ fn plan_fits(p: &sb_opt::PlannedSelect, widths: &[usize], n_conjuncts: usize) ->
             }))
 }
 
-/// Rows an unfiltered base-table scan builds column by column.
-const SCAN_BLOCK: usize = 256;
-
-/// Scan one relation, applying its pushed-down conjuncts (indices into
-/// the statement's `conjuncts`) and narrowing every row that passes to
-/// the planner's `keep` columns (`None` keeps them all). A base table's
-/// rows are built from its columnar image: without conjuncts straight
-/// into the output, otherwise the columns the conjuncts read go into
-/// one reused buffer, and only a row that passes is built.
+/// Scan one relation: the row ids that pass its pushed-down conjuncts
+/// (indices into the statement's `conjuncts`), ascending. The columns
+/// the conjuncts read go into one reused buffer per row.
 fn scan_relation(
-    rel: Relation<'_>,
+    rel: &Relation<'_>,
     pushed: &[usize],
-    keep: Option<&[usize]>,
     conjuncts: &[&Expr],
     ctx: &EvalContext,
     prof_op: Option<&OpStats>,
-) -> Result<Vec<Vec<Value>>> {
+) -> Result<Vec<u32>> {
+    let image = &*rel.image;
     let mut local = Scope::default();
     local.push(&rel.binding, rel.columns.clone());
     // Compile pushed conjuncts once against the single-relation scope.
@@ -611,484 +591,116 @@ fn scan_relation(
         .iter()
         .map(|&c| compile(conjuncts[c], &local, ctx))
         .collect();
-    let passes = |row: &[Value]| -> Result<bool> {
+    // Compiled conjuncts read only the slots their column references
+    // resolve to (subqueries are uncorrelated).
+    let mut refs = Vec::new();
+    for &c in pushed {
+        sb_opt::collect_columns(conjuncts[c], &mut refs);
+    }
+    let mut read: Vec<usize> = refs
+        .into_iter()
+        .filter_map(|c| local.resolve(c).ok())
+        .collect();
+    read.sort_unstable();
+    read.dedup();
+    let mut buf = vec![Value::Null; rel.columns.len()];
+    let mut sel = Vec::new();
+    'row: for r in 0..image.len {
+        for &c in &read {
+            buf[c] = image.columns[c].value_at(r);
+        }
         for prog in &progs {
-            if !prog.eval_filter(row, ctx)? {
-                return Ok(false);
+            if !prog.eval_filter(&buf, ctx)? {
+                continue 'row;
             }
         }
-        Ok(true)
-    };
-    let width = rel.columns.len();
-    let kept: Vec<usize> = keep.map_or_else(|| (0..width).collect(), <[usize]>::to_vec);
-    let (scanned, out) = match rel.source {
-        RelSource::Base(table) => {
-            let image = table.columnar();
-            let columns = &image.columns;
-            let mut out = Vec::new();
-            if progs.is_empty() {
-                // Column at a time within blocks of rows that stay in
-                // cache: one variant dispatch per column and block.
-                out.reserve(image.len);
-                for lo in (0..image.len).step_by(SCAN_BLOCK) {
-                    let start = out.len();
-                    let hi = (lo + SCAN_BLOCK).min(image.len);
-                    out.extend((lo..hi).map(|_| Vec::with_capacity(kept.len())));
-                    for &c in &kept {
-                        columns[c].push_cells(lo, &mut out[start..]);
-                    }
-                }
-            } else {
-                // Compiled conjuncts read only the slots their column
-                // references resolve to (subqueries are uncorrelated).
-                let mut refs = Vec::new();
-                for &c in pushed {
-                    sb_opt::collect_columns(conjuncts[c], &mut refs);
-                }
-                let mut read: Vec<usize> = refs
-                    .into_iter()
-                    .filter_map(|c| local.resolve(c).ok())
-                    .collect();
-                read.sort_unstable();
-                read.dedup();
-                let mut buf = vec![Value::Null; width];
-                for r in 0..image.len {
-                    for &c in &read {
-                        buf[c] = columns[c].value_at(r);
-                    }
-                    if passes(&buf)? {
-                        out.push(kept.iter().map(|&c| columns[c].value_at(r)).collect());
-                    }
-                }
-            }
-            (image.len, out)
-        }
-        RelSource::Derived(rs) => {
-            let scanned = rs.rows.len();
-            let mut out = Vec::with_capacity(scanned);
-            for mut row in rs.rows {
-                if passes(&row)? {
-                    out.push(match keep {
-                        None => row,
-                        Some(_) => kept
-                            .iter()
-                            .map(|&c| std::mem::replace(&mut row[c], Value::Null))
-                            .collect(),
-                    });
-                }
-            }
-            (scanned, out)
-        }
-    };
+        sel.push(r as u32);
+    }
     if let Some(op) = prof_op {
-        op.rows(scanned as u64, out.len() as u64);
+        op.rows(image.len as u64, sel.len() as u64);
     }
-    Ok(out)
+    Ok(sel)
 }
 
-/// Try to use a hash join: the constraint must be `left_col = right_col`
-/// with one side resolving in the already-built scope and the other in the
-/// newly joined relation.
-fn equi_join_keys(
-    constraint: &Expr,
-    left_scope: &Scope,
-    right_cols: &[String],
-    right_binding: &str,
-) -> Option<(usize, usize)> {
-    let Expr::Binary {
-        left,
-        op: BinaryOp::Eq,
-        right,
-    } = constraint
-    else {
-        return None;
-    };
-    let (Expr::Column(a), Expr::Column(b)) = (left.as_ref(), right.as_ref()) else {
-        return None;
-    };
-    // A bare column belongs to one side only when the name is absent
-    // from the other side entirely; otherwise the joined scope sees it
-    // as ambiguous (or bound differently), and only the general
-    // nested-loop evaluator reports that correctly. Claiming such a
-    // column here would let the hash path return rows where the general
-    // path raises `AmbiguousColumn`.
-    let in_right = |c: &sb_sql::ColumnRef| -> Option<usize> {
-        right_cols
-            .iter()
-            .position(|col| col.eq_ignore_ascii_case(&c.column))
-    };
-    let resolve_left = |c: &sb_sql::ColumnRef| -> Option<usize> {
-        let li = left_scope.resolve(c).ok()?;
-        if c.table.is_none() && in_right(c).is_some() {
-            return None;
-        }
-        Some(li)
-    };
-    let resolve_right = |c: &sb_sql::ColumnRef| -> Option<usize> {
-        match &c.table {
-            Some(t) if t.eq_ignore_ascii_case(right_binding) => in_right(c),
-            Some(_) => None,
-            None => match left_scope.resolve(c) {
-                Err(EngineError::UnknownColumn(_)) => in_right(c),
-                _ => None,
-            },
-        }
-    };
-    // Either (a in left, b in right) or (b in left, a in right).
-    if let (Some(li), Some(ri)) = (resolve_left(a), resolve_right(b)) {
-        return Some((li, ri));
-    }
-    if let (Some(li), Some(ri)) = (resolve_left(b), resolve_right(a)) {
-        return Some((li, ri));
-    }
-    None
-}
-
-/// Join key under *SQL equality* (`sql_eq`), not canonical-key rounding:
-/// the hash path must match exactly the row pairs the nested-loop
-/// predicate `a = b` accepts. `sql_eq` compares int/float exactly, so a
-/// float equal to some i64 normalizes to that integer (`-0.0` lands on
-/// `Int(0)`, so `-0.0 = 0.0` matches); any other float can equal no int
-/// and keys by its own bits. `None` means the value can never satisfy an
-/// equality (NULL, or NaN which is not `sql_eq`-equal even to itself).
-#[derive(PartialEq, Eq, Hash)]
-enum JoinKey<'a> {
-    Int(i64),
-    Float(u64),
-    Text(&'a str),
-    Bool(bool),
-}
-
-fn join_key(v: &Value) -> Option<JoinKey<'_>> {
-    const TWO_63: f64 = 9_223_372_036_854_775_808.0; // 2^63, exact as f64
-    match v {
-        Value::Null => None,
-        Value::Int(i) => Some(JoinKey::Int(*i)),
-        Value::Float(f) if f.is_nan() => None,
-        Value::Float(f) if f.fract() == 0.0 && (-TWO_63..TWO_63).contains(f) => {
-            Some(JoinKey::Int(*f as i64))
-        }
-        Value::Float(f) => Some(JoinKey::Float(f.to_bits())),
-        Value::Text(s) => Some(JoinKey::Text(s)),
-        Value::Bool(b) => Some(JoinKey::Bool(*b)),
-    }
-}
-
-/// Hash-join match lists: `matches[i]` holds the indices of right rows
-/// joining left row `i`, in right-scan order. Building the map on either
-/// side yields the same lists, so build-side selection never changes
-/// output order — only speed. `op`, the join's profile slot, records the
-/// build and probe sizes.
-fn hash_join_matches(
-    left: &[Vec<Value>],
-    right: &[Vec<Value>],
-    li: usize,
-    ri: usize,
-    build_left: bool,
-    op: Option<&OpStats>,
-) -> Vec<Vec<u32>> {
-    if let Some(op) = op {
-        let (build, probe) = if build_left {
-            (left.len(), right.len())
-        } else {
-            (right.len(), left.len())
-        };
-        op.build_probe(build as u64, probe as u64);
-        op.mark();
-    }
-    let mut matches: Vec<Vec<u32>> = vec![Vec::new(); left.len()];
-    if build_left {
-        let mut index: HashMap<JoinKey, Vec<u32>, FxBuild> =
-            HashMap::with_capacity_and_hasher(left.len(), FxBuild::default());
-        for (i, l) in left.iter().enumerate() {
-            if let Some(k) = join_key(&l[li]) {
-                index.entry(k).or_default().push(i as u32);
-            }
-        }
-        for (j, r) in right.iter().enumerate() {
-            if let Some(k) = join_key(&r[ri]) {
-                if let Some(bucket) = index.get(&k) {
-                    for &i in bucket {
-                        matches[i as usize].push(j as u32);
-                    }
-                }
-            }
-        }
-    } else {
-        let mut index: HashMap<JoinKey, Vec<u32>, FxBuild> =
-            HashMap::with_capacity_and_hasher(right.len(), FxBuild::default());
-        for (j, r) in right.iter().enumerate() {
-            if let Some(k) = join_key(&r[ri]) {
-                index.entry(k).or_default().push(j as u32);
-            }
-        }
-        for (i, l) in left.iter().enumerate() {
-            if let Some(k) = join_key(&l[li]) {
-                if let Some(bucket) = index.get(&k) {
-                    matches[i].extend_from_slice(bucket);
-                }
-            }
-        }
-    }
-    matches
-}
-
-/// Resolve every column reference in a join constraint against the
-/// joined scope, without evaluating anything. Subquery bodies resolve
-/// against their own scopes at execution time and are skipped.
-fn validate_constraint_columns(e: &Expr, scope: &Scope) -> Result<()> {
-    match e {
-        Expr::Column(c) => scope.resolve(c).map(|_| ()),
-        Expr::Literal(_) | Expr::Subquery(_) | Expr::Exists { .. } => Ok(()),
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => {
-            validate_constraint_columns(expr, scope)
-        }
-        Expr::Binary { left, right, .. } => {
-            validate_constraint_columns(left, scope)?;
-            validate_constraint_columns(right, scope)
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            validate_constraint_columns(expr, scope)?;
-            validate_constraint_columns(low, scope)?;
-            validate_constraint_columns(high, scope)
-        }
-        Expr::InList { expr, list, .. } => {
-            validate_constraint_columns(expr, scope)?;
-            list.iter()
-                .try_for_each(|e| validate_constraint_columns(e, scope))
-        }
-        Expr::InSubquery { expr, .. } => validate_constraint_columns(expr, scope),
-        Expr::Like { expr, pattern, .. } => {
-            validate_constraint_columns(expr, scope)?;
-            validate_constraint_columns(pattern, scope)
-        }
-        Expr::Agg { arg, .. } => match arg {
-            sb_sql::AggArg::Star => Ok(()),
-            sb_sql::AggArg::Expr(e) => validate_constraint_columns(e, scope),
-        },
-    }
-}
-
-fn concat_row(left: &[Value], right: &[Value]) -> Vec<Value> {
-    let mut row = Vec::with_capacity(left.len() + right.len());
-    row.extend_from_slice(left);
-    row.extend_from_slice(right);
-    row
-}
-
-/// Build the joined rows for `FROM ... JOIN ...` from pre-scanned
-/// relations, in source order. `steps` carries the planner's hash
-/// build side per join.
+/// Join the scanned relations in source order: one row-id column per
+/// relation, tuples in the order the written joins emit them. Each
+/// join's constraint resolves against the relations joined so far and
+/// the incoming one before any row pair is tested; an `a = b` between
+/// the two sides hash-joins, any other constraint runs as a nested loop
+/// over one reused buffer holding the columns it reads.
 fn join_relations(
-    mut scanned: Vec<Vec<Vec<Value>>>,
-    relations: &[(String, Vec<String>)],
+    relations: &[Relation<'_>],
+    tables: &[&ColumnarTable],
+    mut sels: Vec<Vec<u32>>,
     joins: &[Join],
     ctx: &EvalContext,
-    steps: &[sb_opt::PlannedJoin],
-    bp: Option<Block<'_>>,
-) -> Result<(Scope, Vec<Vec<Value>>)> {
-    let mut scanned = scanned.drain(..);
-    let mut rows = scanned.next().expect("at least the FROM relation");
+    par: ParConfig,
+    bp: Option<&Block<'_>>,
+) -> Result<Vec<Vec<u32>>> {
     let mut scope = Scope::default();
-    scope.push(&relations[0].0, relations[0].1.clone());
-
-    for (ji, (join, rel)) in joins.iter().zip(&relations[1..]).enumerate() {
-        let jrows = scanned.next().expect("one scan per relation");
-        let right_width = rel.1.len();
-        let t0 = prof_clock(&bp);
-        let rows_in = rows.len() + jrows.len();
-
-        // Attempt hash join on a column equality before extending the
-        // scope (so "left side" means the scope built so far).
-        let hash_keys = join
-            .constraint
-            .as_ref()
-            .and_then(|c| equi_join_keys(c, &scope, &rel.1, &rel.0));
-
-        scope.push(&rel.0, rel.1.clone());
-
-        // Resolve the constraint's column references before touching any
-        // rows: hash joins and pushdown-emptied scans can leave the
-        // constraint unevaluated for some (or all) row pairs, and whether
-        // an unknown-column or ambiguity error surfaces must not depend
-        // on row counts or on the chosen plan.
-        if let Some(c) = &join.constraint {
-            validate_constraint_columns(c, &scope)?;
+    scope.push(&relations[0].binding, relations[0].columns.clone());
+    let mut tuples = Tuples::new(0, std::mem::take(&mut sels[0]));
+    for (ji, join) in joins.iter().enumerate() {
+        let rel = ji + 1;
+        scope.push(&relations[rel].binding, relations[rel].columns.clone());
+        let (sel, op) = (&sels[rel], bp.and_then(|b| b.join(ji)));
+        let Some(constraint) = &join.constraint else {
+            tuples = tuples.nested_loop(rel, sel, join.left, op, |_| Ok(true))?;
+            continue;
+        };
+        let cols = join::constraint_columns(constraint, &scope)?;
+        if let Some(key) = join::equi_key(constraint, &cols, &scope) {
+            tuples = tuples.hash_join(tables, (rel, key), sel, join.left, par, op);
+            continue;
         }
-
-        let mut out = Vec::new();
-        match hash_keys {
-            Some((li, ri)) => {
-                let op = bp.as_ref().and_then(|b| b.join(ji));
-                let matches = hash_join_matches(&rows, &jrows, li, ri, steps[ji].build_left, op);
-                for (l, js) in rows.iter().zip(&matches) {
-                    for &j in js {
-                        out.push(concat_row(l, &jrows[j as usize]));
-                    }
-                    if join.left && js.is_empty() {
-                        let mut row = l.to_vec();
-                        row.extend(std::iter::repeat_n(Value::Null, right_width));
-                        out.push(row);
-                    }
-                }
+        // The buffer's slots the constraint reads, filled per pair.
+        let prog = compile(constraint, &scope, ctx);
+        let mut buf = vec![Value::Null; scope.width];
+        tuples = tuples.nested_loop(rel, sel, join.left, op, |pair| {
+            for &slot in &cols {
+                let at = scope.locate(slot);
+                buf[slot] = match pair[at.rel] {
+                    join::NULL_RID => Value::Null,
+                    rid => tables[at.rel].columns[at.col].value_at(rid as usize),
+                };
             }
-            None => {
-                // Nested loop with the full predicate (or cross join).
-                let prog = join.constraint.as_ref().map(|c| compile(c, &scope, ctx));
-                for l in &rows {
-                    let mut matched = false;
-                    for r in &jrows {
-                        let row = concat_row(l, r);
-                        let keep = match &prog {
-                            Some(p) => p.eval_filter(&row, ctx)?,
-                            None => true,
-                        };
-                        if keep {
-                            out.push(row);
-                            matched = true;
-                        }
-                    }
-                    if join.left && !matched {
-                        let mut row = l.to_vec();
-                        row.extend(std::iter::repeat_n(Value::Null, right_width));
-                        out.push(row);
-                    }
-                }
-            }
-        }
-        if let Some(op) = bp.as_ref().and_then(|b| b.join(ji)) {
-            // Source-order execution: step `ji` introduces relation
-            // `ji + 1`; step 0's left input is the FROM relation.
-            op.rows(rows_in as u64, out.len() as u64);
-            op.link((ji == 0).then_some(0), ji + 1);
-            prof_elapsed(t0, Some(op));
-        }
-        rows = out;
+            prog.eval_filter(&buf, ctx)
+        })?;
     }
-    Ok((scope, rows))
+    Ok(tuples.into_source_order(false))
 }
 
-/// Execute a planner-reordered all-inner equi-join chain, then restore
-/// the exact output the source-order pipeline would have produced.
-///
-/// Every intermediate row carries a tag: the scan position of each
-/// participating relation's row, in execution order. The source-order
-/// nested-loop (and hash-join) pipeline emits rows in lexicographic
-/// order of scan positions taken in *source* order, so sorting the
-/// reordered output by its tags — permuted back to source order — and
-/// permuting each row's columns back to the source layout reproduces
-/// that output byte for byte. Reordering is therefore invisible to
-/// ORDER BY tie-breaking, strict row-order tests and goldens; only the
-/// sizes of the intermediate results change.
-///
-/// Preconditions (checked by the planner, see `sb_opt::plan_select`):
-/// all joins inner with qualified two-column equi-constraints forming a
-/// spanning tree over distinct bindings — which also guarantees no
-/// resolution error can surface mid-join.
-fn join_relations_reordered(
-    scanned: Vec<Vec<Vec<Value>>>,
-    relations: &[(String, Vec<String>)],
-    planned: &sb_opt::PlannedSelect,
-    bp: Option<Block<'_>>,
-) -> (Scope, Vec<Vec<Value>>) {
-    let n = relations.len();
-    let widths: Vec<usize> = relations.iter().map(|r| r.1.len()).collect();
-    // Offsets of each relation's columns in execution layout...
-    let mut exec_off = vec![0usize; n];
-    let mut off = 0;
-    for &r in &planned.order {
-        exec_off[r] = off;
-        off += widths[r];
-    }
-    // ...and in the source layout the caller expects back.
-    let mut src_off = vec![0usize; n];
-    let mut off = 0;
-    for (r, w) in widths.iter().enumerate() {
-        src_off[r] = off;
-        off += w;
-    }
-    let total_width = off;
+/// Rows an output build fills column by column.
+const ROW_BLOCK: usize = 256;
 
-    let mut scanned: Vec<Option<Vec<Vec<Value>>>> = scanned.into_iter().map(Some).collect();
-    let first = planned.order[0];
-    let mut rows: Vec<Vec<Value>> = scanned[first].take().expect("scan per relation");
-    // tags[i][k] = scan position of relation `order[k]`'s row in joined
-    // row i.
-    let mut tags: Vec<Vec<u32>> = (0..rows.len() as u32).map(|i| vec![i]).collect();
-
-    for (si, step) in planned.steps.iter().enumerate() {
-        let jrows = scanned[step.rel].take().expect("each relation joins once");
-        let key = step.key.expect("reordered steps always carry a key");
-        let li = exec_off[key.left_rel]
-            + sb_opt::plan::pruned_index(&planned.keep[key.left_rel], key.left_col);
-        let ri = sb_opt::plan::pruned_index(&planned.keep[step.rel], key.right_col);
-        let t0 = prof_clock(&bp);
-        let op = bp.as_ref().and_then(|b| b.join(si));
-        let matches = hash_join_matches(&rows, &jrows, li, ri, step.build_left, op);
-        let mut out = Vec::new();
-        let mut out_tags = Vec::new();
-        for ((l, ltag), js) in rows.iter().zip(&tags).zip(&matches) {
-            for &j in js {
-                out.push(concat_row(l, &jrows[j as usize]));
-                let mut t = Vec::with_capacity(ltag.len() + 1);
-                t.extend_from_slice(ltag);
-                t.push(j);
-                out_tags.push(t);
-            }
-        }
-        if let Some(op) = op {
-            // Reordered execution: record which source relation this
-            // step introduced so renderers and the conservation checker
-            // can re-associate steps without re-deriving the plan.
-            op.rows((rows.len() + jrows.len()) as u64, out.len() as u64);
-            op.link((si == 0).then_some(planned.order[0]), step.rel);
-            prof_elapsed(t0, Some(op));
-        }
-        rows = out;
-        tags = out_tags;
-    }
-
-    // Sort by scan positions in source-relation order. Each surviving
-    // combination of input rows is unique, so the keys are distinct and
-    // an unstable sort is exact.
-    let mut order_pos = vec![0usize; n];
-    for (k, &r) in planned.order.iter().enumerate() {
-        order_pos[r] = k;
-    }
-    let sort_keys: Vec<Vec<u32>> = tags
+/// The joined rows: per tuple of `rowids` (one row-id column per
+/// relation), the `keep` columns of every relation in FROM/JOIN order
+/// (`None` keeps them all). Column at a time within blocks of rows that
+/// stay in cache: one variant dispatch per column and block.
+fn build_rows(
+    tables: &[&ColumnarTable],
+    rowids: &[Vec<u32>],
+    keep: &[Option<Vec<usize>>],
+) -> Vec<Vec<Value>> {
+    let kept: Vec<Vec<usize>> = tables
         .iter()
-        .map(|t| (0..n).map(|r| t[order_pos[r]]).collect())
+        .zip(keep)
+        .map(|(t, k)| k.clone().unwrap_or_else(|| (0..t.columns.len()).collect()))
         .collect();
-    let mut idx: Vec<usize> = (0..rows.len()).collect();
-    idx.sort_unstable_by(|&a, &b| sort_keys[a].cmp(&sort_keys[b]));
-
-    // Permute columns from execution layout back to source layout.
-    let mut col_perm = Vec::with_capacity(total_width);
-    for (r, w) in widths.iter().enumerate() {
-        for c in 0..*w {
-            col_perm.push(exec_off[r] + c);
+    let width = kept.iter().map(Vec::len).sum();
+    let len = rowids[0].len();
+    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(len);
+    for lo in (0..len).step_by(ROW_BLOCK) {
+        let hi = (lo + ROW_BLOCK).min(len);
+        let start = rows.len();
+        rows.extend((lo..hi).map(|_| Vec::with_capacity(width)));
+        for ((table, rids), cols) in tables.iter().zip(rowids).zip(&kept) {
+            for &c in cols {
+                table.columns[c].push_cells(&rids[lo..hi], &mut rows[start..]);
+            }
         }
     }
-    let mut slots: Vec<Option<Vec<Value>>> = rows.into_iter().map(Some).collect();
-    let rows: Vec<Vec<Value>> = idx
-        .into_iter()
-        .map(|i| {
-            let mut v = slots[i].take().expect("indices are distinct");
-            let mut out = Vec::with_capacity(total_width);
-            for &s in &col_perm {
-                out.push(std::mem::replace(&mut v[s], Value::Null));
-            }
-            out
-        })
-        .collect();
-
-    let mut scope = Scope::default();
-    for rel in relations {
-        scope.push(&rel.0, rel.1.clone());
-    }
-    (scope, rows)
+    rows
 }
 
 /// Output column name for a projection item.
@@ -1147,7 +759,7 @@ fn execute_select_impl(
             relations: &relations,
             planned: &planned,
             conjuncts: &conjuncts,
-            par: crate::batch::ParConfig::from_options(&opts),
+            par: opts.par_config(),
             bp,
             ctx: &ctx,
         };
@@ -1165,33 +777,42 @@ fn execute_select_impl(
         }
     }
 
-    let mut rel_names: Vec<(String, Vec<String>)> = relations
-        .iter()
-        .map(|r| (r.binding.clone(), r.columns.clone()))
-        .collect();
-    let mut scanned = Vec::with_capacity(rel_names.len());
-    for (i, (rel, pushed)) in relations.into_iter().zip(&planned.pushed).enumerate() {
+    let mut sels = Vec::with_capacity(relations.len());
+    for (i, (rel, pushed)) in relations.iter().zip(&planned.pushed).enumerate() {
         let prof_op = bp.as_ref().and_then(|b| b.scan(i));
         let t0 = prof_clock(&bp);
-        let keep = planned.keep[i].as_deref();
-        scanned.push(scan_relation(rel, pushed, keep, &conjuncts, &ctx, prof_op)?);
+        sels.push(scan_relation(rel, pushed, &conjuncts, &ctx, prof_op)?);
         prof_elapsed(t0, prof_op);
     }
-
-    // Projection pushdown: the scans kept only the columns the planner
-    // proved are referenced (by name, so ambiguity errors and ORDER BY
-    // alias resolution behave identically on the narrowed scope).
-    for (names, keep) in rel_names.iter_mut().zip(&planned.keep) {
-        if let Some(kept) = keep {
-            names.1 = kept.iter().map(|&c| names.1[c].clone()).collect();
-        }
-    }
-
-    let (scope, mut rows) = if planned.reordered {
-        join_relations_reordered(scanned, &rel_names, &planned, bp)
+    let tables: Vec<&ColumnarTable> = relations.iter().map(|r| &*r.image).collect();
+    let par = opts.par_config().one_morsel();
+    let rowids = if planned.reordered {
+        let steps = join::reordered_steps(&planned);
+        join::hash_chain(&tables, sels, &planned, &steps, par, bp.as_ref())
     } else {
-        join_relations(scanned, &rel_names, &select.joins, &ctx, &planned.steps, bp)?
+        join_relations(
+            &relations,
+            &tables,
+            sels,
+            &select.joins,
+            &ctx,
+            par,
+            bp.as_ref(),
+        )?
     };
+
+    // Projection pushdown: rows hold only the columns the planner proved
+    // are referenced (by name, so ambiguity errors and ORDER BY alias
+    // resolution behave identically on the narrowed scope).
+    let mut scope = Scope::default();
+    for (rel, keep) in relations.iter().zip(&planned.keep) {
+        let columns = match keep {
+            Some(kept) => kept.iter().map(|&c| rel.columns[c].clone()).collect(),
+            None => rel.columns.clone(),
+        };
+        scope.push(&rel.binding, columns);
+    }
+    let mut rows = build_rows(&tables, &rowids, &planned.keep);
 
     if !planned.residual.is_empty() {
         let filter_op = bp.as_ref().and_then(|b| b.fixed(FixedOp::Filter));
@@ -2017,10 +1638,10 @@ mod tests {
     }
 
     #[test]
-    fn build_side_selection_matches_input_sizes() {
-        // Left (5 rows) larger than right (3): the planner builds on the
-        // right; flip the join order and it builds on the left. Either
-        // way the results must agree with the nested-loop twin's.
+    fn hash_joins_agree_with_nested_loops_in_either_order() {
+        // The hash join builds on the incoming relation: the 3-row
+        // photoobj first, then the 5-row specobj. Either way the results
+        // must agree with the nested-loop twin's.
         let db = galaxy_db();
         for (sql, twin) in [
             (
@@ -2143,7 +1764,6 @@ mod tests {
                     left_col,
                     right_col,
                 }),
-                build_left: false,
                 est_rows: 1.0,
             }
         }

@@ -4,8 +4,7 @@
 //! The tree is built from the exact [`sb_opt::PlannedSelect`] the
 //! executor would consume under the same [`ExecOptions`]: each SELECT
 //! is planned through the executor's own `plan_from`, so the text is a
-//! faithful record of pushdown, pruning, join order and build-side
-//! choices. Derived tables are materialized (they must be, for the
+//! faithful record of pushdown, pruning and join order. Derived tables are materialized (they must be, for the
 //! planner's row counts to mean anything) and their subplans nest under
 //! the `DerivedScan` operator that consumes them.
 //!

@@ -27,9 +27,10 @@ use crate::key::FxBuild;
 use crate::value::Value;
 use std::collections::HashSet;
 
-/// Numeric membership key under SQL equality.
+/// Numeric key under SQL equality, shared by `IN` membership and join
+/// keys ([`crate::join::JKey`]).
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum NumKey {
+pub(crate) enum NumKey {
     /// An int, or a float equal to one.
     Int(i64),
     /// Any other non-NaN float, by bit pattern.
@@ -38,7 +39,7 @@ enum NumKey {
 
 /// Key of a non-NaN float; `None` for NaN, which equals nothing.
 #[inline]
-fn float_key(f: f64) -> Option<NumKey> {
+pub(crate) fn float_key(f: f64) -> Option<NumKey> {
     const TWO_63: f64 = 9_223_372_036_854_775_808.0; // 2^63, exact as f64
     if f.is_nan() {
         None

@@ -28,6 +28,7 @@ pub mod eval;
 pub mod exec;
 pub mod explain;
 pub(crate) mod inset;
+pub(crate) mod join;
 pub mod key;
 pub(crate) mod output;
 pub mod profile;

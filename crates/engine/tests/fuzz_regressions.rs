@@ -538,3 +538,176 @@ fn key_kinds_split_into_morsels_match_the_reference() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The shared join layer: both executors join row ids through one hash
+// join, and derived tables are column images.
+// ---------------------------------------------------------------------
+
+/// `sql` under every configuration equals the reference interpreter:
+/// the same rows in the same order, or the same error and message.
+fn assert_every_config_matches_reference(db: &Database, sql: &str) {
+    let q = sb_sql::parse(sql).unwrap();
+    let want = format!("{:?}", execute_reference(db, &q).map(|r| r.rows));
+    for opts in matrix() {
+        let got = format!("{:?}", execute_with(db, &q, opts).map(|r| r.rows));
+        assert_eq!(got, want, "{opts:?}: {sql}");
+    }
+}
+
+/// An inner and a LEFT equi join that probe the relation an earlier
+/// LEFT JOIN NULL-extended: its unmatched rows read NULL keys, which
+/// match nothing.
+#[test]
+fn joins_probing_a_null_extended_relation_read_null_keys() {
+    let db = db();
+    for sql in [
+        "SELECT T1.specobjid, T2.objid, T3.u FROM specobj AS T1 \
+         LEFT JOIN photoobj AS T2 ON T1.bestobjid = T2.objid \
+         JOIN photoobj AS T3 ON T2.objid = T3.objid",
+        "SELECT T1.specobjid, T2.objid, T3.u FROM specobj AS T1 \
+         LEFT JOIN photoobj AS T2 ON T1.bestobjid = T2.objid \
+         LEFT JOIN photoobj AS T3 ON T2.objid = T3.objid",
+    ] {
+        assert!(!reference(&db, sql).rows.is_empty(), "{sql}");
+        assert_every_config_matches_reference(&db, sql);
+    }
+}
+
+/// Bare ON columns, each unique to one side, hash-join on the row path
+/// too, and a bare name on an earlier relation and the incoming one is
+/// ambiguous under every configuration.
+#[test]
+fn bare_on_columns_hash_join_or_raise_ambiguity() {
+    let db = db();
+    let sql = "SELECT T1.specobjid, T2.u FROM specobj AS T1 \
+               JOIN photoobj AS T2 ON bestobjid = objid";
+    assert_every_config_matches_reference(&db, sql);
+    let prof = sb_obs::QueryProfile::new();
+    let row = ExecOptions {
+        columnar: false,
+        ..ExecOptions::default()
+    };
+    sb_engine::execute_with_profile(&db, &sb_sql::parse(sql).unwrap(), row, Some(&prof)).unwrap();
+    let blocks = prof.snapshot().blocks;
+    assert!(
+        blocks[0].joins[0].is_some_and(|j| j.marked),
+        "not a hash join"
+    );
+
+    let ambiguous = "SELECT T2.u FROM galspecline AS T1 \
+                     JOIN photoobj AS T2 ON T1.specobjid = T2.objid \
+                     JOIN specobj AS T3 ON specobjid = T2.objid";
+    assert_every_config_matches_reference(&db, ambiguous);
+    assert!(matches!(
+        db.run(ambiguous),
+        Err(EngineError::AmbiguousColumn(_))
+    ));
+}
+
+/// A derived column mixing ints and floats (a `Values` column of the
+/// derived image) joins under SQL equality: the float 1.0 matches the
+/// int 1, on either side of the join.
+#[test]
+fn joins_on_a_mixed_int_float_derived_column() {
+    let db = db();
+    let derived = "(SELECT specobjid AS k FROM specobj WHERE specobjid > 2 \
+                   UNION ALL SELECT flux AS k FROM galspecline) AS d";
+    for sql in [
+        format!(
+            "SELECT T2.specobjid, T2.class FROM {derived} JOIN specobj AS T2 ON d.k = T2.specobjid"
+        ),
+        format!("SELECT d.k, T2.class FROM {derived} JOIN specobj AS T2 ON d.k = T2.specobjid"),
+        format!("SELECT T2.specobjid, d.k FROM specobj AS T2 JOIN {derived} ON T2.specobjid = d.k"),
+    ] {
+        assert_eq!(reference(&db, &sql).rows.len(), 3, "{sql}");
+        assert_every_config_matches_reference(&db, &sql);
+    }
+}
+
+/// Equal strings from two base tables land in one dictionary entry of
+/// a derived table's image, so grouping by code groups by content.
+#[test]
+fn derived_text_from_two_tables_groups_by_content() {
+    let db = kinds_db();
+    for sql in [
+        "SELECT d.t, COUNT(*) FROM (SELECT t FROM kinds UNION ALL SELECT t FROM other) AS d \
+         GROUP BY d.t",
+        "SELECT DISTINCT d.t FROM (SELECT t FROM other UNION ALL SELECT t FROM kinds) AS d",
+    ] {
+        // a, b, c, zz and NULL.
+        assert_eq!(reference(&db, sql).rows.len(), 5, "{sql}");
+        assert_every_config_matches_reference(&db, sql);
+    }
+}
+
+/// A three-way join the planner reorders to start from the smallest
+/// relation: the execution order emits tuples in another order than the
+/// written joins, and restoring source order puts them back.
+#[test]
+fn reordered_three_way_join_restores_source_order() {
+    let int = |name: &str| Column::new(name, ColumnType::Int);
+    let schema = Schema::new("reorder")
+        .with_table(TableDef::new(
+            "big",
+            vec![Column::pk("id", ColumnType::Int), int("k")],
+        ))
+        .with_table(TableDef::new(
+            "mid",
+            vec![int("k"), Column::new("tag", ColumnType::Text)],
+        ))
+        .with_table(TableDef::new(
+            "tiny",
+            vec![
+                Column::pk("k", ColumnType::Int),
+                Column::new("name", ColumnType::Text),
+            ],
+        ));
+    let mut db = Database::new(schema);
+    db.table_mut("big").unwrap().push_rows(
+        (1..=6)
+            .map(|i| vec![Value::Int(i), Value::Int(2 - i % 2)])
+            .collect(),
+    );
+    db.table_mut("mid").unwrap().push_rows(vec![
+        vec![2.into(), "x".into()],
+        vec![1.into(), "y".into()],
+        vec![2.into(), "z".into()],
+        vec![1.into(), "w".into()],
+    ]);
+    db.table_mut("tiny").unwrap().push_rows(vec![
+        vec![1.into(), "one".into()],
+        vec![2.into(), "two".into()],
+    ]);
+    let sql = "SELECT big.id, mid.tag, tiny.name FROM big \
+               JOIN mid ON big.k = mid.k JOIN tiny ON tiny.k = mid.k";
+    let q = sb_sql::parse(sql).unwrap();
+    for opts in matrix() {
+        let plan = sb_engine::plan_top_select(&db, &q, opts).unwrap();
+        assert!(plan.reordered && plan.order[0] == 2, "{:?}", plan.order);
+    }
+    let rows = reference(&db, sql).rows;
+    assert_eq!(rows.len(), 12);
+    assert_eq!(
+        rows[..3],
+        [
+            vec![1.into(), "y".into(), "one".into()],
+            vec![1.into(), "w".into(), "one".into()],
+            vec![2.into(), "x".into(), "two".into()],
+        ]
+    );
+    assert_every_config_matches_reference(&db, sql);
+}
+
+/// A binding name the join repeats: a qualified ON column resolves to
+/// the first relation of that name, as the nested loop reads it, so
+/// `K.id = K.g` compares two columns of the left row and has no hash
+/// key. The executor's old key extractor bound the second reference to
+/// the incoming relation and hash-joined `left.id = right.g`.
+#[test]
+fn repeated_binding_names_resolve_to_the_first_relation() {
+    let db = kinds_db();
+    let sql = "SELECT K.id FROM kinds AS K JOIN kinds AS K ON K.id = K.g";
+    assert_eq!(reference(&db, sql).rows, vec![vec![Value::Int(1)]; 8]);
+    assert_every_config_matches_reference(&db, sql);
+}

@@ -10,9 +10,8 @@
 //!    (row, columnar, columnar + parallel) and demands that every
 //!    configuration agrees with the reference, and
 //! 4. does the same for the statement's [`nested_loop_twin`], when it
-//!    has joins: the planner's join rewrites (reordering, build sides)
-//!    and the hash joins run on the statement itself, the nested-loop
-//!    join on its twin.
+//!    has joins: the planner's join reordering and the hash joins run
+//!    on the statement itself, the nested-loop join on its twin.
 //!
 //! Agreement is Spider execution-match (`ResultSet::same_result`:
 //! multiset of rows, ordered-list comparison when both sides carry an
@@ -120,10 +119,9 @@ pub fn exec_matrix() -> Vec<(String, ExecOptions)> {
 /// `JOIN … ON a = b` constraint between two columns — in subqueries and
 /// derived tables too — written `ON NOT (a <> b)`. The two agree on
 /// every row under SQL's three-valued logic, but no hash-join key
-/// extractor (the planner's, the row executor's or the batch engine's)
-/// recognizes the twin's form, so every such join of the twin runs as
-/// a nested loop on the row path. `None` when the statement has no such
-/// join.
+/// extractor (the planner's or the engine's join layer) recognizes the
+/// twin's form, so every such join of the twin runs as a nested loop on
+/// the row path. `None` when the statement has no such join.
 pub fn nested_loop_twin(query: &Query) -> Option<Query> {
     let mut twin = query.clone();
     (twin_query(&mut twin) > 0).then_some(twin)

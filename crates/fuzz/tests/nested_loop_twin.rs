@@ -8,7 +8,10 @@
 //! differential campaign (same base seeds) that have a twin, every join
 //! the twin's [`QueryProfile`] records under every configuration of
 //! [`exec_matrix`] is a nested loop — no row-path hash join and no
-//! columnar block with joins, whose joins are always hash joins.
+//! columnar block with joins, whose joins are always hash joins. The
+//! converse pins the originals: every join the `row` configuration
+//! records for a twin's original statement is a hash join, so an equi
+//! join silently falling back to a nested loop fails here too.
 
 use sb_data::Domain;
 use sb_engine::execute_with_profile;
@@ -24,18 +27,37 @@ const SCAN_LIMIT: usize = 2_000;
 fn twins_run_only_nested_loops(domain: Domain, base_seed: u64) {
     let db = fuzz_database(domain);
     let mut gen = QueryGenerator::new(&db, base_seed);
-    let twins: Vec<_> = (0..SCAN_LIMIT)
-        .filter_map(|_| nested_loop_twin(&gen.query()))
+    let pairs: Vec<_> = (0..SCAN_LIMIT)
+        .filter_map(|_| {
+            let q = gen.query();
+            nested_loop_twin(&q).map(|twin| (q, twin))
+        })
         .take(TWINS)
         .collect();
     assert_eq!(
-        twins.len(),
+        pairs.len(),
         TWINS,
         "{}: fewer than {TWINS} joins in {SCAN_LIMIT} campaign statements",
         domain.name()
     );
     let mut nested_loops = 0usize;
-    for twin in &twins {
+    let mut hash_joins = 0usize;
+    for (original, twin) in &pairs {
+        let (_, row) = exec_matrix()
+            .into_iter()
+            .find(|(config, _)| config == "row")
+            .expect("the matrix has a row configuration");
+        let prof = QueryProfile::new();
+        let _ = execute_with_profile(&db, original, row, Some(&prof));
+        for block in prof.snapshot().blocks {
+            let joins: Vec<_> = block.joins.iter().flatten().collect();
+            assert!(
+                joins.iter().all(|j| j.marked),
+                "{} [row]: a nested loop ran an equi join of: {original}",
+                domain.name()
+            );
+            hash_joins += joins.len();
+        }
         for (config, opts) in exec_matrix() {
             let prof = QueryProfile::new();
             // A statement that fails still records the joins it ran.
@@ -59,6 +81,11 @@ fn twins_run_only_nested_loops(domain: Domain, base_seed: u64) {
     assert!(
         nested_loops >= TWINS,
         "{}: only {nested_loops} nested-loop joins recorded over {TWINS} twins",
+        domain.name()
+    );
+    assert!(
+        hash_joins >= TWINS / 2,
+        "{}: only {hash_joins} hash joins recorded over {TWINS} originals",
         domain.name()
     );
 }

@@ -14,7 +14,8 @@
 //! demotes to the row engine. The reverse never happens.
 //!
 //! Supported shape:
-//! - base tables only (derived tables take the row path),
+//! - base and derived tables (a derived table's result is scanned as a
+//!   column image),
 //! - inner joins with `a.x = b.y` constraints over qualified columns,
 //! - scalar expressions from the kernel set: columns, literals,
 //!   arithmetic, comparisons, `AND`/`OR`/`NOT`, `BETWEEN`,
@@ -27,19 +28,12 @@
 //! - no `SELECT *` under grouping.
 
 use crate::is_aggregate;
-use sb_sql::{AggArg, Expr, OrderItem, Select, SelectItem, TableFactor};
+use sb_sql::{AggArg, Expr, OrderItem, Select, SelectItem};
 
 /// Whether one `SELECT` (with its statement-level ORDER BY keys) is
 /// structurally executable by the columnar batch engine.
 pub fn columnar_eligible(select: &Select, order_by: &[OrderItem]) -> bool {
-    // Base tables only.
-    if !matches!(select.from.factor, TableFactor::Table(_)) {
-        return false;
-    }
     for join in &select.joins {
-        if !matches!(join.table.factor, TableFactor::Table(_)) {
-            return false;
-        }
         // Inner equi-joins over qualified columns only.
         if join.left {
             return false;
@@ -187,12 +181,15 @@ mod tests {
         assert!(eligible("SELECT a FROM t WHERE b IN (SELECT c FROM u)"));
         assert!(eligible("SELECT a FROM t WHERE EXISTS (SELECT * FROM u)"));
         assert!(eligible("SELECT a FROM t WHERE b > (SELECT AVG(c) FROM u)"));
+        // A derived table scans as a column image.
+        assert!(eligible("SELECT d.a FROM (SELECT a FROM t) AS d"));
+        assert!(eligible(
+            "SELECT d.a FROM t JOIN (SELECT a, id FROM u) AS d ON t.id = d.id"
+        ));
     }
 
     #[test]
     fn unsupported_shapes_fall_back() {
-        // Derived table.
-        assert!(!eligible("SELECT d.a FROM (SELECT a FROM t) AS d"));
         // Left join.
         assert!(!eligible("SELECT t.a FROM t LEFT JOIN u ON t.id = u.tid"));
         // Non-equi join.

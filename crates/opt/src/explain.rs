@@ -157,13 +157,12 @@ pub fn build_plan(
                 let l = &rels[k.left_rel];
                 let r = &rels[step.rel];
                 format!(
-                    "HashJoin{} on {}.{} = {}.{} build={} rows~{}",
+                    "HashJoin{} on {}.{} = {}.{} rows~{}",
                     if outer { " (left outer)" } else { "" },
                     l.binding,
                     l.columns[k.left_col].name,
                     r.binding,
                     r.columns[k.right_col].name,
-                    if step.build_left { "left" } else { "right" },
                     round_est(step.est_rows),
                 )
             }

@@ -20,9 +20,6 @@
 //!   picks the cheapest execution order under the cost model; the
 //!   executor restores source row order afterwards, so reordering is
 //!   observationally invisible.
-//! - **Build-side selection** ([`PlannedJoin::build_left`]): each hash
-//!   join builds its table on the side the cost model estimates
-//!   smaller.
 //! - **Top-K fusion**: `ORDER BY` + `LIMIT` is planned as a single
 //!   bounded top-K operator rather than a full sort followed by a
 //!   truncation.

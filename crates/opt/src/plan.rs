@@ -3,11 +3,11 @@
 //!
 //! The planner never sees rows. It lowers the statement into per-scan
 //! filters plus a join graph, then applies the rules in a fixed order —
-//! predicate pushdown, projection pushdown, cost-based join reordering,
-//! build-side selection — and returns the surviving decisions in the
-//! *original* relation/column coordinate system. The executor remaps
-//! into pruned layouts itself, so there is exactly one coordinate
-//! translation and it lives next to the code that narrows rows.
+//! predicate pushdown, projection pushdown, cost-based join reordering —
+//! and returns the surviving decisions in the *original* relation/column
+//! coordinate system, which is the executor's too: its joins run over
+//! row ids of the relations' column images, and it narrows rows to the
+//! kept columns only when it builds them.
 //!
 //! ## When reordering applies
 //!
@@ -19,9 +19,9 @@
 //! one. Those conditions make the join graph a spanning tree whose
 //! every execution order needs exactly one hash-join key per step, and
 //! they guarantee no resolution error can depend on the chosen order.
-//! The executor tags rows with their scan positions and restores the
-//! source-order output afterwards, so even tie-breaking in ORDER BY and
-//! the strict row-order equivalence tests cannot observe the reorder.
+//! The executor sorts the joined row-id tuples back into source-order
+//! output afterwards, so even tie-breaking in ORDER BY and the strict
+//! row-order equivalence tests cannot observe the reorder.
 
 use crate::cost::{join_estimate, scan_estimate};
 use crate::pushdown::{assign_pushdown, conjuncts};
@@ -62,8 +62,6 @@ pub struct PlannedJoin {
     pub rel: usize,
     /// Hash-key columns; always `Some` on a reordered plan.
     pub key: Option<EdgeKey>,
-    /// Build the hash table on the accumulated (left) side.
-    pub build_left: bool,
     /// Estimated output rows of this step.
     pub est_rows: f64,
 }
@@ -87,7 +85,7 @@ pub struct PlannedSelect {
     /// `order[0]` is scanned first.
     pub order: Vec<usize>,
     /// Join steps aligned with `order[1..]`: in source order unless
-    /// `reordered`, each with its estimate-chosen hash build side.
+    /// `reordered`.
     pub steps: Vec<PlannedJoin>,
     /// Whether `order` differs from source order (the executor must run
     /// the order-restoring join pipeline).
@@ -125,8 +123,7 @@ pub fn plan_select(input: &PlanInput<'_>, resolver: &dyn Resolver) -> PlannedSel
         .map(|i| scan_estimate(&rels[i], &pushed[i], &conjuncts, resolver, rels))
         .collect();
 
-    // Rules 3 and 4: cost-based join reordering over the equi-join
-    // tree; every step, reordered or not, carries its build side.
+    // Rule 3: cost-based join reordering over the equi-join tree.
     let edges = if n >= 3 {
         extract_join_tree(input, resolver)
     } else {
@@ -351,7 +348,6 @@ fn greedy_order(
         steps.push(PlannedJoin {
             rel: add,
             key: Some(key),
-            build_left: cur_est <= scan_est[add],
             est_rows: est,
         });
         in_scope[add] = true;
@@ -362,9 +358,11 @@ fn greedy_order(
 }
 
 /// Steps for the source-order path: estimates walk the joins as
-/// written, extracting per-join equi keys opportunistically (for build
-/// sides and EXPLAIN labels; the executor re-derives its own hash keys
-/// on this path).
+/// written, with each join's qualified equi key where it has one. The
+/// keys serve the estimates and EXPLAIN's `HashJoin` labels only; the
+/// executor applies its own equi-key rule on this path
+/// (`sb_engine`'s join layer), which also hash-joins bare-name
+/// equalities.
 fn source_order_steps(
     input: &PlanInput<'_>,
     resolver: &dyn Resolver,
@@ -404,7 +402,6 @@ fn source_order_steps(
         steps.push(PlannedJoin {
             rel: introduced,
             key,
-            build_left: cur_est < scan_est[introduced],
             est_rows: est,
         });
         cur_est = est;
@@ -453,20 +450,6 @@ fn source_equi_key(
         })
     } else {
         None
-    }
-}
-
-/// Index of `orig_col` within a pruned layout: the position of the
-/// original column index in the keep list (identity when nothing was
-/// pruned). The executor uses this to translate planner coordinates
-/// after narrowing rows.
-pub fn pruned_index(keep: &Option<Vec<usize>>, orig_col: usize) -> usize {
-    match keep {
-        None => orig_col,
-        Some(kept) => kept
-            .iter()
-            .position(|&c| c == orig_col)
-            .expect("planner keeps every referenced column"),
     }
 }
 
@@ -618,8 +601,6 @@ mod tests {
         let p = plan(sql, &parsed, &rels, OptOptions::default());
         assert_eq!(p.keep[0], Some(vec![0, 1]), "junk pruned from a");
         assert_eq!(p.keep[1], Some(vec![0]), "wide1/wide2 pruned from b");
-        assert_eq!(pruned_index(&p.keep[0], 1), 1);
-        assert_eq!(pruned_index(&p.keep[1], 0), 0);
         // Wildcard disables pruning entirely.
         let sql = "SELECT * FROM a JOIN b ON a.b_id = b.id";
         let parsed = parse(sql).unwrap();
@@ -639,18 +620,5 @@ mod tests {
         let parsed = parse(sql).unwrap();
         let p = plan(sql, &parsed, &rels, OptOptions::default());
         assert_eq!(p.keep[1], None, "w is referenced via ORDER BY");
-    }
-
-    #[test]
-    fn build_sides_follow_estimates() {
-        let rels = vec![
-            meta("small", &[("id", true)], 3),
-            meta("big", &[("small_id", false)], 3000),
-        ];
-        let sql = "SELECT small.id FROM small JOIN big ON big.small_id = small.id";
-        let parsed = parse(sql).unwrap();
-        let p = plan(sql, &parsed, &rels, OptOptions::default());
-        assert!(!p.reordered, "two relations never reorder");
-        assert!(p.steps[0].build_left, "build on the 3-row side");
     }
 }

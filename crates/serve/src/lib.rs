@@ -234,7 +234,10 @@ impl QueryService {
             return resp;
         };
 
-        let timeout_ms = req.timeout_ms.unwrap_or(self.cfg.default_timeout_ms);
+        // Envelope fields can only lower the service's limits.
+        let timeout_ms = req.timeout_ms.map_or(self.cfg.default_timeout_ms, |t| {
+            t.min(self.cfg.default_timeout_ms)
+        });
         let deadline = Instant::now() + Duration::from_millis(timeout_ms);
         let timed_out = |stage: &str| {
             sb_obs::count("serve.rejected.timeout", 1);
@@ -347,7 +350,9 @@ impl QueryService {
         // shareable across load levels.
         let exec = self.cfg.exec.capped_workers(self.gate.in_flight());
         let prof = profiling.then(QueryProfile::new);
-        let row_cap = req.row_cap.unwrap_or(self.cfg.default_row_cap);
+        let row_cap = req.row_cap.map_or(self.cfg.default_row_cap, |c| {
+            c.min(self.cfg.default_row_cap)
+        });
         let result = sb_engine::execute_capped(
             db,
             &prepared.query,
@@ -571,6 +576,37 @@ mod tests {
         assert_eq!(cold.to_json(), warm.to_json());
         let stats = svc.cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+    }
+
+    /// A request's row cap cannot raise the service's.
+    #[test]
+    fn request_row_cap_cannot_raise_the_default() {
+        let svc = sdss_service(ServeConfig {
+            default_row_cap: 3,
+            ..ServeConfig::default()
+        });
+        let mut req = QueryRequest::new(1, "sdss", "SELECT s.class FROM specobj AS s");
+        req.row_cap = Some(usize::MAX);
+        let resp = svc.handle(&req);
+        assert_eq!(resp.code, ErrorCode::Ok);
+        assert_eq!(resp.rows.len(), 3);
+        assert!(resp.truncated);
+    }
+
+    /// A request's timeout cannot raise the service's: a zero default
+    /// expires every request at admission.
+    #[test]
+    fn request_timeout_cannot_raise_the_default() {
+        let svc = sdss_service(ServeConfig {
+            default_timeout_ms: 0,
+            ..ServeConfig::default()
+        });
+        let mut req = QueryRequest::new(1, "sdss", "SELECT s.class FROM specobj AS s");
+        req.timeout_ms = Some(60_000);
+        let resp = svc.handle(&req);
+        assert_eq!(resp.code, ErrorCode::Timeout);
+        let error = resp.error.expect("timeout carries a message");
+        assert!(error.contains("at admission"), "{error}");
     }
 
     #[test]

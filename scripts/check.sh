@@ -81,6 +81,10 @@ for threads in 1 8; do
     # output stage over multi-morsel concatenated selections.
     RAYON_NUM_THREADS=$threads SB_MORSEL_ROWS=7 SB_FUZZ_COUNT=200 \
         cargo test -q -p sb-fuzz --test row_cap_differential
+    # The engine's regression cases under default options: with 7-row
+    # morsels at 8 threads, real multi-morsel hash-join build and probe.
+    RAYON_NUM_THREADS=$threads SB_MORSEL_ROWS=7 \
+        cargo test -q -p sb-engine --test fuzz_regressions
     # Demand-driven generation against its eager oracle: same queries and
     # pairs at either thread count.
     RAYON_NUM_THREADS=$threads cargo test -q --test generation_oracle

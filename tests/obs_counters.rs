@@ -143,8 +143,8 @@ fn engine_counters_are_pinned() {
 const ROW: &str = "\
 engine.group.groups_created 26
 engine.join.hash 5
-engine.join.hash.build_rows 1760
-engine.join.hash.probe_rows 4536
+engine.join.hash.build_rows 1847
+engine.join.hash.probe_rows 4449
 engine.join.nested_loop 1
 engine.order.topk 2
 engine.scan.rows 11365
