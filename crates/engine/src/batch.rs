@@ -555,10 +555,10 @@ fn same_float_expr(a: &NumK, b: &NumK) -> bool {
 /// Two consecutive conjuncts over the *same* float-valued expression
 /// (`u - r < 2.22 AND u - r > 1`, `z > 0.5 AND z < 1`) fused into one
 /// pass: the interval intersection of both bounds, with the expression
-/// read once per row instead of once per conjunct. Only taken with
-/// observability off — a fused pass cannot report the intermediate
-/// per-conjunct selectivity the filter counters record, so obs runs
-/// keep the two-pass chain (the kept set is identical either way).
+/// read once per row instead of once per conjunct. Taken whenever the
+/// shape matches, profiled or not: no counter records per-conjunct
+/// selectivity (a scan's profile slot holds the rows into and out of
+/// its whole conjunct chain), and the kept set is identical either way.
 ///
 /// `None` means "not this shape" and the single-conjunct lanes decide;
 /// `Some` is always `Kept` or `Bail`. Exactness: the two-pass chain
@@ -2187,38 +2187,26 @@ impl Cx<'_> {
 // Joins.
 // ---------------------------------------------------------------------
 
-/// Execute all joins as hash joins ([`crate::join`]), returning one
-/// row-id column per relation (in original FROM/JOIN order), rows in
-/// exactly the order the row-path pipeline would emit. `None` when some
-/// join is not an inner equi-join — the row path runs it, and raises
-/// its constraint's resolution error if it has one.
+/// Execute all joins as hash joins ([`crate::join`]) on the keys the
+/// plan carries, returning one row-id column per relation (in original
+/// FROM/JOIN order), rows in exactly the order the row-path pipeline
+/// would emit. `None` when some join is a LEFT JOIN or has no key — the
+/// row path runs it, and raises its constraint's resolution error if it
+/// has one.
 fn join_all(
     input: &BatchInput<'_, '_>,
     tables: &[&ColumnarTable],
     sels: Vec<Vec<u32>>,
 ) -> Option<Vec<Vec<u32>>> {
-    let p = input.planned;
-    if input.select.joins.is_empty() {
-        return Some(sels);
+    let (p, joins) = (input.planned, &input.select.joins);
+    if joins.iter().any(|j| j.left) || p.steps.iter().any(|s| s.key.is_none()) {
+        return None;
     }
-    let steps = if p.reordered {
-        join::reordered_steps(p)
-    } else {
-        let mut scope = Scope::default();
-        let rel0 = &input.relations[0];
-        scope.push(&rel0.binding, rel0.columns.clone());
-        let mut steps = Vec::with_capacity(input.select.joins.len());
-        for (j, join) in input.select.joins.iter().enumerate() {
-            let rel = &input.relations[j + 1];
-            scope.push(&rel.binding, rel.columns.clone());
-            let constraint = join.constraint.as_ref().filter(|_| !join.left)?;
-            let cols = join::constraint_columns(constraint, &scope).ok()?;
-            steps.push((j + 1, join::equi_key(constraint, &cols, &scope)?));
-        }
-        steps
-    };
     let bp = input.bp.as_ref();
-    Some(join::hash_chain(tables, sels, p, &steps, input.par, bp))
+    join::join_steps(tables, sels, p, joins, input.par, bp, |_, _, _, _, _| {
+        unreachable!("every step has a key")
+    })
+    .ok()
 }
 
 // ---------------------------------------------------------------------
@@ -2227,13 +2215,7 @@ fn join_all(
 
 fn plain<'v>(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'v>) -> Option<Projected<'v>> {
     let select = input.select;
-    let mut columns = Vec::new();
-    for item in &select.projections {
-        match item {
-            SelectItem::Wildcard => columns.extend(cx.scope.all_columns()),
-            other => columns.push(crate::exec::projection_name(other)),
-        }
-    }
+    let columns = crate::exec::output_columns(&select.projections, cx.scope);
 
     // Projections, column-major. Column reads and literals are gathered
     // later, for the rows the output stage returns; every other kernel
@@ -2996,13 +2978,10 @@ fn grouped(cx: &Cx<'_>, input: &BatchInput<'_, '_>, view: &View<'_>) -> Option<P
     let prof_t0 = crate::exec::prof_clock(&input.bp);
 
     // Output columns; a wildcard is an error the row path must report.
-    let mut columns = Vec::new();
-    for item in &select.projections {
-        match item {
-            SelectItem::Wildcard => return None,
-            other => columns.push(crate::exec::projection_name(other)),
-        }
+    if (select.projections.iter()).any(|p| matches!(p, SelectItem::Wildcard)) {
+        return None;
     }
+    let columns = crate::exec::output_columns(&select.projections, cx.scope);
 
     // Group assignment.
     let (gids, reps, empty_implicit) = if select.group_by.is_empty() {

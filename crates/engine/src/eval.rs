@@ -99,6 +99,14 @@ impl Scope {
         }
     }
 
+    /// The scope of the first `n` relations: what a join constraint
+    /// sees when the join introduces relation `n - 1`.
+    pub(crate) fn prefix(&self, n: usize) -> Scope {
+        let bindings = self.bindings[..n].to_vec();
+        let width = bindings.last().map_or(0, |b| b.offset + b.columns.len());
+        Scope { bindings, width }
+    }
+
     /// All visible column names, in row order (used to expand `*`).
     pub fn all_columns(&self) -> Vec<String> {
         self.bindings

@@ -52,8 +52,8 @@ use crate::value::Value;
 use sb_obs::{Block, FixedOp, OpStats, QueryProfile};
 use sb_schema::TableDef;
 use sb_sql::{
-    AggFunc, ColumnRef, Expr, Join, OrderItem, Query, Select, SelectItem, SetExpr, SetOp,
-    TableFactor, TableRef,
+    AggFunc, ColumnRef, Expr, OrderItem, Query, Select, SelectItem, SetExpr, SetOp, TableFactor,
+    TableRef,
 };
 use std::borrow::Cow;
 use std::hash::Hasher;
@@ -420,9 +420,7 @@ pub(crate) fn resolve_relation<'a>(
             })
         }
         TableFactor::Derived(q) => {
-            let alias = tr.alias.clone().ok_or_else(|| {
-                EngineError::Unsupported("derived table requires an alias".into())
-            })?;
+            let alias = derived_alias(tr)?;
             // The derived query's SELECT blocks register in the profile
             // here, i.e. after the enclosing block and in FROM/JOIN
             // order — exactly the walk `explain_with_profile` replays.
@@ -435,6 +433,12 @@ pub(crate) fn resolve_relation<'a>(
             })
         }
     }
+}
+
+/// A derived table's binding: its alias, which SQL requires.
+pub(crate) fn derived_alias(tr: &TableRef) -> Result<String> {
+    let missing = || EngineError::Unsupported("derived table requires an alias".into());
+    tr.alias.clone().ok_or_else(missing)
 }
 
 /// The planner's name-resolution callback, backed by the executor's
@@ -462,23 +466,19 @@ pub(crate) struct PlannedFrom<'a, 'p> {
     pub(crate) relations: Vec<Relation<'a>>,
     /// The full scope over every relation's original columns.
     pub(crate) scope: Scope,
-    /// What the planner was told about each relation; empty when a
-    /// prepared plan was reused.
-    pub(crate) metas: Vec<sb_opt::RelMeta>,
     /// The prepared plan, borrowed, or the one planned here.
     pub(crate) planned: Cow<'p, sb_opt::PlannedSelect>,
 }
 
 /// Resolve a `SELECT`'s FROM relations (derived tables execute here, in
 /// FROM/JOIN order), build their full scope, and plan the statement
-/// over them — unless the caller has a `prepared` plan, which is reused
-/// as it is. Execution, EXPLAIN and the serve layer's prepare step all
-/// plan through here, so they cannot disagree about a plan. Name
-/// resolution inside the planner delegates back to the scope, so
-/// pushdown and reorder decisions see exactly what the residual filter
-/// would. The metadata the planner sees is each relation's live row
-/// count (derived tables are already materialized) and base-table
-/// primary-key uniqueness for the cost model's distinct estimates.
+/// over them through [`plan_input`] — unless the caller has a
+/// `prepared` plan, which is reused as it is. Execution and the serve
+/// layer's prepare step plan through here, and EXPLAIN through
+/// [`plan_input`], so they cannot disagree about a plan. The metadata
+/// the planner sees is each relation's live row count (derived tables
+/// are already materialized) and base-table primary-key uniqueness for
+/// the cost model's distinct estimates.
 pub(crate) fn plan_from<'a, 'p>(
     db: &'a Database,
     select: &Select,
@@ -492,62 +492,107 @@ pub(crate) fn plan_from<'a, 'p>(
     for join in &select.joins {
         relations.push(resolve_relation(db, &join.table, opts, prof)?);
     }
-    let mut scope = Scope::default();
-    for rel in &relations {
-        scope.push(&rel.binding, rel.columns.clone());
-    }
     // A prepared plan names conjuncts, columns and relations by index;
     // one that does not fit this statement (a caller paired it with
     // another one) is dropped, and the statement is planned afresh.
     let widths: Vec<usize> = relations.iter().map(|r| r.columns.len()).collect();
     let n_conjuncts = sb_opt::conjuncts(select).len();
     if let Some(p) = prepared.filter(|p| plan_fits(p, &widths, n_conjuncts)) {
+        let mut scope = Scope::default();
+        for rel in &relations {
+            scope.push(&rel.binding, rel.columns.clone());
+        }
         return Ok(PlannedFrom {
             relations,
             scope,
-            metas: Vec::new(),
             planned: Cow::Borrowed(p),
         });
     }
     let metas: Vec<sb_opt::RelMeta> = relations
         .iter()
-        .map(|r| sb_opt::RelMeta {
-            binding: r.binding.clone(),
-            table: r.def.map(|d| d.name.clone()),
-            columns: r
-                .columns
-                .iter()
-                .enumerate()
-                .map(|(i, name)| sb_opt::ColMeta {
-                    name: name.clone(),
-                    unique: r.def.is_some_and(|d| d.columns[i].primary_key),
-                })
-                .collect(),
-            rows: r.image.len,
-        })
+        .map(|r| rel_meta(&r.binding, &r.columns, r.def, r.image.len))
         .collect();
+    let (scope, input) = plan_input(select, order_by, limit, opts, &metas);
+    let planned = Cow::Owned(sb_opt::plan_select(&input, &ScopeResolver(&scope)));
+    Ok(PlannedFrom {
+        relations,
+        scope,
+        planned,
+    })
+}
+
+/// What the planner knows of one relation: its binding, column names
+/// and row count, and a base table's primary-key columns.
+pub(crate) fn rel_meta(
+    binding: &str,
+    columns: &[String],
+    def: Option<&TableDef>,
+    rows: usize,
+) -> sb_opt::RelMeta {
+    sb_opt::RelMeta {
+        binding: binding.to_string(),
+        table: def.map(|d| d.name.clone()),
+        columns: (columns.iter().enumerate())
+            .map(|(i, name)| sb_opt::ColMeta {
+                name: name.clone(),
+                unique: def.is_some_and(|d| d.columns[i].primary_key),
+            })
+            .collect(),
+        rows,
+    }
+}
+
+/// The planner's input for one `SELECT` over relations `metas`, and
+/// their full scope, which name resolution inside the planner delegates
+/// to, so pushdown and reorder decisions see exactly what the residual
+/// filter would. The scope grows one relation at a time, and each
+/// written join's key is decided against the prefix the join sees —
+/// the relations joined so far and the one it introduces — with
+/// [`join::constraint_columns`] and [`join::equi_key`]. This is the one
+/// place a join's algorithm is chosen: both executors and EXPLAIN
+/// follow the plan's keys.
+pub(crate) fn plan_input<'s>(
+    select: &'s Select,
+    order_by: &'s [OrderItem],
+    limit: Option<u64>,
+    opts: ExecOptions,
+    metas: &'s [sb_opt::RelMeta],
+) -> (Scope, sb_opt::PlanInput<'s>) {
+    let mut scope = Scope::default();
+    let mut join_keys = Vec::with_capacity(select.joins.len());
+    for (i, m) in metas.iter().enumerate() {
+        scope.push(
+            &m.binding,
+            m.columns.iter().map(|c| c.name.clone()).collect(),
+        );
+        let Some(join) = i.checked_sub(1).map(|j| &select.joins[j]) else {
+            continue;
+        };
+        // A constraint that does not resolve has no key: the nested
+        // loop raises its error when the join runs.
+        join_keys.push(join.constraint.as_ref().and_then(|c| {
+            let cols = join::constraint_columns(c, &scope).ok()?;
+            join::equi_key(c, &cols, &scope)
+        }));
+    }
     let input = sb_opt::PlanInput {
         select,
         order_by,
         limit,
-        rels: &metas,
+        rels: metas,
+        join_keys,
         opts: opts.opt_options(),
     };
-    let planned = sb_opt::plan_select(&input, &ScopeResolver(&scope));
-    Ok(PlannedFrom {
-        relations,
-        scope,
-        metas,
-        planned: Cow::Owned(planned),
-    })
+    (scope, input)
 }
 
 /// Whether a prepared plan fits a statement whose relations have
 /// `widths` columns and whose WHERE has `n_conjuncts` conjuncts: one
 /// entry per relation in every per-relation list, every conjunct index
-/// and kept column in range, the join order a permutation, and every
-/// reordered step joining a new relation on key columns that are in
-/// range, kept, and (on the probe side) already joined.
+/// and kept column in range, the join order a permutation (the identity
+/// unless reordered), and every step joining the next relation of that
+/// order on key columns that are in range, kept, and (on the probe
+/// side) already joined — a key every reordered step has.
 fn plan_fits(p: &sb_opt::PlannedSelect, widths: &[usize], n_conjuncts: usize) -> bool {
     let n = widths.len();
     let kept = |rel: usize, col: usize| {
@@ -562,15 +607,16 @@ fn plan_fits(p: &sb_opt::PlannedSelect, widths: &[usize], n_conjuncts: usize) ->
         && (p.keep.iter().zip(widths))
             .all(|(k, &w)| k.as_ref().is_none_or(|k| k.iter().all(|&c| c < w)))
         && order.into_iter().eq(0..n)
-        && (!p.reordered
-            || p.steps.iter().enumerate().all(|(i, step)| {
-                step.rel == p.order[i + 1]
-                    && step.key.is_some_and(|key| {
-                        p.order[..=i].contains(&key.left_rel)
-                            && kept(key.left_rel, key.left_col)
-                            && kept(step.rel, key.right_col)
-                    })
-            }))
+        && (p.reordered || p.order.iter().copied().eq(0..n))
+        && p.steps.iter().enumerate().all(|(i, step)| {
+            step.rel == p.order[i + 1]
+                && (step.key.is_some() || !p.reordered)
+                && step.key.is_none_or(|key| {
+                    p.order[..=i].contains(&key.left_rel)
+                        && kept(key.left_rel, key.left_col)
+                        && kept(step.rel, key.right_col)
+                })
+        })
 }
 
 /// Scan one relation: the row ids that pass its pushed-down conjuncts
@@ -622,54 +668,6 @@ fn scan_relation(
     Ok(sel)
 }
 
-/// Join the scanned relations in source order: one row-id column per
-/// relation, tuples in the order the written joins emit them. Each
-/// join's constraint resolves against the relations joined so far and
-/// the incoming one before any row pair is tested; an `a = b` between
-/// the two sides hash-joins, any other constraint runs as a nested loop
-/// over one reused buffer holding the columns it reads.
-fn join_relations(
-    relations: &[Relation<'_>],
-    tables: &[&ColumnarTable],
-    mut sels: Vec<Vec<u32>>,
-    joins: &[Join],
-    ctx: &EvalContext,
-    par: ParConfig,
-    bp: Option<&Block<'_>>,
-) -> Result<Vec<Vec<u32>>> {
-    let mut scope = Scope::default();
-    scope.push(&relations[0].binding, relations[0].columns.clone());
-    let mut tuples = Tuples::new(0, std::mem::take(&mut sels[0]));
-    for (ji, join) in joins.iter().enumerate() {
-        let rel = ji + 1;
-        scope.push(&relations[rel].binding, relations[rel].columns.clone());
-        let (sel, op) = (&sels[rel], bp.and_then(|b| b.join(ji)));
-        let Some(constraint) = &join.constraint else {
-            tuples = tuples.nested_loop(rel, sel, join.left, op, |_| Ok(true))?;
-            continue;
-        };
-        let cols = join::constraint_columns(constraint, &scope)?;
-        if let Some(key) = join::equi_key(constraint, &cols, &scope) {
-            tuples = tuples.hash_join(tables, (rel, key), sel, join.left, par, op);
-            continue;
-        }
-        // The buffer's slots the constraint reads, filled per pair.
-        let prog = compile(constraint, &scope, ctx);
-        let mut buf = vec![Value::Null; scope.width];
-        tuples = tuples.nested_loop(rel, sel, join.left, op, |pair| {
-            for &slot in &cols {
-                let at = scope.locate(slot);
-                buf[slot] = match pair[at.rel] {
-                    join::NULL_RID => Value::Null,
-                    rid => tables[at.rel].columns[at.col].value_at(rid as usize),
-                };
-            }
-            prog.eval_filter(&buf, ctx)
-        })?;
-    }
-    Ok(tuples.into_source_order(false))
-}
-
 /// Rows an output build fills column by column.
 const ROW_BLOCK: usize = 256;
 
@@ -703,15 +701,21 @@ fn build_rows(
     rows
 }
 
-/// Output column name for a projection item.
-pub(crate) fn projection_name(item: &SelectItem) -> String {
-    match item {
-        SelectItem::Wildcard => "*".to_string(),
-        SelectItem::Expr { expr, alias } => match alias {
-            Some(a) => a.clone(),
-            None => expr.to_string(),
-        },
+/// The output column names of a `SELECT` list over `scope`: an item's
+/// alias, else its SQL text, and `*` every column of the scope. Both
+/// executors name their output with it, and EXPLAIN a derived table's
+/// columns.
+pub(crate) fn output_columns(projections: &[SelectItem], scope: &Scope) -> Vec<String> {
+    let mut columns = Vec::new();
+    for item in projections {
+        match item {
+            SelectItem::Wildcard => columns.extend(scope.all_columns()),
+            SelectItem::Expr { expr, alias } => {
+                columns.push(alias.clone().unwrap_or_else(|| expr.to_string()))
+            }
+        }
     }
+    columns
 }
 
 /// Run one `SELECT` and its ORDER BY / LIMIT, building rows only for
@@ -786,20 +790,31 @@ fn execute_select_impl(
     }
     let tables: Vec<&ColumnarTable> = relations.iter().map(|r| &*r.image).collect();
     let par = opts.par_config().one_morsel();
-    let rowids = if planned.reordered {
-        let steps = join::reordered_steps(&planned);
-        join::hash_chain(&tables, sels, &planned, &steps, par, bp.as_ref())
-    } else {
-        join_relations(
-            &relations,
-            &tables,
-            sels,
-            &select.joins,
-            &ctx,
-            par,
-            bp.as_ref(),
-        )?
+    // A step without a key runs as a nested loop: the constraint, when
+    // there is one, resolves against the relations joined so far and
+    // the incoming one before any pair is tested, and each pair fills
+    // one reused buffer with the columns it reads.
+    let nested_loop = |tuples: Tuples, rel: usize, sel: &[u32], outer, op: Option<&OpStats>| {
+        let Some(constraint) = &select.joins[rel - 1].constraint else {
+            return tuples.nested_loop(rel, sel, outer, op, |_| Ok(true));
+        };
+        let scope = full_scope.prefix(rel + 1);
+        let cols = join::constraint_columns(constraint, &scope)?;
+        let prog = compile(constraint, &scope, &ctx);
+        let mut buf = vec![Value::Null; scope.width];
+        tuples.nested_loop(rel, sel, outer, op, |pair| {
+            for &slot in &cols {
+                let at = scope.locate(slot);
+                buf[slot] = match pair[at.rel] {
+                    join::NULL_RID => Value::Null,
+                    rid => tables[at.rel].columns[at.col].value_at(rid as usize),
+                };
+            }
+            prog.eval_filter(&buf, &ctx)
+        })
     };
+    let (joins, bp_ref) = (&select.joins, bp.as_ref());
+    let rowids = join::join_steps(&tables, sels, &planned, joins, par, bp_ref, nested_loop)?;
 
     // Projection pushdown: rows hold only the columns the planner proved
     // are referenced (by name, so ambiguity errors and ORDER BY alias
@@ -879,13 +894,7 @@ fn execute_plain(
     rows: Vec<Vec<Value>>,
     ctx: &EvalContext,
 ) -> Result<Projected<'static>> {
-    let mut columns = Vec::new();
-    for item in &select.projections {
-        match item {
-            SelectItem::Wildcard => columns.extend(scope.all_columns()),
-            other => columns.push(projection_name(other)),
-        }
-    }
+    let columns = output_columns(&select.projections, scope);
     // A bare `SELECT *` needs no per-cell work: the row's values move
     // into the output columns as they are.
     let passthrough =
@@ -1000,17 +1009,12 @@ fn execute_grouped(
         op.groups(groups.len() as u64);
     }
 
-    let mut columns = Vec::new();
-    for item in &select.projections {
-        match item {
-            SelectItem::Wildcard => {
-                return Err(EngineError::Unsupported(
-                    "SELECT * with GROUP BY / aggregates".into(),
-                ))
-            }
-            other => columns.push(projection_name(other)),
-        }
+    if (select.projections.iter()).any(|p| matches!(p, SelectItem::Wildcard)) {
+        return Err(EngineError::Unsupported(
+            "SELECT * with GROUP BY / aggregates".into(),
+        ));
     }
+    let columns = output_columns(&select.projections, scope);
 
     let mut cols: Vec<Vec<Value>> = vec![Vec::new(); columns.len()];
     let mut keys: Vec<Vec<Value>> = vec![Vec::new(); order_by.len()];
@@ -1702,6 +1706,32 @@ mod tests {
                 let fresh = execute_with(&db, &q, opts);
                 let reused = execute_with_plan_profile(&db, &q, opts, Some(&plan), None);
                 assert_eq!(format!("{reused:?}"), format!("{fresh:?}"), "{sql}");
+            }
+        }
+        // Source-order steps whose keys the executors would follow into
+        // a panic: a build column out of range, and a probe relation
+        // the step precedes. The LEFT JOIN keeps the plan in source
+        // order.
+        let q = sb_sql::parse(
+            "SELECT s.specobjid, p.objid, t.specobjid FROM specobj AS s \
+             JOIN photoobj AS p ON s.bestobjid = p.objid \
+             LEFT JOIN specobj AS t ON t.bestobjid = p.objid",
+        )
+        .unwrap();
+        type Break = fn(&mut sb_opt::EdgeKey);
+        let broken: [Break; 2] = [|k| k.right_col = 99, |k| k.left_rel = 2];
+        for opts in engine_variants() {
+            let fresh = execute_with(&db, &q, opts);
+            assert_eq!(fresh.as_ref().unwrap().rows.len(), 5);
+            let mut plan = plan_top_select(&db, &q, opts).expect("plannable statement");
+            assert!(!plan.reordered);
+            let key = plan.steps[0].key.expect("equi-join step");
+            for breaks in broken {
+                let mut bad = key;
+                breaks(&mut bad);
+                plan.steps[0].key = Some(bad);
+                let reused = execute_with_plan_profile(&db, &q, opts, Some(&plan), None);
+                assert_eq!(format!("{reused:?}"), format!("{fresh:?}"), "{bad:?}");
             }
         }
     }

@@ -3,26 +3,43 @@
 //!
 //! The tree is built from the exact [`sb_opt::PlannedSelect`] the
 //! executor would consume under the same [`ExecOptions`]: each SELECT
-//! is planned through the executor's own `plan_from`, so the text is a
-//! faithful record of pushdown, pruning and join order. Derived tables are materialized (they must be, for the
-//! planner's row counts to mean anything) and their subplans nest under
-//! the `DerivedScan` operator that consumes them.
+//! is planned through the executor's own `plan_input`, so the text is a
+//! faithful record of pushdown, pruning, join algorithm and join order.
+//! Derived tables' subplans nest under the `DerivedScan` operator that
+//! consumes them.
+//!
+//! Planning needs a derived relation's column names and row count,
+//! never its rows, and EXPLAIN runs each derived table at most once.
+//! The names come from the executors' own naming rule
+//! (`output_columns`). The row count comes from a recorded profile: the
+//! scan slot of the enclosing SELECT's block. EXPLAIN ANALYZE
+//! ([`explain_with_profile`]) reads the profile the statement ran with,
+//! so it executes nothing. Plain [`explain`] has no profile: it executes
+//! each derived table of the top-level SELECT once, with a fresh
+//! profile, and reads every derived table nested inside from that
+//! profile. A recorded profile without the slot (the statement failed
+//! before that scan, or ran out of profile slots) falls back to the
+//! same single execution.
 //!
 //! EXPLAIN and EXPLAIN ANALYZE share one walk over the statement. The
-//! analyzed walk also carries a recorded profile and consumes one of
-//! its blocks per SELECT, in the order the executor reserved them.
+//! walk consumes one profile block per SELECT, in the order the
+//! executor reserved them; the analyzed walk also annotates each
+//! operator with its block's statistics.
 
 use crate::database::Database;
 use crate::error::Result;
-use crate::exec::{plan_from, ExecOptions};
+use crate::exec::{
+    derived_alias, execute_with_profile, output_columns, plan_input, rel_meta, resolve_relation,
+    ExecOptions, ScopeResolver,
+};
 use sb_obs::{BlockSnapshot, OpSnapshot, ProfileSnapshot, QueryProfile};
 use sb_opt::{PlanAnnotator, PlanNode};
 use sb_sql::{OrderItem, Query, Select, SetExpr, SetOp, TableFactor};
 
 /// Render the execution plan for `query` under `opts` as indented text.
 pub fn explain(db: &Database, query: &Query, opts: ExecOptions) -> Result<String> {
-    let node = plan_set_expr(db, &query.body, &query.order_by, query.limit, opts, None)?;
-    Ok(sb_opt::render(&node))
+    let plan = plan_set_expr(db, &query.body, &query.order_by, query.limit, opts, None)?;
+    Ok(sb_opt::render(&plan.node))
 }
 
 /// EXPLAIN ANALYZE: execute `query` with a fresh [`QueryProfile`] and
@@ -41,14 +58,15 @@ pub fn explain_analyze(
     include_timings: bool,
 ) -> Result<String> {
     let prof = QueryProfile::new();
-    crate::exec::execute_with_profile(db, query, opts, Some(&prof))?;
+    execute_with_profile(db, query, opts, Some(&prof))?;
     explain_with_profile(db, query, opts, &prof, include_timings)
 }
 
 /// Render the plan for `query` annotated with an already-recorded
-/// profile (no re-execution). `sb-serve` uses this to attach analyzed
-/// plans to slow-query log entries from the profile the request already
-/// paid for.
+/// profile. Derived tables' row counts come from the profile too, so a
+/// profile of a successful run (within the slot cap) executes nothing.
+/// `sb-serve` uses this to attach analyzed plans to slow-query log
+/// entries from the profile the request already paid for.
 pub fn explain_with_profile(
     db: &Database,
     query: &Query,
@@ -57,28 +75,29 @@ pub fn explain_with_profile(
     include_timings: bool,
 ) -> Result<String> {
     let snap = prof.snapshot();
-    let mut analyzed = Analyzed {
+    let mut walk = Walk {
         snap: &snap,
         cursor: 0,
-        timings: include_timings,
+        annotate: Some(include_timings),
     };
-    let node = plan_set_expr(
-        db,
-        &query.body,
-        &query.order_by,
-        query.limit,
-        opts,
-        Some(&mut analyzed),
-    )?;
-    Ok(sb_opt::render(&node))
+    let (order_by, limit) = (&query.order_by, query.limit);
+    let plan = plan_set_expr(db, &query.body, order_by, limit, opts, Some(&mut walk))?;
+    Ok(sb_opt::render(&plan.node))
 }
 
-/// What an EXPLAIN ANALYZE walk annotates from: the recorded profile,
-/// the next of its blocks to consume, and whether to show timings.
-struct Analyzed<'s> {
+/// A recorded profile an EXPLAIN walk reads: its blocks, the next one to
+/// consume, and whether to annotate operators (`Some(include_timings)`)
+/// or only read derived row counts.
+struct Walk<'s> {
     snap: &'s ProfileSnapshot,
     cursor: usize,
-    timings: bool,
+    annotate: Option<bool>,
+}
+
+/// A rendered plan and the names of the columns it outputs.
+struct Subplan {
+    node: PlanNode,
+    columns: Vec<String>,
 }
 
 /// The walk visits SELECTs in the exact order the executor reserves
@@ -90,18 +109,18 @@ fn plan_set_expr(
     order_by: &[OrderItem],
     limit: Option<u64>,
     opts: ExecOptions,
-    mut analyzed: Option<&mut Analyzed<'_>>,
-) -> Result<PlanNode> {
+    mut walk: Option<&mut Walk<'_>>,
+) -> Result<Subplan> {
     match body {
-        SetExpr::Select(select) => plan_select_node(db, select, order_by, limit, opts, analyzed),
+        SetExpr::Select(select) => plan_select_node(db, select, order_by, limit, opts, walk),
         SetExpr::SetOp {
             op,
             all,
             left,
             right,
         } => {
-            let l = plan_set_expr(db, left, &[], None, opts, analyzed.as_deref_mut())?;
-            let r = plan_set_expr(db, right, &[], None, opts, analyzed)?;
+            let l = plan_set_expr(db, left, &[], None, opts, walk.as_deref_mut())?;
+            let r = plan_set_expr(db, right, &[], None, opts, walk)?;
             let name = match op {
                 SetOp::Union => "Union",
                 SetOp::Intersect => "Intersect",
@@ -111,7 +130,7 @@ fn plan_set_expr(
             // profile block, so their lines are never annotated.
             let mut node = PlanNode {
                 label: format!("{name}{}", if *all { " ALL" } else { "" }),
-                children: vec![l, r],
+                children: vec![l.node, r.node],
             };
             // Set operations sort and truncate after combining; no
             // top-K fusion on this path (matching the executor).
@@ -125,7 +144,11 @@ fn plan_set_expr(
             if let Some(k) = limit {
                 node = PlanNode::unary(format!("Limit k={k}"), node);
             }
-            Ok(node)
+            // A set operation's output is named by its left operand.
+            Ok(Subplan {
+                node,
+                columns: l.columns,
+            })
         }
     }
 }
@@ -136,44 +159,69 @@ fn plan_select_node(
     order_by: &[OrderItem],
     limit: Option<u64>,
     opts: ExecOptions,
-    mut analyzed: Option<&mut Analyzed<'_>>,
-) -> Result<PlanNode> {
+    mut walk: Option<&mut Walk<'_>>,
+) -> Result<Subplan> {
     // This SELECT's block precedes its derived tables' blocks.
-    let ann = analyzed.as_deref_mut().and_then(|a| {
-        a.cursor += 1;
-        Some(BlockAnnotator {
-            block: a.snap.blocks.get(a.cursor - 1)?,
-            timings: a.timings,
-        })
-    });
+    let (block, timings) = match walk.as_deref_mut() {
+        Some(w) => {
+            w.cursor += 1;
+            (w.snap.blocks.get(w.cursor - 1), w.annotate)
+        }
+        None => (None, None),
+    };
 
-    let from = plan_from(db, select, order_by, limit, opts, None, None)?;
-
-    // Subplans for derived tables, aligned with the relations.
-    let mut derived = Vec::with_capacity(from.relations.len());
-    for tr in std::iter::once(&select.from).chain(select.joins.iter().map(|j| &j.table)) {
-        derived.push(match &tr.factor {
-            TableFactor::Derived(q) => Some(plan_set_expr(
-                db,
-                &q.body,
-                &q.order_by,
-                q.limit,
-                opts,
-                analyzed.as_deref_mut(),
-            )?),
-            TableFactor::Table(_) => None,
-        });
+    // The relations' planner metadata in FROM/JOIN order, and the
+    // subplans of the derived ones.
+    let n = 1 + select.joins.len();
+    let (mut metas, mut derived) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    let factors = std::iter::once(&select.from).chain(select.joins.iter().map(|j| &j.table));
+    for (i, tr) in factors.enumerate() {
+        let TableFactor::Derived(q) = &tr.factor else {
+            let rel = resolve_relation(db, tr, opts, None)?;
+            metas.push(rel_meta(&rel.binding, &rel.columns, rel.def, rel.image.len));
+            derived.push(None);
+            continue;
+        };
+        let alias = derived_alias(tr)?;
+        let recorded = block.and_then(|b| b.scans.get(i).copied().flatten());
+        let (sub, rows) = match recorded {
+            Some(scan) => {
+                let walk = walk.as_deref_mut();
+                let sub = plan_set_expr(db, &q.body, &q.order_by, q.limit, opts, walk)?;
+                (sub, scan.rows_in as usize)
+            }
+            None => {
+                // Run the derived query once, and read its subplan's
+                // derived row counts from the profile of that run.
+                let prof = QueryProfile::new();
+                let rows = execute_with_profile(db, q, opts, Some(&prof))?.rows.len();
+                let snap = prof.snapshot();
+                if let Some(w) = walk.as_deref_mut() {
+                    w.cursor += snap.blocks.len();
+                }
+                let mut run = Walk {
+                    snap: &snap,
+                    cursor: 0,
+                    annotate: None,
+                };
+                let sub = plan_set_expr(db, &q.body, &q.order_by, q.limit, opts, Some(&mut run))?;
+                (sub, rows)
+            }
+        };
+        metas.push(rel_meta(&alias, &sub.columns, None, rows));
+        derived.push(Some(sub.node));
     }
 
-    let input = sb_opt::PlanInput {
-        select,
-        order_by,
-        limit,
-        rels: &from.metas,
-        opts: opts.opt_options(),
-    };
+    let (scope, input) = plan_input(select, order_by, limit, opts, &metas);
+    let planned = sb_opt::plan_select(&input, &ScopeResolver(&scope));
+    let ann = block
+        .zip(timings)
+        .map(|(block, timings)| BlockAnnotator { block, timings });
     let ann = ann.as_ref().map(|a| a as &dyn PlanAnnotator);
-    Ok(sb_opt::build_plan(&input, &from.planned, &derived, ann))
+    Ok(Subplan {
+        node: sb_opt::build_plan(&input, &planned, &derived, ann),
+        columns: output_columns(&select.projections, &scope),
+    })
 }
 
 /// [`sb_opt::PlanAnnotator`] over one recorded [`BlockSnapshot`].

@@ -9,8 +9,9 @@
 //!
 //! - **The join key** ([`col_join_key`]): SQL equality, so the hash path
 //!   matches exactly the row pairs the predicate `a = b` accepts.
-//! - **The source-order equi-key rule** ([`constraint_columns`],
-//!   [`equi_key`]): which written `ON` constraints hash-join.
+//! - **The equi-key rule** ([`constraint_columns`], [`equi_key`]): which
+//!   written `ON` constraints hash-join. Planning applies it once per
+//!   join and the plan's steps carry the keys ([`join_steps`]).
 //! - **Hash build and probe** ([`Tuples::hash_join`]): the build side is
 //!   always the incoming relation, so matches emit in build-scan order
 //!   within each probe row — the nested loop's order.
@@ -31,8 +32,8 @@ use crate::inset::{float_key, NumKey};
 use crate::key::FxBuild;
 use crate::value::Value;
 use sb_obs::OpStats;
-use sb_opt::EdgeKey;
-use sb_sql::{BinaryOp, Expr};
+use sb_opt::{EdgeKey, PlannedSelect};
+use sb_sql::{BinaryOp, Expr, Join};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::time::Instant;
@@ -392,34 +393,34 @@ impl Tuples {
     }
 }
 
-/// The steps of a planner-reordered join, in execution order: each
-/// joins relation `rel` on its key.
-pub(crate) fn reordered_steps(planned: &sb_opt::PlannedSelect) -> Vec<(usize, EdgeKey)> {
-    let steps = planned.steps.iter();
-    steps
-        .map(|s| (s.rel, s.key.expect("reordered steps always carry a key")))
-        .collect()
-}
-
-/// Run a chain of hash-join steps over the scanned selections `sels`
-/// (one per relation, FROM/JOIN order) in the plan's order; returns one
-/// row-id column per relation in FROM/JOIN order. Step `si` records
-/// into `bp`'s join slot `si`.
-pub(crate) fn hash_chain(
+/// Run the plan's join steps over the scanned selections `sels` (one
+/// per relation, FROM/JOIN order), in the plan's order: a step with a
+/// key hash-joins on it, one without runs `nested_loop(tuples, rel,
+/// sel, outer, op)`. Returns one row-id column per relation in
+/// FROM/JOIN order, in source-order output. Step `si` records into
+/// `bp`'s join slot `si`.
+pub(crate) fn join_steps(
     tables: &[&ColumnarTable],
     mut sels: Vec<Vec<u32>>,
-    planned: &sb_opt::PlannedSelect,
-    steps: &[(usize, EdgeKey)],
+    planned: &PlannedSelect,
+    joins: &[Join],
     par: ParConfig,
     bp: Option<&sb_obs::Block<'_>>,
-) -> Vec<Vec<u32>> {
+    mut nested_loop: impl FnMut(Tuples, usize, &[u32], bool, Option<&OpStats>) -> Result<Tuples>,
+) -> Result<Vec<Vec<u32>>> {
     let first = planned.order[0];
     let mut tuples = Tuples::new(first, std::mem::take(&mut sels[first]));
-    for (si, &(rel, key)) in steps.iter().enumerate() {
-        let op = bp.and_then(|b| b.join(si));
-        tuples = tuples.hash_join(tables, (rel, key), &sels[rel], false, par, op);
+    for (si, step) in planned.steps.iter().enumerate() {
+        let (rel, sel, op) = (step.rel, &sels[step.rel], bp.and_then(|b| b.join(si)));
+        // A reordered plan can join the FROM relation late; its joins
+        // are all inner.
+        let outer = rel.checked_sub(1).is_some_and(|j| joins[j].left);
+        tuples = match step.key {
+            Some(key) => tuples.hash_join(tables, (rel, key), sel, outer, par, op),
+            None => nested_loop(tuples, rel, sel, outer, op)?,
+        };
     }
-    tuples.into_source_order(planned.reordered)
+    Ok(tuples.into_source_order(planned.reordered))
 }
 
 /// Append tuple `i` of `acc` and row id `rid` to `out`.

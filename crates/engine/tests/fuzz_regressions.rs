@@ -641,25 +641,22 @@ fn derived_text_from_two_tables_groups_by_content() {
     }
 }
 
-/// A three-way join the planner reorders to start from the smallest
-/// relation: the execution order emits tuples in another order than the
-/// written joins, and restoring source order puts them back.
-#[test]
-fn reordered_three_way_join_restores_source_order() {
+/// `big`, `mid` and `tiny`, joined on key columns named `keys`.
+fn reorder_db(keys: [&str; 3]) -> Database {
     let int = |name: &str| Column::new(name, ColumnType::Int);
     let schema = Schema::new("reorder")
         .with_table(TableDef::new(
             "big",
-            vec![Column::pk("id", ColumnType::Int), int("k")],
+            vec![Column::pk("id", ColumnType::Int), int(keys[0])],
         ))
         .with_table(TableDef::new(
             "mid",
-            vec![int("k"), Column::new("tag", ColumnType::Text)],
+            vec![int(keys[1]), Column::new("tag", ColumnType::Text)],
         ))
         .with_table(TableDef::new(
             "tiny",
             vec![
-                Column::pk("k", ColumnType::Int),
+                Column::pk(keys[2], ColumnType::Int),
                 Column::new("name", ColumnType::Text),
             ],
         ));
@@ -679,24 +676,44 @@ fn reordered_three_way_join_restores_source_order() {
         vec![1.into(), "one".into()],
         vec![2.into(), "two".into()],
     ]);
-    let sql = "SELECT big.id, mid.tag, tiny.name FROM big \
-               JOIN mid ON big.k = mid.k JOIN tiny ON tiny.k = mid.k";
-    let q = sb_sql::parse(sql).unwrap();
-    for opts in matrix() {
-        let plan = sb_engine::plan_top_select(&db, &q, opts).unwrap();
-        assert!(plan.reordered && plan.order[0] == 2, "{:?}", plan.order);
+    db
+}
+
+/// A three-way join the planner reorders to start from the smallest
+/// relation: the execution order emits tuples in another order than the
+/// written joins, and restoring source order puts them back. Bare key
+/// names reorder as qualified ones do: the planner takes its keys from
+/// the executors' equi-key rule.
+#[test]
+fn reordered_three_way_join_restores_source_order() {
+    for (db, sql) in [
+        (
+            reorder_db(["k", "k", "k"]),
+            "SELECT big.id, mid.tag, tiny.name FROM big \
+             JOIN mid ON big.k = mid.k JOIN tiny ON tiny.k = mid.k",
+        ),
+        (
+            reorder_db(["bk", "mk", "tk"]),
+            "SELECT id, tag, name FROM big JOIN mid ON bk = mk JOIN tiny ON tk = mk",
+        ),
+    ] {
+        let q = sb_sql::parse(sql).unwrap();
+        for opts in matrix() {
+            let plan = sb_engine::plan_top_select(&db, &q, opts).unwrap();
+            assert!(plan.reordered && plan.order[0] == 2, "{:?}", plan.order);
+        }
+        let rows = reference(&db, sql).rows;
+        assert_eq!(rows.len(), 12);
+        assert_eq!(
+            rows[..3],
+            [
+                vec![1.into(), "y".into(), "one".into()],
+                vec![1.into(), "w".into(), "one".into()],
+                vec![2.into(), "x".into(), "two".into()],
+            ]
+        );
+        assert_every_config_matches_reference(&db, sql);
     }
-    let rows = reference(&db, sql).rows;
-    assert_eq!(rows.len(), 12);
-    assert_eq!(
-        rows[..3],
-        [
-            vec![1.into(), "y".into(), "one".into()],
-            vec![1.into(), "w".into(), "one".into()],
-            vec![2.into(), "x".into(), "two".into()],
-        ]
-    );
-    assert_every_config_matches_reference(&db, sql);
 }
 
 /// A binding name the join repeats: a qualified ON column resolves to

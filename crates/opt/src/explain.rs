@@ -8,11 +8,9 @@
 //! model shows up as a reviewable diff.
 //!
 //! Labels are derived from the same [`PlannedSelect`] the executor
-//! consumes — there is no second planning pass that could drift. The
-//! one approximation: a join is labelled `HashJoin` when the planner
-//! recognized a qualified equi-key for it; the executor additionally
-//! hash-joins some bare-name equalities, which EXPLAIN conservatively
-//! shows as `NestedLoopJoin`.
+//! consumes — there is no second planning pass that could drift: a join
+//! is labelled `HashJoin` exactly when its step carries the key both
+//! executors hash-join on.
 //!
 //! [`build_plan`] builds both trees: the plain EXPLAIN tree, and with a
 //! [`PlanAnnotator`] the EXPLAIN ANALYZE tree, whose labels carry the

@@ -74,8 +74,8 @@ pub struct RelMeta {
     pub table: Option<String>,
     /// Columns in relation order.
     pub columns: Vec<ColMeta>,
-    /// Actual row count: base-table size, or the materialized size of a
-    /// derived table (which the executor has already run).
+    /// Actual row count: base-table size, or the size of a derived
+    /// table's result (which has already run).
     pub rows: usize,
 }
 

@@ -12,21 +12,22 @@
 //! ## When reordering applies
 //!
 //! Join reordering is restricted to statements where it is provably
-//! invisible: three or more relations, all joins `INNER`, every `ON`
-//! constraint a single `a = b` equality of two *table-qualified* column
-//! references that resolve uniquely, all binding names distinct, and
-//! each constraint connecting the relation it introduces to an earlier
-//! one. Those conditions make the join graph a spanning tree whose
-//! every execution order needs exactly one hash-join key per step, and
-//! they guarantee no resolution error can depend on the chosen order.
-//! The executor sorts the joined row-id tuples back into source-order
-//! output afterwards, so even tie-breaking in ORDER BY and the strict
-//! row-order equivalence tests cannot observe the reorder.
+//! invisible: three or more relations, all joins `INNER`, all binding
+//! names distinct, and every join keyed ([`PlanInput::join_keys`]: its
+//! `ON` constraint a single `a = b` between the relation it introduces
+//! and an earlier one, bare names included, as the engine resolves it
+//! against the relations joined so far). Those conditions make the join
+//! graph a spanning tree whose every execution order needs exactly one
+//! hash-join key per step, and they guarantee no resolution error can
+//! depend on the chosen order. The executor sorts the joined row-id
+//! tuples back into source-order output afterwards, so even
+//! tie-breaking in ORDER BY and the strict row-order equivalence tests
+//! cannot observe the reorder.
 
 use crate::cost::{join_estimate, scan_estimate};
 use crate::pushdown::{assign_pushdown, conjuncts};
-use crate::{OptOptions, RelMeta, Resolution, Resolver};
-use sb_sql::{BinaryOp, Expr, OrderItem, Select, SelectItem};
+use crate::{OptOptions, RelMeta, Resolver};
+use sb_sql::{Expr, OrderItem, Select, SelectItem};
 
 /// Everything the planner needs about one statement.
 pub struct PlanInput<'a> {
@@ -38,6 +39,10 @@ pub struct PlanInput<'a> {
     pub limit: Option<u64>,
     /// Per-relation metadata, in FROM/JOIN order.
     pub rels: &'a [RelMeta],
+    /// Each written join's hash key, in source order: join `j`
+    /// introduces relation `j + 1`. The engine decides them once, with
+    /// the rule both executors follow; `None` runs as a nested loop.
+    pub join_keys: Vec<Option<EdgeKey>>,
     /// The executor options EXPLAIN labels depend on.
     pub opts: OptOptions,
 }
@@ -94,16 +99,6 @@ pub struct PlannedSelect {
     pub scan_est: Vec<f64>,
 }
 
-/// An equi-join edge extracted from one `ON` constraint, in original
-/// coordinates. `new_rel` is the relation the join introduces.
-#[derive(Debug, Clone, Copy)]
-struct Edge {
-    prev_rel: usize,
-    prev_col: usize,
-    new_rel: usize,
-    new_col: usize,
-}
-
 /// Plan one `SELECT`. Resolution goes through `resolver` (the engine's
 /// scope), so the planner inherits executor name semantics verbatim.
 pub fn plan_select(input: &PlanInput<'_>, resolver: &dyn Resolver) -> PlannedSelect {
@@ -124,23 +119,15 @@ pub fn plan_select(input: &PlanInput<'_>, resolver: &dyn Resolver) -> PlannedSel
         .collect();
 
     // Rule 3: cost-based join reordering over the equi-join tree.
-    let edges = if n >= 3 {
-        extract_join_tree(input, resolver)
-    } else {
-        None
-    };
-    let (order, steps) = match &edges {
-        Some(edges) => greedy_order(input, edges, &scan_est),
+    let (order, steps) = match join_tree(input) {
+        Some(keys) => greedy_order(input, &keys, &scan_est),
         None => (Vec::new(), Vec::new()),
     };
-    let reordered = !order.is_empty() && order.iter().enumerate().any(|(i, &r)| i != r);
+    let reordered = order.iter().enumerate().any(|(i, &r)| i != r);
     let (order, steps) = if reordered {
         (order, steps)
     } else {
-        (
-            (0..n).collect(),
-            source_order_steps(input, resolver, &scan_est),
-        )
+        ((0..n).collect(), source_order_steps(input, &scan_est))
     };
 
     PlannedSelect {
@@ -214,69 +201,24 @@ fn prune_columns(input: &PlanInput<'_>) -> Vec<Option<Vec<usize>>> {
         .collect()
 }
 
-/// Extract the equi-join spanning tree, or `None` when any reordering
-/// precondition fails.
-fn extract_join_tree(input: &PlanInput<'_>, resolver: &dyn Resolver) -> Option<Vec<Edge>> {
-    let select = input.select;
+/// The equi-join spanning tree, one key per written join, or `None`
+/// when a reordering precondition fails.
+fn join_tree(input: &PlanInput<'_>) -> Option<Vec<EdgeKey>> {
     let rels = input.rels;
+    if rels.len() < 3 || input.select.joins.iter().any(|j| j.left) {
+        return None;
+    }
     // Distinct binding names: prefix-scope and full-scope resolution
     // agree only when no binding shadows another.
     for (i, a) in rels.iter().enumerate() {
-        for b in &rels[..i] {
-            if a.binding.eq_ignore_ascii_case(&b.binding) {
-                return None;
-            }
+        if rels[..i]
+            .iter()
+            .any(|b| a.binding.eq_ignore_ascii_case(&b.binding))
+        {
+            return None;
         }
     }
-    let mut edges = Vec::with_capacity(select.joins.len());
-    for (j, join) in select.joins.iter().enumerate() {
-        if join.left {
-            return None;
-        }
-        let Some(Expr::Binary {
-            left,
-            op: BinaryOp::Eq,
-            right,
-        }) = &join.constraint
-        else {
-            return None;
-        };
-        let (Expr::Column(a), Expr::Column(b)) = (left.as_ref(), right.as_ref()) else {
-            return None;
-        };
-        // Qualified references only: a bare name's meaning could depend
-        // on which relations are in scope when it is evaluated.
-        if a.table.is_none() || b.table.is_none() {
-            return None;
-        }
-        let (Resolution::Col { rel: ra, col: ca }, Resolution::Col { rel: rb, col: cb }) =
-            (resolver.resolve(a), resolver.resolve(b))
-        else {
-            return None;
-        };
-        // The constraint must connect the relation this join introduces
-        // (index j + 1) to an earlier one.
-        let introduced = j + 1;
-        let edge = if ra == introduced && rb < introduced {
-            Edge {
-                prev_rel: rb,
-                prev_col: cb,
-                new_rel: ra,
-                new_col: ca,
-            }
-        } else if rb == introduced && ra < introduced {
-            Edge {
-                prev_rel: ra,
-                prev_col: ca,
-                new_rel: rb,
-                new_col: cb,
-            }
-        } else {
-            return None;
-        };
-        edges.push(edge);
-    }
-    Some(edges)
+    input.join_keys.iter().copied().collect()
 }
 
 /// Greedy bottom-up join ordering: start from the smallest estimated
@@ -286,7 +228,7 @@ fn extract_join_tree(input: &PlanInput<'_>, resolver: &dyn Resolver) -> Option<V
 /// prefer a change.
 fn greedy_order(
     input: &PlanInput<'_>,
-    edges: &[Edge],
+    keys: &[EdgeKey],
     scan_est: &[f64],
 ) -> (Vec<usize>, Vec<PlannedJoin>) {
     let rels = input.rels;
@@ -309,14 +251,13 @@ fn greedy_order(
         // edge. The edge set is a spanning tree, so exactly one edge
         // applies per candidate and a candidate always exists.
         let mut best: Option<(f64, usize, EdgeKey)> = None;
-        for e in edges {
+        for (j, k) in keys.iter().enumerate() {
             // Orient the edge so `have` is in scope and `add` is not.
-            let (have, have_col, add, add_col) = if in_scope[e.prev_rel] && !in_scope[e.new_rel] {
-                (e.prev_rel, e.prev_col, e.new_rel, e.new_col)
-            } else if in_scope[e.new_rel] && !in_scope[e.prev_rel] {
-                (e.new_rel, e.new_col, e.prev_rel, e.prev_col)
-            } else {
-                continue;
+            let (prev, new) = ((k.left_rel, k.left_col), (j + 1, k.right_col));
+            let ((have, have_col), (add, add_col)) = match (in_scope[prev.0], in_scope[new.0]) {
+                (true, false) => (prev, new),
+                (false, true) => (new, prev),
+                _ => continue,
             };
             let est = join_estimate(
                 cur_est,
@@ -358,23 +299,15 @@ fn greedy_order(
 }
 
 /// Steps for the source-order path: estimates walk the joins as
-/// written, with each join's qualified equi key where it has one. The
-/// keys serve the estimates and EXPLAIN's `HashJoin` labels only; the
-/// executor applies its own equi-key rule on this path
-/// (`sb_engine`'s join layer), which also hash-joins bare-name
-/// equalities.
-fn source_order_steps(
-    input: &PlanInput<'_>,
-    resolver: &dyn Resolver,
-    scan_est: &[f64],
-) -> Vec<PlannedJoin> {
+/// written, each with its key from [`PlanInput::join_keys`].
+fn source_order_steps(input: &PlanInput<'_>, scan_est: &[f64]) -> Vec<PlannedJoin> {
     let select = input.select;
     let rels = input.rels;
     let mut cur_est = scan_est.first().copied().unwrap_or(0.0);
     let mut steps = Vec::with_capacity(select.joins.len());
     for (j, join) in select.joins.iter().enumerate() {
         let introduced = j + 1;
-        let key = source_equi_key(join, introduced, resolver);
+        let key = input.join_keys[j];
         let est = match key {
             Some(k) => join_estimate(
                 cur_est,
@@ -409,54 +342,10 @@ fn source_order_steps(
     steps
 }
 
-/// Equi key of one source-order join, when its constraint is a
-/// qualified two-column equality connecting the introduced relation to
-/// an earlier one.
-fn source_equi_key(
-    join: &sb_sql::Join,
-    introduced: usize,
-    resolver: &dyn Resolver,
-) -> Option<EdgeKey> {
-    let Some(Expr::Binary {
-        left,
-        op: BinaryOp::Eq,
-        right,
-    }) = &join.constraint
-    else {
-        return None;
-    };
-    let (Expr::Column(a), Expr::Column(b)) = (left.as_ref(), right.as_ref()) else {
-        return None;
-    };
-    if a.table.is_none() || b.table.is_none() {
-        return None;
-    }
-    let (Resolution::Col { rel: ra, col: ca }, Resolution::Col { rel: rb, col: cb }) =
-        (resolver.resolve(a), resolver.resolve(b))
-    else {
-        return None;
-    };
-    if ra == introduced && rb < introduced {
-        Some(EdgeKey {
-            left_rel: rb,
-            left_col: cb,
-            right_col: ca,
-        })
-    } else if rb == introduced && ra < introduced {
-        Some(EdgeKey {
-            left_rel: ra,
-            left_col: ca,
-            right_col: cb,
-        })
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ColMeta;
+    use crate::{ColMeta, Resolution};
     use sb_sql::{parse, SetExpr};
 
     /// Resolver over the rel metas themselves: qualified by binding,
@@ -518,13 +407,18 @@ mod tests {
         }
     }
 
-    fn plan(
-        sql: &str,
-        parsed: &sb_sql::Query,
-        rels: &[RelMeta],
-        opts: OptOptions,
-    ) -> PlannedSelect {
-        let _ = sql;
+    /// Relation `left_rel`'s column `left_col` equals column
+    /// `right_col` of the relation a join introduces.
+    fn key(left_rel: usize, left_col: usize, right_col: usize) -> Option<EdgeKey> {
+        Some(EdgeKey {
+            left_rel,
+            left_col,
+            right_col,
+        })
+    }
+
+    fn plan(sql: &str, rels: &[RelMeta], join_keys: Vec<Option<EdgeKey>>) -> PlannedSelect {
+        let parsed = parse(sql).unwrap();
         let SetExpr::Select(select) = &parsed.body else {
             panic!("select expected")
         };
@@ -533,7 +427,8 @@ mod tests {
             order_by: &parsed.order_by,
             limit: parsed.limit,
             rels,
-            opts,
+            join_keys,
+            opts: OptOptions::default(),
         };
         plan_select(&input, &MetaResolver(rels))
     }
@@ -549,8 +444,7 @@ mod tests {
         ];
         let sql = "SELECT a.id FROM a JOIN b ON a.b_id = b.id \
                    JOIN c ON c.a_id = a.id WHERE b.kind = 'x'";
-        let parsed = parse(sql).unwrap();
-        let p = plan(sql, &parsed, &rels, OptOptions::default());
+        let p = plan(sql, &rels, vec![key(0, 1, 0), key(0, 0, 1)]);
         assert!(p.reordered);
         assert_eq!(p.order[0], 1, "starts from the filtered 10-row b");
         assert_eq!(p.steps.len(), 2);
@@ -560,21 +454,33 @@ mod tests {
     }
 
     #[test]
-    fn left_join_and_bare_columns_block_reordering() {
+    fn left_joins_and_unkeyed_joins_block_reordering() {
         let rels = vec![
             meta("a", &[("id", true)], 10),
             meta("b", &[("a_id", false)], 1000),
             meta("c", &[("b_id", false)], 5),
         ];
-        for sql in [
-            "SELECT a.id FROM a LEFT JOIN b ON b.a_id = a.id JOIN c ON c.b_id = b.a_id",
-            "SELECT a.id FROM a JOIN b ON a_id = a.id JOIN c ON c.b_id = b.a_id",
+        for (sql, keys) in [
+            (
+                "SELECT a.id FROM a LEFT JOIN b ON b.a_id = a.id JOIN c ON c.b_id = b.a_id",
+                vec![key(0, 0, 0), key(1, 0, 0)],
+            ),
+            (
+                "SELECT a.id FROM a JOIN b ON a_id = a.id JOIN c ON c.b_id < b.a_id",
+                vec![key(0, 0, 0), None],
+            ),
         ] {
-            let parsed = parse(sql).unwrap();
-            let p = plan(sql, &parsed, &rels, OptOptions::default());
+            let p = plan(sql, &rels, keys);
             assert!(!p.reordered, "{sql}");
             assert_eq!(p.order, vec![0, 1, 2]);
+            assert_eq!(p.steps[0].key, key(0, 0, 0), "{sql}");
         }
+        // The same statement with every join keyed starts from `c`.
+        let sql = "SELECT a.id FROM a JOIN b ON a_id = a.id JOIN c ON c.b_id = b.a_id";
+        assert_eq!(
+            plan(sql, &rels, vec![key(0, 0, 0), key(1, 0, 0)]).order[0],
+            2
+        );
     }
 
     #[test]
@@ -585,8 +491,7 @@ mod tests {
             meta("t", &[("id", true)], 10),
         ];
         let sql = "SELECT u.t_id FROM t JOIN u ON u.t_id = t.id JOIN t ON u.t_id = t.id";
-        let parsed = parse(sql).unwrap();
-        let p = plan(sql, &parsed, &rels, OptOptions::default());
+        let p = plan(sql, &rels, vec![key(0, 0, 0), key(1, 0, 0)]);
         assert!(!p.reordered);
     }
 
@@ -597,14 +502,12 @@ mod tests {
             meta("b", &[("id", true), ("wide1", false), ("wide2", false)], 10),
         ];
         let sql = "SELECT a.id FROM a JOIN b ON a.b_id = b.id";
-        let parsed = parse(sql).unwrap();
-        let p = plan(sql, &parsed, &rels, OptOptions::default());
+        let p = plan(sql, &rels, vec![key(0, 1, 0)]);
         assert_eq!(p.keep[0], Some(vec![0, 1]), "junk pruned from a");
         assert_eq!(p.keep[1], Some(vec![0]), "wide1/wide2 pruned from b");
         // Wildcard disables pruning entirely.
         let sql = "SELECT * FROM a JOIN b ON a.b_id = b.id";
-        let parsed = parse(sql).unwrap();
-        let p = plan(sql, &parsed, &rels, OptOptions::default());
+        let p = plan(sql, &rels, vec![key(0, 1, 0)]);
         assert_eq!(p.keep, vec![None, None]);
     }
 
@@ -617,8 +520,7 @@ mod tests {
             meta("b", &[("id", true), ("w", false)], 10),
         ];
         let sql = "SELECT a.id AS w FROM a JOIN b ON a.b_id = b.id ORDER BY w";
-        let parsed = parse(sql).unwrap();
-        let p = plan(sql, &parsed, &rels, OptOptions::default());
+        let p = plan(sql, &rels, vec![key(0, 1, 0)]);
         assert_eq!(p.keep[1], None, "w is referenced via ORDER BY");
     }
 }

@@ -407,7 +407,11 @@ impl QueryService {
 
         // Slow log: fires only for requests that reached execution —
         // the analyzed plan is rendered from the profile the request
-        // already recorded, with timings, never by re-executing.
+        // already recorded, with timings. It re-executes nothing a
+        // request ran: planning needs each derived table's row count,
+        // which the enclosing SELECT's scan slot holds. Only a request
+        // that failed before scanning a derived table leaves the slot
+        // empty, and rendering then runs that derived query once.
         if self.cfg.slow_log.enabled {
             let elapsed_us = us(t_start);
             if elapsed_us >= self.cfg.slow_log.threshold_us {

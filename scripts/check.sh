@@ -25,7 +25,10 @@ echo "== sbbench smoke: every benchmark workload and oracle at smoke size =="
 
 echo "== plan snapshots: regenerate and diff committed goldens =="
 SB_UPDATE_PLANS=1 cargo test -q --test plan_snapshots
-git diff --exit-code -- tests/goldens/plans || {
+# `git diff` alone misses a regenerated golden that was never committed;
+# `git status` also lists untracked files.
+git diff --exit-code -- tests/goldens/plans && [ -z "$(git status --porcelain -- tests/goldens/plans)" ] || {
+    git status --short -- tests/goldens/plans >&2
     echo "EXPLAIN plan goldens drifted; commit the regenerated files if intentional" >&2
     exit 1
 }
@@ -35,7 +38,9 @@ echo "== analyzed plan snapshots: regenerate, diff, and pin at 1 and 8 threads =
 # rendered operator counts must be byte-stable at any ambient thread
 # count: regenerate under 8 threads, then re-check (no regen) under 1.
 RAYON_NUM_THREADS=8 SB_UPDATE_PLANS=1 cargo test -q --test plan_snapshots_analyzed
-git diff --exit-code -- tests/goldens/plans_analyzed || {
+git diff --exit-code -- tests/goldens/plans_analyzed \
+    && [ -z "$(git status --porcelain -- tests/goldens/plans_analyzed)" ] || {
+    git status --short -- tests/goldens/plans_analyzed >&2
     echo "EXPLAIN ANALYZE goldens drifted; commit the regenerated files if intentional" >&2
     exit 1
 }

@@ -72,6 +72,13 @@ const CASES: &[Case] = &[
         sql: "SELECT status, COUNT(*) FROM projects GROUP BY status",
     },
     Case {
+        name: "medium_bare_name_hash_join",
+        domain: Domain::Sdss,
+        hardness: Hardness::Medium,
+        sql: "SELECT s.specobjid, p.u FROM specobj AS s \
+              JOIN photoobj AS p ON bestobjid = objid",
+    },
+    Case {
         name: "hard_cost_based_reorder",
         domain: Domain::Sdss,
         hardness: Hardness::Hard,
@@ -196,4 +203,23 @@ fn explain_respects_join_strategy() {
     let nl = explain(&db, &twin, ExecOptions::default()).unwrap();
     assert!(nl.contains("NestedLoopJoin"), "nested-loop twin:\n{nl}");
     assert!(!nl.contains("HashJoin"), "nested-loop twin:\n{nl}");
+}
+
+/// Every golden file belongs to a case: a case deleted or renamed must
+/// take its golden with it.
+#[test]
+fn every_golden_belongs_to_a_case() {
+    let dir = golden_path("x").parent().unwrap().to_path_buf();
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        let stem = path
+            .file_stem()
+            .and_then(|s| s.to_str())
+            .unwrap_or_default();
+        assert!(
+            path.extension().is_some_and(|e| e == "txt") && CASES.iter().any(|c| c.name == stem),
+            "{} belongs to no case; delete it or add its case",
+            path.display()
+        );
+    }
 }

@@ -124,6 +124,14 @@ const CASES: &[Case] = &[
               WHERE s.z > 0.5",
     },
     Case {
+        name: "medium_bare_name_hash_join_row",
+        domain: Domain::Sdss,
+        hardness: Hardness::Medium,
+        mode: Mode::Row,
+        sql: "SELECT s.specobjid, p.u FROM specobj AS s \
+              JOIN photoobj AS p ON bestobjid = objid",
+    },
+    Case {
         name: "hard_cost_based_reorder_parallel",
         domain: Domain::Sdss,
         hardness: Hardness::Hard,
@@ -293,6 +301,25 @@ fn analyzed_plan_superset_of_plain_explain() {
             analyzed.lines().count(),
             "{}: analyzed tree has different operator count",
             case.name
+        );
+    }
+}
+
+/// Every golden file belongs to a case: a case deleted or renamed must
+/// take its golden with it.
+#[test]
+fn every_golden_belongs_to_a_case() {
+    let dir = golden_path("x").parent().unwrap().to_path_buf();
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        let stem = path
+            .file_stem()
+            .and_then(|s| s.to_str())
+            .unwrap_or_default();
+        assert!(
+            path.extension().is_some_and(|e| e == "txt") && CASES.iter().any(|c| c.name == stem),
+            "{} belongs to no case; delete it or add its case",
+            path.display()
         );
     }
 }
