@@ -2,9 +2,9 @@
 //!
 //! [`try_select`] runs one planned `SELECT` batch-at-a-time against the
 //! tables' [`crate::column::ColumnarTable`] images: predicate
-//! kernels produce selection vectors over typed column vectors, hash
-//! joins probe column slices directly, and aggregation runs as
-//! per-group accumulators — `Value`s are materialized only at result
+//! kernels produce selection vectors over typed column vectors, every
+//! join of the plan runs through the join layer, and aggregation runs
+//! as per-group accumulators — `Value`s are materialized only at result
 //! boundaries.
 //!
 //! ## The one correctness rule
@@ -31,8 +31,13 @@
 //!   row-at-a-time early exit, so a data-dependent error fires for
 //!   exactly the same evaluation set.
 //! - Joins run through the join layer the row path uses
-//!   ([`crate::join`]): the same `sql_eq` hash keys, equi-key rule and
-//!   source-order restoration.
+//!   ([`crate::join::join_steps`]): the plan's keys, the same `sql_eq`
+//!   hash keys, LEFT OUTER emission, the one nested loop and
+//!   source-order restoration. A nested loop whose constraint raises an
+//!   error bails. A relation a LEFT JOIN left partly unmatched is read
+//!   after the joins through a padded image of its joined rows
+//!   ([`padded_image`]), and the residual and output kernels compile
+//!   against the images they read.
 //! - Grouping keys use the canonical-key relation ([`canon_num`]
 //!   rounding, NaN collapsing) so float keys land in the same groups.
 //!
@@ -176,37 +181,57 @@ fn bail<T>(input: &BatchInput<'_, '_>, reason: &'static str) -> Option<T> {
 /// and the result's row count before the cap. `None` means "fall back
 /// to the row path" — never an error.
 pub(crate) fn try_select(input: &BatchInput<'_, '_>) -> Option<(ResultSet, usize)> {
-    let tables: Vec<&ColumnarTable> = input.relations.iter().map(|r| &*r.image).collect();
+    let mut tables: Vec<&ColumnarTable> = input.relations.iter().map(|r| &*r.image).collect();
     let cx = Cx {
         scope: input.scope,
         tables: &tables,
         ctx: input.ctx,
     };
 
-    // Compile pushed and residual conjuncts up front: any resolution or
-    // typing problem bails before touching data, leaving error behavior
-    // (including "zero rows swallow residual errors") to the row path.
-    let compile = |conjs: &[usize]| -> Option<Vec<BoolK>> {
+    // Pushed conjuncts compile before any scan, residual ones after the
+    // joins (below); a resolution or typing problem in either bails,
+    // leaving error behavior (including "zero rows swallow residual
+    // errors") to the row path.
+    let compile = |cx: &Cx<'_>, conjs: &[usize]| -> Option<Vec<BoolK>> {
         let kernels = conjs.iter().map(|&c| cx.compile_bool(input.conjuncts[c]));
         kernels
             .collect::<Option<_>>()
             .or_else(|| bail(input, "predicate-kernel"))
     };
-    let pushed: Vec<Vec<BoolK>> = input
-        .planned
+    let (planned, joins) = (input.planned, &input.select.joins);
+    let pushed = planned
         .pushed
         .iter()
-        .map(|conjs| compile(conjs))
-        .collect::<Option<_>>()?;
-    let residual = compile(&input.planned.residual)?;
+        .map(|c| compile(&cx, c))
+        .collect::<Option<Vec<_>>>()?;
     // Per-relation scans: progressive selection vectors, conjunct k
     // evaluated only over survivors of conjuncts 1..k-1.
     let mut sels: Vec<Vec<u32>> = Vec::with_capacity(tables.len());
     for (rel, conjs) in pushed.iter().enumerate() {
         sels.push(scan(input, &tables, rel, conjs)?);
     }
-    // Joins: hash only, source or planner order.
-    let mut rowids = join_all(input, &tables, sels).or_else(|| bail(input, "join-kernel"))?;
+    // Joins, in the plan's order and by its keys; a nested loop whose
+    // constraint raises an error bails, and the row path raises it.
+    let (scope, ctx, bp) = (input.scope, input.ctx, input.bp.as_ref());
+    let mut rowids = join::join_steps(&tables, sels, planned, joins, scope, ctx, input.par, bp)
+        .ok()
+        .or_else(|| bail(input, "join-kernel"))?;
+
+    // Everything after the joins reads each relation through the image
+    // of its joined rows when a LEFT JOIN left some of them unmatched,
+    // and its kernels compile against the images they read.
+    let padded: Vec<Option<ColumnarTable>> = (rowids.iter_mut().enumerate())
+        .map(|(rel, rids)| padded_image(input, rel, rids))
+        .collect();
+    for (table, image) in tables.iter_mut().zip(&padded) {
+        *table = image.as_ref().unwrap_or(table);
+    }
+    let cx = Cx {
+        scope: input.scope,
+        tables: &tables,
+        ctx: input.ctx,
+    };
+    let residual = compile(&cx, &planned.residual)?;
 
     // Residual filter over the joined view.
     let filter_op = input
@@ -2187,26 +2212,34 @@ impl Cx<'_> {
 // Joins.
 // ---------------------------------------------------------------------
 
-/// Execute all joins as hash joins ([`crate::join`]) on the keys the
-/// plan carries, returning one row-id column per relation (in original
-/// FROM/JOIN order), rows in exactly the order the row-path pipeline
-/// would emit. `None` when some join is a LEFT JOIN or has no key — the
-/// row path runs it, and raises its constraint's resolution error if it
-/// has one.
-fn join_all(
+/// The image relation `rel` is read through after the joins when a
+/// LEFT JOIN introduced it and left tuples unmatched, so that `rids`,
+/// its row ids, hold [`join::NULL_RID`]s: its joined rows, NULL where
+/// unmatched, with only the columns the plan keeps (the rest NULL).
+/// `rids` become `0..n`. `None` when every row id is a real one.
+fn padded_image(
     input: &BatchInput<'_, '_>,
-    tables: &[&ColumnarTable],
-    sels: Vec<Vec<u32>>,
-) -> Option<Vec<Vec<u32>>> {
-    let (p, joins) = (input.planned, &input.select.joins);
-    if joins.iter().any(|j| j.left) || p.steps.iter().any(|s| s.key.is_none()) {
+    rel: usize,
+    rids: &mut Vec<u32>,
+) -> Option<ColumnarTable> {
+    let left = rel > 0 && input.select.joins[rel - 1].left;
+    if !left || !rids.contains(&join::NULL_RID) {
         return None;
     }
-    let bp = input.bp.as_ref();
-    join::join_steps(tables, sels, p, joins, input.par, bp, |_, _, _, _, _| {
-        unreachable!("every step has a key")
-    })
-    .ok()
+    let (table, keep) = (
+        &input.relations[rel].image,
+        input.planned.keep[rel].as_deref(),
+    );
+    let mut rows = vec![Vec::with_capacity(table.columns.len()); rids.len()];
+    for (c, column) in table.columns.iter().enumerate() {
+        if keep.is_none_or(|k| k.contains(&c)) {
+            column.push_cells(rids, &mut rows);
+        } else {
+            rows.iter_mut().for_each(|row| row.push(Value::Null));
+        }
+    }
+    *rids = (0..rids.len() as u32).collect();
+    Some(crate::database::image_of_rows(table.columns.len(), rows))
 }
 
 // ---------------------------------------------------------------------

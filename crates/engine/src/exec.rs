@@ -5,9 +5,10 @@
 //! selection vectors of row ids; on single-relation predicates the
 //! executor pushes WHERE conjuncts down into the scan, so non-qualifying
 //! rows are dropped before any join. Joins combine row ids through the
-//! join layer both executors share ([`crate::join`]): equi-joins
-//! (`ON a = b`) run as a hash join that builds on the incoming relation,
-//! anything else (non-equi constraints, cross joins) as a nested loop.
+//! join layer both executors share ([`crate::join`]), following the
+//! plan's keys: a keyed join (`ON a = b`) runs as a hash join that
+//! builds on the incoming relation, anything else (non-equi
+//! constraints, cross joins) as a nested loop.
 //! Output row order is identical for both algorithms (left-major, scan
 //! order within a match set), which the equivalence tests rely on. Rows
 //! are built only for the joined tuples, holding only the columns the
@@ -44,7 +45,7 @@ use crate::compile::{compile, compile_grouped, compile_order_key, CExpr, GExpr, 
 use crate::database::Database;
 use crate::error::{EngineError, Result};
 use crate::eval::{truth, EvalContext, Scope};
-use crate::join::{self, ColId, Tuples};
+use crate::join::{self, ColId};
 use crate::key::{self, KeyIndex, RowSet};
 use crate::output::{finish_select, OutCol, Projected, SortKey};
 use crate::result::ResultSet;
@@ -790,31 +791,8 @@ fn execute_select_impl(
     }
     let tables: Vec<&ColumnarTable> = relations.iter().map(|r| &*r.image).collect();
     let par = opts.par_config().one_morsel();
-    // A step without a key runs as a nested loop: the constraint, when
-    // there is one, resolves against the relations joined so far and
-    // the incoming one before any pair is tested, and each pair fills
-    // one reused buffer with the columns it reads.
-    let nested_loop = |tuples: Tuples, rel: usize, sel: &[u32], outer, op: Option<&OpStats>| {
-        let Some(constraint) = &select.joins[rel - 1].constraint else {
-            return tuples.nested_loop(rel, sel, outer, op, |_| Ok(true));
-        };
-        let scope = full_scope.prefix(rel + 1);
-        let cols = join::constraint_columns(constraint, &scope)?;
-        let prog = compile(constraint, &scope, &ctx);
-        let mut buf = vec![Value::Null; scope.width];
-        tuples.nested_loop(rel, sel, outer, op, |pair| {
-            for &slot in &cols {
-                let at = scope.locate(slot);
-                buf[slot] = match pair[at.rel] {
-                    join::NULL_RID => Value::Null,
-                    rid => tables[at.rel].columns[at.col].value_at(rid as usize),
-                };
-            }
-            prog.eval_filter(&buf, &ctx)
-        })
-    };
-    let (joins, bp_ref) = (&select.joins, bp.as_ref());
-    let rowids = join::join_steps(&tables, sels, &planned, joins, par, bp_ref, nested_loop)?;
+    let (joins, scope, bp_ref) = (&select.joins, &full_scope, bp.as_ref());
+    let rowids = join::join_steps(&tables, sels, &planned, joins, scope, &ctx, par, bp_ref)?;
 
     // Projection pushdown: rows hold only the columns the planner proved
     // are referenced (by name, so ambiguity errors and ORDER BY alias

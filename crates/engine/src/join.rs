@@ -5,7 +5,8 @@
 //! yields a selection vector of row ids, and a join combines them into
 //! [`Tuples`], one row-id column per joined relation; values are read
 //! only after the last join. The batch engine ([`crate::batch`]) and the
-//! row executor ([`crate::exec`]) share everything here:
+//! row executor ([`crate::exec`]) run every join through [`join_steps`]
+//! and share everything here:
 //!
 //! - **The join key** ([`col_join_key`]): SQL equality, so the hash path
 //!   matches exactly the row pairs the predicate `a = b` accepts.
@@ -16,7 +17,9 @@
 //!   always the incoming relation, so matches emit in build-scan order
 //!   within each probe row — the nested loop's order.
 //! - **LEFT OUTER emission**: an unmatched row pairs with [`NULL_RID`].
-//! - **The nested loop** ([`Tuples::nested_loop`]) over row-id pairs.
+//! - **The nested loop** ([`Tuples::nested_loop`]) over row-id pairs,
+//!   testing each with the compiled constraint. Its error is the
+//!   constraint's: the row executor raises it, the batch engine bails.
 //! - **Restoring source order** after a planner reorder
 //!   ([`Tuples::into_source_order`]).
 //!
@@ -26,8 +29,9 @@
 
 use crate::batch::{concat, ParConfig};
 use crate::column::{Column, ColumnData, ColumnarTable, NullMask};
+use crate::compile::compile;
 use crate::error::Result;
-use crate::eval::Scope;
+use crate::eval::{EvalContext, Scope};
 use crate::inset::{float_key, NumKey};
 use crate::key::FxBuild;
 use crate::value::Value;
@@ -146,10 +150,14 @@ pub(crate) fn equi_key(constraint: &Expr, cols: &[usize], scope: &Scope) -> Opti
 // Joined tuples.
 // ---------------------------------------------------------------------
 
+/// One join step: the relation it introduces, that relation's scanned
+/// rows, whether a LEFT JOIN introduced it, and the step's profile slot.
+type Step<'a> = (usize, &'a [u32], bool, Option<&'a OpStats>);
+
 /// Joined row-id tuples: `cols[k]` holds the row ids of relation
 /// `rels[k]`, in join order. `outer[k]` marks a relation a LEFT JOIN
 /// introduced, whose column may hold [`NULL_RID`].
-pub(crate) struct Tuples {
+struct Tuples {
     rels: Vec<usize>,
     cols: Vec<Vec<u32>>,
     outer: Vec<bool>,
@@ -157,7 +165,7 @@ pub(crate) struct Tuples {
 
 impl Tuples {
     /// The scanned rows `sel` of relation `rel`, before any join.
-    pub(crate) fn new(rel: usize, sel: Vec<u32>) -> Tuples {
+    fn new(rel: usize, sel: Vec<u32>) -> Tuples {
         Tuples {
             rels: vec![rel],
             cols: vec![sel],
@@ -197,14 +205,12 @@ impl Tuples {
     /// build on those rows, then probe with every tuple in order,
     /// appending its matches in build-scan order. Under `outer` (LEFT
     /// JOIN) a tuple without a match pairs with [`NULL_RID`].
-    pub(crate) fn hash_join(
+    fn hash_join(
         self,
         tables: &[&ColumnarTable],
-        (rel, key): (usize, EdgeKey),
-        build_sel: &[u32],
-        outer: bool,
+        (rel, build_sel, outer, op): Step<'_>,
+        key: EdgeKey,
         par: ParConfig,
-        op: Option<&OpStats>,
     ) -> Tuples {
         let t0 = op.map(|_| Instant::now());
         let build_col = &tables[rel].columns[key.right_col];
@@ -262,31 +268,47 @@ impl Tuples {
         self.extend(rel, outer, cols, acc_len + build_sel.len(), op, t0)
     }
 
-    /// Join relation `rel`, whose scan kept `sel`, by testing every
-    /// (tuple, row id) pair with `keep`, tuples in order and row ids in
-    /// scan order; `keep` reads the pair's row ids in join order. Under
-    /// `outer` (LEFT JOIN) a tuple no row matched pairs with
-    /// [`NULL_RID`]. The first error `keep` raises ends the join.
-    pub(crate) fn nested_loop(
+    /// Join relation `rel`, whose scan kept `sel`, as a nested loop over
+    /// every (tuple, row id) pair, tuples in order and row ids in scan
+    /// order, keeping the pairs the constraint of `join` holds for
+    /// (every pair without one). The constraint resolves against the
+    /// relations of `scope` joined so far and the incoming one before any
+    /// pair is tested, and each pair fills one reused buffer with the
+    /// columns it reads, [`NULL_RID`] reading NULL; the first error it
+    /// raises ends the join. Under `outer` (LEFT JOIN) a tuple no row
+    /// matched pairs with [`NULL_RID`].
+    fn nested_loop(
         self,
-        rel: usize,
-        sel: &[u32],
-        outer: bool,
-        op: Option<&OpStats>,
-        mut keep: impl FnMut(&[u32]) -> Result<bool>,
+        tables: &[&ColumnarTable],
+        (rel, sel, outer, op): Step<'_>,
+        join: &Join,
+        scope: &Scope,
+        ctx: &EvalContext,
     ) -> Result<Tuples> {
         let t0 = op.map(|_| Instant::now());
-        let n = self.cols.len();
-        let mut cols: Vec<Vec<u32>> = vec![Vec::new(); n + 1];
-        let mut pair = vec![0u32; n + 1];
+        let scope = scope.prefix(rel + 1);
+        let constraint = join.constraint.as_ref();
+        let reads = constraint.map(|c| constraint_columns(c, &scope));
+        let reads = reads.transpose()?.unwrap_or_default();
+        let prog = constraint.map(|c| compile(c, &scope, ctx));
+        let keep = |buf: &[Value]| prog.as_ref().map_or(Ok(true), |p| p.eval_filter(buf, ctx));
+        let mut buf = vec![Value::Null; scope.width];
+        let mut cols: Vec<Vec<u32>> = vec![Vec::new(); self.cols.len() + 1];
         for i in 0..self.len() {
             let mut matched = false;
-            for (k, col) in self.cols.iter().enumerate() {
-                pair[k] = col[i];
-            }
             for &rid in sel {
-                pair[n] = rid;
-                if keep(&pair)? {
+                for &slot in &reads {
+                    // Only source-order plans have keyless steps, so
+                    // tuple position k holds relation k, and the
+                    // incoming relation `rel` has no position yet.
+                    let at = scope.locate(slot);
+                    let rid = self.cols.get(at.rel).map_or(rid, |col| col[i]);
+                    buf[slot] = match rid {
+                        NULL_RID => Value::Null,
+                        rid => tables[at.rel].columns[at.col].value_at(rid as usize),
+                    };
+                }
+                if keep(&buf)? {
                     push_tuple(&mut cols, &self.cols, i, rid);
                     matched = true;
                 }
@@ -371,7 +393,7 @@ impl Tuples {
     /// selection vectors are ascending, so sorting by the row-id tuple
     /// in source-relation order reproduces it. Surviving tuples are
     /// unique, so an unstable sort is exact.
-    pub(crate) fn into_source_order(self, reordered: bool) -> Vec<Vec<u32>> {
+    fn into_source_order(self, reordered: bool) -> Vec<Vec<u32>> {
         let mut by_rel: Vec<Vec<u32>> = vec![Vec::new(); self.rels.len()];
         for (rel, col) in self.rels.into_iter().zip(self.cols) {
             by_rel[rel] = col;
@@ -395,29 +417,33 @@ impl Tuples {
 
 /// Run the plan's join steps over the scanned selections `sels` (one
 /// per relation, FROM/JOIN order), in the plan's order: a step with a
-/// key hash-joins on it, one without runs `nested_loop(tuples, rel,
-/// sel, outer, op)`. Returns one row-id column per relation in
-/// FROM/JOIN order, in source-order output. Step `si` records into
-/// `bp`'s join slot `si`.
+/// key hash-joins on it, one without runs as a nested loop. Returns
+/// one row-id column per relation in FROM/JOIN order, in source-order
+/// output; an unmatched LEFT JOIN row holds [`NULL_RID`] for the
+/// relation the join introduced. Step `si` records into `bp`'s join slot
+/// `si`. The only error is one a nested loop's constraint raises.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn join_steps(
     tables: &[&ColumnarTable],
     mut sels: Vec<Vec<u32>>,
     planned: &PlannedSelect,
     joins: &[Join],
+    scope: &Scope,
+    ctx: &EvalContext,
     par: ParConfig,
     bp: Option<&sb_obs::Block<'_>>,
-    mut nested_loop: impl FnMut(Tuples, usize, &[u32], bool, Option<&OpStats>) -> Result<Tuples>,
 ) -> Result<Vec<Vec<u32>>> {
     let first = planned.order[0];
     let mut tuples = Tuples::new(first, std::mem::take(&mut sels[first]));
     for (si, step) in planned.steps.iter().enumerate() {
-        let (rel, sel, op) = (step.rel, &sels[step.rel], bp.and_then(|b| b.join(si)));
+        let (rel, sel, op) = (step.rel, &sels[step.rel][..], bp.and_then(|b| b.join(si)));
         // A reordered plan can join the FROM relation late; its joins
         // are all inner.
         let outer = rel.checked_sub(1).is_some_and(|j| joins[j].left);
+        let at = (rel, sel, outer, op);
         tuples = match step.key {
-            Some(key) => tuples.hash_join(tables, (rel, key), sel, outer, par, op),
-            None => nested_loop(tuples, rel, sel, outer, op)?,
+            Some(key) => tuples.hash_join(tables, at, key, par),
+            None => tuples.nested_loop(tables, at, &joins[rel - 1], scope, ctx)?,
         };
     }
     Ok(tuples.into_source_order(planned.reordered))

@@ -11,7 +11,9 @@
 //!    configuration agrees with the reference, and
 //! 4. does the same for the statement's [`nested_loop_twin`], when it
 //!    has joins: the planner's join reordering and the hash joins run
-//!    on the statement itself, the nested-loop join on its twin.
+//!    on the statement itself, the nested-loop join on its twin, under
+//!    every configuration (the batch path runs the same nested loop as
+//!    the row path).
 //!
 //! Agreement is Spider execution-match (`ResultSet::same_result`:
 //! multiset of rows, ordered-list comparison when both sides carry an
@@ -87,9 +89,11 @@ const PARALLEL_MORSEL_ROWS: usize = 7;
 /// The executor configuration matrix: the row path, serial columnar,
 /// and morsel-parallel columnar — 3 configurations. Every one runs the
 /// planner with all its rules on; the `columnar` axis checks every
-/// vectorized kernel and its row-path fallback boundary against the
-/// reference interpreter, the parallel axis every per-morsel kernel
-/// and its deterministic merge. `parallel` without `columnar` is left
+/// vectorized kernel (LEFT OUTER padding and the nested loop included)
+/// and its row-path fallback boundary against the reference
+/// interpreter, the parallel axis every per-morsel kernel (LEFT OUTER
+/// emission included) and its deterministic merge. `parallel` without
+/// `columnar` is left
 /// out: the row path has no parallel kernels, so it would run the row
 /// configuration's code again.
 pub fn exec_matrix() -> Vec<(String, ExecOptions)> {
@@ -120,8 +124,9 @@ pub fn exec_matrix() -> Vec<(String, ExecOptions)> {
 /// derived tables too — written `ON NOT (a <> b)`. The two agree on
 /// every row under SQL's three-valued logic, but no hash-join key
 /// extractor (the planner's or the engine's join layer) recognizes the
-/// twin's form, so every such join of the twin runs as a nested loop on
-/// the row path. `None` when the statement has no such join.
+/// twin's form, so every such join of the twin runs as a nested loop,
+/// on the row path and on the columnar paths alike. `None` when the
+/// statement has no such join.
 pub fn nested_loop_twin(query: &Query) -> Option<Query> {
     let mut twin = query.clone();
     (twin_query(&mut twin) > 0).then_some(twin)

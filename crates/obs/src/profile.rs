@@ -534,9 +534,11 @@ impl ProfileSnapshot {
 pub type BlockCount = fn(&BlockSnapshot) -> u64;
 
 /// Every `engine.*` counter [`fold_engine_counters`] writes, with what
-/// it counts. Scans count under both engines; joins and groups count
-/// under the engine that produced the block's rows, so a block that fell
-/// back counts only its row-path work.
+/// it counts. Scans and nested loops count under both engines; hash
+/// joins and groups count under the engine that produced the block's
+/// rows, so a block that fell back counts only its row-path work. Each
+/// join counts once, under its algorithm: its slot's mark says it
+/// hash-joined.
 pub const ENGINE_COUNTERS: [(&str, BlockCount); 18] = [
     ("engine.scan.rows", |b| sum(&b.scans, |s| s.rows_in)),
     ("engine.scan.rows_pruned_pushdown", |b| {
@@ -547,7 +549,7 @@ pub const ENGINE_COUNTERS: [(&str, BlockCount); 18] = [
         (!b.columnar && b.fallback.is_some()) as u64
     }),
     ("engine.columnar.join.hash", |b| {
-        columnar(b, sum(&b.joins, |_| 1))
+        columnar(b, sum(&b.joins, |j| j.marked as u64))
     }),
     ("engine.columnar.join.build_rows", |b| {
         columnar(b, sum(&b.joins, |j| j.build_rows))
@@ -556,7 +558,7 @@ pub const ENGINE_COUNTERS: [(&str, BlockCount); 18] = [
         columnar(b, sum(&b.joins, |j| j.probe_rows))
     }),
     ("engine.columnar.join.output_rows", |b| {
-        columnar(b, sum(&b.joins, |j| j.rows_out))
+        columnar(b, sum(&b.joins, |j| j.marked as u64 * j.rows_out))
     }),
     ("engine.columnar.agg.groups", |b| {
         columnar(b, b.aggregate.map_or(0, |a| a.build_rows))
@@ -571,7 +573,7 @@ pub const ENGINE_COUNTERS: [(&str, BlockCount); 18] = [
         row(b, sum(&b.joins, |j| j.probe_rows))
     }),
     ("engine.join.nested_loop", |b| {
-        row(b, sum(&b.joins, |j| !j.marked as u64))
+        sum(&b.joins, |j| !j.marked as u64)
     }),
     ("engine.group.groups_created", |b| {
         row(b, b.aggregate.map_or(0, |a| a.build_rows))

@@ -13,10 +13,13 @@
 //! therefore label a query `columnar` that a particular database
 //! demotes to the row engine. The reverse never happens.
 //!
+//! It holds no join rule. Every join is in shape: the plan's keys
+//! decide each join's algorithm (a keyed step hash-joins, any other
+//! runs the join layer's nested loop), and both executors follow them.
+//!
 //! Supported shape:
 //! - base and derived tables (a derived table's result is scanned as a
-//!   column image),
-//! - inner joins with `a.x = b.y` constraints over qualified columns,
+//!   column image), joined by any joins: inner or LEFT, keyed or not,
 //! - scalar expressions from the kernel set: columns, literals,
 //!   arithmetic, comparisons, `AND`/`OR`/`NOT`, `BETWEEN`,
 //!   `IN (literals)`, `LIKE 'literal'`, `IS NULL`,
@@ -33,27 +36,6 @@ use sb_sql::{AggArg, Expr, OrderItem, Select, SelectItem};
 /// Whether one `SELECT` (with its statement-level ORDER BY keys) is
 /// structurally executable by the columnar batch engine.
 pub fn columnar_eligible(select: &Select, order_by: &[OrderItem]) -> bool {
-    for join in &select.joins {
-        // Inner equi-joins over qualified columns only.
-        if join.left {
-            return false;
-        }
-        let Some(Expr::Binary {
-            left,
-            op: sb_sql::BinaryOp::Eq,
-            right,
-        }) = &join.constraint
-        else {
-            return false;
-        };
-        let (Expr::Column(a), Expr::Column(b)) = (left.as_ref(), right.as_ref()) else {
-            return false;
-        };
-        if a.table.is_none() || b.table.is_none() {
-            return false;
-        }
-    }
-
     if let Some(sel) = &select.selection {
         if !scalar_ok(sel) {
             return false;
@@ -97,8 +79,9 @@ pub fn columnar_eligible(select: &Select, order_by: &[OrderItem]) -> bool {
 
 /// Whether one `SELECT` has at least one stage the columnar engine can
 /// execute morsel-parallel: a WHERE filter (per-morsel selection
-/// vectors), a hash join (parallel build and probe), or a mergeable
-/// aggregation (thread-local accumulators). A bare scan-project has no
+/// vectors), a join (a hash join builds and probes in parallel; a
+/// nested loop runs as one morsel), or a mergeable aggregation
+/// (thread-local accumulators). A bare scan-project has no
 /// parallel kernel — emission is inherently serial — so it stays
 /// single-threaded even with parallelism enabled.
 ///
@@ -186,18 +169,15 @@ mod tests {
         assert!(eligible(
             "SELECT d.a FROM t JOIN (SELECT a, id FROM u) AS d ON t.id = d.id"
         ));
+        // Every join: the plan's keys decide hash join or nested loop.
+        assert!(eligible("SELECT t.a FROM t LEFT JOIN u ON t.id = u.tid"));
+        assert!(eligible("SELECT t.a FROM t JOIN u ON t.id < u.tid"));
+        assert!(eligible("SELECT t.a FROM t JOIN u ON id = tid"));
+        assert!(eligible("SELECT t.a FROM t JOIN u ON true"));
     }
 
     #[test]
     fn unsupported_shapes_fall_back() {
-        // Left join.
-        assert!(!eligible("SELECT t.a FROM t LEFT JOIN u ON t.id = u.tid"));
-        // Non-equi join.
-        assert!(!eligible("SELECT t.a FROM t JOIN u ON t.id < u.tid"));
-        // Bare join columns.
-        assert!(!eligible("SELECT t.a FROM t JOIN u ON id = tid"));
-        // Cross join.
-        assert!(!eligible("SELECT t.a FROM t JOIN u ON true"));
         // A subquery whose probe is outside the kernel set.
         assert!(!eligible(
             "SELECT a FROM t WHERE (b LIKE c) IN (SELECT d FROM u)"
@@ -229,10 +209,11 @@ mod tests {
         // A bare scan-project has nothing to fan out.
         assert!(!par_eligible("SELECT a FROM t"));
         assert!(!par_eligible("SELECT a FROM t ORDER BY a LIMIT 5"));
-        // Never broader than columnar eligibility itself.
-        assert!(!par_eligible(
+        assert!(par_eligible(
             "SELECT t.a FROM t LEFT JOIN u ON t.id = u.tid"
         ));
+        // Never broader than columnar eligibility itself.
+        assert!(!par_eligible("SELECT * FROM t WHERE b > 1 GROUP BY a"));
         assert!(!par_eligible(
             "SELECT a FROM t WHERE (b LIKE c) IN (SELECT d FROM u)"
         ));

@@ -70,6 +70,12 @@ grep -q '"engine.columnar.selects"' "$report" || {
     echo "profile_run report is missing columnar batch counters (batch engine never ran)" >&2
     exit 1
 }
+# Every block of the quick run is in the batch engine's shape and kernel
+# set, so none may fall back to the row engine.
+if grep -q '"engine.columnar.fallbacks"' "$report"; then
+    echo "profile_run report has engine.columnar.fallbacks (a block fell back to the row engine)" >&2
+    exit 1
+fi
 
 echo "== parallel smoke: morsel dispatch live at 8 threads, absent at 1 =="
 # Force multi-morsel dispatch on the small fuzz tables (SB_MORSEL_ROWS)

@@ -159,14 +159,11 @@ engine.scan.rows_pruned_pushdown 3479
 ";
 const COLUMNAR_SERIAL: &str = "\
 engine.columnar.agg.groups 26
-engine.columnar.join.build_rows 1697
-engine.columnar.join.hash 4
-engine.columnar.join.output_rows 3090
-engine.columnar.join.probe_rows 3842
-engine.columnar.selects 10
-engine.join.hash 1
-engine.join.hash.build_rows 150
-engine.join.hash.probe_rows 607
+engine.columnar.join.build_rows 1847
+engine.columnar.join.hash 5
+engine.columnar.join.output_rows 3701
+engine.columnar.join.probe_rows 4449
+engine.columnar.selects 12
 engine.join.nested_loop 1
 engine.order.topk 2
 engine.scan.rows 11365
@@ -174,18 +171,15 @@ engine.scan.rows_pruned_pushdown 3479
 ";
 const COLUMNAR_MORSELS: &str = "\
 engine.columnar.agg.groups 26
-engine.columnar.join.build_rows 1697
-engine.columnar.join.hash 4
-engine.columnar.join.output_rows 3090
-engine.columnar.join.probe_rows 3842
-engine.columnar.selects 10
-engine.join.hash 1
-engine.join.hash.build_rows 150
-engine.join.hash.probe_rows 607
+engine.columnar.join.build_rows 1847
+engine.columnar.join.hash 5
+engine.columnar.join.output_rows 3701
+engine.columnar.join.probe_rows 4449
+engine.columnar.selects 12
 engine.join.nested_loop 1
 engine.order.topk 2
-engine.parallel.morsels 2404
-engine.parallel.ops 21
+engine.parallel.morsels 2929
+engine.parallel.ops 25
 engine.scan.rows 11365
 engine.scan.rows_pruned_pushdown 3479
 ";

@@ -124,6 +124,15 @@ const CASES: &[Case] = &[
               WHERE s.z > 0.5",
     },
     Case {
+        name: "medium_left_outer_columnar",
+        domain: Domain::Sdss,
+        hardness: Hardness::Medium,
+        mode: Mode::Columnar,
+        sql: "SELECT s.class, p.ra FROM specobj AS s \
+              LEFT JOIN photoobj AS p ON s.bestobjid = p.objid \
+              WHERE s.z > 0.5",
+    },
+    Case {
         name: "medium_bare_name_hash_join_row",
         domain: Domain::Sdss,
         hardness: Hardness::Medium,
