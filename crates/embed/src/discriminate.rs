@@ -42,7 +42,7 @@ const LANES: usize = 8;
 /// size).
 ///
 /// Each point's squared distance to the current estimate is its own
-/// float chain, summed in dimension order; the chains of up to [`LANES`]
+/// float chain, summed in dimension order; the chains of up to `LANES`
 /// points run side by side over a transposed copy of the points, so no
 /// reduction ever runs across dimensions. The weighted sum then
 /// accumulates in point order.

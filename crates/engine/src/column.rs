@@ -3,8 +3,8 @@
 //! [`ColumnarTable`] is the only copy of a table's data: one typed
 //! vector per column (`i64` / `f64` / `bool` arrays, dictionary-encoded
 //! strings) plus a null bitmap. [`crate::database::Table::push_row`]
-//! appends each cell straight to its column ([`ColumnarTable::push_row`]),
-//! the batch executor ([`crate::batch`]) runs its vectorized kernels over
+//! appends each cell straight to its column (`ColumnarTable::push_row`),
+//! the batch executor (`crate::batch`) runs its vectorized kernels over
 //! the vectors and materializes `Value`s only at result boundaries, the
 //! data profiler ([`crate::profile`]) counts over them, and the row
 //! executor and the reference interpreter build their rows from them

@@ -1,6 +1,6 @@
 //! Name scopes, the per-statement evaluation context, and the scalar
 //! operators with SQL NULL semantics that the compiled evaluator
-//! ([`crate::compile`]) and the columnar kernels ([`crate::batch`])
+//! (`crate::compile`) and the columnar kernels (`crate::batch`)
 //! share.
 
 use crate::database::Database;

@@ -5,7 +5,7 @@
 //! selection vectors of row ids; on single-relation predicates the
 //! executor pushes WHERE conjuncts down into the scan, so non-qualifying
 //! rows are dropped before any join. Joins combine row ids through the
-//! join layer both executors share ([`crate::join`]), following the
+//! join layer both executors share (`crate::join`), following the
 //! plan's keys: a keyed join (`ON a = b`) runs as a hash join that
 //! builds on the incoming relation, anything else (non-equi
 //! constraints, cross joins) as a nested loop.
@@ -15,7 +15,7 @@
 //! statement references.
 //!
 //! Expressions run through the compile-once layer
-//! ([`crate::compile`]): each `SELECT`'s expressions are lowered against
+//! (`crate::compile`): each `SELECT`'s expressions are lowered against
 //! their scope exactly once — column references become positional slots,
 //! constant subtrees fold — and the resulting programs evaluate with no
 //! name lookups. Grouping, DISTINCT and set operations key rows through
@@ -298,7 +298,7 @@ fn run_query(
 /// one means executing its subquery — that work belongs to the request,
 /// not the prepare step), or a table doesn't resolve (execution will
 /// surface the binding error itself). Planning goes through the same
-/// [`plan_from`] as execution, over the immutable snapshot's schema and
+/// `plan_from` as execution, over the immutable snapshot's schema and
 /// row counts, so the plan is exactly what fresh planning inside
 /// [`execute_with`] decides.
 pub fn plan_top_select(

@@ -86,7 +86,7 @@ impl<'a> LitKey<'a> {
 type Counts<'a> = HashMap<LitKey<'a>, usize, FxBuild>;
 
 /// Profile every column of every table in `db`: non-NULL count, distinct
-/// count, numeric range and the [`FREQUENT_VALUES`] most frequent values
+/// count, numeric range and the `FREQUENT_VALUES` most frequent values
 /// rendered as SQL literals, most frequent first with ties broken by
 /// ascending literal (byte order).
 ///
@@ -105,7 +105,7 @@ type Counts<'a> = HashMap<LitKey<'a>, usize, FxBuild>;
 /// literals counted exactly `t`, each rendered into one reused buffer and
 /// kept in a bounded max-heap. Values sharing a (count, literal) pair
 /// render identically, so the result equals a full sort by (count desc,
-/// literal asc) truncated to [`FREQUENT_VALUES`].
+/// literal asc) truncated to `FREQUENT_VALUES`.
 ///
 /// [`Table::columnar`]: crate::database::Table::columnar
 pub fn profile_database(db: &Database) -> DataProfile {

@@ -126,7 +126,7 @@ impl Value {
     /// SQL comparison. Returns `None` when either side is NULL, the types
     /// are incomparable, or a float side is NaN. Numeric comparison is
     /// **exact**: int/int compares as i64, int/float splits the float into
-    /// integer and fraction ([`cmp_int_f64`]) instead of casting the i64
+    /// integer and fraction (`cmp_int_f64`) instead of casting the i64
     /// to f64, so integers beyond 2^53 never compare equal to nearby
     /// floats (or to each other).
     #[inline]

@@ -15,7 +15,7 @@
 //! - [`oracle`] — the differential check: parse↔print↔parse round trip,
 //!   then reference vs. the full `ExecOptions` matrix, for the statement
 //!   and for its [`nested_loop_twin`].
-//! - [`shrink`] — greedy AST minimization of failing queries.
+//! - [`shrink`](mod@shrink) — greedy AST minimization of failing queries.
 //! - [`run_fuzz`] — a bounded campaign over one domain; failures come
 //!   back with the seed, the original SQL and a shrunk reproducer.
 //!

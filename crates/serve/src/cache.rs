@@ -1,35 +1,34 @@
-//! The prepared-plan cache: normalize → parse → plan **once**, execute
-//! the cached plan on every subsequent request.
+//! The prepared-plan cache: parse and plan a statement **once**, execute
+//! the cached plan on every later request with the same text.
 //!
 //! Serving workloads repeat: the same templated statements arrive over
-//! and over with cosmetic differences (whitespace, keyword case). The
-//! cache removes the per-request parse and plan cost in two layers:
+//! and over, byte for byte. The cache maps the exact request text
+//! `(snapshot, sql)` to its prepared entry, so a verbatim repeat pays
+//! one `HashMap` probe and skips parse and plan. The text is the whole
+//! key: a cosmetic variant (other whitespace or keyword case) is a
+//! statement of its own, prepared and cached on its own. The texts the
+//! serving workloads send are already the AST printer's canonical form,
+//! so a second key by printed form would never hit.
 //!
-//! 1. **Raw layer** — the exact request text `(snapshot, sql)` maps
-//!    straight to its prepared entry, so a verbatim repeat pays one
-//!    `HashMap` probe. Parse *errors* are cached here too: a busted
-//!    statement hammered in a retry loop fails fast without re-lexing.
-//! 2. **Normalized layer** — on a raw miss the statement is parsed and
-//!    re-printed through the AST printer, which is the dialect's
-//!    canonical form. Cosmetic variants collapse onto one entry:
-//!    `select  A from T` and `SELECT a FROM t` share a single plan.
+//! A statement that fails to parse is answered with its error but not
+//! admitted: garbage text takes no slot and evicts no plan.
 //!
 //! ## Bounded: CLOCK eviction
 //!
-//! The raw layer holds at most the capacity given to
-//! [`PlanCache::with_capacity`] (default [`DEFAULT_CAPACITY`]), and the
-//! normalized layer holds only entries some resident raw entry points
-//! to, so memory is bounded by the capacity however many distinct
-//! statements arrive.
+//! The cache holds at most the capacity given to
+//! [`PlanCache::with_capacity`] (default [`DEFAULT_CAPACITY`]), so
+//! memory is bounded by the capacity however many distinct statements
+//! arrive.
 //!
-//! Every miss is admitted. Entries sit in a ring of slots, each with a
-//! reference bit that every hit sets. To make room, a hand sweeps the
-//! ring: a set bit is cleared and the entry gets a second chance; the
-//! first entry found clear has not been hit since the hand last passed,
-//! and is evicted. A hit therefore costs one relaxed atomic store under
-//! the read lock — no reordering of a recency list, so hits never need
-//! the write lock. A statement hit at least once per revolution of the
-//! hand is never evicted, however many one-off statements pass through.
+//! Every miss that parses is admitted. Entries sit in a ring of slots,
+//! each with a reference bit that every hit sets. To make room, a hand
+//! sweeps the ring: a set bit is cleared and the entry gets a second
+//! chance; the first entry found clear has not been hit since the hand
+//! last passed, and is evicted. A hit therefore costs one relaxed atomic
+//! store under the read lock — no reordering of a recency list, so hits
+//! never need the write lock. A statement hit at least once per
+//! revolution of the hand is never evicted, however many one-off
+//! statements pass through.
 //!
 //! Eviction decides only *whether* a plan is reused, never what a
 //! request returns: an evicted statement is prepared afresh, which
@@ -37,7 +36,7 @@
 //!
 //! ## Why a cached plan is safe to reuse
 //!
-//! A [`Prepared`] entry stores the statement AST (`Arc<Query>`) and the
+//! A [`Prepared`] entry stores the statement AST and the
 //! [`sb_opt::PlannedSelect`] that `sb_engine::plan_top_select` planned
 //! for it. That is the engine's own plan type, planned through the same
 //! code as fresh execution, and a request borrows it as it is. The
@@ -60,75 +59,39 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
-/// Raw entries a [`PlanCache::new`] cache holds. Over the fuzz
-/// statements an entry requests about 2.3 KB from the allocator and
-/// costs about 4 KB of resident memory with the allocator's overhead:
-/// a full default cache holds about 17 MB (sbbench serve_plan_hot peaks
-/// at about 58 MB with it and about 42 MB with a 64-entry cache,
-/// 2-vCPU VM).
+/// Entries a [`PlanCache::new`] cache holds. Filled once with
+/// serve_plan_hot's cold statements, an entry requests about 2.0 KB
+/// from the allocator and adds about 2.6 KB of resident memory, so a
+/// full default cache holds about 8 MB requested and 10.4 MB resident
+/// (2-vCPU VM).
 pub const DEFAULT_CAPACITY: usize = 4096;
 
 /// One statement, prepared: parsed once, planned once.
 #[derive(Debug)]
 pub struct Prepared {
-    /// Canonical (printer-normalized) SQL text; the normalized layer
-    /// keys its entry by this same allocation.
-    pub normalized: Arc<str>,
     /// The parsed statement.
-    pub query: Arc<sb_sql::Query>,
+    pub query: sb_sql::Query,
     /// The optimizer plan, when the statement is a plannable top-level
     /// `SELECT` over base tables (`None` falls back to per-request
     /// planning inside the engine).
     pub plan: Option<sb_opt::PlannedSelect>,
 }
 
-/// Outcome of parsing one raw statement, cached either way.
-#[derive(Debug, Clone)]
-enum RawEntry {
-    Prepared(Arc<Prepared>),
-    ParseErr(String),
-}
-
-impl RawEntry {
-    fn to_result(&self) -> Result<Arc<Prepared>, String> {
-        match self {
-            RawEntry::Prepared(p) => Ok(Arc::clone(p)),
-            RawEntry::ParseErr(e) => Err(e.clone()),
-        }
-    }
-}
-
-/// One resident raw entry in the CLOCK ring.
+/// One resident entry in the CLOCK ring.
 #[derive(Debug)]
 struct Slot {
     db: Arc<str>,
     sql: Arc<str>,
-    entry: RawEntry,
+    prepared: Arc<Prepared>,
     /// Set by every hit, cleared by the passing hand.
     referenced: AtomicBool,
 }
 
-/// A normalized entry and the number of resident raw entries sharing it.
-#[derive(Debug)]
-struct Shared {
-    prepared: Arc<Prepared>,
-    refs: usize,
-}
-
-/// The entries of one snapshot name.
-#[derive(Debug, Default)]
-struct Partition {
-    /// Raw sql → slot index.
-    raw: HashMap<Arc<str>, usize>,
-    /// Normalized sql → shared prepared entry.
-    norm: HashMap<Arc<str>, Shared>,
-}
-
 #[derive(Debug, Default)]
 struct Inner {
-    /// Keyed by snapshot name first, so a lookup borrows both strings
-    /// and allocates nothing.
-    partitions: HashMap<Arc<str>, Partition>,
+    /// Snapshot name → sql → slot index. Keyed by snapshot name first,
+    /// so a lookup borrows both strings and allocates nothing.
+    partitions: HashMap<Arc<str>, HashMap<Arc<str>, usize>>,
     slots: Vec<Slot>,
     hand: usize,
 }
@@ -151,18 +114,8 @@ impl Inner {
             .partitions
             .get_mut(&slot.db)
             .expect("every resident entry is indexed");
-        part.raw.remove(&slot.sql);
-        if let RawEntry::Prepared(p) = &slot.entry {
-            let shared = part
-                .norm
-                .get_mut(&p.normalized)
-                .expect("every resident prepared entry is shared");
-            shared.refs -= 1;
-            if shared.refs == 0 {
-                part.norm.remove(&p.normalized);
-            }
-        }
-        if part.raw.is_empty() {
+        part.remove(&slot.sql);
+        if part.is_empty() {
             self.partitions.remove(&slot.db);
         }
         victim
@@ -172,15 +125,13 @@ impl Inner {
 /// Counters and sizes of a [`PlanCache`], read together.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Bound on raw entries.
+    /// Bound on entries.
     pub capacity: usize,
-    /// Resident raw entries.
+    /// Resident entries.
     pub entries: usize,
-    /// Resident normalized entries (≤ `entries`).
-    pub normalized_entries: usize,
-    /// Raw-layer hits.
+    /// Lookups answered from a resident entry.
     pub hits: u64,
-    /// Raw-layer misses.
+    /// Lookups that parsed the statement, parse errors included.
     pub misses: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
@@ -209,7 +160,7 @@ impl PlanCache {
         PlanCache::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// An empty cache holding at most `capacity` raw entries.
+    /// An empty cache holding at most `capacity` entries.
     ///
     /// # Panics
     ///
@@ -231,8 +182,8 @@ impl PlanCache {
     }
 
     /// Look up or prepare `sql` against snapshot `db_name`. Returns the
-    /// prepared entry (or the cached parse error) and whether this call
-    /// was a raw-layer hit.
+    /// prepared entry, or the parse error (never cached), and whether
+    /// this call was a hit.
     ///
     /// Under concurrent first-touch of the same statement, several
     /// threads may parse and plan it simultaneously; the planner is
@@ -249,7 +200,7 @@ impl PlanCache {
     ) -> (Result<Arc<Prepared>, String>, bool) {
         {
             let inner = self.read();
-            if let Some(&i) = inner.partitions.get(db_name).and_then(|p| p.raw.get(sql)) {
+            if let Some(&i) = inner.partitions.get(db_name).and_then(|p| p.get(sql)) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 let slot = &inner.slots[i];
                 // Test before setting: a hot entry's bit is already set,
@@ -257,7 +208,7 @@ impl PlanCache {
                 if !slot.referenced.load(Ordering::Relaxed) {
                     slot.referenced.store(true, Ordering::Relaxed);
                 }
-                return (slot.entry.to_result(), true);
+                return (Ok(Arc::clone(&slot.prepared)), true);
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -265,37 +216,23 @@ impl PlanCache {
         // Parse and plan outside the lock: planning walks the statement
         // and consults row counts, and holding a write lock across it
         // would serialize unrelated first-touch requests.
-        let entry = match sb_sql::parse(sql) {
-            Err(e) => RawEntry::ParseErr(e.to_string()),
-            Ok(query) => {
-                let normalized = query.to_string();
-                let existing = self
-                    .read()
-                    .partitions
-                    .get(db_name)
-                    .and_then(|p| p.norm.get(normalized.as_str()))
-                    .map(|s| Arc::clone(&s.prepared));
-                RawEntry::Prepared(existing.unwrap_or_else(|| {
-                    let plan = sb_engine::plan_top_select(db, &query, opts);
-                    Arc::new(Prepared {
-                        normalized: normalized.into(),
-                        query: Arc::new(query),
-                        plan,
-                    })
-                }))
-            }
+        let query = match sb_sql::parse(sql) {
+            Ok(query) => query,
+            Err(e) => return (Err(e.to_string()), false),
         };
-        (self.insert(db_name, sql, entry).to_result(), false)
+        let plan = sb_engine::plan_top_select(db, &query, opts);
+        let prepared = Arc::new(Prepared { query, plan });
+        (Ok(self.insert(db_name, sql, prepared)), false)
     }
 
-    /// Make `entry` resident, evicting if the cache is full, and return
-    /// the resident entry: another thread's, if it inserted the same
-    /// statement first, and otherwise one sharing the normalized layer.
-    fn insert(&self, db_name: &str, sql: &str, entry: RawEntry) -> RawEntry {
+    /// Make `prepared` resident under `(db_name, sql)`, evicting if the
+    /// cache is full, and return the resident entry: another thread's,
+    /// if it inserted the same statement first.
+    fn insert(&self, db_name: &str, sql: &str, prepared: Arc<Prepared>) -> Arc<Prepared> {
         let mut guard = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         let inner = &mut *guard;
-        if let Some(&i) = inner.partitions.get(db_name).and_then(|p| p.raw.get(sql)) {
-            return inner.slots[i].entry.clone();
+        if let Some(&i) = inner.partitions.get(db_name).and_then(|p| p.get(sql)) {
+            return Arc::clone(&inner.slots[i].prepared);
         }
         let victim = (inner.slots.len() >= self.capacity).then(|| inner.evict());
         if victim.is_some() {
@@ -305,26 +242,11 @@ impl PlanCache {
             Some((name, _)) => Arc::clone(name),
             None => Arc::from(db_name),
         };
-        let part = inner.partitions.entry(Arc::clone(&db)).or_default();
-        let entry = match entry {
-            RawEntry::Prepared(p) => {
-                let shared = part
-                    .norm
-                    .entry(Arc::clone(&p.normalized))
-                    .or_insert(Shared {
-                        prepared: p,
-                        refs: 0,
-                    });
-                shared.refs += 1;
-                RawEntry::Prepared(Arc::clone(&shared.prepared))
-            }
-            err => err,
-        };
         let sql: Arc<str> = Arc::from(sql);
         let slot = Slot {
-            db,
+            db: Arc::clone(&db),
             sql: Arc::clone(&sql),
-            entry: entry.clone(),
+            prepared: Arc::clone(&prepared),
             referenced: AtomicBool::new(false),
         };
         let i = match victim {
@@ -337,21 +259,21 @@ impl PlanCache {
                 inner.slots.len() - 1
             }
         };
-        part.raw.insert(sql, i);
-        entry
+        inner.partitions.entry(db).or_default().insert(sql, i);
+        prepared
     }
 
-    /// Raw-layer hits so far.
+    /// Hits so far.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Raw-layer misses so far.
+    /// Misses so far, parse errors included.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct raw statements cached (≤ the capacity).
+    /// Number of distinct statements cached (≤ the capacity).
     pub fn len(&self) -> usize {
         self.read().slots.len()
     }
@@ -361,18 +283,12 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// Number of distinct normalized statements (≤ [`Self::len`]).
-    pub fn normalized_len(&self) -> usize {
-        self.stats().normalized_entries
-    }
-
     /// Counters and sizes, with the sizes read under one lock.
     pub fn stats(&self) -> PlanCacheStats {
         let inner = self.read();
         PlanCacheStats {
             capacity: self.capacity,
             entries: inner.slots.len(),
-            normalized_entries: inner.partitions.values().map(|p| p.norm.len()).sum(),
             hits: self.hits(),
             misses: self.misses(),
             evictions: self.evictions.load(Ordering::Relaxed),
@@ -380,9 +296,8 @@ impl PlanCache {
     }
 
     /// Check the cache's internal consistency: the capacity holds, the
-    /// raw index and the ring agree entry for entry, and every
-    /// normalized entry is shared by exactly as many resident raw
-    /// entries as its count says. Meant for tests that thrash the cache.
+    /// index and the ring agree entry for entry, and no snapshot keeps
+    /// an empty partition. Meant for tests that thrash the cache.
     #[cfg(test)]
     pub(crate) fn check_invariants(&self) -> Result<(), String> {
         let inner = self.read();
@@ -393,40 +308,21 @@ impl PlanCache {
                 self.capacity
             ));
         }
-        let indexed: usize = inner.partitions.values().map(|p| p.raw.len()).sum();
+        let indexed: usize = inner.partitions.values().map(HashMap::len).sum();
         if indexed != inner.slots.len() {
             return Err(format!(
                 "{indexed} indexed entries, {} in the ring",
                 inner.slots.len()
             ));
         }
-        let mut refs: HashMap<(&str, &str), usize> = HashMap::new();
         for (i, slot) in inner.slots.iter().enumerate() {
             let part = inner.partitions.get(&slot.db);
-            if part.and_then(|p| p.raw.get(&slot.sql)) != Some(&i) {
+            if part.and_then(|p| p.get(&slot.sql)) != Some(&i) {
                 return Err(format!("slot {i} ({}) is not indexed", slot.sql));
             }
-            if let RawEntry::Prepared(p) = &slot.entry {
-                let shared = part.and_then(|part| part.norm.get(&p.normalized));
-                if !shared.is_some_and(|s| Arc::ptr_eq(&s.prepared, p)) {
-                    return Err(format!("slot {i} ({}) is not shared", slot.sql));
-                }
-                *refs.entry((&slot.db, &p.normalized)).or_default() += 1;
-            }
         }
-        for (db, part) in &inner.partitions {
-            if part.raw.is_empty() {
-                return Err(format!("empty partition `{db}` kept"));
-            }
-            for (norm, shared) in &part.norm {
-                let want = refs.get(&(&**db, &**norm)).copied().unwrap_or(0);
-                if shared.refs != want {
-                    return Err(format!(
-                        "`{norm}` counts {} references, {want} resident",
-                        shared.refs
-                    ));
-                }
-            }
+        if let Some(db) = inner.partitions.iter().find(|(_, p)| p.is_empty()) {
+            return Err(format!("empty partition `{}` kept", db.0));
         }
         Ok(())
     }
@@ -453,7 +349,7 @@ mod tests {
     }
 
     #[test]
-    fn raw_repeat_hits_and_cosmetic_variants_share_one_plan() {
+    fn raw_repeat_hits_and_a_cosmetic_variant_is_its_own_entry() {
         let db = sdss();
         let cache = PlanCache::new();
         let opts = ExecOptions::default();
@@ -463,30 +359,46 @@ mod tests {
         assert!(!hit);
         let first = first.expect("parses");
         let (second, hit) = cache.prepare("sdss", &db, sql, opts);
-        assert!(hit, "verbatim repeat must hit the raw layer");
+        assert!(hit, "verbatim repeat must hit");
         assert!(Arc::ptr_eq(&first, &second.expect("parses")));
 
-        // Different spelling, same canonical statement: raw miss, but
-        // the normalized layer hands back the very same entry.
+        // Different spelling, same statement: a miss, prepared into an
+        // entry of its own, which its own repeat hits.
         let variant = "select  s.class  from specobj as s where s.z > 0.5";
         let (third, hit) = cache.prepare("sdss", &db, variant, opts);
         assert!(!hit);
-        assert!(Arc::ptr_eq(&first, &third.expect("parses")));
+        let third = third.expect("parses");
+        assert!(!Arc::ptr_eq(&first, &third));
+        assert_eq!(first.query.to_string(), third.query.to_string());
+        let (fourth, hit) = cache.prepare("sdss", &db, variant, opts);
+        assert!(hit);
+        assert!(Arc::ptr_eq(&third, &fourth.expect("parses")));
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.normalized_len(), 1);
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
+        assert_eq!((cache.hits(), cache.misses()), (2, 2));
     }
 
+    /// Garbage text is answered with its parse error on every call and
+    /// never takes a slot, so it cannot evict the plan a full cache
+    /// holds.
     #[test]
-    fn parse_errors_are_cached() {
+    fn parse_errors_are_answered_but_never_admitted() {
         let db = sdss();
-        let cache = PlanCache::new();
-        let opts = ExecOptions::default();
-        let (r1, hit1) = cache.prepare("sdss", &db, "SELECT FROM WHERE", opts);
-        let (r2, hit2) = cache.prepare("sdss", &db, "SELECT FROM WHERE", opts);
-        assert!(!hit1);
-        assert!(hit2, "second failure must come from the cache");
-        assert_eq!(r1.unwrap_err(), r2.unwrap_err());
+        let cache = PlanCache::with_capacity(1);
+        let plan = stmt(1);
+        assert!(!hit(&cache, &db, &plan));
+        let garbage = "SELECT FROM WHERE";
+        let want = sb_sql::parse(garbage).unwrap_err().to_string();
+        for k in 0..3 {
+            let misses = cache.misses();
+            let (got, was_hit) = cache.prepare("sdss", &db, garbage, ExecOptions::default());
+            cache.check_invariants().unwrap();
+            assert!(!was_hit, "garbage call {k} is a miss");
+            assert_eq!(got.unwrap_err(), want);
+            assert_eq!(cache.misses(), misses + 1);
+            assert_eq!(cache.len(), 1, "garbage call {k} changed the entries");
+            assert!(hit(&cache, &db, &plan), "garbage call {k} evicted the plan");
+        }
+        assert_eq!(cache.stats().evictions, 0);
     }
 
     #[test]
@@ -540,28 +452,9 @@ mod tests {
         assert_eq!(stats.evictions, 2000 - 24);
     }
 
-    #[test]
-    fn evicting_every_spelling_drops_the_shared_plan() {
-        let db = sdss();
-        let cache = PlanCache::with_capacity(2);
-        let spellings = [
-            "SELECT s.class FROM specobj AS s",
-            "select  s.class from specobj as s",
-        ];
-        for sql in spellings {
-            hit(&cache, &db, sql);
-        }
-        assert_eq!((cache.len(), cache.normalized_len()), (2, 1));
-        for other in [stmt(1), stmt(2)] {
-            hit(&cache, &db, &other);
-        }
-        assert_eq!((cache.len(), cache.normalized_len()), (2, 2));
-        assert!(!hit(&cache, &db, spellings[0]));
-    }
-
     /// Random traffic over parseable statements, cosmetic variants and
     /// parse errors at small capacities: the invariants hold after
-    /// every call, and every answer is the one fresh preparation gives.
+    /// every call, and every answer is the one a fresh parse gives.
     #[test]
     fn random_traffic_keeps_the_cache_consistent_and_correct() {
         let db = sdss();
@@ -584,11 +477,14 @@ mod tests {
                 // Skewed: low indices far more often.
                 let r = (state >> 33) as usize;
                 let sql = &universe[(r % universe.len()) * (r % 3 + 1) / 3];
-                let (got, _) = cache.prepare("sdss", &db, sql, ExecOptions::default());
+                let (got, hit) = cache.prepare("sdss", &db, sql, ExecOptions::default());
                 cache.check_invariants().unwrap();
                 match sb_sql::parse(sql) {
-                    Ok(q) => assert_eq!(*got.unwrap().normalized, q.to_string()),
-                    Err(e) => assert_eq!(got.unwrap_err(), e.to_string()),
+                    Ok(q) => assert_eq!(got.unwrap().query.to_string(), q.to_string()),
+                    Err(e) => {
+                        assert!(!hit, "a parse error never hits");
+                        assert_eq!(got.unwrap_err(), e.to_string());
+                    }
                 }
             }
             let stats = cache.stats();

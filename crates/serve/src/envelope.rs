@@ -125,11 +125,11 @@ impl QueryRequest {
     }
 }
 
-/// Seeded-deterministic trace id: FNV-1a over `(seed, id, db, sql)`.
-/// The same request against the same service configuration always maps
-/// to the same id, so traces can be correlated across replays and log
-/// lines can be grepped from a workload description alone.
-pub fn trace_id(seed: u64, req: &QueryRequest) -> String {
+/// Deterministic trace id: FNV-1a over `(id, db, sql)`. The same
+/// request always maps to the same id, so traces can be correlated
+/// across replays and log lines can be grepped from a workload
+/// description alone.
+pub fn trace_id(req: &QueryRequest) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
@@ -137,7 +137,6 @@ pub fn trace_id(seed: u64, req: &QueryRequest) -> String {
             h = h.wrapping_mul(0x100_0000_01b3);
         }
     };
-    eat(&seed.to_le_bytes());
     eat(&req.id.to_le_bytes());
     eat(req.db.as_bytes());
     eat(&[0]);
@@ -152,13 +151,13 @@ pub fn trace_id(seed: u64, req: &QueryRequest) -> String {
 /// [`QueryResponse::to_json_with_profile`].
 #[derive(Debug, Clone, Default)]
 pub struct RequestProfile {
-    /// Seeded-deterministic request trace id (see [`trace_id`]).
+    /// Deterministic request trace id (see [`trace_id`]).
     pub trace_id: String,
     /// Admission gate, deadline setup and snapshot lookup.
     pub admission_us: u64,
     /// Read-only guardrail plus statement parse (fresh path). With the
     /// plan cache enabled, parse work inside the cache is attributed to
-    /// the plan phase — the cache prepares normalize→parse→plan as one
+    /// the plan phase — the cache prepares lookup→parse→plan as one
     /// step.
     pub parse_us: u64,
     /// Statement planning (or cached-plan lookup).

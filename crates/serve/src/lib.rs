@@ -17,9 +17,9 @@
 //!   the engine ([`sb_engine::execute_capped`]), before rows are built:
 //!   a response never materializes the rows it drops, yet still reports
 //!   the full count in `total_rows`.
-//! - [`cache`] — the prepared-plan cache: normalize → parse → plan
-//!   once, execute the cached [`sb_opt::PlannedSelect`] on every repeat;
-//!   bounded by CLOCK eviction.
+//! - [`cache`] — the prepared-plan cache: parse → plan once per
+//!   request text, execute the cached [`sb_opt::PlannedSelect`] on every
+//!   repeat; bounded by CLOCK eviction.
 //! - [`admission`] — bounded in-flight admission with explicit
 //!   `overloaded` rejection; the service never queues.
 //! - [`loadgen`] — the deterministic request mix (fuzzer statements
@@ -108,10 +108,6 @@ pub struct ServeConfig {
     pub plan_cache: bool,
     /// Slow-query logging (off by default).
     pub slow_log: SlowLogConfig,
-    /// Seed folded into every request's deterministic trace id, so
-    /// distinct service instances replaying the same workload emit
-    /// distinguishable (but individually reproducible) traces.
-    pub trace_seed: u64,
 }
 
 impl Default for ServeConfig {
@@ -123,7 +119,6 @@ impl Default for ServeConfig {
             exec: ExecOptions::default(),
             plan_cache: true,
             slow_log: SlowLogConfig::default(),
-            trace_seed: 0,
         }
     }
 }
@@ -215,7 +210,7 @@ impl QueryService {
         let profiling = req.profile || self.cfg.slow_log.enabled;
         let t_start = Instant::now();
         let mut rp = profiling.then(|| RequestProfile {
-            trace_id: trace_id(self.cfg.trace_seed, req),
+            trace_id: trace_id(req),
             ..RequestProfile::default()
         });
         let us = |since: Instant| since.elapsed().as_micros() as u64;
@@ -287,7 +282,7 @@ impl QueryService {
         // Prepare: through the cache, or parse-and-plan per request
         // when the cache is disabled. Both paths produce the same
         // statement and (deterministic) plan, so responses match. The
-        // cache path does normalize+parse+plan as one unit; it is
+        // cache path does lookup+parse+plan as one unit; it is
         // attributed entirely to the plan phase (the guardrail above is
         // the parse phase's floor), while the cache-off path splits
         // parse and plan at the real boundary.
@@ -316,15 +311,7 @@ impl QueryService {
                         rp.parse_us = (t_plan - t_parse).as_micros() as u64;
                     }
                     let plan = sb_engine::plan_top_select(db, &query, self.cfg.exec);
-                    let normalized = query.to_string().into();
-                    (
-                        Arc::new(Prepared {
-                            normalized,
-                            query: Arc::new(query),
-                            plan,
-                        }),
-                        false,
-                    )
+                    (Arc::new(Prepared { query, plan }), false)
                 }
                 Err(e) => {
                     let mut resp =
@@ -629,7 +616,7 @@ mod tests {
         let resp = svc.handle(&req);
         assert_eq!(resp.code, ErrorCode::Ok);
         let rp = resp.profile.as_ref().expect("profile requested");
-        assert_eq!(rp.trace_id, trace_id(0, &req));
+        assert_eq!(rp.trace_id, trace_id(&req));
         assert_eq!(rp.trace_id.len(), 16);
         // The plain wire form never mentions the profile; the profiled
         // form appends exactly one extra field.
@@ -645,13 +632,12 @@ mod tests {
     }
 
     #[test]
-    fn trace_ids_are_seeded_and_deterministic() {
+    fn trace_ids_are_deterministic_per_request() {
         let req = QueryRequest::new(5, "sdss", "SELECT 1");
-        assert_eq!(trace_id(0, &req), trace_id(0, &req));
-        assert_ne!(trace_id(0, &req), trace_id(1, &req));
+        assert_eq!(trace_id(&req), trace_id(&req));
         assert_ne!(
-            trace_id(0, &req),
-            trace_id(0, &QueryRequest::new(6, "sdss", "SELECT 1"))
+            trace_id(&req),
+            trace_id(&QueryRequest::new(6, "sdss", "SELECT 1"))
         );
     }
 
@@ -682,10 +668,7 @@ mod tests {
         assert_eq!(lines.len(), 1, "exactly the executed request logs");
         let line = &lines[0];
         sb_obs::json::validate(line).unwrap_or_else(|e| panic!("bad slow-log JSON ({e}): {line}"));
-        assert!(
-            line.contains(&trace_id(0, &req)),
-            "trace id missing: {line}"
-        );
+        assert!(line.contains(&trace_id(&req)), "trace id missing: {line}");
         assert!(line.contains("Scan"), "analyzed plan missing: {line}");
         assert!(
             line.contains("time="),

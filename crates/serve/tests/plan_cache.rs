@@ -60,7 +60,7 @@ fn cold_warm_and_uncached_responses_are_byte_identical() {
                 cold.cache_hit, !first,
                 "cold pass must miss exactly on first touch: {sql}"
             );
-            assert!(warm.cache_hit, "repeat must hit the raw layer: {sql}");
+            assert!(warm.cache_hit, "repeat must hit: {sql}");
             assert_eq!(
                 cold.to_json(),
                 from_plain.to_json(),

@@ -154,6 +154,10 @@ jq -e '
 echo "== cargo clippy -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc -D warnings =="
+# A doc link to a deleted, renamed or private item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 

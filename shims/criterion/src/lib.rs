@@ -239,7 +239,7 @@ impl Criterion {
 
     /// Print the report and, when `CRITERION_JSON` is set, write all
     /// records to that path as JSON. A filtered run merges its records
-    /// into the file's ([`merge_records`]).
+    /// into the file's (`merge_records`).
     pub fn final_summary(&self) {
         let records = self.records.borrow();
         if records.is_empty() {

@@ -239,7 +239,7 @@ where
 }
 
 /// A parallel iterator: a fully-materialized item list plus a composed
-/// mapping. Terminal operations run [`parallel_map_vec`].
+/// mapping. Terminal operations run `parallel_map_vec`.
 pub struct ParIter<T> {
     items: Vec<T>,
 }
