@@ -419,104 +419,115 @@ pub fn build(size: SizeClass) -> DomainData {
     // Dimension tables first.
     {
         let mut t = db.table_mut("ec_framework_programs").unwrap();
-        for f in FRAMEWORKS {
-            t.push_rows(vec![vec![
-                f.into(),
-                format!("EU framework programme {f}").into(),
-            ]]);
-        }
+        t.push_rows(
+            FRAMEWORKS
+                .into_iter()
+                .map(|f| vec![f.into(), format!("EU framework programme {f}").into()]),
+        );
     }
     {
         let mut t = db.table_mut("funding_schemes").unwrap();
-        for s in FUNDING_SCHEMES {
-            t.push_rows(vec![vec![
+        t.push_rows(FUNDING_SCHEMES.into_iter().map(|s| {
+            vec![
                 s.into(),
                 format!("Funding scheme {s}").into(),
                 format!("Grants awarded under the {s} instrument").into(),
-            ]]);
-        }
+            ]
+        }));
     }
     {
         let mut t = db.table_mut("activity_types").unwrap();
-        for (code, desc) in ACTIVITY_TYPES {
-            t.push_rows(vec![vec![code.into(), desc.into()]]);
-        }
+        t.push_rows(
+            ACTIVITY_TYPES
+                .into_iter()
+                .map(|(code, desc)| vec![code.into(), desc.into()]),
+        );
     }
     {
         let mut t = db.table_mut("project_member_roles").unwrap();
-        for (code, desc) in ROLES {
-            t.push_rows(vec![vec![code.into(), desc.into()]]);
-        }
+        t.push_rows(
+            ROLES
+                .into_iter()
+                .map(|(code, desc)| vec![code.into(), desc.into()]),
+        );
     }
     {
         let mut t = db.table_mut("countries").unwrap();
-        for (i, (c2, c3, name)) in COUNTRIES.iter().enumerate() {
-            t.push_rows(vec![vec![
+        t.push_rows(COUNTRIES.iter().enumerate().map(|(i, (c2, c3, name))| {
+            vec![
                 Value::Int(i as i64 + 1),
                 (*name).into(),
                 (*c2).into(),
                 (*c3).into(),
                 (*c2).into(),
-            ]]);
-        }
+            ]
+        }));
     }
     {
         let mut t = db.table_mut("erc_research_domains").unwrap();
-        for (code, desc) in ERC_DOMAINS {
-            t.push_rows(vec![vec![code.into(), desc.into()]]);
-        }
+        t.push_rows(
+            ERC_DOMAINS
+                .into_iter()
+                .map(|(code, desc)| vec![code.into(), desc.into()]),
+        );
     }
     {
         let mut t = db.table_mut("erc_panels").unwrap();
-        for i in 0..n_panels {
+        t.push_rows((0..n_panels).map(|i| {
             let (dom, _) = ERC_DOMAINS[i % 3];
-            t.push_rows(vec![vec![
+            vec![
                 format!("{dom}{}", i / 3 + 1).into(),
                 format!("ERC panel {dom}{}", i / 3 + 1).into(),
                 dom.into(),
-            ]]);
-        }
+            ]
+        }));
     }
     {
         let mut t = db.table_mut("eu_territorial_units").unwrap();
-        for i in 0..n_nuts {
+        t.push_rows((0..n_nuts).map(|i| {
             let country = &COUNTRIES[i % COUNTRIES.len()];
             let level = (i % 4) as i64;
-            t.push_rows(vec![vec![
+            vec![
                 format!("{}{}", country.0, i / COUNTRIES.len()).into(),
                 format!("{} region {}", country.2, i / COUNTRIES.len()).into(),
                 Value::Int(level),
                 "2021".into(),
                 Value::Int((i % COUNTRIES.len()) as i64 + 1),
-            ]]);
-        }
+            ]
+        }));
     }
     {
         let mut t = db.table_mut("subject_areas").unwrap();
-        for (i, w) in TOPIC_WORDS.iter().take(n_subject_areas).enumerate() {
-            t.push_rows(vec![vec![
-                format!("SA{i:02}").into(),
-                format!("{w} research").into(),
-                format!("Projects concerning {w}").into(),
-            ]]);
-        }
+        t.push_rows(
+            TOPIC_WORDS
+                .iter()
+                .take(n_subject_areas)
+                .enumerate()
+                .map(|(i, w)| {
+                    vec![
+                        format!("SA{i:02}").into(),
+                        format!("{w} research").into(),
+                        format!("Projects concerning {w}").into(),
+                    ]
+                }),
+        );
     }
     {
         let mut t = db.table_mut("topics").unwrap();
-        for i in 0..n_topics {
+        t.push_rows((0..n_topics).map(|i| {
             let w = TOPIC_WORDS[i % TOPIC_WORDS.len()];
-            t.push_rows(vec![vec![
+            vec![
                 format!("T-{w}-{i:04}").to_uppercase().into(),
                 format!("{w} call {i}").into(),
                 Value::Int(10_000 + i as i64),
-            ]]);
-        }
+            ]
+        }));
     }
     {
         let mut t = db.table_mut("programmes").unwrap();
-        for i in 0..n_programmes {
+        t.push_rows((0..n_programmes).map(|i| {
             let fw = FRAMEWORKS[i % FRAMEWORKS.len()];
-            t.push_rows(vec![vec![
+            vec![
                 format!("{fw}-PRG-{i:04}").into(),
                 format!("Programme {i} of {fw}").into(),
                 format!("PRG{i:04}").into(),
@@ -526,15 +537,15 @@ pub fn build(size: SizeClass) -> DomainData {
                     format!("{fw}-PRG-{:04}", i / 2).into()
                 },
                 Value::Int(20_000 + i as i64),
-            ]]);
-        }
+            ]
+        }));
     }
     {
         let mut t = db.table_mut("people").unwrap();
-        for i in 0..n_people {
+        t.push_rows((0..n_people).map(|i| {
             let first = FIRST_NAMES[i % FIRST_NAMES.len()];
             let last = LAST_NAMES[(i / FIRST_NAMES.len()) % LAST_NAMES.len()];
-            t.push_rows(vec![vec![
+            vec![
                 Value::Int(i as i64 + 1),
                 format!("{first} {last}").into(),
                 ["Dr", "Prof", "Mr", "Ms"][i % 4].into(),
@@ -543,12 +554,12 @@ pub fn build(size: SizeClass) -> DomainData {
                     LAST_NAMES[i % LAST_NAMES.len()].to_lowercase()
                 )
                 .into(),
-            ]]);
-        }
+            ]
+        }));
     }
     {
         let mut t = db.table_mut("institutions").unwrap();
-        for i in 0..n_institutions {
+        t.push_rows((0..n_institutions).map(|i| {
             let country_idx = zipf(&mut rng, COUNTRIES.len(), 0.8);
             let country = &COUNTRIES[country_idx];
             let kind = [
@@ -558,7 +569,7 @@ pub fn build(size: SizeClass) -> DomainData {
                 "Center for",
             ][i % 4];
             let word = TOPIC_WORDS[i % TOPIC_WORDS.len()];
-            t.push_rows(vec![vec![
+            vec![
                 Value::Int(i as i64 + 1),
                 format!("{kind} {word} {i}").into(),
                 Value::Int(country_idx as i64 + 1),
@@ -567,12 +578,12 @@ pub fn build(size: SizeClass) -> DomainData {
                 format!("INST{i:05}").into(),
                 format!("{} City {}", country.2, i % 40).into(),
                 format!("{:05}", 10_000 + i % 80_000).into(),
-            ]]);
-        }
+            ]
+        }));
     }
     {
         let mut t = db.table_mut("projects").unwrap();
-        for i in 0..n_projects {
+        t.push_rows((0..n_projects).map(|i| {
             let fw = *weighted(
                 &mut rng,
                 &[
@@ -590,7 +601,7 @@ pub fn build(size: SizeClass) -> DomainData {
             let contribution = (cost * rng.gen_range(0.5..1.0) * 100.0).round() / 100.0;
             let w1 = TOPIC_WORDS[rng.gen_range(0..TOPIC_WORDS.len())];
             let w2 = TOPIC_WORDS[rng.gen_range(0..TOPIC_WORDS.len())];
-            t.push_rows(vec![vec![
+            vec![
                 Value::Int(i as i64 + 1),
                 format!("{}{}", w1.to_uppercase(), i % 100).into(),
                 format!("Advancing {w1} through {w2}").into(),
@@ -610,18 +621,18 @@ pub fn build(size: SizeClass) -> DomainData {
                 fw.into(),
                 scheme.into(),
                 Value::Int(rng.gen_range(0..n_people as i64) + 1),
-            ]]);
-        }
+            ]
+        }));
     }
     {
         let mut t = db.table_mut("project_members").unwrap();
-        for i in 0..n_members {
+        t.push_rows((0..n_members).map(|i| {
             let project = rng.gen_range(0..n_projects as i64) + 1;
             let inst = rng.gen_range(0..n_institutions as i64) + 1;
             let country = &COUNTRIES[zipf(&mut rng, COUNTRIES.len(), 0.8)];
             let (activity, _) = ACTIVITY_TYPES[zipf(&mut rng, ACTIVITY_TYPES.len(), 0.6)];
             let (role, _) = ROLES[if i % 7 == 0 { 0 } else { 1 }];
-            t.push_rows(vec![vec![
+            vec![
                 Value::Int(i as i64 + 1),
                 Value::Int(project),
                 Value::Int(inst),
@@ -634,8 +645,8 @@ pub fn build(size: SizeClass) -> DomainData {
                 format!("{:09}", 100_000_000 + i).into(),
                 format!("{:05}", 10_000 + i % 80_000).into(),
                 format!("Science Street {}", i % 200).into(),
-            ]]);
-        }
+            ]
+        }));
     }
     // Link tables.
     link(
@@ -700,11 +711,11 @@ fn link(
     mut other: impl FnMut(&mut StdRng, usize) -> Value,
 ) {
     let mut t = db.table_mut(table).unwrap();
-    for i in 0..n {
+    t.push_rows((0..n).map(|i| {
         let project = rng.gen_range(0..n_projects as i64) + 1;
         let o = other(rng, i);
-        t.push_rows(vec![vec![Value::Int(project), o]]);
-    }
+        vec![Value::Int(project), o]
+    }));
 }
 
 /// The one-shot expert refinement of the enhanced schema (§3.3.2).

@@ -438,56 +438,52 @@ pub fn build(size: SizeClass) -> DomainData {
     }
     {
         let mut t = db.table_mut("disease").unwrap();
-        for (i, (name, doid)) in DISEASES.iter().enumerate() {
-            t.push_rows(vec![vec![
-                Value::Int(i as i64 + 1),
-                (*name).into(),
-                Value::Int(*doid),
-            ]]);
-        }
+        t.push_rows(DISEASES.iter().enumerate().map(|(i, (name, doid))| {
+            vec![Value::Int(i as i64 + 1), (*name).into(), Value::Int(*doid)]
+        }));
     }
     {
         let mut t = db.table_mut("anatomical_entity").unwrap();
-        for (i, tissue) in TISSUES.iter().enumerate() {
-            t.push_rows(vec![vec![
+        t.push_rows(TISSUES.iter().enumerate().map(|(i, tissue)| {
+            vec![
                 format!("UBERON:{:07}", 1000 + i).into(),
                 (*tissue).into(),
                 format!("the {tissue} tissue").into(),
-            ]]);
-        }
+            ]
+        }));
     }
     {
         let mut t = db.table_mut("stage").unwrap();
-        for (i, s) in ["stage I", "stage II", "stage III", "stage IV"]
-            .iter()
-            .enumerate()
-        {
-            t.push_rows(vec![vec![Value::Int(i as i64 + 1), (*s).into()]]);
-        }
+        t.push_rows(
+            ["stage I", "stage II", "stage III", "stage IV"]
+                .iter()
+                .enumerate()
+                .map(|(i, s)| vec![Value::Int(i as i64 + 1), (*s).into()]),
+        );
     }
     {
         let mut t = db.table_mut("gene").unwrap();
-        for i in 0..n_genes {
+        t.push_rows((0..n_genes).map(|i| {
             let symbol = GENES
                 .get(i)
                 .map(|s| s.to_string())
                 .unwrap_or_else(|| format!("GENE{i:05}"));
-            t.push_rows(vec![vec![
+            vec![
                 Value::Int(i as i64 + 1),
                 symbol.into(),
                 format!("ENSG{:011}", 100_000 + i).into(),
                 Value::Int(if i % 9 == 8 { 10090 } else { 9606 }),
                 format!("{}", 1 + i % 22).into(),
                 Value::Int(rng.gen_range(1..30)),
-            ]]);
-        }
+            ]
+        }));
     }
     {
         let mut t = db.table_mut("biomarker").unwrap();
-        for i in 0..n_biomarkers {
+        t.push_rows((0..n_biomarkers).map(|i| {
             // Famous genes are heavily studied: Zipf over the gene list.
             let gene = zipf(&mut rng, n_genes, 1.1) as i64 + 1;
-            t.push_rows(vec![vec![
+            vec![
                 Value::Int(i as i64 + 1),
                 format!("ONX_{i:05}").into(),
                 Value::Int(gene),
@@ -496,8 +492,8 @@ pub fn build(size: SizeClass) -> DomainData {
                 ["FDA", "EDRN"][i % 2].into(),
                 format!("OncoTest {i}").into(),
                 ["Roche", "Abbott", "Illumina", "QIAGEN"][i % 4].into(),
-            ]]);
-        }
+            ]
+        }));
     }
     fanout(&mut db, "biomarker_fda", n_fda, |rng, i| {
         vec![
@@ -704,9 +700,7 @@ fn fanout(
         .fold(0u64, |acc, b| acc.wrapping_mul(31).wrapping_add(b as u64));
     let mut rng = StdRng::seed_from_u64(0x0C0_0000 ^ seed);
     let mut t = db.table_mut(table).unwrap();
-    for i in 0..n {
-        t.push_rows(vec![row(&mut rng, i)]);
-    }
+    t.push_rows((0..n).map(|i| row(&mut rng, i)));
 }
 
 /// One-shot expert refinement of the enhanced schema.

@@ -152,26 +152,27 @@ pub fn build(size: SizeClass) -> DomainData {
 
     {
         let mut t = db.table_mut("photo_type").unwrap();
-        for (v, name) in [
-            (0, "UNKNOWN"),
-            (1, "COSMIC_RAY"),
-            (3, "GALAXY"),
-            (6, "STAR"),
-            (8, "SKY"),
-        ] {
-            t.push_rows(vec![vec![Value::Int(v), name.into()]]);
-        }
+        t.push_rows(
+            [
+                (0, "UNKNOWN"),
+                (1, "COSMIC_RAY"),
+                (3, "GALAXY"),
+                (6, "STAR"),
+                (8, "SKY"),
+            ]
+            .map(|(v, name)| vec![Value::Int(v), name.into()]),
+        );
     }
     let type_values = [3i64, 6, 0, 1, 8];
     {
         let mut t = db.table_mut("photoobj").unwrap();
-        for i in 0..n_photo {
+        t.push_rows((0..n_photo).map(|i| {
             let r_mag = float_in(&mut rng, 12.0, 24.0, 3);
             let u_mag = r_mag + float_in(&mut rng, -0.5, 4.0, 3);
             let g_mag = r_mag + float_in(&mut rng, -0.3, 1.5, 3);
             let i_mag = r_mag - float_in(&mut rng, -0.3, 0.8, 3);
             let z_mag = r_mag - float_in(&mut rng, -0.4, 1.0, 3);
-            t.push_rows(vec![vec![
+            vec![
                 Value::Int(i as i64 + 1),
                 Value::Float(float_in(&mut rng, 0.0, 360.0, 5)),
                 Value::Float(float_in(&mut rng, -90.0, 90.0, 5)),
@@ -191,12 +192,12 @@ pub fn build(size: SizeClass) -> DomainData {
                 Value::Float(float_in(&mut rng, 0.001, 0.5, 4)),
                 Value::Float(float_in(&mut rng, 0.5, 30.0, 3)),
                 Value::Int(rng.gen_range(51_000..60_000)),
-            ]]);
-        }
+            ]
+        }));
     }
     {
         let mut t = db.table_mut("specobj").unwrap();
-        for i in 0..n_spec {
+        t.push_rows((0..n_spec).map(|i| {
             let class = *weighted(&mut rng, &SPEC_CLASSES.map(|(c, w)| (c, w)));
             let z = match class {
                 "GALAXY" => float_in(&mut rng, 0.01, 1.2, 4),
@@ -208,7 +209,7 @@ pub fn build(size: SizeClass) -> DomainData {
                 "QSO" => ["BROADLINE", ""][rng.gen_range(0..2)],
                 _ => ["O", ""][rng.gen_range(0..2)],
             };
-            t.push_rows(vec![vec![
+            vec![
                 Value::Int(i as i64 + 1),
                 Value::Int(rng.gen_range(0..n_photo as i64) + 1),
                 Value::Float(float_in(&mut rng, 0.0, 360.0, 5)),
@@ -225,28 +226,28 @@ pub fn build(size: SizeClass) -> DomainData {
                 Value::Float(float_in(&mut rng, 0.5, 60.0, 3)),
                 Value::Float(float_in(&mut rng, 30.0, 400.0, 2)),
                 Value::Int(if rng.gen_bool(0.93) { 0 } else { 4 }),
-            ]]);
-        }
+            ]
+        }));
     }
     {
         let mut t = db.table_mut("neighbors").unwrap();
-        for _ in 0..n_neighbors {
+        t.push_rows((0..n_neighbors).map(|_| {
             let a = rng.gen_range(0..n_photo as i64) + 1;
             let b = rng.gen_range(0..n_photo as i64) + 1;
-            t.push_rows(vec![vec![
+            vec![
                 Value::Int(a),
                 Value::Int(b),
                 Value::Float(float_in(&mut rng, 0.001, 0.5, 5)),
                 Value::Int(rng.gen_range(1..=4)),
                 Value::Int(type_values[zipf(&mut rng, type_values.len(), 0.7)]),
                 Value::Int(rng.gen_range(1..=2)),
-            ]]);
-        }
+            ]
+        }));
     }
     {
         let mut t = db.table_mut("sppparams").unwrap();
-        for i in 0..n_spp {
-            t.push_rows(vec![vec![
+        t.push_rows((0..n_spp).map(|i| {
+            vec![
                 Value::Int((i % n_spec) as i64 + 1),
                 Value::Float(float_in(&mut rng, -3.0, 0.5, 3)),
                 Value::Float(float_in(&mut rng, 0.01, 0.3, 3)),
@@ -256,14 +257,14 @@ pub fn build(size: SizeClass) -> DomainData {
                 Value::Float(float_in(&mut rng, 20.0, 300.0, 1)),
                 Value::Float(float_in(&mut rng, 5.0, 90.0, 2)),
                 ["nnnnn", "Nnnnn", "dnnnn"][rng.gen_range(0..3)].into(),
-            ]]);
-        }
+            ]
+        }));
     }
     {
         let mut t = db.table_mut("galspecline").unwrap();
-        for i in 0..n_gal {
+        t.push_rows((0..n_gal).map(|i| {
             let flux = float_in(&mut rng, 0.1, 900.0, 3);
-            t.push_rows(vec![vec![
+            vec![
                 Value::Int((i % n_spec) as i64 + 1),
                 Value::Float(flux),
                 Value::Float(flux * 0.05),
@@ -273,8 +274,8 @@ pub fn build(size: SizeClass) -> DomainData {
                 Value::Float(float_in(&mut rng, 0.1, 300.0, 3)),
                 Value::Float(float_in(&mut rng, 30.0, 300.0, 2)),
                 Value::Float(float_in(&mut rng, 30.0, 300.0, 2)),
-            ]]);
-        }
+            ]
+        }));
     }
 
     let enhanced = enhance(&db);

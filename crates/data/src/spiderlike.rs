@@ -415,37 +415,37 @@ fn build_theme(t: &Theme, idx: u64) -> SpiderDb {
     let ent2_table = format!("{}s", t.ent2);
     {
         let mut table = db.table_mut(&ent_table).unwrap();
-        for i in 0..n1 {
+        table.push_rows((0..n1).map(|i| {
             let cat = t.cat_values[zipf(&mut rng, 4, 0.6)];
-            table.push_rows(vec![vec![
+            vec![
                 Value::Int(i as i64 + 1),
                 format!("{} {}", t.ent, i + 1).into(),
                 cat.into(),
                 Value::Float(float_in(&mut rng, 5.0, 500.0, 2)),
                 Value::Float(float_in(&mut rng, 1.0, 100.0, 2)),
                 Value::Int(rng.gen_range(1..2020)),
-            ]]);
-        }
+            ]
+        }));
     }
     {
         let mut table = db.table_mut(&ent2_table).unwrap();
-        for i in 0..n2 {
-            table.push_rows(vec![vec![
+        table.push_rows((0..n2).map(|i| {
+            vec![
                 Value::Int(i as i64 + 1),
                 format!("{} {}", t.ent2, i + 1).into(),
                 format!("{} {}", t.attr2, 1 + i % 8).into(),
-            ]]);
-        }
+            ]
+        }));
     }
     {
         let mut table = db.table_mut(t.link).unwrap();
-        for _ in 0..nl {
-            table.push_rows(vec![vec![
+        table.push_rows((0..nl).map(|_| {
+            vec![
                 Value::Int(rng.gen_range(0..n1 as i64) + 1),
                 Value::Int(rng.gen_range(0..n2 as i64) + 1),
                 Value::Int(rng.gen_range(1990..2023)),
-            ]]);
-        }
+            ]
+        }));
     }
 
     let profile = db.profile();

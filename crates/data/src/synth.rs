@@ -92,22 +92,18 @@ pub fn synth_db(n: usize) -> Database {
         ));
     let mut db = Database::new(schema);
     let groups: Vec<Value> = (0..16).map(|i| Value::from(format!("g{i:02}"))).collect();
-    let rows: Vec<Vec<Value>> = (0..n)
-        .map(|i| {
-            vec![
-                Value::Int(i as i64),
-                groups[i % 16].clone(),
-                Value::Float((i % 1000) as f64 * 0.001),
-                Value::Int((i % 7) as i64),
-                Value::Int((i % 1024) as i64),
-            ]
-        })
-        .collect();
-    db.table_mut("t").unwrap().push_rows(rows);
-    let dim_rows: Vec<Vec<Value>> = (0..1024)
-        .map(|i| vec![Value::Int(i as i64), Value::from(format!("d{i:04}"))])
-        .collect();
-    db.table_mut("dim").unwrap().push_rows(dim_rows);
+    db.table_mut("t").unwrap().push_rows((0..n).map(|i| {
+        vec![
+            Value::Int(i as i64),
+            groups[i % 16].clone(),
+            Value::Float((i % 1000) as f64 * 0.001),
+            Value::Int((i % 7) as i64),
+            Value::Int((i % 1024) as i64),
+        ]
+    }));
+    db.table_mut("dim")
+        .unwrap()
+        .push_rows((0..1024).map(|i| vec![Value::Int(i as i64), Value::from(format!("d{i:04}"))]));
     db
 }
 

@@ -156,7 +156,7 @@ fn single_column_tables(cases: Vec<(&str, ColumnType, Vec<Value>)>) -> Database 
     for (name, _, values) in cases {
         db.table_mut(name)
             .unwrap()
-            .push_rows(values.into_iter().map(|v| vec![v]).collect());
+            .push_rows(values.into_iter().map(|v| vec![v]));
     }
     db
 }
@@ -304,8 +304,9 @@ fn random_tie_heavy_columns_profile_like_the_full_sort() {
 fn rebuilt(db: &Database) -> Database {
     let mut copy = Database::new(db.schema.clone());
     for t in db.tables() {
-        let rows = (0..t.len()).map(|r| t.row(r)).collect();
-        copy.table_mut(&t.def.name).unwrap().push_rows(rows);
+        copy.table_mut(&t.def.name)
+            .unwrap()
+            .push_rows((0..t.len()).map(|r| t.row(r)));
     }
     copy
 }

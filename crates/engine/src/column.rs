@@ -129,9 +129,10 @@ pub struct Column {
 }
 
 /// A vector holding `backfill` placeholders (the NULL rows seen so far)
-/// followed by `first`.
-fn started<T: Copy>(backfill: usize, placeholder: T, first: T) -> Vec<T> {
-    let mut out = Vec::with_capacity(backfill + 1);
+/// followed by `first`, with room for `rows` rows: the row count the
+/// build reserved ([`ColumnarTable::reserve`]).
+fn started<T: Copy>(backfill: usize, placeholder: T, first: T, rows: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(rows.max(backfill + 1));
     out.resize(backfill, placeholder);
     out.push(first);
     out
@@ -199,9 +200,10 @@ impl Column {
     /// Append row `i`'s cell, text already interned (`codes` holds this
     /// column's dictionary codes) and the null mask already covering
     /// row `i`. The first non-NULL value fixes the variant, backfilling
-    /// placeholders for the NULL rows before it; any later disagreement
-    /// turns the column into [`ColumnData::Values`].
-    fn push(&mut self, i: usize, v: Value, codes: &mut TextCodes) {
+    /// placeholders for the NULL rows before it and allocating room for
+    /// the `rows` rows the build reserved; any later disagreement turns
+    /// the column into [`ColumnData::Values`].
+    fn push(&mut self, i: usize, v: Value, codes: &mut TextCodes, rows: usize) {
         // A number or bool of the column's variant, matched by reference:
         // matching the owned value here costs twice as much per cell.
         match (&mut self.data, &v) {
@@ -231,13 +233,13 @@ impl Column {
             }
             (ColumnData::AllNull, v) => {
                 self.data = match v {
-                    Value::Int(x) => ColumnData::Int(started(i, 0, x)),
-                    Value::Float(x) => ColumnData::Float(started(i, 0.0, x)),
-                    Value::Bool(x) => ColumnData::Bool(started(i, false, x)),
+                    Value::Int(x) => ColumnData::Int(started(i, 0, x, rows)),
+                    Value::Float(x) => ColumnData::Float(started(i, 0.0, x, rows)),
+                    Value::Bool(x) => ColumnData::Bool(started(i, false, x, rows)),
                     Value::Text(s) => {
                         codes.insert(Arc::as_ptr(&s) as usize, 0);
                         ColumnData::Text(DictColumn {
-                            codes: started(i, 0, 0),
+                            codes: started(i, 0, 0, rows),
                             values: vec![s],
                         })
                     }
@@ -253,6 +255,23 @@ impl Column {
                 self.nulls = NullMask::new(i + 1);
                 codes.clear();
             }
+        }
+    }
+
+    /// Make room for `additional` more rows in every row-indexed vector,
+    /// and for `words` words in the null mask. `reserve`, not
+    /// `reserve_exact`: a build that reserves one row per call still
+    /// grows geometrically.
+    fn reserve(&mut self, additional: usize, words: usize) {
+        let mask = &mut self.nulls.words;
+        mask.reserve(words.saturating_sub(mask.len()));
+        match &mut self.data {
+            ColumnData::Int(v) => v.reserve(additional),
+            ColumnData::Float(v) => v.reserve(additional),
+            ColumnData::Bool(v) => v.reserve(additional),
+            ColumnData::Text(d) => d.codes.reserve(additional),
+            ColumnData::AllNull => {}
+            ColumnData::Values(v) => v.reserve(additional),
         }
     }
 
@@ -309,9 +328,21 @@ impl ColumnarTable {
         }
     }
 
+    /// Make room for `additional` more rows in every column that holds
+    /// a vector. A column still [`ColumnData::AllNull`] has none yet: it
+    /// allocates the reserved row count when its first value arrives
+    /// (the `rows` argument of [`ColumnarTable::push_row`]).
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        let words = (self.len + additional).div_ceil(64);
+        for col in &mut self.columns {
+            col.reserve(additional, words);
+        }
+    }
+
     /// Append one row of exactly `columns.len()` cells whose text is
-    /// interned per table; `codes` holds one [`TextCodes`] per column.
-    pub(crate) fn push_row(&mut self, row: Vec<Value>, codes: &mut [TextCodes]) {
+    /// interned per table; `codes` holds one [`TextCodes`] per column,
+    /// and `rows` is the row count the build reserved room for.
+    pub(crate) fn push_row(&mut self, row: Vec<Value>, codes: &mut [TextCodes], rows: usize) {
         let i = self.len;
         if i.is_multiple_of(64) {
             for col in &mut self.columns {
@@ -319,7 +350,7 @@ impl ColumnarTable {
             }
         }
         for ((col, v), codes) in self.columns.iter_mut().zip(row).zip(codes) {
-            col.push(i, v, codes);
+            col.push(i, v, codes, rows);
         }
         self.len += 1;
     }
@@ -479,7 +510,7 @@ fn build_column(rows: &[Vec<Value>], j: usize, len: usize) -> Column {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::database::Database;
     use sb_schema::{Column as SColumn, ColumnType, Schema, TableDef};
@@ -569,7 +600,7 @@ mod tests {
     /// Table `name` of `db` holds exactly `rows` (interned): its image
     /// equals the two-pass oracle's, every row reads back, and no
     /// vector has spare capacity.
-    fn assert_holds(db: &Database, name: &str, rows: &[Vec<Value>], what: &str) {
+    pub(crate) fn assert_holds(db: &Database, name: &str, rows: &[Vec<Value>], what: &str) {
         let t = db.table(name).unwrap();
         let want = interned(rows);
         let image = t.columnar();

@@ -43,6 +43,10 @@ struct Appending {
     pool: HashSet<Arc<String>, FxBuild>,
     /// Per column, the dictionary code of each stored string.
     codes: Vec<TextCodes>,
+    /// The row count the last [`Appending::reserve`] made room for: a
+    /// column still [`ColumnData::AllNull`] allocates this many rows
+    /// when its first value arrives.
+    rows: usize,
 }
 
 impl Table {
@@ -96,9 +100,20 @@ impl Table {
     /// Append many rows, panicking on arity/type errors — intended for the
     /// deterministic generators, whose output is well-formed by
     /// construction.
-    pub fn push_rows(&mut self, rows: Vec<Vec<Value>>) {
+    ///
+    /// Every column first reserves room for the iterator's lower size
+    /// bound, so a build that passes all of a table's rows in one call
+    /// (a `Vec`, or a mapped range) sizes each column vector once instead
+    /// of growing it by doubling. An inexact bound only costs growth, and
+    /// the end of the build trims what is left over.
+    pub fn push_rows(&mut self, rows: impl IntoIterator<Item = Vec<Value>>) {
+        let rows = rows.into_iter();
+        let image = &self.image;
+        self.appending
+            .get_or_insert_with(|| Appending::new(image))
+            .reserve(&mut self.image, rows.size_hint().0);
         for row in rows {
-            self.push_row(row).expect("generated row must be valid");
+            self.push_row(row).expect("rows must fit their table");
         }
     }
 
@@ -111,9 +126,7 @@ impl Table {
         let rows: Vec<Vec<Value>> = (0..n).map(|r| self.row(r)).collect();
         self.image = ColumnarTable::new(self.def.columns.len());
         self.appending = None;
-        for row in rows {
-            self.push_row(row).expect("stored rows fit their table");
-        }
+        self.push_rows(rows);
     }
 
     /// Remove every row.
@@ -182,7 +195,14 @@ impl Appending {
         Appending {
             pool: image.dictionaries().flatten().cloned().collect(),
             codes: image.text_codes(),
+            rows: image.len,
         }
+    }
+
+    /// Make room in `image` for `additional` more rows.
+    fn reserve(&mut self, image: &mut ColumnarTable, additional: usize) {
+        self.rows = image.len + additional;
+        image.reserve(additional);
     }
 
     /// Intern the row's text against the strings appended so far and
@@ -198,7 +218,7 @@ impl Appending {
                 }
             }
         }
-        image.push_row(row, &mut self.codes);
+        image.push_row(row, &mut self.codes, self.rows);
     }
 }
 
@@ -210,6 +230,7 @@ impl Appending {
 pub(crate) fn image_of_rows(width: usize, rows: Vec<Vec<Value>>) -> ColumnarTable {
     let mut image = ColumnarTable::new(width);
     let mut state = Appending::new(&image);
+    state.reserve(&mut image, rows.len());
     for row in rows {
         state.push(&mut image, row);
     }
@@ -467,6 +488,118 @@ mod tests {
             "y shared across rows"
         );
         assert!(!Arc::ptr_eq(&handle(0, 0), &handle(0, 1)));
+    }
+
+    /// A table of every stored type: an int key, a float column NULL
+    /// for its first `nulls` rows (it stays `AllNull` until then), a
+    /// text column and a bool column.
+    fn typed_rows(n: usize, nulls: usize) -> (Database, Vec<Vec<Value>>) {
+        let schema = Schema::new("t").with_table(TableDef::new(
+            "m",
+            vec![
+                Column::pk("id", ColumnType::Int),
+                Column::new("late", ColumnType::Float),
+                Column::new("s", ColumnType::Text),
+                Column::new("b", ColumnType::Bool),
+            ],
+        ));
+        let rows = (0..n)
+            .map(|i| {
+                let late = if i < nulls {
+                    Value::Null
+                } else {
+                    Value::Float(i as f64 / 4.0)
+                };
+                let s = Value::from(format!("w{}", i % 37));
+                vec![Value::Int(i as i64), late, s, Value::Bool(i % 3 == 0)]
+            })
+            .collect();
+        (Database::new(schema), rows)
+    }
+
+    /// Bytes allocated to the text dictionaries beyond their lengths.
+    /// A build cannot know a column's distinct count in advance, so the
+    /// dictionaries grow as strings arrive; every row-indexed vector is
+    /// sized by the reservation. (Amortized growth never allocates fewer
+    /// than four words or eight bools, so a table under 193 rows keeps a
+    /// few spare mask bytes until the end of its build trims them; the
+    /// tests use larger tables.)
+    fn dictionary_spare(image: &ColumnarTable) -> usize {
+        image
+            .columns
+            .iter()
+            .map(|c| match &c.data {
+                ColumnData::Text(d) => {
+                    (d.values.capacity() - d.values.len()) * std::mem::size_of::<Arc<String>>()
+                }
+                _ => 0,
+            })
+            .sum()
+    }
+
+    #[test]
+    fn exact_size_push_rows_sizes_every_column_once() {
+        for (n, nulls) in [(1000, 0), (1000, 300), (1000, 999), (257, 64), (300, 256)] {
+            let what = format!("{n} rows, {nulls} leading NULLs");
+            let (mut d, rows) = typed_rows(n, nulls);
+            {
+                let mut t = d.table_mut("m").unwrap();
+                t.push_rows(rows.clone());
+                // Before the guard drops: nothing for the end of the
+                // build to trim.
+                let image = t.columnar();
+                assert_eq!(image.spare_bytes(), dictionary_spare(image), "{what}");
+                assert!(matches!(image.columns[1].data, ColumnData::Float(_)));
+            }
+            crate::column::tests::assert_holds(&d, "m", &rows, &what);
+        }
+    }
+
+    #[test]
+    fn one_row_push_rows_calls_grow_geometrically() {
+        let n = 4000;
+        let (mut d, rows) = typed_rows(n, 700);
+        let mut seen: Vec<HashSet<usize>> = vec![HashSet::default(); 4];
+        {
+            let mut t = d.table_mut("m").unwrap();
+            for row in &rows {
+                t.push_rows(vec![row.clone()]);
+                for (caps, col) in seen.iter_mut().zip(&t.columnar().columns) {
+                    caps.insert(match &col.data {
+                        ColumnData::Int(v) => v.capacity(),
+                        ColumnData::Float(v) => v.capacity(),
+                        ColumnData::Bool(v) => v.capacity(),
+                        ColumnData::Text(d) => d.codes.capacity(),
+                        ColumnData::AllNull => 0,
+                        ColumnData::Values(v) => v.capacity(),
+                    });
+                }
+            }
+        }
+        let bound = n.ilog2() as usize + 4;
+        for (j, caps) in seen.iter().enumerate() {
+            assert!(
+                caps.len() <= bound,
+                "column {j}: {} distinct capacities over {n} one-row calls",
+                caps.len()
+            );
+        }
+        crate::column::tests::assert_holds(&d, "m", &rows, "one row per call");
+    }
+
+    #[test]
+    fn truncation_rebuilds_at_the_kept_size() {
+        let (mut d, rows) = typed_rows(500, 100);
+        d.table_mut("m").unwrap().push_rows(rows.clone());
+        for keep in [300, 257, 193] {
+            let mut t = d.table_mut("m").unwrap();
+            t.truncate(keep);
+            let image = t.columnar();
+            assert_eq!(image.spare_bytes(), dictionary_spare(image), "kept {keep}");
+            drop(t);
+            let what = format!("kept {keep}");
+            crate::column::tests::assert_holds(&d, "m", &rows[..keep], &what);
+        }
     }
 
     #[test]

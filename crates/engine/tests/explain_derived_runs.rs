@@ -27,10 +27,9 @@ fn db() -> Database {
         ],
     ));
     let mut db = Database::new(schema);
-    let rows = (0..1000i64)
-        .map(|a| vec![a.into(), (a % 7).into()])
-        .collect();
-    db.table_mut("t").unwrap().push_rows(rows);
+    db.table_mut("t")
+        .unwrap()
+        .push_rows((0..1000i64).map(|a| vec![a.into(), (a % 7).into()]));
     db
 }
 

@@ -433,8 +433,7 @@ fn sum_whose_morsel_alone_leaves_i64_is_exact() {
     db.table_mut("s").unwrap().push_rows(
         [-P62, -P62, P62, P62, 1]
             .into_iter()
-            .map(|v| vec![Value::Int(v)])
-            .collect(),
+            .map(|v| vec![Value::Int(v)]),
     );
     let sql = "SELECT SUM(v) FROM s";
     assert_eq!(reference(&db, sql).rows, vec![vec![Value::Int(1)]]);
@@ -661,11 +660,9 @@ fn reorder_db(keys: [&str; 3]) -> Database {
             ],
         ));
     let mut db = Database::new(schema);
-    db.table_mut("big").unwrap().push_rows(
-        (1..=6)
-            .map(|i| vec![Value::Int(i), Value::Int(2 - i % 2)])
-            .collect(),
-    );
+    db.table_mut("big")
+        .unwrap()
+        .push_rows((1..=6).map(|i| vec![Value::Int(i), Value::Int(2 - i % 2)]));
     db.table_mut("mid").unwrap().push_rows(vec![
         vec![2.into(), "x".into()],
         vec![1.into(), "y".into()],

@@ -227,7 +227,10 @@ impl PlanCache {
 
     /// Make `prepared` resident under `(db_name, sql)`, evicting if the
     /// cache is full, and return the resident entry: another thread's,
-    /// if it inserted the same statement first.
+    /// if it inserted the same statement first. The evicted entry is
+    /// dropped after the write lock is released: freeing its AST and plan
+    /// is most of the work a full cache's insert does, and no lookup
+    /// needs to wait for it.
     fn insert(&self, db_name: &str, sql: &str, prepared: Arc<Prepared>) -> Arc<Prepared> {
         let mut guard = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         let inner = &mut *guard;
@@ -249,9 +252,10 @@ impl PlanCache {
             prepared: Arc::clone(&prepared),
             referenced: AtomicBool::new(false),
         };
+        let mut evicted = None;
         let i = match victim {
             Some(i) => {
-                inner.slots[i] = slot;
+                evicted = Some(std::mem::replace(&mut inner.slots[i], slot));
                 i
             }
             None => {
@@ -260,6 +264,8 @@ impl PlanCache {
             }
         };
         inner.partitions.entry(db).or_default().insert(sql, i);
+        drop(guard);
+        drop(evicted);
         prepared
     }
 
@@ -432,6 +438,21 @@ mod tests {
         assert!(hit(&cache, &db, &stmt(10)));
         assert!(hit(&cache, &db, &stmt(11)));
         assert!(!hit(&cache, &db, &stmt(0)));
+    }
+
+    /// An evicted entry is released: a request still holding it owns
+    /// the last reference.
+    #[test]
+    fn eviction_releases_the_victim() {
+        let db = sdss();
+        let cache = PlanCache::with_capacity(1);
+        let opts = ExecOptions::default();
+        let (held, _) = cache.prepare("sdss", &db, &stmt(0), opts);
+        let held = held.expect("parses");
+        assert_eq!(Arc::strong_count(&held), 2, "the cache and the caller");
+        assert!(!hit(&cache, &db, &stmt(1)));
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(Arc::strong_count(&held), 1, "only the caller");
     }
 
     #[test]

@@ -156,8 +156,7 @@ fn test_db(rows: &[(i64, f64, bool)]) -> Database {
     let mut db = Database::new(schema);
     db.table_mut("t").unwrap().push_rows(
         rows.iter()
-            .map(|(id, x, flag)| vec![Value::Int(*id), Value::Float(*x), Value::Bool(*flag)])
-            .collect(),
+            .map(|(id, x, flag)| vec![Value::Int(*id), Value::Float(*x), Value::Bool(*flag)]),
     );
     db
 }
